@@ -23,6 +23,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .config import Config, DEFAULT
+from .exacteval import evaluate, integer_form
 from .hypernum import (
     APPRECIABLE,
     BOUNDED_UNCLASSIFIED,
@@ -499,43 +500,6 @@ def _band_ray_state(p: StructuredPoly, t: TailTerm) -> str:
 # the evaluation oracle
 # ---------------------------------------------------------------------------
 
-def _window_values_squared(p: InternalPolynomial, pt: tuple, horizon: int) -> list:
-    """|P_i(pt)|^2 for i in the window, with point powers computed once."""
-    mats = []
-    max_exp = [0] * p.n
-    for i in range(1, horizon + 1):
-        try:
-            mat = p.materialize(i)
-        except ZeroDivisionError:
-            continue
-        mats.append(mat)
-        for nu in mat:
-            for var, e in enumerate(nu):
-                if e > max_exp[var]:
-                    max_exp[var] = e
-    tables = []
-    for var in range(p.n):
-        tbl = [(Q(1), Q(0))]
-        for _ in range(max_exp[var]):
-            a, b = tbl[-1]
-            c, d = pt[var]
-            tbl.append((a * c - b * d, a * d + b * c))
-        tables.append(tbl)
-    out = []
-    for mat in mats:
-        total_re, total_im = Q(0), Q(0)
-        for nu, coeff in mat.items():
-            re, im = coeff
-            for var, e in enumerate(nu):
-                if e:
-                    c, d = tables[var][e]
-                    re, im = re * c - im * d, re * d + im * c
-            total_re += re
-            total_im += im
-        out.append(total_re * total_re + total_im * total_im)
-    return out
-
-
 def _rational_circle_points(count: int, seed: int) -> list[tuple[Fraction, Fraction]]:
     """Deterministic low-discrepancy rational points exactly on the unit circle.
 
@@ -552,6 +516,22 @@ def _rational_circle_points(count: int, seed: int) -> list[tuple[Fraction, Fract
         d = 1 + tval * tval
         pts.append(((1 - tval * tval) / d, 2 * tval / d))
     return pts
+
+
+def _oracle_points(n: int, R: Fraction, sample_count: int, seed: int) -> list[tuple]:
+    """The oracle's sample points in C^n: the two distinguished points first
+    (growth shows on the positive axis), then scaled rational circle points."""
+    points: list[tuple[tuple[Fraction, Fraction], ...]] = [
+        tuple((R, Q(0)) for _ in range(n)),
+        tuple((Q(1), Q(0)) for _ in range(n)),
+    ]
+    for j, (c, s) in enumerate(_rational_circle_points(sample_count, seed)):
+        scale = R if j % 2 == 0 else R * Fraction(j % 5 + 1, 5)
+        points.append(tuple(
+            ((c * scale, s * scale) if (j + var) % 2 == 0 else (s * scale, -c * scale))
+            for var in range(n)
+        ))
+    return points
 
 
 @dataclass(frozen=True)
@@ -580,29 +560,24 @@ def sampling_oracle(
 ) -> OracleReport:
     """Evaluate the polynomial at sampled bounded points across the window.
 
+    The window ``P_1 .. P_horizon`` is materialized once per call and held as
+    Gaussian-integer numerators over one denominator per index; every point
+    is then evaluated exactly in integers, and each value ``|P_i(pt)|^2``
+    becomes one ``Fraction``.
+
     A ``Fails`` verdict on boundedness is conclusive evidence: it names a
     witness point whose value sequence grows without bound.  ``Holds`` is
-    evidence at this radius only.
+    evidence at this radius only.  A window in which no index materializes
+    gives no evidence, so both verdicts are then ``Undetermined``.
     """
     R = Q(radius)
     if R <= 0:
         raise ValueError("radius must be a positive rational")
     if sample_count < 1:
         raise ValueError("need at least one sample")
-    circle = _rational_circle_points(sample_count, seed)
-    # the distinguished points go first: growth shows on the positive axis
-    ones = tuple((Q(1), Q(0)) for _ in range(p.n))
-    points: list[tuple[tuple[Fraction, Fraction], ...]] = [
-        tuple((R, Q(0)) for _ in range(p.n)),
-        ones,
-    ]
-    for j, (c, s) in enumerate(circle):
-        scale = R if j % 2 == 0 else R * Fraction(j % 5 + 1, 5)
-        pt = tuple(
-            ((c * scale, s * scale) if (j + var) % 2 == 0 else (s * scale, -c * scale))
-            for var in range(p.n)
-        )
-        points.append(pt)
+    if horizon < 1:
+        raise ValueError("horizon must be >= 1")
+    points = _oracle_points(p.n, R, sample_count, seed)
 
     # fully explicit symbolic polynomials evaluate to classifiable sequences:
     # an exact infinite value at any sampled point is a conclusive witness
@@ -624,27 +599,32 @@ def sampling_oracle(
                     R,
                 )
 
+    mats = []
+    for i in range(1, horizon + 1):
+        try:
+            mats.append(p.materialize(i))
+        except ZeroDivisionError:
+            continue
+    if not mats:
+        empty = Verdict(UNDETERMINED, horizon, "no index in the window materializes")
+        return OracleReport(empty, empty, None, R)
+    window = integer_form(mats, p.n)
+    tol2 = Q(config.infinitesimal_tol) ** 2
+    growth2 = Q(config.growth_ratio) ** 2
+
     worst_growth: Optional[tuple] = None
     all_small = True
-    all_bounded = True
     bound_seen = Q(0)
     for pt in points:
-        seq = _window_values_squared(p, pt, horizon)
-        if not seq:
-            continue
-        m = max(seq)
-        bound_seen = max(bound_seen, m)
+        seq = [Q(re * re + im * im, den * den) for re, im, den in evaluate(window, pt)]
+        bound_seen = max(bound_seen, max(seq))
         quarter = seq[3 * len(seq) // 4:]
-        if not all(v < Q(config.infinitesimal_tol) ** 2 for v in quarter):
+        if not all(v < tol2 for v in quarter):
             all_small = False
-        ratios = [
-            quarter[k + 1] / quarter[k] for k in range(len(quarter) - 1) if quarter[k] > 0
-        ]
-        if ratios and all(r > Q(config.growth_ratio) ** 2 for r in ratios):
-            all_bounded = False
-            if worst_growth is None:
-                worst_growth = pt
-                break  # one conclusive witness point is enough
+        pairs = [(q0, q1) for q0, q1 in zip(quarter, quarter[1:]) if q0 > 0]
+        if pairs and all(q1 > growth2 * q0 for q0, q1 in pairs):
+            worst_growth = pt
+            break  # one conclusive witness point is enough
     if worst_growth is not None:
         bounded = Verdict(FAILS, horizon,
                           f"value sequence grows at sampled point (radius {R})")
@@ -691,6 +671,28 @@ def _per_variable_degree(mat: dict, n: int) -> int:
     return deg
 
 
+def _quadrature_values(
+    p: InternalPolynomial, R: float, at_index: int, nodes: int
+) -> tuple[dict, list, dict]:
+    """Torus values for coefficient recovery; refuses too few nodes."""
+    mat, roots, values = _torus_values(p, R, at_index, nodes)
+    deg = _per_variable_degree(mat, p.n) if mat else 0
+    if nodes <= deg:
+        raise ValueError(f"need more than deg = {deg} nodes, got {nodes}")
+    return mat, roots, values
+
+
+def _trapezoid(values: dict, roots: list, nodes: int, nu: tuple, n: int, R: float) -> complex:
+    """Trapezoidal sum of P(xi) xi^(-nu) over the torus, scaled to a_nu."""
+    total = 0j
+    for js, val in values.items():
+        phase = 1.0 + 0j
+        for t, j in enumerate(js):
+            phase *= roots[(-j * nu[t]) % nodes]
+        total += val * phase
+    return total / (nodes ** n * R ** mi_total(nu))
+
+
 def cauchy_all_coefficients(
     p: InternalPolynomial, radius, at_index: int, nodes: int
 ) -> dict[tuple, complex]:
@@ -700,20 +702,8 @@ def cauchy_all_coefficients(
     rounding once ``nodes`` exceeds the per-variable degree.
     """
     R = float(radius)
-    mat, roots, values = _torus_values(p, R, at_index, nodes)
-    deg = _per_variable_degree(mat, p.n) if mat else 0
-    if nodes <= deg:
-        raise ValueError(f"need more than deg = {deg} nodes, got {nodes}")
-    out = {}
-    for nu in mat:
-        total = 0j
-        for js, val in values.items():
-            phase = 1.0 + 0j
-            for t, j in enumerate(js):
-                phase *= roots[(-j * nu[t]) % nodes]
-            total += val * phase
-        out[nu] = total / (nodes ** p.n * R ** mi_total(nu))
-    return out
+    mat, roots, values = _quadrature_values(p, R, at_index, nodes)
+    return {nu: _trapezoid(values, roots, nodes, nu, p.n, R) for nu in mat}
 
 
 def cauchy_coefficient(
@@ -729,19 +719,9 @@ def cauchy_coefficient(
     the materialized polynomial; refuses otherwise, because exactness is the
     whole point of the trapezoidal rule on the torus.
     """
-    nu = tuple(nu)
     R = float(radius)
-    mat, roots, values = _torus_values(p, R, at_index, nodes)
-    deg = _per_variable_degree(mat, p.n) if mat else 0
-    if nodes <= deg:
-        raise ValueError(f"need more than deg = {deg} nodes, got {nodes}")
-    total = 0j
-    for js, val in values.items():
-        phase = 1.0 + 0j
-        for t, j in enumerate(js):
-            phase *= roots[(-j * nu[t]) % nodes]
-        total += val * phase
-    return total / (nodes ** p.n * R ** mi_total(nu))
+    _, roots, values = _quadrature_values(p, R, at_index, nodes)
+    return _trapezoid(values, roots, nodes, tuple(nu), p.n, R)
 
 
 def coefficient_bound_check(
@@ -758,7 +738,8 @@ def coefficient_bound_check(
     """
     R = float(radius)
     if nodes is None:
-        deg = _per_variable_degree(p.materialize(at_index), p.n) if p.materialize(at_index) else 0
+        mat = p.materialize(at_index)
+        deg = _per_variable_degree(mat, p.n) if mat else 0
         nodes = max(16, 2 * deg + 5)
     mat, _, values = _torus_values(p, R, at_index, nodes)
     m_r = max((abs(v) for v in values.values()), default=0.0)

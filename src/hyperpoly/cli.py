@@ -468,7 +468,7 @@ def main(argv=None) -> int:
     ap = build_arg_parser()
     args = ap.parse_args(argv)
     cfg = default_config()
-    if getattr(args, "horizon", None):
+    if getattr(args, "horizon", None) is not None:
         cfg = cfg.with_overrides(horizon=args.horizon)
     if getattr(args, "tol", None):
         cfg = cfg.with_overrides(tol=args.tol)

@@ -23,8 +23,9 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Optional
+from typing import Iterable, Iterator, Optional
 
+from .exacteval import evaluate, integer_form
 from .hypernat import HyperNatural
 from .hypernum import HyperComplex, coerce as hc_coerce
 from .indexexpr import IndexExpr
@@ -67,13 +68,6 @@ def _pair_mul(a: Pair, b: Pair) -> Pair:
     return (a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0])
 
 
-def _pair_pow(a: Pair, k: int) -> Pair:
-    out: Pair = (Q(1), Q(0))
-    for _ in range(k):
-        out = _pair_mul(out, a)
-    return out
-
-
 @dataclass(frozen=True)
 class TailTerm:
     """Coefficient band ``a(nu, i) = phi(|nu|) * eps(i)^|nu| * psi(i)``.
@@ -103,6 +97,22 @@ class TailTerm:
     def value(self, m: int, i: int) -> Pair:
         f = self.phi_at(m) * self.eps.eval(i) ** m
         return (f * self.psi_re.eval(i), f * self.psi_im.eval(i))
+
+    def values(self, degrees: range, i: int) -> Iterator[tuple[int, Pair]]:
+        """``(m, value(m, i))`` for ``m`` in ``degrees``.
+
+        ``eps`` and ``psi`` are read once, after the first ``phi`` as in
+        :meth:`value`, so an empty range reads nothing and a vanishing
+        denominator raises the same error.
+        """
+        seqs = None
+        for m in degrees:
+            f = self.phi_at(m)
+            if seqs is None:
+                seqs = self.eps.eval(i), self.psi_re.eval(i), self.psi_im.eval(i)
+            eps, psi_re, psi_im = seqs
+            f *= eps ** m
+            yield m, (f * psi_re, f * psi_im)
 
     def in_range(self, m: int, i: int) -> bool:
         if self.lo is not None and m <= self.lo.value(i):
@@ -141,23 +151,16 @@ class InternalPolynomial:
         return self.materialize(i).get(tuple(nu), _ZERO)
 
     def eval_exact(self, i: int, point: tuple[Pair, ...]) -> Pair:
+        """Exact value of ``P_i`` at a point of exact ``(re, im)`` pairs.
+
+        The coefficients are held as Gaussian-integer numerators over one
+        denominator and the point over another, so the sum is computed in
+        integers and each part of the value becomes one ``Fraction``.
+        """
         if len(point) != self.n:
             raise ValueError(f"point has arity {len(point)}, polynomial has {self.n}")
-        total: Pair = _ZERO
-        powers: list[dict[int, Pair]] = [dict() for _ in range(self.n)]
-
-        def pw(var: int, k: int) -> Pair:
-            if k not in powers[var]:
-                powers[var][k] = _pair_pow(point[var], k)
-            return powers[var][k]
-
-        for nu, c in self.materialize(i).items():
-            term = c
-            for var, k in enumerate(nu):
-                if k:
-                    term = _pair_mul(term, pw(var, k))
-            total = _pair_add(total, term)
-        return total
+        ((re, im, den),) = evaluate(integer_form((self.materialize(i),), self.n), point)
+        return (Q(re, den), Q(im, den))
 
     def eval_float(self, i: int, point: tuple[complex, ...]) -> complex:
         total = 0j
@@ -216,12 +219,11 @@ class StructuredPoly(InternalPolynomial):
         for t in self.tails:
             lo = t.lo.value(i) if t.lo is not None else -1
             hi = t.hi.value(i) if t.hi is not None else d_i
-            for m in range(max(0, lo + 1), min(hi, d_i) + 1):
-                c = t.value(m, i)
+            for m, c in t.values(range(max(0, lo + 1), min(hi, d_i) + 1), i):
                 if c == _ZERO:
                     continue
                 for nu in multi_indices_of_degree(self.n, m):
-                    out[nu] = _pair_add(out.get(nu, _ZERO), c)
+                    out[nu] = _pair_add(out[nu], c) if nu in out else c
         for t in self.tops:
             k = d_i - t.offset
             if k >= 0:

@@ -32,6 +32,7 @@ from hyperpoly.interpoly import (
     variable,
     zero_poly,
 )
+from hyperpoly.verdicts import UNDETERMINED
 
 I = IndexExpr.index
 D_I = HyperNatural.identity()
@@ -148,6 +149,23 @@ class TestSamplingOracle:
         rep = sampling_oracle(zero_poly(), sample_count=4, radius=1, horizon=16)
         assert rep.bounded.holds()
         assert rep.infinitesimal.holds()
+
+    @pytest.mark.parametrize("horizon", [0, -3])
+    def test_horizon_below_one_refused(self, horizon):
+        with pytest.raises(ValueError):
+            sampling_oracle(truncated_geometric(D_I), sample_count=4, radius=3,
+                            horizon=horizon)
+
+    def test_window_without_materialized_index_is_undetermined(self):
+        # psi = 1/((i-1)(i-2)) has no value at i = 1, 2: the window is empty
+        band = TailTerm((IndexExpr.const(1),), psi_re=1 / ((I() - 1) * (I() - 2)))
+        P = StructuredPoly(1, D_I, tails=(band,))
+        rep = sampling_oracle(P, sample_count=4, radius=3, horizon=2)
+        assert rep.bounded.kind == rep.infinitesimal.kind == UNDETERMINED
+        assert rep.bounded.witness == rep.infinitesimal.witness == 2
+        assert rep.witness is None
+        # one more index materializes and the oracle decides again
+        assert sampling_oracle(P, sample_count=4, radius=3, horizon=3).bounded.decided
 
     def test_unbounded_confirmation_radius_sweep(self):
         geom = truncated_geometric(D_I)

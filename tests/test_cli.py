@@ -38,6 +38,15 @@ class TestClassify:
         assert rep["verdict"] == "unbounded"
         assert rep["oracle"]["bounded"]["kind"] == "Fails"
 
+    @pytest.mark.parametrize("horizon", ["0", "-3"])
+    def test_horizon_below_one_is_a_typed_error(self, horizon):
+        code, out = run_cli(
+            "classify", "sum(k=0..d, X^k)", "--d", "i", "--radius", "3",
+            "--horizon", horizon,
+        )
+        assert code == EXIT_ERROR
+        assert json.loads(out)["error"] == "ValueError"
+
     def test_parse_error_exit_code(self):
         code, out = run_cli("classify", "X^")
         assert code == EXIT_ERROR
