@@ -93,6 +93,5 @@ from .genpoint import (
     v_of_ideal,
 )
 from .parser import parse, print_program
-from .cli import main, run
 
 __version__ = "0.1.0"

@@ -554,7 +554,7 @@ def sampling_oracle(
     p: InternalPolynomial,
     sample_count: int = 16,
     radius=1,
-    horizon: int = 64,
+    horizon: int = DEFAULT.horizon,
     seed: int = 0,
     config: Config = DEFAULT,
 ) -> OracleReport:
@@ -567,8 +567,9 @@ def sampling_oracle(
 
     A ``Fails`` verdict on boundedness is conclusive evidence: it names a
     witness point whose value sequence grows without bound.  ``Holds`` is
-    evidence at this radius only.  A window in which no index materializes
-    gives no evidence, so both verdicts are then ``Undetermined``.
+    evidence at this radius only.  The verdicts read the last quarter of the
+    materialized window; when it holds fewer than two values there is no
+    growth ratio, so both verdicts are then ``Undetermined``.
     """
     R = Q(radius)
     if R <= 0:
@@ -605,9 +606,10 @@ def sampling_oracle(
             mats.append(p.materialize(i))
         except ZeroDivisionError:
             continue
-    if not mats:
-        empty = Verdict(UNDETERMINED, horizon, "no index in the window materializes")
-        return OracleReport(empty, empty, None, R)
+    if len(mats) - 3 * len(mats) // 4 < 2:
+        short = Verdict(UNDETERMINED, horizon,
+                        "too few materialized indices for a growth ratio")
+        return OracleReport(short, short, None, R)
     window = integer_form(mats, p.n)
     tol2 = Q(config.infinitesimal_tol) ** 2
     growth2 = Q(config.growth_ratio) ** 2

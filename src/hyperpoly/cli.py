@@ -1,23 +1,24 @@
 """The ``hyperpoly`` command line.
 
 Each subcommand parses its expression arguments with the shared grammar,
-dispatches into the computation modules, and emits one JSON report on stdout
-(schema version 1).  Exit codes: 0 for decided verdicts, 2 when the answer is
-Undetermined, 1 for errors.  All randomness flows from --seed; runs with the
-same arguments and seed are byte-identical.
+dispatches into the computation modules, and returns one JSON report (schema
+version 1) with its exit code; ``main`` alone prints the report on stdout.
+Exit codes: 0 for decided verdicts, 2 when the answer is Undetermined, 1 for
+errors.  All randomness flows from --seed; runs with the same arguments and
+seed are byte-identical.
 """
 
 from __future__ import annotations
 
 import argparse
-import io
 import json
 import sys
+from dataclasses import replace
 from fractions import Fraction
 
 from .config import Config, default_config
 from .classify import classify_poly, sampling_oracle
-from .completion import FieldPoly, ResidueTower, TowerError, lift_tower
+from .completion import FieldPoly, ResidueTower, lift_tower
 from .filters import ProductRing, enumerate_filters, is_ultrafilter, kochen_ideal_to_filter
 from .genpoint import (
     GridExhausted,
@@ -28,7 +29,7 @@ from .genpoint import (
     qpoly,
 )
 from .hypernum import HyperComplex
-from .leibniz import DnCertificateError, delta, derivation_check, in_I, phi as phi_map
+from .leibniz import delta, derivation_check, in_I, phi as phi_map
 from .parser import (
     BindError,
     Bindings,
@@ -39,7 +40,7 @@ from .parser import (
     build_sequence,
     parse,
 )
-from .stdpart import StandardPartError, st_poly, zero_set_compare
+from .stdpart import st_poly, zero_set_compare
 from .verdicts import UNDETERMINED
 
 SCHEMA = 1
@@ -47,14 +48,6 @@ SCHEMA = 1
 EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_UNDETERMINED = 2
-
-
-def _emit(report: dict, pretty: bool) -> None:
-    report = {"schema": SCHEMA, **report}
-    if pretty:
-        print(json.dumps(report, indent=2, sort_keys=True))
-    else:
-        print(json.dumps(report, sort_keys=True))
 
 
 def _program_env(text: str, args) -> tuple:
@@ -79,15 +72,17 @@ def _materialization_json(p, i: int) -> dict:
     }
 
 
-def _cmd_classify(args, cfg: Config) -> int:
+def _cmd_classify(args, cfg: Config) -> tuple[dict, int]:
     program, env = _program_env(args.expr, args)
     p = build_poly(program.expression, env)
     cls = classify_poly(p)
     report = {"command": "classify", **cls.to_json()}
     if args.oracle or cls.verdict == "unbounded":
+        # an explicit --horizon runs as given; the default window stays short
+        horizon = cfg.horizon if args.horizon is not None else min(cfg.horizon, 32)
         rep = sampling_oracle(
-            p, sample_count=min(args.samples, 16), radius=args.radius,
-            horizon=min(cfg.horizon, 32), seed=args.seed, config=cfg,
+            p, sample_count=args.samples, radius=args.radius,
+            horizon=horizon, seed=args.seed, config=cfg,
         )
         report["oracle"] = rep.to_json()
     if args.dump_index is not None:
@@ -95,28 +90,25 @@ def _cmd_classify(args, cfg: Config) -> int:
             "index": args.dump_index,
             "coefficients": _materialization_json(p, args.dump_index),
         }
-    _emit(report, args.pretty)
-    return EXIT_UNDETERMINED if cls.verdict == "undetermined" else EXIT_OK
+    return report, EXIT_UNDETERMINED if cls.verdict == "undetermined" else EXIT_OK
 
 
-def _cmd_stdpart(args, cfg: Config) -> int:
+def _cmd_stdpart(args, cfg: Config) -> tuple[dict, int]:
     program, env = _program_env(args.expr, args)
     p = build_poly(program.expression, env)
     s = st_poly(p)
-    _emit({"command": "stdpart", "series": s.to_json(args.order)}, args.pretty)
-    return EXIT_OK
+    return {"command": "stdpart", "series": s.to_json(args.order)}, EXIT_OK
 
 
-def _cmd_zeros(args, cfg: Config) -> int:
+def _cmd_zeros(args, cfg: Config) -> tuple[dict, int]:
     program, env = _program_env(args.expr, args)
     p = build_poly(program.expression, env)
     indices = [int(t) for t in args.indices.split(",")]
     rep = zero_set_compare(p, Fraction(args.radius), indices, tol=args.tol)
-    _emit({"command": "zeros", **rep.to_json()}, args.pretty)
-    return EXIT_OK
+    return {"command": "zeros", **rep.to_json()}, EXIT_OK
 
 
-def _cmd_eval(args, cfg: Config) -> int:
+def _cmd_eval(args, cfg: Config) -> tuple[dict, int]:
     program, env = _program_env(args.expr, args)
     p = build_poly(program.expression, env)
     at = parse(args.at)
@@ -130,11 +122,10 @@ def _cmd_eval(args, cfg: Config) -> int:
         "classification": cls.to_json(),
         "window": [str(complex(v.value(i))) for i in (1, 2, 4, 8, 16)],
     }
-    _emit(report, args.pretty)
-    return EXIT_UNDETERMINED if cls.label == "undetermined" else EXIT_OK
+    return report, EXIT_UNDETERMINED if cls.label == "undetermined" else EXIT_OK
 
 
-def _cmd_delta(args, cfg: Config) -> int:
+def _cmd_delta(args, cfg: Config) -> tuple[dict, int]:
     program, env = _program_env(args.expr, args)
     f = build_poly(program.expression, env)
     d = delta(f)
@@ -145,24 +136,21 @@ def _cmd_delta(args, cfg: Config) -> int:
         }
         for mu, poly in sorted(d.slices.items())
     }
-    _emit({"command": "delta", "slicesAtIndex4": slices}, args.pretty)
-    return EXIT_OK
+    return {"command": "delta", "slicesAtIndex4": slices}, EXIT_OK
 
 
-def _cmd_phi(args, cfg: Config) -> int:
+def _cmd_phi(args, cfg: Config) -> tuple[dict, int]:
     program, env = _program_env(args.expr, args)
     p = build_diff_element(program.expression, env)
     verdict = in_I(p)
+    report = {"command": "phi", "inI": verdict.to_json()}
     if not verdict.holds():
-        _emit({"command": "phi", "inI": verdict.to_json()}, args.pretty)
-        return EXIT_UNDETERMINED if verdict.kind == UNDETERMINED else EXIT_ERROR
-    form = phi_map(p)
-    _emit({"command": "phi", "inI": verdict.to_json(),
-           "form": form.to_json(args.order)}, args.pretty)
-    return EXIT_OK
+        return report, EXIT_UNDETERMINED if verdict.kind == UNDETERMINED else EXIT_ERROR
+    report["form"] = phi_map(p).to_json(args.order)
+    return report, EXIT_OK
 
 
-def _cmd_derivation_check(args, cfg: Config) -> int:
+def _cmd_derivation_check(args, cfg: Config) -> tuple[dict, int]:
     program, env = _program_env(args.f, args)
     f = build_poly(program.expression, env)
     program_g, _ = _program_env(args.g, args)
@@ -172,8 +160,8 @@ def _cmd_derivation_check(args, cfg: Config) -> int:
         f = _embed(f, n)
         g = _embed(g, n)
     v = derivation_check(f, g)
-    _emit({"command": "derivation-check", "verdict": v.to_json()}, args.pretty)
-    return EXIT_OK if v.holds() else (
+    report = {"command": "derivation-check", "verdict": v.to_json()}
+    return report, EXIT_OK if v.holds() else (
         EXIT_UNDETERMINED if v.kind == UNDETERMINED else EXIT_ERROR
     )
 
@@ -189,7 +177,7 @@ def _embed(p, n: int):
     return StructuredPoly(n, p.degree, explicit)
 
 
-def _cmd_lift(args, cfg: Config) -> int:
+def _cmd_lift(args, cfg: Config) -> tuple[dict, int]:
     with open(args.levels, encoding="utf-8") as fh:
         level_texts = json.load(fh)
     field = "Q" if args.field in ("q", "Q") else int(args.field)
@@ -213,22 +201,19 @@ def _cmd_lift(args, cfg: Config) -> int:
     ]
     tower = ResidueTower.make(field, n_seen, field_levels)
     lifted = lift_tower(tower, horizon=max(cfg.horizon, tower.depth))
-    _emit(
-        {
-            "command": "lift",
-            "depth": tower.depth,
-            "congruencesExact": lifted.check_congruences(),
-            "residueAtDepth": dict(
-                (",".join(map(str, nu)), str(c))
-                for nu, c in lifted.residue(tower.depth).coeffs
-            ),
-        },
-        args.pretty,
-    )
-    return EXIT_OK
+    report = {
+        "command": "lift",
+        "depth": tower.depth,
+        "congruencesExact": lifted.check_congruences(),
+        "residueAtDepth": dict(
+            (",".join(map(str, nu)), str(c))
+            for nu, c in lifted.residue(tower.depth).coeffs
+        ),
+    }
+    return report, EXIT_OK
 
 
-def _cmd_generic(args, cfg: Config) -> int:
+def _cmd_generic(args, cfg: Config) -> tuple[dict, int]:
     param = _parse_param(args.param)
     height = int(args.corpus.split(":", 1)[1]) if ":" in args.corpus else 3
     halo = None
@@ -249,8 +234,7 @@ def _cmd_generic(args, cfg: Config) -> int:
                 for e in point.log(i)
             ],
         }
-    _emit({"command": "generic", "indices": per_index}, args.pretty)
-    return EXIT_OK
+    return {"command": "generic", "indices": per_index}, EXIT_OK
 
 
 def _parse_param(text: str) -> Parametrization:
@@ -320,7 +304,7 @@ def _poly_in_param(node, pname: str) -> FieldPoly:
     return go(node)
 
 
-def _cmd_kochen(args, cfg: Config) -> int:
+def _cmd_kochen(args, cfg: Config) -> tuple[dict, int]:
     size = args.index_size
     p = args.field
     ring = ProductRing.uniform(range(1, size + 1), p)
@@ -338,19 +322,16 @@ def _cmd_kochen(args, cfg: Config) -> int:
         and len(ideals) == len(filters)
         and all(v == 1 for v in mapped.values())
     )
-    _emit(
-        {
-            "command": "kochen",
-            "indexSize": size,
-            "field": p,
-            "ideals": len(ideals),
-            "filters": len(filters),
-            "bijective": bijective,
-            "primesMatchUltrafilters": prime_to_ultra,
-        },
-        args.pretty,
-    )
-    return EXIT_OK if bijective and prime_to_ultra else EXIT_ERROR
+    report = {
+        "command": "kochen",
+        "indexSize": size,
+        "field": p,
+        "ideals": len(ideals),
+        "filters": len(filters),
+        "bijective": bijective,
+        "primesMatchUltrafilters": prime_to_ultra,
+    }
+    return report, EXIT_OK if bijective and prime_to_ultra else EXIT_ERROR
 
 
 def build_arg_parser() -> argparse.ArgumentParser:
@@ -366,7 +347,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
         p.add_argument("--tol", type=float, default=1e-9)
         p.add_argument("--order", type=int, default=12)
         p.add_argument("--radius", type=Fraction, default=Fraction(1))
-        p.add_argument("--samples", type=int, default=128)
+        p.add_argument("--samples", type=int, default=16)
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--d", type=str, default=None,
                        help="hypernatural binding for the name 'd'")
@@ -440,11 +421,31 @@ def build_arg_parser() -> argparse.ArgumentParser:
     return ap
 
 
+def _execute(args) -> tuple[dict, int]:
+    """Resolve the config, run the parsed command, and map its errors.
+
+    The horizon comes from ``HYPERPOLY_HORIZON``, then ``--horizon``.  Parse
+    and bind errors report as ``"parse"``, any other handled error by its
+    type name, with exit code 1.
+    """
+    try:
+        cfg = default_config()
+        if args.horizon is not None:
+            cfg = replace(cfg, horizon=args.horizon)
+        report, code = args.fn(args, cfg)
+    # ParseError, BindError, TowerError and DnCertificateError are
+    # ValueErrors; StandardPartError and ZeroDivisionError ArithmeticErrors
+    except (ValueError, ArithmeticError, GridExhausted) as exc:
+        label = "parse" if isinstance(exc, (ParseError, BindError)) else type(exc).__name__
+        report, code = {"error": label, "message": str(exc)}, EXIT_ERROR
+    return {"schema": SCHEMA, **report}, code
+
+
 def run(text: str, extra_args: tuple = ()) -> tuple[dict, int]:
     """Run a full program text (declarations plus one command) in process.
 
     Returns the JSON report and the exit code; this is the library-side
-    equivalent of the shell entry point.
+    equivalent of the shell entry point, and prints nothing.
     """
     from .parser import Program, print_program
 
@@ -455,42 +456,14 @@ def run(text: str, extra_args: tuple = ()) -> tuple[dict, int]:
         Program(program.declarations, None, program.expression)
     )
     argv = [program.command] + ([body] if body else []) + list(extra_args)
-    buf = io.StringIO()
-    import contextlib
-
-    with contextlib.redirect_stdout(buf):
-        code = main(argv)
-    return json.loads(buf.getvalue()), code
+    return _execute(build_arg_parser().parse_args(argv))
 
 
 def main(argv=None) -> int:
-    argv = sys.argv[1:] if argv is None else argv
-    ap = build_arg_parser()
-    args = ap.parse_args(argv)
-    cfg = default_config()
-    if getattr(args, "horizon", None) is not None:
-        cfg = cfg.with_overrides(horizon=args.horizon)
-    if getattr(args, "tol", None):
-        cfg = cfg.with_overrides(tol=args.tol)
-    if getattr(args, "seed", None):
-        cfg = cfg.with_overrides(seed=args.seed)
-    try:
-        return args.fn(args, cfg)
-    except (ParseError, BindError) as exc:
-        _emit({"error": "parse", "message": str(exc)}, getattr(args, "pretty", False))
-        return EXIT_ERROR
-    except (StandardPartError, DnCertificateError, TowerError, GridExhausted) as exc:
-        _emit(
-            {"error": type(exc).__name__, "message": str(exc)},
-            getattr(args, "pretty", False),
-        )
-        return EXIT_ERROR
-    except (ValueError, ZeroDivisionError, ArithmeticError) as exc:
-        _emit(
-            {"error": type(exc).__name__, "message": str(exc)},
-            getattr(args, "pretty", False),
-        )
-        return EXIT_ERROR
+    args = build_arg_parser().parse_args(sys.argv[1:] if argv is None else argv)
+    report, code = _execute(args)
+    print(json.dumps(report, indent=2 if args.pretty else None, sort_keys=True))
+    return code
 
 
 if __name__ == "__main__":

@@ -17,6 +17,7 @@ from fractions import Fraction
 from itertools import product as iproduct
 from typing import Union
 
+from .config import DEFAULT
 from .hypernat import HyperNatural
 from .hypernum import HyperComplex
 from .interpoly import InternalPolynomial, StructuredPoly, mi_total, multi_indices_of_degree
@@ -205,7 +206,7 @@ def lift_tower(tower: ResidueTower, horizon: int) -> LiftedTower:
 # halo membership: P in m^k eventually
 # ---------------------------------------------------------------------------
 
-def halo_membership(p: InternalPolynomial, k: int, horizon: int = 64) -> Verdict:
+def halo_membership(p: InternalPolynomial, k: int, horizon: int = DEFAULT.horizon) -> Verdict:
     """Does every monomial of total degree < k have eventually-zero coefficient?
 
     Structured polynomials are decided exactly through their coefficient

@@ -1,14 +1,17 @@
-"""Run-wide tunables.
+"""Run-wide tunables read by the window heuristics and the sampling oracle.
 
-Every numeric policy knob lives here so that command-line flags, environment
-overrides, and tests all draw from one place.  Nothing in the package reads
+``Config`` holds the sampling horizon and the numeric-tier thresholds; the
+horizon can be overridden by ``HYPERPOLY_HORIZON`` and then by ``--horizon``.
+Command-only options (``--order``, ``--radius``, ``--samples``, ``--seed``,
+``zeros --tol``) keep their single default in the argument parser, and the
+root finder keeps its own iteration defaults.  Nothing in the package reads
 ambient entropy: randomized procedures take an explicit seed.
 """
 
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 
 @dataclass(frozen=True)
@@ -19,23 +22,8 @@ class Config:
     infinitesimal_tol: float = 1e-9      # |value| below this on the last quarter
     growth_ratio: float = 2.0            # sustained |v[i+1]/v[i]| above this => infinite
     bounded_cap: float = 1e9             # window max below this => bounded evidence
-    # power-series display / comparison order
-    order: int = 12
-    # polydisc radius for sampling and quadrature
-    radius: int = 1
-    # sample count for the evaluation oracle
-    samples: int = 128
-    # root finding (univariate, per materialized index)
-    dk_iterations: int = 200
-    dk_tol: float = 1e-12
-    # quadrature slack for coefficient recovery checks
-    quadrature_slack: float = 1e-8
-    # generic float tolerance for reports
+    # convergence tolerance of numeric standard parts
     tol: float = 1e-9
-    seed: int = 0
-
-    def with_overrides(self, **kw) -> "Config":
-        return replace(self, **kw)
 
 
 def default_config() -> Config:

@@ -18,6 +18,7 @@ from fractions import Fraction
 from typing import Callable, Iterator, Optional
 
 from .completion import FieldPoly
+from .config import DEFAULT
 from .interpoly import multi_indices_of_degree
 from .verdicts import HOLDS, Verdict, eventually
 
@@ -324,7 +325,7 @@ def _fmt_poly(g: FieldPoly) -> str:
 # nonstandard zero sets and ideals of points
 # ---------------------------------------------------------------------------
 
-def v_of_ideal(x: LazyHyperPoint, gens: list[FieldPoly], horizon: int = 64) -> Verdict:
+def v_of_ideal(x: LazyHyperPoint, gens: list[FieldPoly], horizon: int = DEFAULT.horizon) -> Verdict:
     """Is the point in the nonstandard zero set of the generated ideal?
 
     Exact vanishing of every generator, eventually in the index.
@@ -340,7 +341,7 @@ def v_of_ideal(x: LazyHyperPoint, gens: list[FieldPoly], horizon: int = 64) -> V
 
 
 def id_of_point(
-    x: LazyHyperPoint, candidates: list[FieldPoly], horizon: int = 64
+    x: LazyHyperPoint, candidates: list[FieldPoly], horizon: int = DEFAULT.horizon
 ) -> list[FieldPoly]:
     """The candidates vanishing exactly at every sampled index."""
     out = []
@@ -353,7 +354,7 @@ def id_of_point(
 def evaluation_embedding_check(
     x: LazyHyperPoint,
     residues: list[FieldPoly],
-    horizon: int = 64,
+    horizon: int = DEFAULT.horizon,
     param: Optional[Parametrization] = None,
 ) -> Verdict:
     """Injectivity of evaluation at the point on a finite residue list.

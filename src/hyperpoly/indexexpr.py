@@ -79,12 +79,6 @@ def _f_mul(a: Form, b: Form) -> Form:
     return out
 
 
-def _f_scale(a: Form, q: Fraction) -> Form:
-    if q == 0:
-        return {}
-    return {k: c * q for k, c in a.items()}
-
-
 def _f_eval(a: Form, i: int) -> Fraction:
     total = Q(0)
     for (k, c, p), q in a.items():
@@ -261,10 +255,6 @@ def _parity_behavior_from(
     if ck_n > ck_d:
         return (INFINITE, None)
     return (FINITE, g_n / g_d)
-
-
-def _parity_behavior(num: Form, den: Form, parity: int) -> tuple[str, Optional[Fraction]]:
-    return _parity_behavior_from(_classes(num), _classes(den), parity)
 
 
 @dataclass(frozen=True)

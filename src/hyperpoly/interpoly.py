@@ -162,16 +162,6 @@ class InternalPolynomial:
         ((re, im, den),) = evaluate(integer_form((self.materialize(i),), self.n), point)
         return (Q(re, den), Q(im, den))
 
-    def eval_float(self, i: int, point: tuple[complex, ...]) -> complex:
-        total = 0j
-        for nu, c in self.materialize(i).items():
-            term = complex(c[0], c[1])
-            for var, k in enumerate(nu):
-                if k:
-                    term *= point[var] ** k
-            total += term
-        return total
-
     def __add__(self, other):
         return poly_add(self, other)
 

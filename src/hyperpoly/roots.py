@@ -76,10 +76,6 @@ def durand_kerner(
     return sorted(roots, key=lambda z: (cmath.phase(z), abs(z)))
 
 
-def roots_in_disc(coeffs: list[complex], radius: float, **kw) -> list[complex]:
-    return [r for r in durand_kerner(coeffs, **kw) if abs(r) <= radius]
-
-
 def bisection(f, lo: float, hi: float, steps: int = 200) -> float:
     """Plain bisection; f(lo) and f(hi) must have opposite signs."""
     flo = f(lo)

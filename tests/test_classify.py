@@ -164,8 +164,13 @@ class TestSamplingOracle:
         assert rep.bounded.kind == rep.infinitesimal.kind == UNDETERMINED
         assert rep.bounded.witness == rep.infinitesimal.witness == 2
         assert rep.witness is None
-        # one more index materializes and the oracle decides again
-        assert sampling_oracle(P, sample_count=4, radius=3, horizon=3).bounded.decided
+        # until five indices materialize the last quarter holds one value and
+        # no growth ratio, so the oracle still declines to decide
+        for horizon in (3, 4, 5, 6):
+            rep = sampling_oracle(P, sample_count=4, radius=3, horizon=horizon)
+            assert rep.bounded.kind == rep.infinitesimal.kind == UNDETERMINED
+            assert rep.bounded.witness == horizon
+        assert sampling_oracle(P, sample_count=4, radius=3, horizon=7).bounded.decided
 
     def test_unbounded_confirmation_radius_sweep(self):
         geom = truncated_geometric(D_I)

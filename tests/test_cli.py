@@ -2,11 +2,15 @@
 
 import io
 import json
+import os
+import subprocess
+import sys
 from contextlib import redirect_stdout
 
 import pytest
 
-from hyperpoly.cli import EXIT_ERROR, EXIT_OK, EXIT_UNDETERMINED, main
+import hyperpoly
+from hyperpoly.cli import EXIT_ERROR, EXIT_OK, EXIT_UNDETERMINED, main, run
 
 
 def run_cli(*argv):
@@ -51,6 +55,28 @@ class TestClassify:
         code, out = run_cli("classify", "X^")
         assert code == EXIT_ERROR
         assert json.loads(out)["error"] == "parse"
+
+    def test_window_too_short_for_a_ratio_is_undetermined(self):
+        # at horizon 4 the last quarter of the window holds one value
+        code, out = run_cli(
+            "classify", "sum(k=0..d, X^k)", "--d", "i", "--radius", "3",
+            "--horizon", "4",
+        )
+        oracle = json.loads(out)["oracle"]
+        assert code == EXIT_OK
+        assert oracle["bounded"]["kind"] == "Undetermined"
+        assert oracle["infinitesimal"]["kind"] == "Undetermined"
+        assert oracle["bounded"]["witness"] == 4
+
+    def test_explicit_horizon_reaches_the_oracle(self):
+        code, out = run_cli(
+            "classify", "sum(k=0..d, X^k)", "--d", "i", "--radius", "3",
+            "--horizon", "48", "--oracle",
+        )
+        oracle = json.loads(out)["oracle"]
+        assert code == EXIT_OK
+        assert oracle["bounded"]["kind"] == "Fails"
+        assert oracle["bounded"]["witness"] == 48
 
 
 class TestStdpart:
@@ -152,6 +178,42 @@ class TestKochen:
         assert rep["bijective"] is True
         assert rep["primesMatchUltrafilters"] is True
         assert rep["ideals"] == 8
+
+
+class TestEntryPoints:
+    def test_bad_horizon_environment_is_a_typed_error(self, monkeypatch):
+        monkeypatch.setenv("HYPERPOLY_HORIZON", "zero")
+        code, out = run_cli("delta", "X^2")
+        assert code == EXIT_ERROR
+        assert json.loads(out)["error"] == "ValueError"
+
+    def test_run_prints_nothing_and_returns_the_printed_report(self, capsys):
+        report, code = run("delta X^2")
+        assert capsys.readouterr().out == ""
+        assert main(["delta", "X^2"]) == code == EXIT_OK
+        assert json.loads(capsys.readouterr().out) == report
+
+    @pytest.mark.parametrize("argv,want", [
+        (("delta", "X^2"), EXIT_OK),
+        (("classify", "X^"), EXIT_ERROR),
+    ], ids=["success", "error"])
+    def test_pretty_output(self, argv, want):
+        code, out = run_cli(*argv, "--pretty")
+        report = json.loads(out)
+        assert code == want
+        assert out == json.dumps(report, indent=2, sort_keys=True) + "\n"
+        assert out.count("\n") > 1
+
+    def test_module_run_without_runtime_warning(self):
+        src = os.path.dirname(os.path.dirname(hyperpoly.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run(
+            [sys.executable, "-W", "error::RuntimeWarning", "-m", "hyperpoly.cli",
+             "delta", "X^2"],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == EXIT_OK, proc.stderr
+        assert json.loads(proc.stdout)["command"] == "delta"
 
 
 class TestDeterminism:
