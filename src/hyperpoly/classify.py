@@ -32,7 +32,7 @@ from .hypernum import (
     UNDECIDED,
     HyperComplex,
 )
-from .indexexpr import UNIT_CLASS, IndexExpr, squared_class_key
+from .indexexpr import UNIT_CLASS, IndexExpr, class_key_of_square
 from .interpoly import (
     InternalPolynomial,
     ProductPoly,
@@ -109,11 +109,6 @@ def _classify_product(p: ProductPoly) -> PolyClass:
     return PolyClass(UNDECIDED, cert)
 
 
-def _hc_class_label(c: HyperComplex, cfg: Config = DEFAULT) -> tuple[str, bool]:
-    cls = c.classify(cfg)
-    return cls.label, c.symbolic
-
-
 def _classify_structured(p: StructuredPoly) -> PolyClass:
     symbolic = True
     inf_flag = "yes"
@@ -121,12 +116,13 @@ def _classify_structured(p: StructuredPoly) -> PolyClass:
 
     # clause (i) at explicitly listed standard indices
     for nu, c in sorted(p.explicit.items()):
-        label, sym = _hc_class_label(c)
-        symbolic = symbolic and sym
+        label = c.classify().label
+        symbolic = symbolic and c.symbolic
         if label == INFINITE:
             return PolyClass(
                 UNBOUNDED,
-                Certificate("root-test", (f"clause i fails: coefficient at {nu} is infinite",), sym),
+                Certificate("root-test", (f"clause i fails: coefficient at {nu} is infinite",),
+                            c.symbolic),
                 "no",
             )
         if label == UNDECIDED:
@@ -136,27 +132,44 @@ def _classify_structured(p: StructuredPoly) -> PolyClass:
         elif label == BOUNDED_UNCLASSIFIED and inf_flag == "yes":
             inf_flag = "unknown"
 
+    # each band's root-test limits on the two rays, read once: a band is live
+    # when one of them is not zero, and isolated when no other band is live
+    # (only then can no other band cancel it)
+    squares = [t.psi_re * t.psi_re + t.psi_im * t.psi_im for t in p.tails]
+    rays = [_band_ray_values(p, t, psi2) for t, psi2 in zip(p.tails, squares)]
+    live = [any(v != _ZERO for v in r or ()) for r in rays]
+
     # moving top monomials (univariate): root test at |nu| = d - offset
     for t in p.tops:
-        res = _classify_top(p, t)
+        res = _classify_top(p, t, any(live))
         if res is not None:
             return res
 
-    # coefficient bands
-    for t in p.tails:
-        fail = _band_failure(p, t)
-        if fail is not None:
-            return fail
-        state = _band_finite_state(p, t)
-        if state == "undecided":
+    # coefficient bands: clause (i) on the standard degrees, then clause (ii)
+    for t, psi2, r, t_live in zip(p.tails, squares, rays, live):
+        walk = _band_key_walk(p, t, psi2)
+        if walk is not None and walk[0] == "unbounded":
+            return PolyClass(
+                UNBOUNDED,
+                Certificate("root-test",
+                            (f"clause i fails: band coefficient at |nu| = {walk[1]} is infinite",)),
+                "no",
+            )
+        isolated = not any(u_live for u, u_live in zip(p.tails, live) if u is not t)
+        if isolated and any(v in (_POS, _INF) for v in r or ()):
+            return PolyClass(
+                UNBOUNDED,
+                Certificate(
+                    "root-test",
+                    ("clause ii fails: band root test has a nonzero limit on a ray",),
+                ),
+                "no",
+            )
+        if walk is None:
             undecided.append("band finite-range class undecided")
-        elif state == "appreciable":
+        elif walk[1] == "no":
             inf_flag = "no"
-        elif state == "bounded":
-            if inf_flag == "yes":
-                inf_flag = "unknown"
-        ray_state = _band_ray_state(p, t)
-        if ray_state == "undecided":
+        if t_live:
             undecided.append("band root test undecided")
 
     if undecided:
@@ -177,8 +190,11 @@ def _classify_structured(p: StructuredPoly) -> PolyClass:
     )
 
 
-def _classify_top(p: StructuredPoly, t) -> Optional[PolyClass]:
-    """Moving monomial c(i) X^(d_i - offset): decide its root-test limit."""
+def _classify_top(p: StructuredPoly, t, shared: bool) -> Optional[PolyClass]:
+    """Moving monomial c(i) X^(d_i - offset): decide its root-test limit.
+
+    ``shared`` says whether some band is live on the infinite range.
+    """
     c = t.coeff
     if not c.symbolic:
         return PolyClass(
@@ -188,16 +204,14 @@ def _classify_top(p: StructuredPoly, t) -> Optional[PolyClass]:
         return None
     if not p.degree.infinite:
         # a plain standard coefficient; fold into clause (i)
-        label, sym = _hc_class_label(c)
-        if label == INFINITE:
+        if c.classify().label == INFINITE:
             return PolyClass(
                 UNBOUNDED,
-                Certificate("root-test", ("clause i fails: top coefficient infinite",), sym),
+                Certificate("root-test", ("clause i fails: top coefficient infinite",)),
                 "no",
             )
         return None
-    m2 = c.modulus_squared_expr()
-    key = squared_class_key_of(m2)
+    key = class_key_of_square(c.modulus_squared_expr())
     if key is None:
         return PolyClass(
             UNDECIDED, Certificate("root-test", ("top coefficient class undecided",))
@@ -207,11 +221,7 @@ def _classify_top(p: StructuredPoly, t) -> Optional[PolyClass]:
         return None  # |c|^(1/d) -> 0: compatible with bounded
     # k2 >= 0: |c(i)|^(1/d_i) tends to a positive constant or diverges, and
     # factorial growth can never be cancelled by another band in this form
-    interference = any(
-        any(v != _ZERO for v in (_band_ray_values(p, u) or ()))
-        for u in p.tails
-    )
-    if interference:
+    if shared:
         return PolyClass(
             UNDECIDED,
             Certificate("root-test", ("top coefficient and band share the infinite range",)),
@@ -225,26 +235,6 @@ def _classify_top(p: StructuredPoly, t) -> Optional[PolyClass]:
         ),
         "no",
     )
-
-
-def squared_class_key_of(m2: IndexExpr):
-    """Class key of a nonnegative expression already given as a square."""
-    if m2.is_zero():
-        return None
-    from .indexexpr import _class_sub, _leading_on_parity  # noqa: PLC0415
-
-    keys = []
-    for form in (m2.num, m2.den):
-        l0 = _leading_on_parity(form, 0)
-        l1 = _leading_on_parity(form, 1)
-        if l0 is None or l1 is None or l0[0] != l1[0]:
-            return None
-        keys.append(l0[0])
-    return _class_sub(keys[0], keys[1])
-
-
-def _band_reaches_standard(p: StructuredPoly, t: TailTerm) -> bool:
-    return t.lo is None or not t.lo.infinite
 
 
 def _band_reaches_ray(p: StructuredPoly, t: TailTerm, num: int, den: int) -> bool:
@@ -263,54 +253,27 @@ def _band_reaches_ray(p: StructuredPoly, t: TailTerm, num: int, den: int) -> boo
     return True
 
 
-def _root_factor_phi(phi_expr: IndexExpr) -> str:
-    """lim |phi(m)|^(1/m) as a coarse value: zero / pos / inf / unknown."""
-    if phi_expr.is_zero():
-        return _ZERO
-    key = squared_class_key(phi_expr)
-    if key is None:
-        return _UNK
-    k2, _, _ = key
-    if k2 < 0:
-        return _ZERO
-    if k2 > 0:
-        return _INF
-    return _POS
-
-
-def _root_factor_seq(e2: IndexExpr) -> str:
-    """lim |psi(i)|^(1/m) along a ray m ~ s*i, given e2 = |psi|^2.
+def _root_factor(sq: IndexExpr) -> str:
+    """lim |e|^(1/m) along a ray m ~ s*i as a coarse value, given sq = |e|^2:
+    zero / pos / inf / unknown.
 
     The slope never matters for the coarse value: a factorial class forces 0
     or oo, anything geometric-or-slower lands at a positive constant.
     """
-    if e2.is_zero():
+    if sq.is_zero():
         return _ZERO
-    key = squared_class_key_of(e2)
+    key = class_key_of_square(sq)
     if key is None:
         return _UNK
-    k2 = key[0]
-    if k2 < 0:
-        return _ZERO
-    if k2 > 0:
-        return _INF
-    return _POS
+    return _ZERO if key[0] < 0 else _INF if key[0] > 0 else _POS
 
 
 def _root_factor_eps(eps: IndexExpr) -> str:
     """lim |eps(i)| itself (exponent 1 per unit of m)."""
     if eps.is_zero():
         return _ZERO
-    g = (eps * eps).growth()
-    if g.kind == "zero":
-        return _ZERO
-    if g.kind == "infinite":
-        return _INF
-    if g.kind == "finite":
-        return _POS
-    if g.kind == "finite-or-zero":
-        return _UNK
-    return _UNK
+    kind = (eps * eps).growth().kind
+    return {"zero": _ZERO, "infinite": _INF, "finite": _POS}.get(kind, _UNK)
 
 
 def _combine_root_factors(factors: list[str]) -> str:
@@ -327,173 +290,68 @@ def _combine_root_factors(factors: list[str]) -> str:
     return _POS
 
 
-def _band_ray_values(p: StructuredPoly, t: TailTerm) -> Optional[list[str]]:
-    """Root-test limits of the band along the two rays, None when no infinite range."""
+def _band_ray_values(p: StructuredPoly, t: TailTerm, psi2: IndexExpr) -> Optional[list[str]]:
+    """Root-test limits of the band along the two rays, None when no infinite
+    range; ``psi2`` is ``|psi|^2``."""
     if not p.degree.infinite:
         return None
-    out = []
-    for num, den in ((1, 1), (1, 2)):
-        if not _band_reaches_ray(p, t, num, den):
-            continue
-        for phi_expr in t.phi:
-            if phi_expr.is_zero():
-                continue
-            factors = [
-                _root_factor_eps(t.eps),
-                _root_factor_phi(phi_expr),
-                _root_factor_seq(t.psi_re * t.psi_re + t.psi_im * t.psi_im),
-            ]
-            out.append(_combine_root_factors(factors))
-    return out
+    rays = sum(_band_reaches_ray(p, t, num, den) for num, den in ((1, 1), (1, 2)))
+    phis = [f for f in t.phi if not f.is_zero()]
+    if not rays or not phis:
+        return []
+    common = [_root_factor_eps(t.eps), _root_factor(psi2)]
+    return [_combine_root_factors(common + [_root_factor(f * f)]) for f in phis] * rays
 
 
-def _band_failure(p: StructuredPoly, t: TailTerm) -> Optional[PolyClass]:
-    """Unbounded verdicts provable from this band alone."""
-    # standard-range clause (i): walk the class key m -> m*key(eps) + key(psi)
-    if _band_reaches_standard(p, t):
-        step = _band_key_walk(p, t)
-        if step is not None and step[0] == "unbounded":
-            return PolyClass(
-                UNBOUNDED,
-                Certificate("root-test",
-                            (f"clause i fails: band coefficient at |nu| = {step[1]} is infinite",)),
-                "no",
-            )
-    rays = _band_ray_values(p, t)
-    if rays:
-        if any(v in (_POS, _INF) for v in rays) and _is_isolated_band(p, t):
-            return PolyClass(
-                UNBOUNDED,
-                Certificate(
-                    "root-test",
-                    ("clause ii fails: band root test has a nonzero limit on a ray",),
-                ),
-                "no",
-            )
-    return None
-
-
-def _is_isolated_band(p: StructuredPoly, t: TailTerm) -> bool:
-    """No other band shares the infinite range (rules out cross cancellation)."""
-    others = [u for u in p.tails if u is not t]
-    for u in others:
-        vals = _band_ray_values(p, u)
-        if vals is None:
-            continue
-        if any(v != _ZERO for v in vals):
-            return False
-    return True
-
-
-def _band_key_walk(p: StructuredPoly, t: TailTerm):
+def _band_key_walk(p: StructuredPoly, t: TailTerm, psi2: IndexExpr):
     """Walk standard degrees m: class key of a(m, .) is key(psi) + m*key(eps).
 
     Returns ("unbounded", m) on a provably infinite standard coefficient,
     ("ok", flag) when every standard coefficient in the band is bounded
-    (flag is 'yes' if all are infinitesimal, 'no'/'unknown' otherwise),
-    or None when undecided.
+    (flag is 'yes' if all are infinitesimal, 'no' otherwise), or None when
+    undecided.  ``psi2`` is ``|psi|^2``; a band above every standard degree
+    is ("ok", "yes").
     """
-    psi2 = t.psi_re * t.psi_re + t.psi_im * t.psi_im
-    if psi2.is_zero():
+    if psi2.is_zero() or (t.lo is not None and t.lo.infinite):
         return ("ok", "yes")
-    psi_key = squared_class_key_of(psi2)
+    psi_key = class_key_of_square(psi2)
     if psi_key is None:
         return None
-    start = _band_standard_start(p, t)
-
-    def first_live_m() -> Optional[int]:
-        m = start
-        for _ in range(256):
-            if not _band_has_standard_m(p, t, m):
-                return None
-            if t.phi_at(m) != 0:
-                return m
-            m += 1
-        return None
-
+    # the standard degrees in the band: start <= m <= last
+    start = 0 if t.lo is None else t.lo.finite_value + 1
+    last = min((b.finite_value for b in (t.hi, p.degree) if b is not None and not b.infinite),
+               default=math.inf)
     if t.eps.is_zero():
         # eps^m kills every m >= 1; only m = 0 can contribute
-        if start > 0 or not _band_has_standard_m(p, t, 0) or t.phi_at(0) == 0:
-            return ("ok", "yes")
-        if psi_key > UNIT_CLASS:
-            return ("unbounded", 0)
-        return ("ok", "yes" if psi_key < UNIT_CLASS else "no")
-    eps_key = squared_class_key(t.eps)
-    if eps_key is None:
-        return None
-    if eps_key == UNIT_CLASS:
+        first = 0 if start == 0 and t.phi_at(0) != 0 else None
+    else:
+        eps_key = class_key_of_square(t.eps * t.eps)
+        if eps_key is None:
+            return None
+        if eps_key != UNIT_CLASS:
+            flag = "yes"
+            for m in range(start, start + 512):
+                if m > last:
+                    return ("ok", flag)
+                if t.phi_at(m) != 0:
+                    key = (psi_key[0] + m * eps_key[0],
+                           psi_key[1] * eps_key[1] ** m,
+                           psi_key[2] + m * eps_key[2])
+                    if key > UNIT_CLASS:
+                        return ("unbounded", m)
+                    if key == UNIT_CLASS:
+                        flag = "no"
+                    elif eps_key < UNIT_CLASS:
+                        return ("ok", flag)  # keys strictly decrease from here on
+            return None
         # |eps| appreciable: the class is the same at every live degree
-        if first_live_m() is None:
-            return ("ok", "yes")
-        if psi_key > UNIT_CLASS:
-            return ("unbounded", first_live_m())
-        return ("ok", "yes" if psi_key < UNIT_CLASS else "no")
-    flag = "yes"
-    m = start
-    for _ in range(512):
-        if not _band_has_standard_m(p, t, m):
-            return ("ok", flag)
-        if t.phi_at(m) != 0:
-            key = (psi_key[0] + m * eps_key[0],
-                   psi_key[1] * eps_key[1] ** m,
-                   psi_key[2] + m * eps_key[2])
-            if key > UNIT_CLASS:
-                return ("unbounded", m)
-            if key == UNIT_CLASS:
-                flag = "no"
-            elif eps_key < UNIT_CLASS:
-                return ("ok", flag)  # keys strictly decrease from here on
-        m += 1
-    return None
-
-
-def _band_standard_start(p: StructuredPoly, t: TailTerm) -> int:
-    if t.lo is None:
-        return 0
-    if t.lo.infinite:
-        return 1 << 30
-    return t.lo.finite_value + 1
-
-
-def _band_has_standard_m(p: StructuredPoly, t: TailTerm, m: int) -> bool:
-    """Is |nu| = m eventually inside the band (and under the degree)?"""
-    if t.lo is not None and t.lo.infinite:
-        return False
-    if t.lo is not None and m <= t.lo.finite_value:
-        return False
-    for b in (t.hi, p.degree):
-        if b is not None and not b.infinite and m > b.finite_value:
-            return False
-    return True
-
-
-def _band_finite_state(p: StructuredPoly, t: TailTerm) -> str:
-    """Summary of the band over standard degrees: infinitesimal | bounded |
-    appreciable | undecided | empty."""
-    if not _band_reaches_standard(p, t):
-        return "empty"
-    walk = _band_key_walk(p, t)
-    if walk is None:
-        return "undecided"
-    if walk[0] == "unbounded":
-        return "undecided"  # callers catch the failure through _band_failure
-    flag = walk[1]
-    if flag == "yes":
-        return "infinitesimal"
-    if flag == "no":
-        return "appreciable"
-    return "bounded"
-
-
-def _band_ray_state(p: StructuredPoly, t: TailTerm) -> str:
-    rays = _band_ray_values(p, t)
-    if rays is None:
-        return "empty"
-    if all(v == _ZERO for v in rays):
-        return "pass"
-    if any(v in (_POS, _INF) for v in rays) and _is_isolated_band(p, t):
-        return "fail-handled"  # _band_failure already produced the verdict
-    return "undecided"
+        first = next((m for m in range(start, start + 256)
+                      if m <= last and t.phi_at(m) != 0), None)
+    if first is None:
+        return ("ok", "yes")
+    if psi_key > UNIT_CLASS:
+        return ("unbounded", first)
+    return ("ok", "yes" if psi_key < UNIT_CLASS else "no")
 
 
 # ---------------------------------------------------------------------------

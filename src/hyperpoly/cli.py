@@ -38,6 +38,7 @@ from .parser import (
     build_diff_element,
     build_poly,
     build_sequence,
+    free_names,
     parse,
 )
 from .stdpart import st_poly, zero_set_compare
@@ -103,9 +104,15 @@ def _cmd_stdpart(args, cfg: Config) -> tuple[dict, int]:
 def _cmd_zeros(args, cfg: Config) -> tuple[dict, int]:
     program, env = _program_env(args.expr, args)
     p = build_poly(program.expression, env)
-    indices = [int(t) for t in args.indices.split(",")]
+    indices = _indices([int(t) for t in args.indices.split(",")])
     rep = zero_set_compare(p, Fraction(args.radius), indices, tol=args.tol)
     return {"command": "zeros", **rep.to_json()}, EXIT_OK
+
+
+def _indices(indices: list[int]) -> list[int]:
+    if min(indices) < 1:
+        raise ValueError(f"--indices must be >= 1 (indices start at 1), got {min(indices)}")
+    return indices
 
 
 def _cmd_eval(args, cfg: Config) -> tuple[dict, int]:
@@ -180,12 +187,17 @@ def _embed(p, n: int):
 def _cmd_lift(args, cfg: Config) -> tuple[dict, int]:
     with open(args.levels, encoding="utf-8") as fh:
         level_texts = json.load(fh)
+    if not isinstance(level_texts, list) or not all(isinstance(t, str) for t in level_texts):
+        raise ValueError("--levels must hold a JSON list of polynomial strings")
     field = "Q" if args.field in ("q", "Q") else int(args.field)
     levels = []
     env = Bindings.empty()
     n_seen = 1
     for text in level_texts:
         program = parse(text)
+        if "i" in free_names(program.expression):
+            raise BindError(f"tower level {text!r} mentions the index i; "
+                            "levels are standard polynomials")
         poly = build_poly(program.expression, env) if program.expression else None
         coeffs = {}
         if poly is not None:
@@ -222,7 +234,9 @@ def _cmd_generic(args, cfg: Config) -> tuple[dict, int]:
     point = generic_point(
         param, lambda: integer_poly_corpus(param.n, height), halo_center=halo
     )
-    lo, hi = (int(t) for t in args.indices.split(".."))
+    lo, hi = _indices([int(t) for t in args.indices.split("..")])
+    if lo > hi:
+        raise ValueError(f"--indices {args.indices} is an empty range")
     per_index = {}
     for i in range(lo, hi + 1):
         pt = point.point(i)
@@ -306,6 +320,8 @@ def _poly_in_param(node, pname: str) -> FieldPoly:
 
 def _cmd_kochen(args, cfg: Config) -> tuple[dict, int]:
     size = args.index_size
+    if size < 0:
+        raise ValueError(f"--index-size must be >= 0, got {size}")
     p = args.field
     ring = ProductRing.uniform(range(1, size + 1), p)
     ideals = ring.all_ideals()
@@ -352,7 +368,6 @@ def build_arg_parser() -> argparse.ArgumentParser:
         p.add_argument("--d", type=str, default=None,
                        help="hypernatural binding for the name 'd'")
         p.add_argument("--pretty", action="store_true")
-        p.add_argument("--json", action="store_true", help="compact JSON (default)")
 
     p = sub.add_parser("classify", help="boundedness class of an internal polynomial")
     p.add_argument("expr")
@@ -414,7 +429,8 @@ def build_arg_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("kochen", help="ideal/filter dictionary, exhaustively")
     p.add_argument("--index-size", type=int, default=3)
     p.add_argument("--field", type=int, default=2)
-    p.add_argument("--enumerate", action="store_true")
+    p.add_argument("--enumerate", action="store_true",
+                   help="accepted for compatibility; enumeration is always exhaustive")
     common(p)
     p.set_defaults(fn=_cmd_kochen)
 
@@ -422,7 +438,8 @@ def build_arg_parser() -> argparse.ArgumentParser:
 
 
 def _execute(args) -> tuple[dict, int]:
-    """Resolve the config, run the parsed command, and map its errors.
+    """Resolve the config, check the shared flags, run the parsed command, and
+    map its errors.
 
     The horizon comes from ``HYPERPOLY_HORIZON``, then ``--horizon``.  Parse
     and bind errors report as ``"parse"``, any other handled error by its
@@ -432,10 +449,17 @@ def _execute(args) -> tuple[dict, int]:
         cfg = default_config()
         if args.horizon is not None:
             cfg = replace(cfg, horizon=args.horizon)
+        for rule, ok in (("--horizon >= 1", args.horizon is None or args.horizon >= 1),
+                         ("--order >= 0", args.order >= 0),
+                         ("--radius > 0", args.radius > 0),
+                         ("--samples >= 1", args.samples >= 1)):
+            if not ok:
+                raise ValueError(f"need {rule}")
         report, code = args.fn(args, cfg)
     # ParseError, BindError, TowerError and DnCertificateError are
-    # ValueErrors; StandardPartError and ZeroDivisionError ArithmeticErrors
-    except (ValueError, ArithmeticError, GridExhausted) as exc:
+    # ValueErrors; StandardPartError and ZeroDivisionError ArithmeticErrors;
+    # OSError covers a --levels file that cannot be read
+    except (ValueError, ArithmeticError, OSError, GridExhausted) as exc:
         label = "parse" if isinstance(exc, (ParseError, BindError)) else type(exc).__name__
         report, code = {"error": label, "message": str(exc)}, EXIT_ERROR
     return {"schema": SCHEMA, **report}, code

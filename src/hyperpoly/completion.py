@@ -18,6 +18,7 @@ from itertools import product as iproduct
 from typing import Union
 
 from .config import DEFAULT
+from .filters import is_prime
 from .hypernat import HyperNatural
 from .hypernum import HyperComplex
 from .interpoly import InternalPolynomial, StructuredPoly, mi_total, multi_indices_of_degree
@@ -35,9 +36,9 @@ class TowerError(ValueError):
 def _field_ok(field: FieldSpec) -> None:
     if field == "Q":
         return
-    if isinstance(field, int) and field >= 2:
+    if isinstance(field, int) and is_prime(field):
         return
-    raise TowerError(f"unsupported coefficient field {field!r}")
+    raise TowerError(f"coefficient field must be 'Q' or a prime modulus, got {field!r}")
 
 
 def _normalize(field: FieldSpec, c):

@@ -99,6 +99,29 @@ def enumerate_filters(index_set: Iterable) -> list[FiniteFilterModel]:
 # products of prime fields
 # ---------------------------------------------------------------------------
 
+def is_prime(n: int) -> bool:
+    """Miller-Rabin on the first twelve prime bases: exact below 3.3e24."""
+    bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+    if n < 2:
+        return False
+    if any(n % b == 0 for b in bases):
+        return n in bases
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in bases:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
 @dataclass(frozen=True)
 class ProductRing:
     """The ring prod_{i in I} F_{p_i}, elements as tuples over sorted(I)."""
@@ -116,6 +139,9 @@ class ProductRing:
             raise SizeError(f"index set larger than {MAX_INDEX_SET}")
         if len(self.labels) != len(self.primes):
             raise ValueError("one modulus per label")
+        for p in self.primes:
+            if not is_prime(p):
+                raise ValueError(f"modulus {p} is not prime")
 
     @property
     def index_set(self) -> frozenset:

@@ -300,16 +300,16 @@ def quotient_growth(num: Form, den: Form) -> SeqGrowth:
 # the public expression type
 # ---------------------------------------------------------------------------
 
-def squared_class_key(e: "IndexExpr") -> Optional[ClassKey]:
-    """Growth-class key of e^2 (so of |e|^2), or None when not decided.
+def class_key_of_square(sq: "IndexExpr") -> Optional[ClassKey]:
+    """Growth-class key of a nonnegative expression given as a square.
 
-    Keys add under multiplication and compare lexicographically, with the
-    unit class (0, 1, 0) marking "appreciable".  None is returned when the
-    two parity subsequences lead with different classes.
+    For ``sq = e*e`` (or ``|e|^2``) this is the class of ``|e|^2``.  Keys add
+    under multiplication and compare lexicographically, with the unit class
+    (0, 1, 0) marking "appreciable".  None is returned when ``sq`` is zero or
+    when its two parity subsequences lead with different classes.
     """
-    if e.is_zero():
+    if sq.is_zero():
         return None
-    sq = e * e
     keys = []
     for form in (sq.num, sq.den):
         l0 = _leading_on_parity(form, 0)

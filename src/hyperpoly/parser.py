@@ -589,13 +589,13 @@ def _separate_factors(factors: list[Node], k: str, env: Bindings):
     eps = IndexExpr.const(1)
     psi = IndexExpr.const(1)
     for f in factors:
-        free = _free_names(f)
+        free = free_names(f)
         if (
             isinstance(f, Pow)
             and isinstance(f.exponent, Var)
             and f.exponent.name == k
         ):
-            base_free = _free_names(f.base)
+            base_free = free_names(f.base)
             if k in base_free:
                 raise BindError("band base may not depend on the loop variable")
             eps = eps * build_sequence(f.base, env)
@@ -608,7 +608,7 @@ def _separate_factors(factors: list[Node], k: str, env: Bindings):
         ):
             eps = eps / build_sequence(f.right.base, env)
             f = f.left
-            free = _free_names(f)
+            free = free_names(f)
         if k in free and "i" in free:
             raise BindError(
                 "band coefficients must separate into phi(k) * eps(i)^k * psi(i)"
@@ -648,22 +648,23 @@ def _as_loop_expr(node: Node, k: str, env: Bindings) -> IndexExpr:
     return go(node)
 
 
-def _free_names(node: Node, acc: Optional[set] = None) -> set:
+def free_names(node: Node, acc: Optional[set] = None) -> set:
+    """Names ``node`` reads (``i`` included), less the variables its sums bind."""
     acc = set() if acc is None else acc
     if isinstance(node, Var):
         acc.add(node.name)
     elif isinstance(node, Factorial):
         acc.add(node.name)
     elif isinstance(node, BinOp):
-        _free_names(node.left, acc)
-        _free_names(node.right, acc)
+        free_names(node.left, acc)
+        free_names(node.right, acc)
     elif isinstance(node, Neg):
-        _free_names(node.operand, acc)
+        free_names(node.operand, acc)
     elif isinstance(node, Pow):
-        _free_names(node.base, acc)
-        _free_names(node.exponent, acc)
+        free_names(node.base, acc)
+        free_names(node.exponent, acc)
     elif isinstance(node, Sum):
-        _free_names(node.body, acc)
+        free_names(node.body, acc)
         acc.discard(node.var)
     return acc
 

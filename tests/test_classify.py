@@ -1,14 +1,22 @@
 """Classifier criteria, the evaluation oracle, and coefficient recovery."""
 
+import hashlib
+import json
 import math
 import random
+from collections import Counter
 from fractions import Fraction as Q
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from hyperpoly import classify
+from hyperpoly.families import labeled_family, random_bounded_pair
 from hyperpoly.hypernat import HyperNatural
 from hyperpoly.hypernum import HyperComplex
 from hyperpoly.indexexpr import IndexExpr
+from hyperpoly.parser import bind_declarations, build_poly, parse
 from hyperpoly.classify import (
     BOUNDED,
     INFINITESIMAL,
@@ -22,6 +30,7 @@ from hyperpoly.classify import (
 from hyperpoly.interpoly import (
     StructuredPoly,
     TailTerm,
+    geometric_tail,
     moving_monomial,
     partial_derivative,
     poly_add,
@@ -101,6 +110,110 @@ class TestClassifyPoly:
             truncated_geometric(D_I), scalar_mul(-1, truncated_geometric(D_I))
         )
         assert classify_poly(P).verdict == INFINITESIMAL
+
+
+def _built(text: str):
+    """The polynomial the ``classify`` command builds from ``text`` (d = i)."""
+    program = parse(text)
+    env = bind_declarations(program)
+    env.hypernats["d"] = D_I
+    return build_poly(program.expression, env)
+
+
+def _verdict(verdict, infinitesimal, *details, symbolic=True):
+    return {"verdict": verdict, "infinitesimal": infinitesimal,
+            "certificate": {"kind": "root-test", "details": list(details),
+                            "symbolic": symbolic}}
+
+
+_OSCILLATING = 1 + IndexExpr.geometric(-1)   # 2, 0, 2, 0, ...
+_SHARED_BAND = geometric_tail()
+
+# clauses the generated families never reach, each with its whole report
+CLAUSE_CASES = {
+    "two-live-bands": (
+        lambda: _built("sum(k=0..d, X^k) - sum(k=0..d, 2^k*X^k)"),
+        _verdict("undetermined", "unknown",
+                 "band root test undecided", "band root test undecided")),
+    "top-and-band": (
+        lambda: poly_add(moving_monomial(D_I, 2), truncated_geometric(D_I)),
+        _verdict("undetermined", "unknown",
+                 "top coefficient and band share the infinite range")),
+    "one-band-listed-twice": (
+        lambda: StructuredPoly(1, D_I, tails=(_SHARED_BAND, _SHARED_BAND)),
+        _verdict("unbounded", "no",
+                 "clause ii fails: band root test has a nonzero limit on a ray")),
+    "equal-bands": (
+        lambda: StructuredPoly(1, D_I, tails=(geometric_tail(), geometric_tail())),
+        _verdict("undetermined", "unknown",
+                 "band root test undecided", "band root test undecided")),
+    "band-eps-i": (
+        lambda: StructuredPoly(1, D_I, tails=(TailTerm((IndexExpr.const(1),), eps=I()),)),
+        _verdict("unbounded", "no",
+                 "clause i fails: band coefficient at |nu| = 1 is infinite")),
+    "finite-top-omega": (
+        lambda: moving_monomial(HyperNatural.constant(3), HyperComplex.omega()),
+        _verdict("unbounded", "no", "clause i fails: top coefficient infinite")),
+    "numeric-top": (
+        lambda: moving_monomial(D_I, HyperComplex.from_generator(lambda i: 1.0)),
+        _verdict("undetermined", "unknown", "numeric top coefficient", symbolic=False)),
+    "oscillating-top": (
+        lambda: moving_monomial(D_I, HyperComplex.from_expr(_OSCILLATING)),
+        _verdict("undetermined", "unknown", "top coefficient class undecided")),
+    "oscillating-band-degree-4": (
+        lambda: StructuredPoly(1, HyperNatural.constant(4),
+                               tails=(TailTerm((IndexExpr.const(1),), psi_re=_OSCILLATING),)),
+        _verdict("undetermined", "unknown", "band finite-range class undecided")),
+}
+
+
+@pytest.mark.parametrize("name", list(CLAUSE_CASES))
+def test_clause_reports(name):
+    build, want = CLAUSE_CASES[name]
+    assert classify_poly(build()).to_json() == want
+
+
+# sha256 of the concatenated verdict JSON of the families below, captured
+# before the classifier read each band in one pass; any change to a verdict,
+# a flag or a certificate text changes it
+FAMILY_DIGEST = "e4422a31e4d63d0623be5fb3722f6f2f6a9e912f80e18c39e84165c3af672111"
+
+
+def test_family_verdict_digest():
+    digest = hashlib.sha256()
+    for seed in (1, 101, 202, 9001):
+        polys = [p for _, p in labeled_family(seed, 200)]
+        rng = random.Random(seed)
+        for _ in range(50):
+            p, q = random_bounded_pair(rng)
+            polys += [p, q, poly_add(p, q)]
+        for p in polys:
+            digest.update(json.dumps(classify_poly(p).to_json(), sort_keys=True).encode())
+    assert digest.hexdigest() == FAMILY_DIGEST
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1),
+       scale=st.fractions(-50, 50, max_denominator=50).filter(lambda q: q != 0))
+def test_appreciable_scaling_keeps_the_class(seed, scale):
+    for _, p in labeled_family(seed, 20):
+        before, after = classify_poly(p), classify_poly(scalar_mul(scale, p))
+        assert (after.verdict, after.infinitesimal) == (before.verdict, before.infinitesimal)
+
+
+def test_each_band_is_read_once(monkeypatch):
+    calls = Counter()
+    for name in ("_band_ray_values", "_band_key_walk"):
+        def counted(*args, _name=name, _fn=getattr(classify, name)):
+            calls[_name] += 1
+            return _fn(*args)
+        monkeypatch.setattr(classify, name, counted)
+    bands = (geometric_tail(),
+             TailTerm.from_degree_rule(IndexExpr.geometric(Q(1, 2))),
+             TailTerm.from_degree_rule(IndexExpr.const(1), psi_re=IndexExpr.const(2)))
+    c = classify_poly(StructuredPoly(1, D_I, tails=bands))
+    assert c.certificate.details == ("band root test undecided",) * 3
+    assert calls == {"_band_ray_values": 3, "_band_key_walk": 3}
 
 
 class TestRingIdeals:

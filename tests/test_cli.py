@@ -10,7 +10,9 @@ from contextlib import redirect_stdout
 import pytest
 
 import hyperpoly
-from hyperpoly.cli import EXIT_ERROR, EXIT_OK, EXIT_UNDETERMINED, main, run
+from hyperpoly.cli import (
+    EXIT_ERROR, EXIT_OK, EXIT_UNDETERMINED, build_arg_parser, main, run,
+)
 
 
 def run_cli(*argv):
@@ -147,6 +149,33 @@ class TestLift:
         code, out = run_cli("lift", "--field", "q", "--levels", str(path))
         assert code == EXIT_ERROR
 
+    def test_unreadable_levels_file_is_a_typed_error(self, tmp_path):
+        code, out = run_cli("lift", "--field", "q", "--levels", str(tmp_path / "missing.json"))
+        assert code == EXIT_ERROR
+        assert json.loads(out)["error"] == "FileNotFoundError"
+
+    def test_level_mentioning_the_index_is_refused(self, tmp_path):
+        path = tmp_path / "indexed.json"
+        path.write_text(json.dumps(["1", "1 + X/i"]), encoding="utf-8")
+        code, out = run_cli("lift", "--field", "q", "--levels", str(path))
+        assert code == EXIT_ERROR
+        assert json.loads(out)["error"] == "parse"
+
+    @pytest.mark.parametrize("levels", [[1, "X"], {"X": 1}], ids=["number", "object"])
+    def test_levels_that_are_not_a_list_of_strings_are_refused(self, tmp_path, levels):
+        path = tmp_path / "odd.json"
+        path.write_text(json.dumps(levels), encoding="utf-8")
+        code, out = run_cli("lift", "--field", "q", "--levels", str(path))
+        assert code == EXIT_ERROR
+        assert json.loads(out)["error"] == "ValueError"
+
+    def test_composite_field_is_refused(self, tmp_path):
+        path = tmp_path / "tower.json"
+        path.write_text(json.dumps(["1", "1 + X"]), encoding="utf-8")
+        code, out = run_cli("lift", "--field", "4", "--levels", str(path))
+        assert code == EXIT_ERROR
+        assert json.loads(out)["error"] == "TowerError"
+
 
 class TestGeneric:
     def test_line_with_halo(self):
@@ -178,6 +207,33 @@ class TestKochen:
         assert rep["bijective"] is True
         assert rep["primesMatchUltrafilters"] is True
         assert rep["ideals"] == 8
+
+    def test_composite_field_is_refused(self):
+        code, out = run_cli("kochen", "--index-size", "2", "--field", "4")
+        assert code == EXIT_ERROR
+        assert json.loads(out)["error"] == "ValueError"
+
+
+class TestInputRanges:
+    @pytest.mark.parametrize("argv", [
+        ("zeros", "X", "--radius", "-1"),
+        ("zeros", "X", "--indices", "0,10"),
+        ("generic", "--param", "t -> t", "--indices", "0..2"),
+        ("generic", "--param", "t -> t", "--indices", "5..2"),
+        ("stdpart", "X", "--order", "-1"),
+        ("kochen", "--index-size", "-1"),
+        ("delta", "X^2", "--horizon", "-3"),
+        ("delta", "X^2", "--samples", "0"),
+    ], ids=["radius", "zeros-indices", "generic-indices", "generic-empty-range", "order",
+            "index-size", "horizon", "samples"])
+    def test_out_of_range_is_a_typed_error(self, argv):
+        code, out = run_cli(*argv)
+        assert code == EXIT_ERROR
+        assert json.loads(out)["error"] == "ValueError"
+
+    def test_json_flag_is_gone(self):
+        with pytest.raises(SystemExit):
+            build_arg_parser().parse_args(["delta", "X^2", "--json"])
 
 
 class TestEntryPoints:

@@ -148,6 +148,12 @@ class TestFiniteField:
         assert rep["residues"] == 5
         assert rep["bijective"]
 
+    def test_composite_field_refused(self):
+        with pytest.raises(TowerError):
+            FieldPoly.make(4, 1, {(0,): 1})
+        with pytest.raises(TowerError):
+            ResidueTower.make(9, 1, [])
+
     def test_size_cap(self):
         with pytest.raises(TowerError):
             finite_field_surjectivity_check(7, 1, 1)

@@ -11,6 +11,7 @@ from hyperpoly.filters import (
     ProductRing,
     SizeError,
     enumerate_filters,
+    is_prime,
     is_ultrafilter,
     kochen_filter_to_ideal,
     kochen_ideal_to_filter,
@@ -169,3 +170,25 @@ class TestKochen:
         f = kochen_ideal_to_filter(ring, gens)
         # filter members are exactly the zero sets of the generated ideal
         assert f.members == frozenset(zsets)
+
+    def test_composite_modulus_refused(self):
+        with pytest.raises(ValueError):
+            ProductRing.uniform({1, 2}, 4)
+        with pytest.raises(ValueError):
+            ProductRing((1, 2), (3, 9))
+
+
+class TestIsPrime:
+    def test_matches_trial_division(self):
+        def trial(n):
+            return n >= 2 and all(n % k for k in range(2, math.isqrt(n) + 1))
+        assert all(is_prime(n) == trial(n) for n in range(-3, 5000))
+
+    @pytest.mark.parametrize("n,want", [
+        (2**61 - 1, True), (1_000_000_007, True),
+        # strong pseudoprimes to the bases 2, 3, 5, 7 and to 2..37
+        (3_215_031_751, False), (3_825_123_056_546_413_051, False),
+        (2**61 + 1, False),
+    ])
+    def test_large(self, n, want):
+        assert is_prime(n) is want
