@@ -347,6 +347,8 @@ def _band_key_walk(p: StructuredPoly, t: TailTerm, psi2: IndexExpr):
         # |eps| appreciable: the class is the same at every live degree
         first = next((m for m in range(start, start + 256)
                       if m <= last and t.phi_at(m) != 0), None)
+        if first is None and start + 256 <= last and not all(f.is_zero() for f in t.phi):
+            return None  # the search ended before the band did
     if first is None:
         return ("ok", "yes")
     if psi_key > UNIT_CLASS:

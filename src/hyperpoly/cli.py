@@ -37,9 +37,11 @@ from .parser import (
     bind_declarations,
     build_diff_element,
     build_poly,
+    build_poly_in,
     build_sequence,
     free_names,
     parse,
+    variable_map,
 )
 from .stdpart import st_poly, zero_set_compare
 from .verdicts import UNDETERMINED
@@ -158,30 +160,16 @@ def _cmd_phi(args, cfg: Config) -> tuple[dict, int]:
 
 
 def _cmd_derivation_check(args, cfg: Config) -> tuple[dict, int]:
-    program, env = _program_env(args.f, args)
-    f = build_poly(program.expression, env)
-    program_g, _ = _program_env(args.g, args)
-    g = build_poly(program_g.expression, env)
-    if f.n != g.n:
-        n = max(f.n, g.n)
-        f = _embed(f, n)
-        g = _embed(g, n)
+    program_f, env_f = _program_env(args.f, args)
+    program_g, env_g = _program_env(args.g, args)
+    variables = variable_map([program_f.expression, program_g.expression])
+    f = build_poly_in(program_f.expression, env_f, variables)
+    g = build_poly_in(program_g.expression, env_g, variables)
     v = derivation_check(f, g)
     report = {"command": "derivation-check", "verdict": v.to_json()}
     return report, EXIT_OK if v.holds() else (
         EXIT_UNDETERMINED if v.kind == UNDETERMINED else EXIT_ERROR
     )
-
-
-def _embed(p, n: int):
-    from .interpoly import StructuredPoly
-
-    if p.n == n:
-        return p
-    explicit = {
-        tuple(list(nu) + [0] * (n - p.n)): c for nu, c in p.explicit.items()
-    }
-    return StructuredPoly(n, p.degree, explicit)
 
 
 def _cmd_lift(args, cfg: Config) -> tuple[dict, int]:
@@ -190,28 +178,15 @@ def _cmd_lift(args, cfg: Config) -> tuple[dict, int]:
     if not isinstance(level_texts, list) or not all(isinstance(t, str) for t in level_texts):
         raise ValueError("--levels must hold a JSON list of polynomial strings")
     field = "Q" if args.field in ("q", "Q") else int(args.field)
-    levels = []
-    env = Bindings.empty()
-    n_seen = 1
-    for text in level_texts:
-        program = parse(text)
-        if "i" in free_names(program.expression):
-            raise BindError(f"tower level {text!r} mentions the index i; "
-                            "levels are standard polynomials")
-        poly = build_poly(program.expression, env) if program.expression else None
-        coeffs = {}
-        if poly is not None:
-            n_seen = max(n_seen, poly.n)
-            for nu, c in poly.materialize(1).items():
-                coeffs[nu] = c[0]
-        levels.append(coeffs)
+    nodes = [parse(text).expression for text in level_texts]
+    variables = variable_map(nodes)
     field_levels = [
-        FieldPoly.make(field, n_seen,
-                       {tuple(list(nu) + [0] * (n_seen - len(nu))): c
-                        for nu, c in lv.items()})
-        for lv in levels
+        FieldPoly.make(field, len(variables), {} if node is None else _standard_coeffs(
+            node, variables, f"tower level {text!r} mentions the index i; "
+                             "levels are standard polynomials"))
+        for text, node in zip(level_texts, nodes)
     ]
-    tower = ResidueTower.make(field, n_seen, field_levels)
+    tower = ResidueTower.make(field, len(variables), field_levels)
     lifted = lift_tower(tower, horizon=max(cfg.horizon, tower.depth))
     report = {
         "command": "lift",
@@ -264,8 +239,10 @@ def _parse_param(text: str) -> Parametrization:
         coord_texts = [body]
     coords = []
     for ct in coord_texts:
-        node = parse(ct).expression
-        coords.append(RationalFunc.of(_poly_in_param(node, pname)))
+        coeffs = _standard_coeffs(
+            parse(ct).expression, {pname: 0},
+            f"coordinate {ct!r} mentions the index i; coordinates are standard polynomials")
+        coords.append(RationalFunc.of(qpoly(1, coeffs)))
     return Parametrization(1, tuple(coords))
 
 
@@ -287,35 +264,17 @@ def _split_coords(text: str) -> list[str]:
     return [p.strip() for p in parts]
 
 
-def _poly_in_param(node, pname: str) -> FieldPoly:
-    from .parser import BinOp, Neg, Num, Pow, Var
+def _standard_coeffs(node, variables: dict, mentions_i: str) -> dict:
+    """The coefficients of a standard polynomial over ``variables``.
 
-    def go(m) -> FieldPoly:
-        if isinstance(m, Num):
-            return qpoly(1, {(0,): m.value})
-        if isinstance(m, Var):
-            if m.name != pname:
-                raise BindError(f"unknown parameter {m.name!r}")
-            return qpoly(1, {(1,): 1})
-        if isinstance(m, Neg):
-            return go(m.operand).scale(-1)
-        if isinstance(m, BinOp):
-            a, b = go(m.left), go(m.right)
-            if m.op == "+":
-                return a.add(b)
-            if m.op == "-":
-                return a.add(b.scale(-1))
-            if m.op == "*":
-                return a.mul(b)
-            raise BindError("parametrizations here are polynomial in the parameter")
-        if isinstance(m, Pow) and isinstance(m.exponent, Num):
-            out = qpoly(1, {(0,): 1})
-            for _ in range(int(m.exponent.value)):
-                out = out.mul(go(m.base))
-            return out
-        raise BindError(f"cannot read {m!r} as a parametrization coordinate")
-
-    return go(node)
+    A ``lift`` level or ``generic`` coordinate is read with the polynomial
+    grammar and no bindings, at index 1; the index ``i`` is refused with the
+    message ``mentions_i`` unless it is one of ``variables``.
+    """
+    if "i" in free_names(node) and "i" not in variables:
+        raise BindError(mentions_i)
+    poly = build_poly_in(node, Bindings.empty(), variables)
+    return {nu: c[0] for nu, c in poly.materialize(1).items()}
 
 
 def _cmd_kochen(args, cfg: Config) -> tuple[dict, int]:
@@ -458,8 +417,8 @@ def _execute(args) -> tuple[dict, int]:
         report, code = args.fn(args, cfg)
     # ParseError, BindError, TowerError and DnCertificateError are
     # ValueErrors; StandardPartError and ZeroDivisionError ArithmeticErrors;
-    # OSError covers a --levels file that cannot be read
-    except (ValueError, ArithmeticError, OSError, GridExhausted) as exc:
+    # OSError is an unreadable --levels file, RecursionError too deep an expression
+    except (ValueError, ArithmeticError, OSError, RecursionError, GridExhausted) as exc:
         label = "parse" if isinstance(exc, (ParseError, BindError)) else type(exc).__name__
         report, code = {"error": label, "message": str(exc)}, EXIT_ERROR
     return {"schema": SCHEMA, **report}, code

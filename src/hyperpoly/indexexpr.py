@@ -423,9 +423,7 @@ class IndexExpr:
         d = _f_eval(self.den, i)
         if d == 0:
             raise ZeroDivisionError(f"denominator vanishes at index {i}")
-        v = _f_eval(self.num, i) / d
-        if len(self._evals) < 512:
-            self._evals[i] = v
+        v = self._evals[i] = _f_eval(self.num, i) / d
         return v
 
     def is_zero(self) -> bool:

@@ -134,16 +134,37 @@ class TopTerm:
 
 
 class InternalPolynomial:
-    """Common interface; see the concrete classes below."""
+    """Common interface; see the concrete classes below.
 
-    n: int
-    degree: HyperNatural
+    Each representation computes ``_materialize(i)`` and ``_coeff(nu)``; this
+    class keeps every result for the life of the object and drops the zero
+    coefficients from each materialization.
+    """
 
-    # -- every representation provides these ---------------------------------
+    def __init__(self, n: int, degree: HyperNatural):
+        self.n = n
+        self.degree = degree
+        self._materialized: dict[int, dict[MultiIndex, Pair]] = {}
+        self._coeffs: dict[MultiIndex, HyperComplex] = {}
+
     def materialize(self, i: int) -> dict[MultiIndex, Pair]:
-        raise NotImplementedError
+        out = self._materialized.get(i)
+        if out is None:
+            out = {k: v for k, v in self._materialize(i).items() if v != _ZERO}
+            self._materialized[i] = out
+        return out
 
     def coeff(self, nu: MultiIndex) -> HyperComplex:
+        nu = tuple(nu)
+        out = self._coeffs.get(nu)
+        if out is None:
+            out = self._coeffs[nu] = self._coeff(nu)
+        return out
+
+    def _materialize(self, i: int) -> dict[MultiIndex, Pair]:
+        raise NotImplementedError
+
+    def _coeff(self, nu: MultiIndex) -> HyperComplex:
         raise NotImplementedError
 
     # -- shared helpers --------------------------------------------------------
@@ -187,8 +208,7 @@ class StructuredPoly(InternalPolynomial):
             raise ValueError("need at least one variable")
         if tops and n != 1:
             raise ValueError("top-anchored monomials are univariate only")
-        self.n = n
-        self.degree = degree
+        super().__init__(n, degree)
         self.explicit = {
             tuple(k): hc_coerce(v) for k, v in (explicit or {}).items()
         }
@@ -197,13 +217,13 @@ class StructuredPoly(InternalPolynomial):
                 raise ValueError(f"multi-index {k} has wrong arity")
         self.tails = tuple(tails)
         self.tops = tuple(tops)
-        self._mat_cache: dict[int, dict[MultiIndex, Pair]] = {}
-        self._coeff_cache: dict[MultiIndex, HyperComplex] = {}
+
+    # named on this class too, so that a per-class wrapper (perfbench/tracing.py) finds them
+    materialize = InternalPolynomial.materialize
+    coeff = InternalPolynomial.coeff
 
     # -- materialization ---------------------------------------------------------
-    def materialize(self, i: int) -> dict[MultiIndex, Pair]:
-        if i in self._mat_cache:
-            return self._mat_cache[i]
+    def _materialize(self, i: int) -> dict[MultiIndex, Pair]:
         d_i = self.degree.value(i)
         out: dict[MultiIndex, Pair] = {}
         for t in self.tails:
@@ -227,9 +247,6 @@ class StructuredPoly(InternalPolynomial):
                     out[nu] = _pair_add(out.get(nu, _ZERO), c.value_exact(i))
                 except ZeroDivisionError:
                     pass
-        out = {k: v for k, v in out.items() if v != _ZERO}
-        if len(self._mat_cache) < 512:
-            self._mat_cache[i] = out
         return out
 
     # -- exact coefficient streams --------------------------------------------------
@@ -251,10 +268,7 @@ class StructuredPoly(InternalPolynomial):
                     t = max(t, num // self.degree.slope + 2)
         return t
 
-    def coeff(self, nu: MultiIndex) -> HyperComplex:
-        nu = tuple(nu)
-        if nu in self._coeff_cache:
-            return self._coeff_cache[nu]
+    def _coeff(self, nu: MultiIndex) -> HyperComplex:
         if len(nu) != self.n:
             raise ValueError("multi-index arity mismatch")
         m = mi_total(nu)
@@ -282,10 +296,7 @@ class StructuredPoly(InternalPolynomial):
         prefix: dict[int, Pair] = {}
         for i in range(1, T):
             prefix[i] = self.coeff_value_at(nu, i)
-        out = HyperComplex(re, im, prefix)
-        if len(self._coeff_cache) < 4096:
-            self._coeff_cache[nu] = out
-        return out
+        return HyperComplex(re, im, prefix)
 
     def is_symbolic(self) -> bool:
         return all(c.symbolic for c in self.explicit.values()) and all(
@@ -323,16 +334,13 @@ class ProductPoly(InternalPolynomial):
     def __init__(self, p: InternalPolynomial, q: InternalPolynomial):
         if p.n != q.n:
             raise ValueError("variable-count mismatch in product")
-        self.n = p.n
+        super().__init__(p.n, p.degree + q.degree)
         self.p = p
         self.q = q
-        self.degree = p.degree + q.degree
-        self._mat_cache: dict[int, dict[MultiIndex, Pair]] = {}
-        self._coeff_cache: dict[MultiIndex, HyperComplex] = {}
 
-    def materialize(self, i: int) -> dict[MultiIndex, Pair]:
-        if i in self._mat_cache:
-            return self._mat_cache[i]
+    coeff = InternalPolynomial.coeff  # named here for the same reason as StructuredPoly's
+
+    def _materialize(self, i: int) -> dict[MultiIndex, Pair]:
         a = self.p.materialize(i)
         b = self.q.materialize(i)
         out: dict[MultiIndex, Pair] = {}
@@ -340,21 +348,13 @@ class ProductPoly(InternalPolynomial):
             for nu2, c2 in b.items():
                 k = mi_add(nu1, nu2)
                 out[k] = _pair_add(out.get(k, _ZERO), _pair_mul(c1, c2))
-        out = {k: v for k, v in out.items() if v != _ZERO}
-        if len(self._mat_cache) < 64:
-            self._mat_cache[i] = out
         return out
 
-    def coeff(self, nu: MultiIndex) -> HyperComplex:
-        nu = tuple(nu)
-        if nu in self._coeff_cache:
-            return self._coeff_cache[nu]
+    def _coeff(self, nu: MultiIndex) -> HyperComplex:
         total = HyperComplex.from_rational(0)
         for mu in itertools.product(*(range(k + 1) for k in nu)):
             rest = mi_sub(nu, mu)
             total = total + self.p.coeff(mu) * self.q.coeff(rest)
-        if len(self._coeff_cache) < 4096:
-            self._coeff_cache[nu] = total
         return total
 
 
@@ -362,24 +362,16 @@ class LazyPoly(InternalPolynomial):
     """Materialization-defined polynomial (homogenization, dehomogenization)."""
 
     def __init__(self, n: int, degree: HyperNatural, fn, coeff_fn=None):
-        self.n = n
-        self.degree = degree
+        super().__init__(n, degree)
         self._fn = fn
         self._coeff_fn = coeff_fn
-        self._mat_cache: dict[int, dict[MultiIndex, Pair]] = {}
 
-    def materialize(self, i: int) -> dict[MultiIndex, Pair]:
-        if i in self._mat_cache:
-            return self._mat_cache[i]
-        out = {k: v for k, v in self._fn(i).items() if v != _ZERO}
-        if len(self._mat_cache) < 64:
-            self._mat_cache[i] = out
-        return out
+    def _materialize(self, i: int) -> dict[MultiIndex, Pair]:
+        return self._fn(i)
 
-    def coeff(self, nu: MultiIndex) -> HyperComplex:
+    def _coeff(self, nu: MultiIndex) -> HyperComplex:
         if self._coeff_fn is not None:
-            return self._coeff_fn(tuple(nu))
-        nu = tuple(nu)
+            return self._coeff_fn(nu)
         return HyperComplex(gen=lambda i: complex(*self.coeff_value_at(nu, i)))
 
 

@@ -2,16 +2,23 @@
 
     expr   := ['-'] term (('+'|'-') term)*
     term   := factor (('*'|'/') factor)*
-    factor := atom ('^' nat)?
+    factor := atom ('^' (nat | ident))?
     atom   := number | 'i' | var | '(' expr ')'
             | 'sum' '(' ident '=' nat '..' bound ',' expr ')'
             | ident '!'
     bound  := nat | ident          -- an identifier bound to a hypernatural
 
-Variables are X, Y, Z, X1..X9 and their increments dX, dY, dX1..dX9.  A
+Variables are X, Y, Z, X1..X9 and their increments dX, dY, dZ, dX1..dX9.  A
 program is a semicolon-separated list of declarations ``name := expr``
 followed by one expression (optionally prefixed by a command word, which the
 CLI dispatches on).  Diagnostics carry line, column, and the expected tokens.
+
+An identifier exponent is the loop variable of a sum (``X^k``) or the index
+(``2^i``).  ``build_poly_in`` is the one reading of an expression as a
+polynomial; its caller fixes the variables.  A command that reads several
+expressions orders their variables over all of them.  ``generic`` coordinates
+and ``lift`` levels are standard polynomials in the same grammar: they may
+not mention ``i`` (unless the parameter is named ``i``) or any other name.
 """
 
 from __future__ import annotations
@@ -354,16 +361,13 @@ class Bindings:
         return Bindings({}, {})
 
 
-def build_sequence(node: Node, env: Bindings, extra: Optional[dict] = None) -> IndexExpr:
+def build_sequence(node: Node, env: Bindings) -> IndexExpr:
     """Interpret the AST as an index sequence (variable ``i``)."""
-    extra = extra or {}
 
     def go(n: Node) -> IndexExpr:
         if isinstance(n, Num):
             return IndexExpr.const(n.value)
         if isinstance(n, Var):
-            if n.name in extra:
-                return extra[n.name]
             if n.name == "i":
                 return IndexExpr.index()
             if n.name in env.sequences:
@@ -375,8 +379,6 @@ def build_sequence(node: Node, env: Bindings, extra: Optional[dict] = None) -> I
         if isinstance(n, Neg):
             return -go(n.operand)
         if isinstance(n, Factorial):
-            if n.name in extra:
-                raise BindError("factorial of a loop variable needs the band builder")
             if n.name != "i":
                 raise BindError(f"factorial applies to 'i', got {n.name!r}")
             return IndexExpr.factorial()
@@ -429,39 +431,72 @@ def build_hypernat(node: Node, env: Bindings) -> HyperNatural:
     return HyperNatural(int(slope), int(intercept))
 
 
-def _var_order(names: set) -> list[str]:
-    return [v for v in X_VARS if v in names]
+def _collect_vars(node: Node, names: list, acc: set) -> set:
+    """Add to ``acc`` the members of ``names`` that ``node`` reads as variables."""
+    if isinstance(node, Var) and node.name in names:
+        acc.add(node.name)
+    elif isinstance(node, BinOp):
+        _collect_vars(node.left, names, acc)
+        _collect_vars(node.right, names, acc)
+    elif isinstance(node, Neg):
+        _collect_vars(node.operand, names, acc)
+    elif isinstance(node, Pow):
+        _collect_vars(node.base, names, acc)
+    elif isinstance(node, Sum):
+        _collect_vars(node.body, names, acc)
+    return acc
+
+
+def _positions(names: set) -> dict:
+    order = [v for v in X_VARS if v in names] or ["X"]
+    return {v: k for k, v in enumerate(order)}
+
+
+def variable_map(nodes) -> dict:
+    """``{name: position}`` over the X variables that any of ``nodes`` reads.
+
+    Positions follow the order of ``X_VARS``; with no variable at all the map
+    is ``{"X": 0}``.  A command that reads several expressions builds each of
+    them over this one map, so a name means the same variable in all of them.
+    """
+    names: set = set()
+    for node in nodes:
+        _collect_vars(node, X_VARS, names)
+    return _positions(names)
 
 
 def build_poly(node: Node, env: Bindings):
-    """Interpret the AST as an internal polynomial in the X variables."""
-    from .interpoly import (
-        StructuredPoly, TailTerm, constant, poly_add, poly_mul, scalar_mul,
-        variable, zero_poly,
-    )
+    """Interpret the AST as an internal polynomial in its own X variables."""
+    return build_poly_in(node, env, variable_map([node]))
 
-    names = _collect_x_vars(node)
-    order = _var_order(names) or ["X"]
-    n = len(order)
-    index_of = {v: k for k, v in enumerate(order)}
+
+def build_poly_in(node: Node, env: Bindings, variables: dict):
+    """Interpret the AST as an internal polynomial over ``variables``.
+
+    ``variables`` maps each polynomial variable's name to its position; any
+    other name is read as a sequence through ``env``.  Every polynomial built
+    from an AST is built here.
+    """
+    from .interpoly import constant, poly_add, poly_mul, scalar_mul, variable
+
+    n = len(variables)
+
+    def seq(m: Node) -> IndexExpr:
+        if "i" in variables and "i" in free_names(m):
+            raise BindError("'i' is a polynomial variable here, not the index")
+        return build_sequence(m, env)
 
     def go(m: Node):
         if isinstance(m, Num):
             return constant(n, m.value)
-        if isinstance(m, Var):
-            if m.name in index_of:
-                return variable(n, index_of[m.name])
-            return scalar_mul(
-                HyperComplex.from_expr(build_sequence(m, env)), constant(n, 1)
-            )
+        if isinstance(m, Var) and m.name in variables:
+            return variable(n, variables[m.name])
+        if isinstance(m, (Var, Factorial)):
+            return scalar_mul(HyperComplex.from_expr(seq(m)), constant(n, 1))
         if isinstance(m, Neg):
             return scalar_mul(-1, go(m.operand))
-        if isinstance(m, Factorial):
-            return scalar_mul(
-                HyperComplex.from_expr(build_sequence(m, env)), constant(n, 1)
-            )
         if isinstance(m, Sum):
-            return _build_band(m, env, n, index_of)
+            return _build_band(m, env, variables, seq)
         if isinstance(m, BinOp):
             if m.op == "+":
                 return poly_add(go(m.left), go(m.right))
@@ -470,7 +505,7 @@ def build_poly(node: Node, env: Bindings):
             if m.op == "*":
                 return poly_mul(go(m.left), go(m.right))
             if m.op == "/":
-                divisor = build_sequence(m.right, env)
+                divisor = seq(m.right)
                 return scalar_mul(
                     HyperComplex.from_expr(IndexExpr.const(1) / divisor), go(m.left)
                 )
@@ -479,14 +514,11 @@ def build_poly(node: Node, env: Bindings):
                 raise BindError(
                     "polynomial powers need literal exponents; use sum(...) for bands"
                 )
-            k = int(m.exponent.value)
-            if isinstance(m.base, Var) and m.base.name not in index_of:
-                return scalar_mul(
-                    HyperComplex.from_expr(build_sequence(m, env)), constant(n, 1)
-                )
+            if isinstance(m.base, Var) and m.base.name not in variables:
+                return scalar_mul(HyperComplex.from_expr(seq(m)), constant(n, 1))
             out = constant(n, 1)
             base = go(m.base)
-            for _ in range(k):
+            for _ in range(int(m.exponent.value)):
                 out = poly_mul(out, base)
             return out
         raise BindError(f"cannot read {m!r} as a polynomial")
@@ -494,41 +526,9 @@ def build_poly(node: Node, env: Bindings):
     return go(node)
 
 
-def _collect_x_vars(node: Node, acc: Optional[set] = None) -> set:
-    acc = set() if acc is None else acc
-    if isinstance(node, Var) and node.name in X_VARS:
-        acc.add(node.name)
-    elif isinstance(node, (BinOp,)):
-        _collect_x_vars(node.left, acc)
-        _collect_x_vars(node.right, acc)
-    elif isinstance(node, Neg):
-        _collect_x_vars(node.operand, acc)
-    elif isinstance(node, Pow):
-        _collect_x_vars(node.base, acc)
-    elif isinstance(node, Sum):
-        _collect_x_vars(node.body, acc)
-    return acc
-
-
-def _collect_dx_vars(node: Node, acc: Optional[set] = None) -> set:
-    acc = set() if acc is None else acc
-    if isinstance(node, Var) and node.name in DX_VARS:
-        acc.add(node.name)
-    elif isinstance(node, (BinOp,)):
-        _collect_dx_vars(node.left, acc)
-        _collect_dx_vars(node.right, acc)
-    elif isinstance(node, Neg):
-        _collect_dx_vars(node.operand, acc)
-    elif isinstance(node, Pow):
-        _collect_dx_vars(node.base, acc)
-    elif isinstance(node, Sum):
-        _collect_dx_vars(node.body, acc)
-    return acc
-
-
-def _build_band(node: Sum, env: Bindings, n: int, index_of: dict):
+def _build_band(node: Sum, env: Bindings, variables: dict, seq):
     """sum(k = lo .. hi, body): recognize coeff(k, i) * X^k bands."""
-    from .interpoly import StructuredPoly, TailTerm, poly_add, zero_poly
+    from .interpoly import StructuredPoly, TailTerm
 
     k = node.var
     if isinstance(node.hi, Num):
@@ -539,17 +539,17 @@ def _build_band(node: Sum, env: Bindings, n: int, index_of: dict):
                 f"summation bound {node.hi.name!r} is not a declared hypernatural"
             )
         hi = env.hypernats[node.hi.name]
-    if n != 1:
+    if len(variables) != 1:
         raise BindError("summation bands are univariate in the command grammar")
-    power_var, coeff_factors = _split_band_body(node.body, k, index_of)
-    phi, eps, psi = _separate_factors(coeff_factors, k, env)
+    coeff_factors = _split_band_body(node.body, k, variables)
+    phi, eps, psi = _separate_factors(coeff_factors, k, seq)
     lo = None if node.lo == 0 else HyperNatural.constant(node.lo - 1)
     tail = TailTerm((phi,), eps, psi, IndexExpr.const(0), lo, hi)
-    return StructuredPoly(n, hi, tails=(tail,))
+    return StructuredPoly(1, hi, tails=(tail,))
 
 
-def _split_band_body(body: Node, k: str, index_of: dict):
-    """Peel X^k off a product body; return (variable, residual factor ASTs)."""
+def _split_band_body(body: Node, k: str, variables: dict) -> list[Node]:
+    """Peel X^k off a product body; return the residual factor ASTs."""
     factors: list[Node] = []
     power_var = None
 
@@ -567,7 +567,7 @@ def _split_band_body(body: Node, k: str, index_of: dict):
             not inverted
             and isinstance(m, Pow)
             and isinstance(m.base, Var)
-            and m.base.name in index_of
+            and m.base.name in variables
             and isinstance(m.exponent, Var)
             and m.exponent.name == k
         ):
@@ -580,10 +580,10 @@ def _split_band_body(body: Node, k: str, index_of: dict):
     walk(body)
     if power_var is None:
         raise BindError("summation bodies must contain a power X^k of the loop variable")
-    return power_var, factors
+    return factors
 
 
-def _separate_factors(factors: list[Node], k: str, env: Bindings):
+def _separate_factors(factors: list[Node], k: str, seq):
     """Split coefficient factors into phi(k), eps(i)^k, and psi(i)."""
     phi = IndexExpr.const(1)
     eps = IndexExpr.const(1)
@@ -598,7 +598,7 @@ def _separate_factors(factors: list[Node], k: str, env: Bindings):
             base_free = free_names(f.base)
             if k in base_free:
                 raise BindError("band base may not depend on the loop variable")
-            eps = eps * build_sequence(f.base, env)
+            eps = eps * seq(f.base)
             continue
         if (
             isinstance(f, BinOp) and f.op == "/"
@@ -606,7 +606,7 @@ def _separate_factors(factors: list[Node], k: str, env: Bindings):
             and isinstance(f.right.exponent, Var)
             and f.right.exponent.name == k
         ):
-            eps = eps / build_sequence(f.right.base, env)
+            eps = eps / seq(f.right.base)
             f = f.left
             free = free_names(f)
         if k in free and "i" in free:
@@ -614,13 +614,13 @@ def _separate_factors(factors: list[Node], k: str, env: Bindings):
                 "band coefficients must separate into phi(k) * eps(i)^k * psi(i)"
             )
         if k in free:
-            phi = phi * _as_loop_expr(f, k, env)
+            phi = phi * _as_loop_expr(f, k)
         else:
-            psi = psi * build_sequence(f, env)
+            psi = psi * seq(f)
     return phi, eps, psi
 
 
-def _as_loop_expr(node: Node, k: str, env: Bindings) -> IndexExpr:
+def _as_loop_expr(node: Node, k: str) -> IndexExpr:
     """Read a k-only AST as an IndexExpr in the band variable."""
 
     def go(m: Node) -> IndexExpr:
@@ -671,21 +671,18 @@ def free_names(node: Node, acc: Optional[set] = None) -> set:
 
 def build_diff_element(node: Node, env: Bindings):
     """Interpret the AST as a differential element (X and dX variables)."""
-    from .interpoly import StructuredPoly, mi_total
+    from .interpoly import StructuredPoly
     from .leibniz import DiffElement
 
-    x_names = _collect_x_vars(node)
-    dx_names = _collect_dx_vars(node)
-    base_names = set(x_names) | {_DX_TO_X[d] for d in dx_names}
-    order = _var_order(base_names) or ["X"]
-    n = len(order)
-    # parse in 2n variables: X's first, then the matching dX's
-    full_index = {v: k for k, v in enumerate(order)}
-    for j, v in enumerate(order):
-        dv = DX_VARS[X_VARS.index(v)]
-        full_index[dv] = n + j
-
-    expanded = _build_poly_general(node, env, full_index, 2 * n)
+    dx_names = _collect_vars(node, DX_VARS, set())
+    positions = _positions(_collect_vars(node, X_VARS, set()) | {_DX_TO_X[d] for d in dx_names})
+    n = len(positions)
+    # built in 2n variables: the X's first, then the matching dX's
+    variables = {**positions,
+                 **{d: n + positions[v] for d, v in _DX_TO_X.items() if v in positions}}
+    expanded = build_poly_in(node, env, variables)
+    if not isinstance(expanded, StructuredPoly) or expanded.tails or expanded.tops:
+        raise BindError("differential expressions must expand to explicit form")
     slices: dict = {}
     for nu, c in expanded.explicit.items():
         x_mu, dx_mu = tuple(nu[:n]), tuple(nu[n:])
@@ -699,52 +696,6 @@ def build_diff_element(node: Node, env: Bindings):
             for mu, xs in slices.items()
         },
     )
-
-
-def _build_poly_general(node: Node, env: Bindings, index_of: dict, n: int):
-    from .interpoly import StructuredPoly, constant, poly_add, poly_mul, scalar_mul, variable
-
-    def go(m: Node):
-        if isinstance(m, Num):
-            return constant(n, m.value)
-        if isinstance(m, Var):
-            if m.name in index_of:
-                return variable(n, index_of[m.name])
-            return scalar_mul(
-                HyperComplex.from_expr(build_sequence(m, env)), constant(n, 1)
-            )
-        if isinstance(m, Neg):
-            return scalar_mul(-1, go(m.operand))
-        if isinstance(m, Factorial):
-            return scalar_mul(
-                HyperComplex.from_expr(build_sequence(m, env)), constant(n, 1)
-            )
-        if isinstance(m, BinOp):
-            if m.op == "+":
-                return poly_add(go(m.left), go(m.right))
-            if m.op == "-":
-                return poly_add(go(m.left), scalar_mul(-1, go(m.right)))
-            if m.op == "*":
-                return poly_mul(go(m.left), go(m.right))
-            if m.op == "/":
-                divisor = build_sequence(m.right, env)
-                return scalar_mul(
-                    HyperComplex.from_expr(IndexExpr.const(1) / divisor), go(m.left)
-                )
-        if isinstance(m, Pow):
-            if not isinstance(m.exponent, Num):
-                raise BindError("differential expressions need literal exponents")
-            out = constant(n, 1)
-            base = go(m.base)
-            for _ in range(int(m.exponent.value)):
-                out = poly_mul(out, base)
-            return out
-        raise BindError(f"cannot read {m!r} as a differential expression")
-
-    out = go(node)
-    if not isinstance(out, StructuredPoly) or out.tails or out.tops:
-        raise BindError("differential expressions must expand to explicit form")
-    return out
 
 
 def bind_declarations(program: Program, env: Optional[Bindings] = None) -> Bindings:

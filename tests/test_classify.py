@@ -216,6 +216,20 @@ def test_each_band_is_read_once(monkeypatch):
     assert calls == {"_band_ray_values": 3, "_band_key_walk": 3}
 
 
+def test_band_live_past_the_key_walk_is_undetermined():
+    # phi(m) = m(m-1)...(m-255)/m! vanishes below 256; the coefficient at 256 is i
+    m = IndexExpr.index()
+    phi = IndexExpr.const(1)
+    for j in range(256):
+        phi = phi * (m - j)
+    band = TailTerm((phi / IndexExpr.factorial(),), psi_re=IndexExpr.index())
+    p = StructuredPoly(1, D_I, tails=(band,))
+    assert p.coeff_value_at((256,), 300) == (Q(300), Q(0))
+    c = classify_poly(p)
+    assert c.verdict == "undetermined"
+    assert c.certificate.details == ("band finite-range class undecided",)
+
+
 class TestRingIdeals:
     def test_infinitesimal_times_bounded(self):
         eps_x = scalar_mul(HyperComplex.epsilon(), variable(1, 0))

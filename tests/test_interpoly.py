@@ -9,6 +9,8 @@ from hyperpoly.hypernat import HyperNatural
 from hyperpoly.hypernum import HyperComplex, INFINITE, INFINITESIMAL
 from hyperpoly.indexexpr import IndexExpr
 from hyperpoly.interpoly import (
+    LazyPoly,
+    ProductPoly,
     StructuredPoly,
     TailTerm,
     abs_poly,
@@ -302,3 +304,18 @@ class TestSampledConsistency:
             nu = (rng.randint(0, 6),)
             i = rng.randint(1, 40)
             assert P.coeff(nu).value_exact(i) == P.coeff_value_at(nu, i)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: scalar_mul(HyperComplex.from_expr(I()), variable(2, 1)),
+    lambda: ProductPoly(truncated_exp(HyperNatural.constant(2)), variable(1, 0)),
+    lambda: LazyPoly(1, D_I, lambda i: {(0,): pair(i), (1,): pair(0)}),
+], ids=["structured", "product", "lazy"])
+def test_every_materialization_and_coefficient_is_kept(make):
+    p = make()
+    first = {i: p.materialize(i) for i in range(1, 601)}
+    assert all(p.materialize(i) is first[i] for i in first)
+    assert all(pair(0) not in m.values() for m in first.values())
+    nus = [(m,) * p.n for m in range(3)]
+    coeffs = [p.coeff(nu) for nu in nus]
+    assert all(p.coeff(list(nu)) is c for nu, c in zip(nus, coeffs))

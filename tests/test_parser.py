@@ -13,10 +13,12 @@ from hyperpoly.parser import (
     build_diff_element,
     build_hypernat,
     build_poly,
+    build_poly_in,
     build_sequence,
     parse,
     parse_expression,
     print_program,
+    variable_map,
 )
 
 
@@ -126,6 +128,14 @@ class TestPolynomials:
         p = build_poly(parse_expression("X*Y - Z^2"), Bindings.empty())
         assert p.n == 3
         assert p.materialize(2) == {(1, 1, 0): (Q(1), Q(0)), (0, 0, 2): (Q(-1), Q(0))}
+
+    def test_one_variable_map_for_several_expressions(self):
+        f, g = parse_expression("Y^2"), parse_expression("X*Y")
+        variables = variable_map([f, g])
+        assert variables == {"X": 0, "Y": 1}
+        assert build_poly_in(f, Bindings.empty(), variables).materialize(1) == {
+            (0, 2): (Q(1), Q(0))}
+        assert variable_map([parse_expression("2")]) == {"X": 0}
 
     def test_band_in_multivariate_context_rejected(self):
         env = bind_declarations(parse("d := i; 0"))
