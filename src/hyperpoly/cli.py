@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import replace
 from fractions import Fraction
@@ -445,7 +446,14 @@ def run(text: str, extra_args: tuple = ()) -> tuple[dict, int]:
 def main(argv=None) -> int:
     args = build_arg_parser().parse_args(sys.argv[1:] if argv is None else argv)
     report, code = _execute(args)
-    print(json.dumps(report, indent=2 if args.pretty else None, sort_keys=True))
+    try:
+        print(json.dumps(report, indent=2 if args.pretty else None, sort_keys=True))
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed the pipe; send the interpreter's exit flush to
+        # devnull, so that it cannot raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_ERROR
     return code
 
 

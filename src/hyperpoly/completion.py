@@ -42,9 +42,16 @@ def _field_ok(field: FieldSpec) -> None:
 
 
 def _normalize(field: FieldSpec, c):
+    """``c`` in the field: a rational ``n/d`` is ``n * d^-1 mod p`` in F_p."""
     if field == "Q":
         return Q(c)
-    return int(c) % field
+    if isinstance(c, int):
+        return c % field
+    c = Q(c)
+    if c.denominator % field == 0:
+        raise TowerError(f"coefficient {c} has no value in F_{field}: "
+                         f"its denominator is divisible by {field}")
+    return c.numerator * pow(c.denominator, -1, field) % field
 
 
 @dataclass(frozen=True)

@@ -1,20 +1,58 @@
-"""Exact evaluation of materialized polynomials over Gaussian integers.
+"""Exact arithmetic on materialized polynomials.
 
-A materialized index ``{nu: (re, im)}`` is stored as Gaussian-integer
-numerators over one shared denominator, the layout of FLINT's ``fmpq_poly``.
-A point's coordinates are written over one common denominator ``D``, so once
-each term is scaled by ``D^(top - |nu|)`` the whole sum is an integer
-computation: no intermediate ``Fraction``, no gcd per operation.  The result
-at each index is ``(re_num, im_num, den)`` and the caller builds one
-``Fraction`` from it; the values are exactly those of term-by-term rational
-arithmetic.
+A materialized index is a table ``{nu: (re, im)}`` of ``Fraction`` pairs.
+Every exact product and evaluation of such tables happens here, on the
+layout of FLINT's ``fmpq_poly``: Gaussian-integer numerators over one shared
+denominator per table.  Inside, the arithmetic is on integers, with no
+intermediate ``Fraction`` and no gcd per operation, and the values are
+exactly those of term-by-term rational arithmetic.
+
+* :func:`multiply` convolves two tables in the order of the nested
+  term-by-term loop, so keys keep that order and zero sums stay; ``top``
+  drops keys of total degree above it.
+* :func:`evaluate` takes the tables of an :func:`integer_form` to one point
+  written over a common denominator ``D``; scaled by ``D^(top - |nu|)``,
+  every term is an integer, and each value one ``(re, im, den)`` triple.
+
+``completion.FieldPoly`` (over Q and F_p) stays outside: through
+:func:`evaluate` its dense power tables made it slower.  So does the torus
+quadrature in ``classify``, which samples in complex floats.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import lcm
-from typing import Iterable
+from fractions import Fraction
+from math import inf, lcm
+from operator import add
+from typing import Iterable, Optional
+
+
+def _numerators(table: dict) -> tuple[int, list]:
+    """``(den, [(nu, re_num, im_num), ...])``: ``table`` over one denominator."""
+    den = lcm(*(c.denominator for pair in table.values() for c in pair))
+    return den, [
+        (nu, re.numerator * (den // re.denominator), im.numerator * (den // im.denominator))
+        for nu, (re, im) in table.items()
+    ]
+
+
+def multiply(a: dict, b: dict, top: Optional[int] = None) -> dict:
+    """The product of two tables, without its keys of total degree above ``top``."""
+    den_a, xs = _numerators(a)
+    den_b, ys = _numerators(b)
+    ys = [(mu, r, s, sum(mu)) for mu, r, s in ys]
+    acc_re: dict = {}
+    acc_im: dict = {}
+    for nu, p, q in xs:
+        room = inf if top is None else top - sum(nu)
+        for mu, r, s, m in ys:
+            if m <= room:
+                k = tuple(map(add, nu, mu))
+                acc_re[k] = acc_re.get(k, 0) + p * r - q * s
+                acc_im[k] = acc_im.get(k, 0) + p * s + q * r
+    den = den_a * den_b
+    return {k: (Fraction(re, den), Fraction(acc_im[k], den)) for k, re in acc_re.items()}
 
 
 @dataclass(frozen=True)
@@ -40,19 +78,14 @@ def integer_form(mats: Iterable[dict], n: int) -> IntegerForm:
     top_all = 0
     indices = []
     for mat in mats:
-        den = lcm(*(c.denominator for pair in mat.values() for c in pair))
+        den, nums = _numerators(mat)
         top = max(map(sum, mat), default=0)
         terms = []
-        for nu, (re, im) in mat.items():
+        for nu, re, im in nums:
             for var, e in enumerate(nu):
                 if e > max_exp[var]:
                     max_exp[var] = e
-            terms.append((
-                tuple((var, e) for var, e in enumerate(nu) if e),
-                re.numerator * (den // re.denominator),
-                im.numerator * (den // im.denominator),
-                top - sum(nu),
-            ))
+            terms.append((tuple((var, e) for var, e in enumerate(nu) if e), re, im, top - sum(nu)))
         top_all = max(top_all, top)
         indices.append((den, top, tuple(terms)))
     return IntegerForm(tuple(max_exp), top_all, tuple(indices))
@@ -69,10 +102,9 @@ def evaluate(form: IntegerForm, point: tuple) -> list[tuple[int, int, int]]:
         raise ValueError(
             f"point has arity {len(point)}, polynomial has {len(form.max_exp)}"
         )
-    D = lcm(*(c.denominator for pair in point for c in pair))
+    D, coords = _numerators(dict(enumerate(point)))
     tables = []
-    for (re, im), k in zip(point, form.max_exp):
-        c, d = re.numerator * (D // re.denominator), im.numerator * (D // im.denominator)
+    for (_, c, d), k in zip(coords, form.max_exp):
         tbl = [(1, 0)]
         for _ in range(k):
             a, b = tbl[-1]
@@ -94,4 +126,3 @@ def evaluate(form: IntegerForm, point: tuple) -> list[tuple[int, int, int]]:
             sum_im += b
         out.append((sum_re, sum_im, den * dpow[top]))
     return out
-

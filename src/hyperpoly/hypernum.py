@@ -130,10 +130,13 @@ class HyperComplex:
         return self.symbolic and self.im.is_zero() and all(v[1] == 0 for v in self.prefix.values())
 
     # -- ring operations ----------------------------------------------------------
-    def _binary(self, other: "HyperComplex", sym_op, num_op) -> "HyperComplex":
+    def _binary(self, other: "HyperComplex", op) -> "HyperComplex":
+        """Apply ``op(a, b, c, d) -> (re, im)`` to the parts of ``self = a + bi``
+        and ``other = c + di``: to the expressions, to the exact prefix pairs,
+        and to the float parts of the numeric tier."""
         other = coerce(other)
         if self.symbolic and other.symbolic:
-            re, im = sym_op(self.re, self.im, other.re, other.im)
+            re, im = op(self.re, self.im, other.re, other.im)
             prefix = {}
             for i in set(self.prefix) | set(other.prefix):
                 try:
@@ -141,17 +144,16 @@ class HyperComplex:
                     c, d = other.value_exact(i)
                 except ZeroDivisionError:
                     continue
-                prefix[i] = num_op((a, b), (c, d))
+                prefix[i] = op(a, b, c, d)
             return HyperComplex(re, im, prefix)
-        return HyperComplex(gen=lambda i, x=self, y=other: num_op(
-            _approx(x, i), _approx(y, i), approximate=True))
+
+        def gen(i, x=self, y=other):
+            u, v = x.value(i), y.value(i)
+            return complex(*op(u.real, u.imag, v.real, v.imag))
+        return HyperComplex(gen=gen)
 
     def __add__(self, other):
-        return self._binary(
-            other,
-            lambda a, b, c, d: (a + c, b + d),
-            _pair_add,
-        )
+        return self._binary(other, lambda a, b, c, d: (a + c, b + d))
 
     __radd__ = __add__
 
@@ -169,11 +171,7 @@ class HyperComplex:
         return coerce(other) - self
 
     def __mul__(self, other):
-        return self._binary(
-            other,
-            lambda a, b, c, d: (a * c - b * d, a * d + b * c),
-            _pair_mul,
-        )
+        return self._binary(other, lambda a, b, c, d: (a * c - b * d, a * d + b * c))
 
     __rmul__ = __mul__
 
@@ -283,24 +281,6 @@ def coerce(x) -> HyperComplex:
     if isinstance(x, IndexExpr):
         return HyperComplex.from_expr(x)
     raise TypeError(f"cannot use {type(x).__name__} as a HyperComplex")
-
-
-def _pair_add(x, y, approximate=False):
-    if approximate:
-        return x + y
-    return (x[0] + y[0], x[1] + y[1])
-
-
-def _pair_mul(x, y, approximate=False):
-    if approximate:
-        return x * y
-    a, b = x
-    c, d = y
-    return (a * c - b * d, a * d + b * c)
-
-
-def _approx(x: HyperComplex, i: int) -> complex:
-    return x.value(i)
 
 
 def _check_tag(x: HyperComplex, tag: str):

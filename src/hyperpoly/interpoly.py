@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Iterator, Optional
 
-from .exacteval import evaluate, integer_form
+from .exacteval import evaluate, integer_form, multiply
 from .hypernat import HyperNatural
 from .hypernum import HyperComplex, coerce as hc_coerce
 from .indexexpr import IndexExpr
@@ -64,8 +64,13 @@ def _pair_add(a: Pair, b: Pair) -> Pair:
     return (a[0] + b[0], a[1] + b[1])
 
 
-def _pair_mul(a: Pair, b: Pair) -> Pair:
-    return (a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0])
+def _box_convolution(f, g, nu: MultiIndex) -> HyperComplex:
+    """The coefficient at ``nu`` of a product: ``f(mu) * g(nu - mu)`` summed
+    over ``mu <= nu`` in lexicographic order."""
+    total = HyperComplex.from_rational(0)
+    for mu in itertools.product(*(range(k + 1) for k in nu)):
+        total = total + f(mu) * g(mi_sub(nu, mu))
+    return total
 
 
 @dataclass(frozen=True)
@@ -341,21 +346,10 @@ class ProductPoly(InternalPolynomial):
     coeff = InternalPolynomial.coeff  # named here for the same reason as StructuredPoly's
 
     def _materialize(self, i: int) -> dict[MultiIndex, Pair]:
-        a = self.p.materialize(i)
-        b = self.q.materialize(i)
-        out: dict[MultiIndex, Pair] = {}
-        for nu1, c1 in a.items():
-            for nu2, c2 in b.items():
-                k = mi_add(nu1, nu2)
-                out[k] = _pair_add(out.get(k, _ZERO), _pair_mul(c1, c2))
-        return out
+        return multiply(self.p.materialize(i), self.q.materialize(i))
 
     def _coeff(self, nu: MultiIndex) -> HyperComplex:
-        total = HyperComplex.from_rational(0)
-        for mu in itertools.product(*(range(k + 1) for k in nu)):
-            rest = mi_sub(nu, mu)
-            total = total + self.p.coeff(mu) * self.q.coeff(rest)
-        return total
+        return _box_convolution(self.p.coeff, self.q.coeff, nu)
 
 
 class LazyPoly(InternalPolynomial):
@@ -533,7 +527,7 @@ def scalar_mul(c, p: InternalPolynomial) -> InternalPolynomial:
         if cv is None:
             z = complex(c.value(i))
             cv = (Q(z.real), Q(z.imag))
-        return {k: _pair_mul(cv, v) for k, v in p.materialize(i).items()}
+        return multiply({(0,) * p.n: cv}, p.materialize(i))
 
     return LazyPoly(p.n, p.degree, fn, coeff_fn=lambda nu: c * p.coeff(nu))
 
@@ -813,12 +807,7 @@ def _derive_once(p: InternalPolynomial, var: int) -> InternalPolynomial:
                 prefix={i: (Q(v - t.offset), Q(0)) for i, v in p.degree.patches},
             )
             tops.append(TopTerm(t.offset + 1, t.coeff * factor))
-        new_deg = HyperNatural(
-            p.degree.slope,
-            p.degree.intercept - 1,
-            tuple((i, max(0, v - 1)) for i, v in p.degree.patches),
-        ) if (p.degree.slope, max(p.degree.intercept, 0)) != (0, 0) else HyperNatural.constant(0)
-        return StructuredPoly(p.n, new_deg, explicit, tuple(tails), tuple(tops))
+        return StructuredPoly(p.n, _lowered(p.degree), explicit, tuple(tails), tuple(tops))
     return _lazy_derivative(p, var)
 
 
@@ -837,12 +826,14 @@ def _lazy_derivative(p: InternalPolynomial, var: int) -> LazyPoly:
         up = tuple(v + 1 if t == var else v for t, v in enumerate(nu))
         return p.coeff(up) * (nu[var] + 1)
 
-    new_deg = HyperNatural(
-        p.degree.slope,
-        p.degree.intercept - 1,
-        tuple((i, max(0, v - 1)) for i, v in p.degree.patches),
-    ) if (p.degree.slope, max(p.degree.intercept, 0)) != (0, 0) else HyperNatural.constant(0)
-    return LazyPoly(p.n, new_deg, fn, coeff_fn)
+    return LazyPoly(p.n, _lowered(p.degree), fn, coeff_fn)
+
+
+def _lowered(d: HyperNatural) -> HyperNatural:
+    """The degree bound of a derivative: ``d - 1``, and 0 for degree 0."""
+    if (d.slope, max(d.intercept, 0)) == (0, 0):
+        return HyperNatural.constant(0)
+    return HyperNatural(d.slope, d.intercept - 1, tuple((i, max(0, v - 1)) for i, v in d.patches))
 
 
 def homogenize(p: InternalPolynomial) -> InternalPolynomial:
@@ -922,13 +913,7 @@ class InternalSeries:
         return InternalSeries(self.n, lambda nu: self.coeff(nu) + other.coeff(nu))
 
     def __mul__(self, other: "InternalSeries") -> "InternalSeries":
-        def conv(nu):
-            total = HyperComplex.from_rational(0)
-            for mu in itertools.product(*(range(k + 1) for k in nu)):
-                total = total + self.coeff(mu) * other.coeff(mi_sub(nu, mu))
-            return total
-
-        return InternalSeries(self.n, conv)
+        return InternalSeries(self.n, lambda nu: _box_convolution(self.coeff, other.coeff, nu))
 
 
 def theta(p: InternalPolynomial) -> InternalSeries:

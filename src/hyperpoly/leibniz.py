@@ -25,6 +25,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .classify import BOUNDED, INFINITESIMAL, Certificate, PolyClass, classify_poly
+from .exacteval import evaluate, integer_form
 from .hypernat import HyperNatural
 from .interpoly import (
     InternalPolynomial,
@@ -147,15 +148,13 @@ class DiffElement:
         return True
 
     def eval_exact(self, i: int, xs, dxs):
-        total = (Q(0), Q(0))
-        for mu, poly in self.slices.items():
-            v = poly.eval_exact(i, xs)
-            for var, e in enumerate(mu):
-                for _ in range(e):
-                    d = dxs[var]
-                    v = (v[0] * d[0] - v[1] * d[1], v[0] * d[1] + v[1] * d[0])
-            total = (total[0] + v[0], total[1] + v[1])
-        return total
+        """Exact value at index ``i``, read as one polynomial in X then dX."""
+        if len(xs) != self.n or len(dxs) != self.n:
+            raise ValueError(f"point has arity ({len(xs)}, {len(dxs)}), element has {self.n}")
+        table = {nu + mu: c for mu, poly in self.slices.items()
+                 for nu, c in poly.materialize(i).items()}
+        ((re, im, den),) = evaluate(integer_form((table,), 2 * self.n), tuple(xs) + tuple(dxs))
+        return (Q(re, den), Q(im, den))
 
     def dn_certificate(self) -> Optional[str]:
         """None when every slice classifies bounded; else the failure reason."""

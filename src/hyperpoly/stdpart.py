@@ -17,6 +17,7 @@ from fractions import Fraction
 from typing import Callable, Optional
 
 from .classify import PolyClass, classify_poly
+from .exacteval import multiply
 from .hypernum import HyperComplex
 from .hypernat import HyperNatural
 from .indexexpr import IndexExpr
@@ -25,7 +26,6 @@ from .interpoly import (
     StructuredPoly,
     TailTerm,
     mi_sub,
-    mi_total,
     multi_indices_of_degree,
     truncate_series,
 )
@@ -258,28 +258,11 @@ class SeriesMorphism:
                 term = {tuple([0] * self.m_target): c}
                 for var, k in enumerate(nu):
                     for _ in range(k):
-                        term = _dict_mul(term, img_tables[var], order)
+                        term = multiply(term, img_tables[var], top=order)
                 for key, v in term.items():
                     prev = table.get(key, _ZERO)
                     table[key] = (prev[0] + v[0], prev[1] + v[1])
         return StandardPowerSeries.from_dict(self.m_target, table, display_order=order)
-
-
-def _dict_mul(a: dict, b: dict, order: int) -> dict:
-    out: dict[tuple, Pair] = {}
-    for k1, c1 in a.items():
-        if mi_total(k1) > order:
-            continue
-        for k2, c2 in b.items():
-            k = tuple(x + y for x, y in zip(k1, k2))
-            if mi_total(k) > order:
-                continue
-            prev = out.get(k, _ZERO)
-            out[k] = (
-                prev[0] + c1[0] * c2[0] - c1[1] * c2[1],
-                prev[1] + c1[0] * c2[1] + c1[1] * c2[0],
-            )
-    return out
 
 
 def st_morphism(images: list[InternalPolynomial]) -> SeriesMorphism:

@@ -195,6 +195,21 @@ class TestLift:
         assert code == EXIT_ERROR
         assert json.loads(out)["error"] == "ValueError"
 
+    def test_prime_field_reads_a_fraction_as_a_quotient(self, tmp_path):
+        path = tmp_path / "tower.json"
+        path.write_text(json.dumps(["1", "1 + X/2", "1 + X/2 + Y^2"]), encoding="utf-8")
+        code, out = run_cli("lift", "--field", "5", "--levels", str(path))
+        assert code == EXIT_OK
+        # 1/2 = 3 in F_5
+        assert json.loads(out)["residueAtDepth"] == {"0,0": "1", "0,2": "1", "1,0": "3"}
+
+    def test_denominator_divisible_by_the_modulus_is_refused(self, tmp_path):
+        path = tmp_path / "tower.json"
+        path.write_text(json.dumps(["1", "1 + X/5"]), encoding="utf-8")
+        code, out = run_cli("lift", "--field", "5", "--levels", str(path))
+        assert code == EXIT_ERROR
+        assert json.loads(out)["error"] == "TowerError"
+
     def test_composite_field_is_refused(self, tmp_path):
         path = tmp_path / "tower.json"
         path.write_text(json.dumps(["1", "1 + X"]), encoding="utf-8")
@@ -309,6 +324,36 @@ class TestEntryPoints:
         )
         assert proc.returncode == EXIT_OK, proc.stderr
         assert json.loads(proc.stdout)["command"] == "delta"
+
+
+    def test_closed_pipe_exits_one_without_a_traceback(self):
+        src = os.path.dirname(os.path.dirname(hyperpoly.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        # about 177 kB of output, more than a pipe buffers
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "hyperpoly", "stdpart", "sum(k=0..d, X^k/k!)",
+             "--d", "i", "--order", "400", "--pretty"],
+            env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        )
+        assert len(proc.stdout.read(10)) == 10
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == EXIT_ERROR
+        assert err == b""
+
+
+class TestEval:
+    def test_power_of_a_band_prints_the_same_bytes(self):
+        code, out = run_cli(
+            "eval", "eps := 1/i; (sum(k=0..d, k*eps*X^k) - sum(k=0..2, 1*X^k))^3", "--at", "2")
+        assert code == EXIT_OK
+        assert out == (
+            '{"classification": {"class": "infinite", "verdict": {"kind": "Holds", '
+            '"note": "window: sustained growth ratio > 2.0", "witness": 49}}, '
+            '"command": "eval", "schema": 1, "window": ["(-125+0j)", "(-8+0j)", '
+            '"(5359.375+0j)", "(85912064.453125+0j)", "(1855114462223675+0j)"]}\n'
+        )
 
 
 class TestDeterminism:

@@ -1,10 +1,12 @@
-"""The Gaussian-integer evaluation kernel against term-by-term Fraction loops.
+"""The Gaussian-integer kernel against term-by-term Fraction loops.
 
-The reference functions below are the rational-arithmetic evaluators the
-kernel replaced, kept here only as the specification: every value the kernel
-produces must equal theirs exactly.
+The reference functions below are the rational-arithmetic evaluators and
+convolutions the kernel replaced, kept here only as the specification: every
+value the kernel produces must equal theirs exactly, and every table it
+builds must list its keys in their order.
 """
 
+import random
 from fractions import Fraction as Q
 
 import pytest
@@ -12,8 +14,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hyperpoly.classify import _oracle_points
-from hyperpoly.exacteval import evaluate, integer_form
-from hyperpoly.families import labeled_family
+from hyperpoly.exacteval import evaluate, integer_form, multiply
+from hyperpoly.families import labeled_family, random_bounded_pair
 from hyperpoly.hypernat import HyperNatural
 from hyperpoly.hypernum import HyperComplex
 from hyperpoly.indexexpr import IndexExpr
@@ -24,11 +26,16 @@ from hyperpoly.interpoly import (
     TailTerm,
     dehomogenize,
     homogenize,
+    multi_indices_of_degree,
     partial_derivative,
+    poly_mul,
+    scalar_mul,
     truncated_exp,
     variable,
     zero_poly,
 )
+from hyperpoly.leibniz import DiffElement, delta
+from hyperpoly.stdpart import StandardPowerSeries, st_morphism
 
 I = IndexExpr.index
 D_I = HyperNatural.identity()
@@ -237,3 +244,227 @@ def test_eval_exact_matches_reference_across_representations():
         for pt in _oracle_points(p.n, Q(5, 4), 3, 11):
             for i in (1, 4, 9):
                 assert p.eval_exact(i, pt) == reference_eval_exact(p, i, pt)
+
+
+# ---------------------------------------------------------------------------
+# products of tables: the kernel against the Fraction convolutions it replaced
+# ---------------------------------------------------------------------------
+
+def reference_product(a, b):
+    """The convolution ``ProductPoly`` materialized with before the kernel."""
+    out = {}
+    for nu1, c1 in a.items():
+        for nu2, c2 in b.items():
+            k = tuple(x + y for x, y in zip(nu1, nu2))
+            prev = out.get(k, (Q(0), Q(0)))
+            t = _pair_mul(c1, c2)
+            out[k] = (prev[0] + t[0], prev[1] + t[1])
+    return out
+
+
+def reference_dict_mul(a, b, order):
+    """The truncated convolution ``SeriesMorphism.apply`` used before the kernel."""
+    out = {}
+    for k1, c1 in a.items():
+        if sum(k1) > order:
+            continue
+        for k2, c2 in b.items():
+            k = tuple(x + y for x, y in zip(k1, k2))
+            if sum(k) > order:
+                continue
+            prev = out.get(k, (Q(0), Q(0)))
+            out[k] = (
+                prev[0] + c1[0] * c2[0] - c1[1] * c2[1],
+                prev[1] + c1[0] * c2[1] + c1[1] * c2[0],
+            )
+    return out
+
+
+def reference_apply(mor, h, order):
+    """``SeriesMorphism.apply`` with ``reference_dict_mul`` as its product."""
+    support_cap = max(order, h.display_order)
+    zero = tuple([0] * mor.m_target)
+    if any(g.coeff(zero) != (Q(0), Q(0)) for g in mor.images):
+        support_cap = h.display_order
+    table = {}
+    img_tables = [g.coefficients_up_to(order) for g in mor.images]
+    for m in range(support_cap + 1):
+        for nu in multi_indices_of_degree(mor.n_source, m):
+            c = h.coeff(nu)
+            if c == (Q(0), Q(0)):
+                continue
+            term = {zero: c}
+            for var, k in enumerate(nu):
+                for _ in range(k):
+                    term = reference_dict_mul(term, img_tables[var], order)
+            for key, v in term.items():
+                prev = table.get(key, (Q(0), Q(0)))
+                table[key] = (prev[0] + v[0], prev[1] + v[1])
+    return table
+
+
+def degree(table):
+    return max(map(sum, table), default=0)
+
+
+def assert_same_table(got, want):
+    """Equal values under equal keys, listed in the same order."""
+    assert list(got.items()) == list(want.items())
+
+
+def assert_multiply_matches(a, b):
+    assert_same_table(multiply(a, b), reference_product(a, b))
+    top = degree(a) + degree(b)
+    for t in (0, top - 1, top, top + 1):
+        assert_same_table(multiply(a, b, top=t), reference_dict_mul(a, b, t))
+
+
+def assert_product_matches(p, q, indices):
+    prod = ProductPoly(p, q)
+    for i in indices:
+        try:
+            a, b = p.materialize(i), q.materialize(i)
+        except ZeroDivisionError:
+            continue
+        assert_multiply_matches(a, b)
+        want = {k: v for k, v in reference_product(a, b).items() if v != (Q(0), Q(0))}
+        assert_same_table(prod.materialize(i), want)
+
+
+TABLES = {
+    "empty": {},
+    "constant": {(0,): (Q(3, 4), Q(0))},
+    "complex": {(0,): (Q(1), Q(-2)), (2,): (Q(0), Q(5, 3)), (1,): (Q(-7, 2), Q(1, 9))},
+    "mixed-denominators": {(3,): (Q(1, 6), Q(0)), (0,): (Q(-5, 14), Q(2, 15)),
+                           (1,): (Q(11), Q(-1, 4))},
+    "cancelling": {(0,): (Q(1), Q(0)), (1,): (Q(-1), Q(0))},
+    "conjugate": {(0,): (Q(1), Q(0)), (1,): (Q(1), Q(0))},
+    "integers": {(0,): (2, -1), (2,): (0, 3)},
+}
+BIVARIATE = {
+    "xy": {(1, 0): (Q(1, 2), Q(1, 3)), (0, 1): (Q(-2), Q(0)), (1, 1): (Q(0), Q(4, 7))},
+    "yx": {(0, 2): (Q(5, 6), Q(-1)), (0, 0): (Q(1), Q(0)), (2, 0): (Q(-3, 8), Q(1, 2))},
+    "empty": {},
+}
+
+
+@pytest.mark.parametrize("a", sorted(TABLES))
+@pytest.mark.parametrize("b", sorted(TABLES))
+def test_multiply_matches_reference_on_univariate_tables(a, b):
+    assert_multiply_matches(TABLES[a], TABLES[b])
+
+
+@pytest.mark.parametrize("a", sorted(BIVARIATE))
+@pytest.mark.parametrize("b", sorted(BIVARIATE))
+def test_multiply_matches_reference_on_bivariate_tables(a, b):
+    assert_multiply_matches(BIVARIATE[a], BIVARIATE[b])
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_product_materialization_matches_reference_on_drawn_pairs(seed):
+    rng = random.Random(seed)
+    p, q = random_bounded_pair(rng)
+    assert_product_matches(p, q, (1, 3, 8, 16))
+
+
+@settings(max_examples=10, deadline=None)
+@given(seed=st.integers(0, 10**6))
+def test_product_materialization_matches_reference_on_drawn_families(seed):
+    members = [p for _, p in labeled_family(seed, 6)]
+    for p, q in zip(members, members[1:] + members[:1]):
+        if p.n == q.n:
+            assert_product_matches(p, q, (1, 2, 5, 9))
+
+
+def test_products_of_products_match_reference():
+    rng = random.Random(7)
+    for _ in range(40):
+        p, q = random_bounded_pair(rng)
+        r, _ = random_bounded_pair(rng)
+        if r.n == p.n:
+            assert_product_matches(ProductPoly(p, q), r, (2, 6))
+            assert_product_matches(p, poly_mul(q, p), (3, 7))
+
+
+def test_lazy_scalar_multiple_matches_reference():
+    scalars = [
+        HyperComplex(IndexExpr.const(Q(2, 3)), IndexExpr.const(Q(-1, 5)), {1: (Q(7), Q(0))}),
+        HyperComplex(1 / I(), prefix={2: (Q(0), Q(0))}),
+        HyperComplex(gen=lambda i: complex(1 / i, 0.5)),
+    ]
+    for p in (_bivariate(), truncated_exp(D_I), ProductPoly(truncated_exp(D_I), _pole_at_index_2())):
+        for c in scalars:
+            scaled = scalar_mul(c, p)
+            for i in (1, 2, 3, 6):
+                try:
+                    mat = p.materialize(i)
+                except ZeroDivisionError:
+                    continue
+                cv = (c.value_exact(i) if c.symbolic
+                      else (Q(c.value(i).real), Q(c.value(i).imag)))
+                want = {k: _pair_mul(cv, v) for k, v in mat.items()}
+                assert_same_table(scaled.materialize(i),
+                                  {k: v for k, v in want.items() if v != (Q(0), Q(0))})
+
+
+def test_series_morphism_matches_reference():
+    exp = StandardPowerSeries.exp()
+    cases = [
+        (st_morphism([scalar_mul(Q(1, 2), variable(1, 0))]), exp, 8),
+        (st_morphism([ProductPoly(truncated_exp(D_I), variable(1, 0))]), exp, 6),
+        (st_morphism([variable(2, 1), scalar_mul(Q(-3, 4), variable(2, 0))]),
+         StandardPowerSeries.from_dict(2, {(1, 1): (Q(1), Q(2)), (2, 0): (Q(1, 3), Q(0))}), 5),
+        (st_morphism([truncated_exp(D_I)]),
+         StandardPowerSeries.from_dict(1, {(0,): (Q(1), Q(0)), (3,): (Q(0), Q(1, 2))}), 4),
+    ]
+    for mor, h, order in cases:
+        got = mor.apply(h, order)
+        want = reference_apply(mor, h, order)
+        assert got.coefficients_up_to(order) == {
+            k: v for k, v in want.items() if v != (Q(0), Q(0))}
+
+
+# ---------------------------------------------------------------------------
+# differential elements: one table over X then dX
+# ---------------------------------------------------------------------------
+
+def reference_diff_eval(elem, i, xs, dxs):
+    """The old per-slice loop: each slice's value times its dX powers."""
+    total = (Q(0), Q(0))
+    for mu, poly in elem.slices.items():
+        v = reference_eval_exact(poly, i, xs)
+        for var, e in enumerate(mu):
+            for _ in range(e):
+                v = _pair_mul(v, dxs[var])
+        total = (total[0] + v[0], total[1] + v[1])
+    return total
+
+
+def test_diff_element_eval_matches_reference():
+    band = TailTerm((IndexExpr.const(1),), psi_re=Q(1, 3) + 1 / I(),
+                    psi_im=IndexExpr.const(Q(-1, 2)))
+    geom = StructuredPoly(1, D_I, tails=(band,))
+    elems = [
+        delta(_bivariate()),
+        delta(ProductPoly(_bivariate(), _bivariate())),
+        DiffElement(1, {(0,): ProductPoly(truncated_exp(D_I), geom), (1,): geom,
+                        (3,): truncated_exp(D_I)}) * delta(ProductPoly(variable(1, 0), variable(1, 0))),
+        DiffElement.from_poly(geom),
+        DiffElement(2, {}),
+    ]
+    points = [
+        (((Q(1, 2), Q(-1, 3)), (Q(2), Q(5, 7))), ((Q(1, 9), Q(1, 4)), (Q(0), Q(-3, 11)))),
+        (((Q(0), Q(0)), (Q(-4, 5), Q(1))), ((Q(2, 3), Q(0)), (Q(1, 6), Q(-1, 6)))),
+    ]
+    for elem in elems:
+        for xs, dxs in points:
+            xs, dxs = xs[:elem.n], dxs[:elem.n]
+            for i in (1, 3, 7):
+                assert elem.eval_exact(i, xs, dxs) == reference_diff_eval(elem, i, xs, dxs)
+
+
+def test_diff_element_eval_refuses_wrong_arity():
+    elem = delta(_bivariate())
+    with pytest.raises(ValueError):
+        elem.eval_exact(1, ((Q(1), Q(0)),), ((Q(1), Q(0)),) * 3)

@@ -1,6 +1,8 @@
 from fractions import Fraction as Q
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hyperpoly.hypernat import HyperNatural
 from hyperpoly.hypernum import (
@@ -137,3 +139,39 @@ class TestStandardPart:
         assert v is not None and abs(v - 2) < 1e-3
         osc = HyperComplex.from_generator(lambda i: (-1) ** i)
         assert osc.standard_part() is None
+
+
+FLOATS = st.floats(allow_nan=False, allow_infinity=False, width=64)
+
+
+def _bits(z: complex):
+    return z.real.hex(), z.imag.hex()
+
+
+class TestOneFormulaPerOperation:
+    @settings(max_examples=200, deadline=None)
+    @given(a=FLOATS, b=FLOATS, c=FLOATS, d=FLOATS)
+    def test_numeric_tier_matches_complex_arithmetic_bit_for_bit(self, a, b, c, d):
+        u, v = complex(a, b), complex(c, d)
+        x = HyperComplex.from_generator(lambda i: u)
+        y = HyperComplex.from_generator(lambda i: v)
+        assert _bits((x * y).value(1)) == _bits(u * v)
+        assert _bits((x + y).value(1)) == _bits(u + v)
+        assert _bits((x - y).value(1)) == _bits(u - v)
+
+    def test_mixed_tiers_use_the_exact_value_as_floats(self):
+        x = HyperComplex(IndexExpr.const(Q(1, 3)), IndexExpr.const(Q(-2, 7)), {2: (Q(5), Q(1))})
+        y = HyperComplex.from_generator(lambda i: complex(0.1 * i, -0.7))
+        for i in (1, 2, 5):
+            assert _bits((x * y).value(i)) == _bits(x.value(i) * y.value(i))
+            assert _bits((y + x).value(i)) == _bits(y.value(i) + x.value(i))
+
+    def test_prefix_pairs_follow_the_symbolic_formula(self):
+        x = HyperComplex(IndexExpr.const(Q(1, 3)), IndexExpr.const(Q(-2, 7)), {2: (Q(5), Q(1))})
+        y = HyperComplex(1 / I(), IndexExpr.const(Q(1, 2)), {3: (Q(-1, 4), Q(2))})
+        prod, total = x * y, x + y
+        for i in (1, 2, 3, 4):
+            (a, b), (c, d) = x.value_exact(i), y.value_exact(i)
+            assert prod.value_exact(i) == (a * c - b * d, a * d + b * c)
+            assert total.value_exact(i) == (a + c, b + d)
+        assert set(prod.prefix) == set(total.prefix) == {2, 3}
