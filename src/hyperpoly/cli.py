@@ -53,6 +53,10 @@ EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_UNDETERMINED = 2
 
+# the classify oracle's horizon when --horizon is not given: the configured
+# horizon, capped so that the default window stays short
+ORACLE_DEFAULT_HORIZON = 32
+
 
 def _program_env(text: str, args) -> tuple:
     program = parse(text)
@@ -77,13 +81,15 @@ def _materialization_json(p, i: int) -> dict:
 
 
 def _cmd_classify(args, cfg: Config) -> tuple[dict, int]:
+    if args.dump_index is not None:
+        _indices("--dump-index", [args.dump_index])
     program, env = _program_env(args.expr, args)
     p = build_poly(program.expression, env)
     cls = classify_poly(p)
     report = {"command": "classify", **cls.to_json()}
     if args.oracle or cls.verdict == "unbounded":
-        # an explicit --horizon runs as given; the default window stays short
-        horizon = cfg.horizon if args.horizon is not None else min(cfg.horizon, 32)
+        horizon = (cfg.horizon if args.horizon is not None
+                   else min(cfg.horizon, ORACLE_DEFAULT_HORIZON))
         rep = sampling_oracle(
             p, sample_count=args.samples, radius=args.radius,
             horizon=horizon, seed=args.seed, config=cfg,
@@ -107,14 +113,14 @@ def _cmd_stdpart(args, cfg: Config) -> tuple[dict, int]:
 def _cmd_zeros(args, cfg: Config) -> tuple[dict, int]:
     program, env = _program_env(args.expr, args)
     p = build_poly(program.expression, env)
-    indices = _indices([int(t) for t in args.indices.split(",")])
+    indices = _indices("--indices", [int(t) for t in args.indices.split(",")])
     rep = zero_set_compare(p, Fraction(args.radius), indices, tol=args.tol)
     return {"command": "zeros", **rep.to_json()}, EXIT_OK
 
 
-def _indices(indices: list[int]) -> list[int]:
+def _indices(flag: str, indices: list[int]) -> list[int]:
     if min(indices) < 1:
-        raise ValueError(f"--indices must be >= 1 (indices start at 1), got {min(indices)}")
+        raise ValueError(f"{flag} must be >= 1 (indices start at 1), got {min(indices)}")
     return indices
 
 
@@ -210,7 +216,7 @@ def _cmd_generic(args, cfg: Config) -> tuple[dict, int]:
     point = generic_point(
         param, lambda: integer_poly_corpus(param.n, height), halo_center=halo
     )
-    lo, hi = _indices([int(t) for t in args.indices.split("..")])
+    lo, hi = _indices("--indices", [int(t) for t in args.indices.split("..")])
     if lo > hi:
         raise ValueError(f"--indices {args.indices} is an empty range")
     per_index = {}

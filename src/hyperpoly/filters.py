@@ -9,11 +9,16 @@ its elements, and back.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import product as iproduct
 from typing import Callable, Iterable
 
 MAX_INDEX_SET = 12
+# the most elements a ProductRing may have.  kochen enumerates every ideal and
+# tests primality over all element pairs: F_2^7 (128 elements) takes about
+# 2 s, and the cost grows 5-6x per index
+MAX_RING_ELEMENTS = 128
 
 
 class SizeError(ValueError):
@@ -142,6 +147,10 @@ class ProductRing:
         for p in self.primes:
             if not is_prime(p):
                 raise ValueError(f"modulus {p} is not prime")
+        size = math.prod(self.primes)
+        if size > MAX_RING_ELEMENTS:
+            raise SizeError(f"ring has {size} elements, more than {MAX_RING_ELEMENTS} "
+                            "for exhaustive verification")
 
     @property
     def index_set(self) -> frozenset:

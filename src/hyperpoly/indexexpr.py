@@ -17,6 +17,17 @@ and distinct monomials are linearly independent as functions of ``i``, so the
 zero test is syntactic.  Growth comparison of monomials is lexicographic in
 (factorial exponent, |geometric base|, power exponent); sign oscillation from
 negative bases is tracked per parity of ``i``.
+
+A form holds its coefficients as integers over one positive denominator:
+``(terms, den)`` with ``terms`` a dict from the key ``(k, c, p)`` to a nonzero
+``int`` and ``gcd(den, *terms.values()) == 1``, so each form has one
+representation and arithmetic on forms is integer arithmetic.  The base ``c``
+of a key is an ``int`` when it is integral and otherwise a ``(num, den)`` pair
+in lowest terms with ``den > 1``, so keys hash and multiply without
+``Fraction`` arithmetic.  Evaluation sums one integer numerator over one
+integer denominator and computes ``i!`` only for a form with a factorial term.
+Growth-class keys carry ``|c|`` as an ``int`` or a ``Fraction``, so they
+compare and print as numbers.
 """
 
 from __future__ import annotations
@@ -25,16 +36,23 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Optional
+from typing import Optional, Union
 
 Q = Fraction
 
+# a geometric base: an int when integral, else a (num, den) pair in lowest
+# terms with den > 1
+Base = Union[int, tuple[int, int]]
 # a scale monomial key: (factorial exponent, geometric base, power of i)
-Key = tuple[int, Fraction, int]
-# canonical form: key -> nonzero rational coefficient
-Form = dict[Key, Fraction]
+Key = tuple[int, Base, int]
+# canonical form: (key -> nonzero int coefficient, positive common denominator)
+# in lowest terms; a form is never mutated once built, so operations may
+# return an operand unchanged
+Form = tuple[dict[Key, int], int]
 
-ONE_KEY: Key = (0, Q(1), 0)
+ONE_KEY: Key = (0, 1, 0)
+ZERO_FORM: Form = ({}, 1)
+ONE_FORM: Form = ({ONE_KEY: 1}, 1)
 
 
 class FragmentError(ValueError):
@@ -46,53 +64,140 @@ def _factorial(i: int) -> int:
     return math.factorial(i)
 
 
-def _f_const(q: Fraction) -> Form:
+def _base(c: Fraction) -> Base:
+    return c.numerator if c.denominator == 1 else (c.numerator, c.denominator)
+
+
+def _base_value(b: Base) -> Fraction:
+    return Q(b) if type(b) is int else Q(*b)
+
+
+def _base_mul(b1: Base, b2: Base) -> Base:
+    if type(b1) is int and type(b2) is int:
+        return b1 * b2
+    n1, d1 = (b1, 1) if type(b1) is int else b1
+    n2, d2 = (b2, 1) if type(b2) is int else b2
+    n, d = n1 * n2, d1 * d2
+    g = math.gcd(n, d)
+    if g != 1:
+        n, d = n // g, d // g
+    return n if d == 1 else (n, d)
+
+
+def _base_pow(b: Base, e: int) -> Base:
+    """b^e for e >= 1 (powers of a reduced pair stay reduced)."""
+    return b**e if type(b) is int else (b[0] ** e, b[1] ** e)
+
+
+def _reduced(terms: dict[Key, int], den: int) -> Form:
+    """The form terms/den in lowest terms; den > 0."""
+    if not terms:
+        return ZERO_FORM
+    if den == 1:
+        return (terms, 1)
+    g = math.gcd(den, *terms.values())
+    if g == 1:
+        return (terms, den)
+    return ({k: c // g for k, c in terms.items()}, den // g)
+
+
+def _f_of(coeffs: dict[Key, Fraction]) -> Form:
+    """The form with these rational coefficients (zeros dropped)."""
+    coeffs = {k: Q(c) for k, c in coeffs.items() if c}
+    den = math.lcm(*(c.denominator for c in coeffs.values()))
+    return ({k: c.numerator * (den // c.denominator) for k, c in coeffs.items()}, den)
+
+
+def _f_const(q) -> Form:
     q = Q(q)
-    return {} if q == 0 else {ONE_KEY: q}
+    return ({ONE_KEY: q.numerator}, q.denominator) if q else ZERO_FORM
 
 
 def _f_add(a: Form, b: Form) -> Form:
-    out = dict(a)
-    for k, c in b.items():
-        s = out.get(k, Q(0)) + c
-        if s == 0:
-            out.pop(k, None)
+    (ta, da), (tb, db) = a, b
+    if not ta:
+        return b
+    if not tb:
+        return a
+    if da == db:
+        out, den, sb = dict(ta), da, 1
+    else:
+        g = math.gcd(da, db)
+        sa, sb = db // g, da // g
+        out, den = {k: c * sa for k, c in ta.items()}, da * sa
+    for k, c in tb.items():
+        c *= sb
+        s = out.get(k)
+        if s is None:
+            out[k] = c
+        elif s + c:
+            out[k] = s + c
         else:
-            out[k] = s
-    return out
+            del out[k]
+    return _reduced(out, den)
 
 
 def _f_neg(a: Form) -> Form:
-    return {k: -c for k, c in a.items()}
+    return ({k: -c for k, c in a[0].items()}, a[1])
 
 
 def _f_mul(a: Form, b: Form) -> Form:
-    out: Form = {}
-    for (k1, c1, p1), q1 in a.items():
-        for (k2, c2, p2), q2 in b.items():
-            key = (k1 + k2, c1 * c2, p1 + p2)
-            s = out.get(key, Q(0)) + q1 * q2
-            if s == 0:
-                out.pop(key, None)
+    (ta, da), (tb, db) = a, b
+    if not ta or not tb:
+        return ZERO_FORM
+    for (t, d), f in ((a, b), (b, a)):
+        if len(t) == 1 and ONE_KEY in t:
+            # a constant operand scales the other
+            c = t[ONE_KEY]
+            if c == 1 and d == 1:
+                return f
+            return _reduced({k: c * q for k, q in f[0].items()}, d * f[1])
+    out: dict[Key, int] = {}
+    merged = False
+    for (k1, b1, p1), q1 in ta.items():
+        for (k2, b2, p2), q2 in tb.items():
+            base = b2 if b1 == 1 else b1 if b2 == 1 else _base_mul(b1, b2)
+            key = (k1 + k2, base, p1 + p2)
+            s = out.get(key)
+            if s is None:
+                out[key] = q1 * q2
             else:
-                out[key] = s
-    return out
+                out[key] = s + q1 * q2
+                merged = True
+    if merged:
+        out = {k: q for k, q in out.items() if q}
+    return _reduced(out, da * db)
 
 
-def _f_eval(a: Form, i: int) -> Fraction:
-    total = Q(0)
-    for (k, c, p), q in a.items():
-        total += q * c**i * Q(_factorial(i)) ** k * Q(i) ** p
-    return total
+def _f_eval(a: Form, i: int) -> tuple[int, int]:
+    """a(i) as one integer numerator over one positive integer denominator;
+    i >= 0."""
+    num, den = 0, 1
+    fact = None
+    for (k, b, p), n in a[0].items():
+        d = 1
+        if type(b) is int:
+            if b != 1:
+                n *= b**i
+        else:
+            n *= b[0] ** i
+            d = b[1] ** i
+        if k:
+            if fact is None:
+                fact = _factorial(i)
+            n *= fact**k
+        if p:
+            n *= i**p
+        if d == den:
+            num += n
+        else:
+            num, den = num * d + n * den, den * d
+    return num, den * a[1]
 
 
 def _f_poly_in_i(coeffs: list[Fraction]) -> Form:
     """coeffs[j] is the coefficient of i^j."""
-    out: Form = {}
-    for j, c in enumerate(coeffs):
-        if c != 0:
-            out[(0, Q(1), j)] = Q(c)
-    return out
+    return _f_of({(0, 1, j): c for j, c in enumerate(coeffs)})
 
 
 # ---------------------------------------------------------------------------
@@ -100,54 +205,56 @@ def _f_poly_in_i(coeffs: list[Fraction]) -> Form:
 # ---------------------------------------------------------------------------
 
 # class key: (factorial exponent, |geometric base|, power of i); lex order is
-# the eventual-dominance order between scale monomials
-ClassKey = tuple[int, Fraction, int]
-UNIT_CLASS: ClassKey = (0, Q(1), 0)
+# the eventual-dominance order between scale monomials.  The base is an int
+# when integral, else a Fraction, so keys compare and print as numbers.
+ClassKey = tuple[int, Union[int, Fraction], int]
+UNIT_CLASS: ClassKey = (0, 1, 0)
 
 
-def _classes(a: Form) -> dict[ClassKey, tuple[Fraction, Fraction]]:
+def _classes(a: Form) -> dict[ClassKey, tuple[int, int]]:
     """Group monomials by growth class.
 
     Returns class -> (A, B) where the class contributes (A + B*(-1)^i) * g(i)
-    with g the common positive growth profile; B collects negative bases.
+    / den with g the common positive growth profile and den the form's
+    denominator; B collects negative bases.
     """
-    out: dict[ClassKey, tuple[Fraction, Fraction]] = {}
-    for (k, c, p), q in a.items():
-        ck = (k, abs(c), p)
-        A, B = out.get(ck, (Q(0), Q(0)))
-        if c > 0:
-            A += q
+    out: dict[ClassKey, tuple[int, int]] = {}
+    for (k, b, p), q in a[0].items():
+        if type(b) is int:
+            ck, positive = (k, abs(b), p), b > 0
         else:
-            B += q
-        out[ck] = (A, B)
+            ck, positive = (k, Q(abs(b[0]), b[1]), p), b[0] > 0
+        A, B = out.get(ck, (0, 0))
+        out[ck] = (A + q, B) if positive else (A, B + q)
     return out
 
 
-def _leading_from_classes(
-    classes: dict, parity: int
-) -> Optional[tuple[ClassKey, Fraction]]:
-    sigma = 1 if parity == 0 else -1
-    best: Optional[tuple[ClassKey, Fraction]] = None
+def _leading_from_classes(classes: dict, parity: int) -> Optional[tuple[ClassKey, int]]:
+    best: Optional[tuple[ClassKey, int]] = None
     for ck, (A, B) in classes.items():
-        gamma = A + sigma * B
-        if gamma == 0:
-            continue
-        if best is None or ck > best[0]:
+        gamma = A - B if parity else A + B
+        if gamma and (best is None or ck > best[0]):
             best = (ck, gamma)
     return best
 
 
-def _leading_on_parity(a: Form, parity: int) -> Optional[tuple[ClassKey, Fraction]]:
+def _leading_on_parity(a: Form, parity: int) -> Optional[tuple[ClassKey, int]]:
     """Dominant class and its coefficient on the subsequence i = parity mod 2.
 
-    None means the form vanishes identically on that parity.
+    The coefficient is scaled by the form's (positive) denominator.  None
+    means the form vanishes identically on that parity.
     """
     return _leading_from_classes(_classes(a), parity)
 
 
-def _class_value(ck: ClassKey, i: int) -> Fraction:
+def _class_value(ck: ClassKey, i: int) -> Union[int, Fraction]:
     k, r, p = ck
-    return r**i * Q(_factorial(i)) ** k * Q(i) ** p
+    v = r**i
+    if k:
+        v *= _factorial(i) ** k
+    if p:
+        v *= i**p
+    return v
 
 
 def _step_bound_start(delta: ClassKey) -> int:
@@ -186,7 +293,8 @@ def _step_bound_start(delta: ClassKey) -> int:
 
 
 def _class_sub(c1: ClassKey, c2: ClassKey) -> ClassKey:
-    return (c1[0] - c2[0], c1[1] / c2[1], c1[2] - c2[2])
+    r = Q(c1[1], c2[1])
+    return (c1[0] - c2[0], r.numerator if r.denominator == 1 else r, c1[2] - c2[2])
 
 
 def nonzero_threshold(a: Form) -> Optional[int]:
@@ -197,18 +305,18 @@ def nonzero_threshold(a: Form) -> Optional[int]:
     argument: beyond t the leading monomial class outweighs the sum of all
     lower ones, exactly, on each parity.
     """
-    if not a:
+    if not a[0]:
         return None
     worst = 1
+    classes = _classes(a)
     for parity in (0, 1):
-        lead = _leading_on_parity(a, parity)
+        lead = _leading_from_classes(classes, parity)
         if lead is None:
             return None
         ck_star, gamma_star = lead
-        sigma = 1 if parity == 0 else -1
         rest = []
-        for ck, (A, B) in _classes(a).items():
-            gamma = A + sigma * B
+        for ck, (A, B) in classes.items():
+            gamma = A - B if parity else A + B
             if ck == ck_star or gamma == 0:
                 continue
             rest.append((ck, gamma))
@@ -218,14 +326,13 @@ def nonzero_threshold(a: Form) -> Optional[int]:
             t = 1
             for ck, _ in rest:
                 t = max(t, _step_bound_start(_class_sub(ck, ck_star)))
-            # shrink/grow to where the lower classes sum below the leader
-            def tail_sum(i: int) -> Fraction:
-                g_star = _class_value(ck_star, i)
-                return sum(
-                    (abs(g) * _class_value(ck, i) / g_star for ck, g in rest),
-                    Q(0),
-                )
-            while tail_sum(t) >= abs(gamma_star):
+
+            # grow to where the lower classes sum below the leader
+            def dominated(i: int) -> bool:
+                lower = sum(abs(g) * _class_value(ck, i) for ck, g in rest)
+                return lower < abs(gamma_star) * _class_value(ck_star, i)
+
+            while not dominated(t):
                 t *= 2
                 if t > 1 << 40:
                     raise FragmentError("dominance threshold search diverged")
@@ -241,8 +348,10 @@ UNDEF = "undef"        # denominator vanishes identically on the parity
 
 
 def _parity_behavior_from(
-    num_classes: dict, den_classes: dict, parity: int
+    num_classes: dict, den_classes: dict, parity: int, dens: tuple[int, int]
 ) -> tuple[str, Optional[Fraction]]:
+    """Tag and limit of num/den on one parity; ``dens`` are the denominators
+    of the two forms, which scale their class coefficients."""
     dl = _leading_from_classes(den_classes, parity)
     if dl is None:
         return (UNDEF, None)
@@ -254,7 +363,7 @@ def _parity_behavior_from(
         return (ZERO, Q(0))
     if ck_n > ck_d:
         return (INFINITE, None)
-    return (FINITE, g_n / g_d)
+    return (FINITE, Q(g_n * dens[1], g_d * dens[0]))
 
 
 @dataclass(frozen=True)
@@ -278,8 +387,9 @@ class SeqGrowth:
 def quotient_growth(num: Form, den: Form) -> SeqGrowth:
     num_classes = _classes(num)
     den_classes = _classes(den)
-    b0 = _parity_behavior_from(num_classes, den_classes, 0)
-    b1 = _parity_behavior_from(num_classes, den_classes, 1)
+    dens = (num[1], den[1])
+    b0 = _parity_behavior_from(num_classes, den_classes, 0, dens)
+    b1 = _parity_behavior_from(num_classes, den_classes, 1, dens)
     tags = (b0[0], b1[0])
     if UNDEF in tags:
         return SeqGrowth("undef", None, (b0, b1))
@@ -312,8 +422,9 @@ def class_key_of_square(sq: "IndexExpr") -> Optional[ClassKey]:
         return None
     keys = []
     for form in (sq.num, sq.den):
-        l0 = _leading_on_parity(form, 0)
-        l1 = _leading_on_parity(form, 1)
+        classes = _classes(form)
+        l0 = _leading_from_classes(classes, 0)
+        l1 = _leading_from_classes(classes, 1)
         if l0 is None or l1 is None or l0[0] != l1[0]:
             return None
         keys.append(l0[0])
@@ -326,7 +437,7 @@ class IndexExpr:
     __slots__ = ("num", "den", "_growth", "_evals")
 
     def __init__(self, num: Form, den: Form):
-        if not den:
+        if not den[0]:
             raise ZeroDivisionError("IndexExpr with identically zero denominator")
         self.num = num
         self.den = den
@@ -336,28 +447,28 @@ class IndexExpr:
     # -- constructors -------------------------------------------------------
     @staticmethod
     def const(q) -> "IndexExpr":
-        return IndexExpr(_f_const(Q(q)), _f_const(Q(1)))
+        return IndexExpr(_f_const(q), ONE_FORM)
 
     @staticmethod
     def index() -> "IndexExpr":
-        return IndexExpr({(0, Q(1), 1): Q(1)}, _f_const(Q(1)))
+        return IndexExpr(({(0, 1, 1): 1}, 1), ONE_FORM)
 
     @staticmethod
     def factorial() -> "IndexExpr":
-        return IndexExpr({(1, Q(1), 0): Q(1)}, _f_const(Q(1)))
+        return IndexExpr(({(1, 1, 0): 1}, 1), ONE_FORM)
 
     @staticmethod
     def geometric(c) -> "IndexExpr":
         c = Q(c)
         if c == 0:
             raise FragmentError("geometric base must be nonzero (0^i is not in the fragment)")
-        return IndexExpr({(0, c, 0): Q(1)}, _f_const(Q(1)))
+        return IndexExpr(({(0, _base(c), 0): 1}, 1), ONE_FORM)
 
     # -- ring/field operations ----------------------------------------------
     def __add__(self, other: "IndexExpr") -> "IndexExpr":
         other = _coerce(other)
         if self.den == other.den:
-            return IndexExpr(_f_add(self.num, other.num), dict(self.den))
+            return IndexExpr(_f_add(self.num, other.num), self.den)
         num = _f_add(_f_mul(self.num, other.den), _f_mul(other.num, self.den))
         return IndexExpr(num, _f_mul(self.den, other.den))
 
@@ -365,7 +476,7 @@ class IndexExpr:
         return _coerce(other) + self
 
     def __neg__(self) -> "IndexExpr":
-        return IndexExpr(_f_neg(self.num), dict(self.den))
+        return IndexExpr(_f_neg(self.num), self.den)
 
     def __sub__(self, other):
         return self + (-_coerce(other))
@@ -382,7 +493,7 @@ class IndexExpr:
 
     def __truediv__(self, other) -> "IndexExpr":
         other = _coerce(other)
-        if not other.num:
+        if not other.num[0]:
             raise ZeroDivisionError("division by the zero sequence")
         return IndexExpr(_f_mul(self.num, other.den), _f_mul(self.den, other.num))
 
@@ -420,27 +531,31 @@ class IndexExpr:
     def eval(self, i: int) -> Fraction:
         if i in self._evals:
             return self._evals[i]
-        d = _f_eval(self.den, i)
-        if d == 0:
+        if i < 0:
+            raise ValueError(f"index {i} is negative; sequences are indexed from 0")
+        dn, dd = _f_eval(self.den, i)
+        if dn == 0:
             raise ZeroDivisionError(f"denominator vanishes at index {i}")
-        v = self._evals[i] = _f_eval(self.num, i) / d
+        nn, nd = _f_eval(self.num, i)
+        v = self._evals[i] = Q(nn * dd, nd * dn)
         return v
 
     def is_zero(self) -> bool:
-        return not self.num
+        return not self.num[0]
 
     def constant_value(self) -> Optional[Fraction]:
         """The constant this sequence equals, or None if it varies."""
-        if not self.num:
+        (tn, dn), (td, dd) = self.num, self.den
+        if not tn:
             return Q(0)
-        if set(self.num) != set(self.den):
+        if set(tn) != set(td):
             return None
-        ratios = {self.num[k] / self.den[k] for k in self.num}
+        ratios = {Q(tn[k] * dd, td[k] * dn) for k in tn}
         return ratios.pop() if len(ratios) == 1 else None
 
     def eq(self, other: "IndexExpr") -> bool:
         other = _coerce(other)
-        return not _f_add(_f_mul(self.num, other.den), _f_neg(_f_mul(other.num, self.den)))
+        return not _f_add(_f_mul(self.num, other.den), _f_neg(_f_mul(other.num, self.den)))[0]
 
     def growth(self) -> SeqGrowth:
         if self._growth is None:
@@ -460,7 +575,7 @@ class IndexExpr:
         The dominance argument may overshoot; the returned t is tightened by
         exact evaluation back down to just past the last actual zero.
         """
-        if not self.num:
+        if not self.num[0]:
             return None
         tn = nonzero_threshold(self.num)
         td = nonzero_threshold(self.den)
@@ -494,36 +609,35 @@ def _coerce(x) -> IndexExpr:
 
 def _subst_form(a: Form, scale: int, shift: int) -> tuple[Form, Form]:
     """Substitute i -> scale*i + shift; returns (num, den) of the image."""
-    num_total: Form = {}
-    den_total: Form = _f_const(Q(1))
-    for (k, c, p), q in a.items():
-        mono_num: Form = _f_const(q)
-        mono_den: Form = _f_const(Q(1))
-        if c != 1:
-            # c^(scale*i+shift) = (c^scale)^i * c^shift
-            mono_num = _f_mul(mono_num, {(0, c**scale, 0): c**shift})
+    num_total: Form = ZERO_FORM
+    den_total: Form = ONE_FORM
+    for (k, b, p), q in a[0].items():
+        mono_num: Form = _f_const(Q(q, a[1]))
+        mono_den: Form = ONE_FORM
+        if b != 1:
+            # b^(scale*i+shift) = (b^scale)^i * b^shift
+            power = {(0, _base_pow(b, scale), 0): _base_value(b) ** shift}
+            mono_num = _f_mul(mono_num, _f_of(power))
         if p != 0:
             # (scale*i + shift)^p expanded as a polynomial in i
-            coeffs = [Q(0)] * (p + 1)
-            for j in range(p + 1):
-                coeffs[j] = Q(math.comb(p, j)) * Q(scale) ** j * Q(shift) ** (p - j)
+            coeffs = [math.comb(p, j) * scale**j * Q(shift) ** (p - j) for j in range(p + 1)]
             mono_num = _f_mul(mono_num, _f_poly_in_i(coeffs))
         if k != 0:
             if scale != 1:
                 raise FragmentError("factorial under a scaled reindexing leaves the fragment")
-            fact: Form = {(k, Q(1), 0): Q(1)}
+            fact: Form = ({(k, 1, 0): 1}, 1)
             if shift >= 0:
                 # (i+shift)! = i! * (i+1)...(i+shift)
-                prod = _f_const(Q(1))
+                prod: Form = ONE_FORM
                 for j in range(1, shift + 1):
-                    prod = _f_mul(prod, _f_poly_in_i([Q(j), Q(1)]))
+                    prod = _f_mul(prod, _f_poly_in_i([j, 1]))
                 fact = _f_mul(fact, _power_form(prod, k))
                 mono_num = _f_mul(mono_num, fact)
             else:
                 # (i-s)! = i! / (i (i-1) ... (i-s+1))
-                prod = _f_const(Q(1))
+                prod = ONE_FORM
                 for j in range(0, -shift):
-                    prod = _f_mul(prod, _f_poly_in_i([Q(-j), Q(1)]))
+                    prod = _f_mul(prod, _f_poly_in_i([-j, 1]))
                 mono_num = _f_mul(mono_num, fact)
                 mono_den = _f_mul(mono_den, _power_form(prod, k))
         # accumulate over the common denominator
@@ -533,17 +647,17 @@ def _subst_form(a: Form, scale: int, shift: int) -> tuple[Form, Form]:
 
 
 def _power_form(a: Form, n: int) -> Form:
-    out = _f_const(Q(1))
+    out: Form = ONE_FORM
     for _ in range(n):
         out = _f_mul(out, a)
     return out
 
 
 def _fmt_mono(key: Key, coeff: Fraction) -> str:
-    k, c, p = key
+    k, b, p = key
     parts = [] if coeff == 1 and key != ONE_KEY else [str(coeff)]
-    if c != 1:
-        parts.append(f"({c})^i")
+    if b != 1:
+        parts.append(f"({b})^i" if type(b) is int else f"({b[0]}/{b[1]})^i")
     if k == 1:
         parts.append("i!")
     elif k > 1:
@@ -556,6 +670,8 @@ def _fmt_mono(key: Key, coeff: Fraction) -> str:
 
 
 def _fmt_form(a: Form) -> str:
-    if not a:
+    if not a[0]:
         return "0"
-    return " + ".join(_fmt_mono(k, c) for k, c in sorted(a.items(), key=lambda kv: kv[0]))
+    terms, den = a
+    keys = sorted(terms, key=lambda key: (key[0], _base_value(key[1]), key[2]))
+    return " + ".join(_fmt_mono(key, Q(terms[key], den)) for key in keys)

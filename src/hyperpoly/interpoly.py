@@ -746,7 +746,7 @@ def _sign_adjust(e: IndexExpr) -> IndexExpr:
             continue
         if lead_d is None:
             raise TypeError("sign pattern undecidable (denominator parity-degenerate)")
-        signs.append(1 if (lead[1] / lead_d[1]) > 0 else -1)
+        signs.append(1 if (lead[1] > 0) == (lead_d[1] > 0) else -1)
     s0, s1 = signs
     if s0 == s1:
         return e if s0 > 0 else -e

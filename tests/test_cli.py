@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from contextlib import redirect_stdout
 from fractions import Fraction
 
@@ -267,6 +268,18 @@ class TestKochen:
         assert code == EXIT_ERROR
         assert json.loads(out)["error"] == "ValueError"
 
+    def test_ring_too_large_to_enumerate_is_refused_at_once(self):
+        t0 = time.monotonic()
+        code, out = run_cli("kochen", "--index-size", "12", "--field", "2")
+        assert time.monotonic() - t0 < 1
+        assert code == EXIT_ERROR
+        assert json.loads(out)["error"] == "SizeError"
+
+    def test_ring_below_the_size_cap_is_checked(self):
+        code, out = run_cli("kochen", "--index-size", "1", "--field", "127")
+        assert code == EXIT_OK
+        assert json.loads(out)["ideals"] == 2
+
 
 class TestInputRanges:
     @pytest.mark.parametrize("argv", [
@@ -278,12 +291,19 @@ class TestInputRanges:
         ("kochen", "--index-size", "-1"),
         ("delta", "X^2", "--horizon", "-3"),
         ("delta", "X^2", "--samples", "0"),
+        ("classify", "eps := 1/i; eps*X", "--dump-index", "-3"),
+        ("classify", "eps := 1/i; eps*X", "--dump-index", "0"),
     ], ids=["radius", "zeros-indices", "generic-indices", "generic-empty-range", "order",
-            "index-size", "horizon", "samples"])
+            "index-size", "horizon", "samples", "dump-index-negative", "dump-index-zero"])
     def test_out_of_range_is_a_typed_error(self, argv):
         code, out = run_cli(*argv)
         assert code == EXIT_ERROR
         assert json.loads(out)["error"] == "ValueError"
+
+    def test_dump_index_one_prints_the_coefficients(self):
+        code, out = run_cli("classify", "eps := 1/i; eps*X", "--dump-index", "1")
+        assert code == EXIT_OK
+        assert json.loads(out)["materialized"] == {"index": 1, "coefficients": {"1": ["1", "0"]}}
 
     def test_json_flag_is_gone(self):
         with pytest.raises(SystemExit):

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hyperpoly.filters import (
+    MAX_RING_ELEMENTS,
     FiniteFilterModel,
     ProductRing,
     SizeError,
@@ -117,6 +118,15 @@ class TestFilterModel:
 
 
 class TestKochen:
+    def test_ring_size_cap(self):
+        assert len(list(ProductRing.uniform(range(7), 2).elements())) == MAX_RING_ELEMENTS
+        ProductRing((1, 2), (11, 11))
+        for ring in (lambda: ProductRing.uniform(range(8), 2),
+                     lambda: ProductRing.uniform(range(5), 3),
+                     lambda: ProductRing((1, 2), (11, 13))):
+            with pytest.raises(SizeError):
+                ring()
+
     def test_unit_ideal_gives_improper_filter(self):
         ring = ProductRing.uniform({1, 2}, 2)
         f = kochen_ideal_to_filter(ring, [(1, 1)])
