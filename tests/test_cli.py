@@ -275,11 +275,6 @@ class TestKochen:
         assert code == EXIT_ERROR
         assert json.loads(out)["error"] == "SizeError"
 
-    def test_ring_below_the_size_cap_is_checked(self):
-        code, out = run_cli("kochen", "--index-size", "1", "--field", "127")
-        assert code == EXIT_OK
-        assert json.loads(out)["ideals"] == 2
-
 
 class TestInputRanges:
     @pytest.mark.parametrize("argv", [
