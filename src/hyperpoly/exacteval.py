@@ -10,6 +10,11 @@ exactly those of term-by-term rational arithmetic.
 * :func:`multiply` convolves two tables in the order of the nested
   term-by-term loop, so keys keep that order and zero sums stay; ``top``
   drops keys of total degree above it.
+* :func:`dot` sums products of exact pairs, the same layout for one value:
+  a coefficient of ``StandardPowerSeries.__mul__``, and each prefix index of
+  ``interpoly._box_convolution`` (the coefficient rule of ``ProductPoly``
+  and ``InternalSeries`` products).  Numeric-tier factors have no exact
+  values; their products stay on ``HyperComplex`` arithmetic.
 * :func:`evaluate` takes the tables of an :func:`integer_form` to one point
   written over a common denominator ``D``; scaled by ``D^(top - |nu|)``,
   every term is an integer, and each value one ``(re, im, den)`` triple.
@@ -53,6 +58,27 @@ def multiply(a: dict, b: dict, top: Optional[int] = None) -> dict:
                 acc_im[k] = acc_im.get(k, 0) + p * s + q * r
     den = den_a * den_b
     return {k: (Fraction(re, den), Fraction(acc_im[k], den)) for k, re in acc_re.items()}
+
+
+def dot(pairs: Iterable[tuple[tuple, tuple]]) -> tuple[Fraction, Fraction]:
+    """The sum of ``a * b`` over ``(a, b)`` pairs of exact ``(re, im)`` values.
+
+    The left values are written over the lcm of their denominators, the
+    right ones over theirs; the sum is one Gaussian integer over the product.
+    """
+    pairs = list(pairs)
+    den_a = lcm(*(c.denominator for a, _ in pairs for c in a))
+    den_b = lcm(*(c.denominator for _, b in pairs for c in b))
+    re = im = 0
+    for (p, q), (r, s) in pairs:
+        p = p.numerator * (den_a // p.denominator)
+        q = q.numerator * (den_a // q.denominator)
+        r = r.numerator * (den_b // r.denominator)
+        s = s.numerator * (den_b // s.denominator)
+        re += p * r - q * s
+        im += p * s + q * r
+    den = den_a * den_b
+    return Fraction(re, den), Fraction(im, den)
 
 
 @dataclass(frozen=True)

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Iterator, Optional
 
-from .exacteval import evaluate, integer_form, multiply
+from .exacteval import dot, evaluate, integer_form, multiply
 from .hypernat import HyperNatural
 from .hypernum import HyperComplex, coerce as hc_coerce
 from .indexexpr import IndexExpr
@@ -66,11 +66,31 @@ def _pair_add(a: Pair, b: Pair) -> Pair:
 
 def _box_convolution(f, g, nu: MultiIndex) -> HyperComplex:
     """The coefficient at ``nu`` of a product: ``f(mu) * g(nu - mu)`` summed
-    over ``mu <= nu`` in lexicographic order."""
-    total = HyperComplex.from_rational(0)
-    for mu in itertools.product(*(range(k + 1) for k in nu)):
-        total = total + f(mu) * g(mi_sub(nu, mu))
-    return total
+    over ``mu <= nu`` in lexicographic order.
+
+    Symbolic factors build the forms with the operations of the chained
+    ``HyperComplex`` sum, and the prefix with one :func:`dot` per index of
+    the factors' prefixes, left out where a factor has no value.  Any
+    numeric-tier factor sends the whole sum through ``HyperComplex``.
+    """
+    pairs = [(f(mu), g(mi_sub(nu, mu)))
+             for mu in itertools.product(*(range(k + 1) for k in nu))]
+    if not all(a.symbolic and b.symbolic for a, b in pairs):
+        total = HyperComplex.from_rational(0)
+        for a, b in pairs:
+            total = total + a * b
+        return total
+    re = im = IndexExpr.const(0)
+    for a, b in pairs:
+        re = re + (a.re * b.re - a.im * b.im)
+        im = im + (a.re * b.im + a.im * b.re)
+    prefix = {}
+    for i in set().union(*(x.prefix for pair in pairs for x in pair)):
+        try:
+            prefix[i] = dot([(a.value_exact(i), b.value_exact(i)) for a, b in pairs])
+        except ZeroDivisionError:
+            pass
+    return HyperComplex(re, im, prefix)
 
 
 @dataclass(frozen=True)

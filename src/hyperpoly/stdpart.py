@@ -17,7 +17,7 @@ from fractions import Fraction
 from typing import Callable, Optional
 
 from .classify import PolyClass, classify_poly
-from .exacteval import multiply
+from .exacteval import dot, multiply
 from .hypernum import HyperComplex
 from .hypernat import HyperNatural
 from .indexexpr import IndexExpr
@@ -127,7 +127,13 @@ class StandardPowerSeries:
         )
 
     # -- ring structure ----------------------------------------------------------
+    def _check_arity(self, other: "StandardPowerSeries", what: str):
+        if self.n != other.n:
+            raise ValueError(f"variable-count mismatch in {what}: {self.n} and {other.n}")
+
     def __add__(self, other: "StandardPowerSeries") -> "StandardPowerSeries":
+        self._check_arity(other, "sum")
+
         def fn(nu):
             a, b = self.coeff(nu), other.coeff(nu)
             return (a[0] + b[0], a[1] + b[1])
@@ -138,16 +144,13 @@ class StandardPowerSeries:
         )
 
     def __mul__(self, other: "StandardPowerSeries") -> "StandardPowerSeries":
+        self._check_arity(other, "product")
+
         def fn(nu):
-            total = _ZERO
-            for mu in itertools.product(*(range(k + 1) for k in nu)):
-                a = self.coeff(mu)
-                b = other.coeff(mi_sub(nu, mu))
-                total = (
-                    total[0] + a[0] * b[0] - a[1] * b[1],
-                    total[1] + a[0] * b[1] + a[1] * b[0],
-                )
-            return total
+            return dot(
+                (self.coeff(mu), other.coeff(mi_sub(nu, mu)))
+                for mu in itertools.product(*(range(k + 1) for k in nu))
+            )
 
         return StandardPowerSeries(
             self.n, fn, max(self.display_order, other.display_order),
@@ -155,6 +158,7 @@ class StandardPowerSeries:
         )
 
     def eq_to_order(self, other: "StandardPowerSeries", order: int) -> bool:
+        self._check_arity(other, "comparison")
         for m in range(order + 1):
             for nu in multi_indices_of_degree(self.n, m):
                 if self.coeff(nu) != other.coeff(nu):

@@ -6,6 +6,7 @@ value the kernel produces must equal theirs exactly, and every table it
 builds must list its keys in their order.
 """
 
+import itertools
 import random
 from fractions import Fraction as Q
 
@@ -13,8 +14,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hyperpoly.classify import _oracle_points
-from hyperpoly.exacteval import evaluate, integer_form, multiply
+from hyperpoly.classify import _oracle_points, classify_poly
+from hyperpoly.exacteval import dot, evaluate, integer_form, multiply
 from hyperpoly.families import labeled_family, random_bounded_pair
 from hyperpoly.hypernat import HyperNatural
 from hyperpoly.hypernum import HyperComplex
@@ -26,16 +27,18 @@ from hyperpoly.interpoly import (
     TailTerm,
     dehomogenize,
     homogenize,
+    mi_sub,
     multi_indices_of_degree,
     partial_derivative,
     poly_mul,
     scalar_mul,
+    theta,
     truncated_exp,
     variable,
     zero_poly,
 )
 from hyperpoly.leibniz import DiffElement, delta
-from hyperpoly.stdpart import StandardPowerSeries, st_morphism
+from hyperpoly.stdpart import StandardPowerSeries, st_morphism, st_poly
 
 I = IndexExpr.index
 D_I = HyperNatural.identity()
@@ -468,3 +471,172 @@ def test_diff_element_eval_refuses_wrong_arity():
     elem = delta(_bivariate())
     with pytest.raises(ValueError):
         elem.eval_exact(1, ((Q(1), Q(0)),), ((Q(1), Q(0)),) * 3)
+
+
+# ---------------------------------------------------------------------------
+# sums of products: dot against the chained sums it replaced
+# ---------------------------------------------------------------------------
+
+def reference_box_convolution(f, g, nu):
+    """The coefficient rule of products before ``dot``: one ``HyperComplex``
+    product and sum per ``mu``, each recomputing the prefix pairs."""
+    total = HyperComplex.from_rational(0)
+    for mu in itertools.product(*(range(k + 1) for k in nu)):
+        total = total + f(mu) * g(mi_sub(nu, mu))
+    return total
+
+
+def reference_series_product(s, t):
+    """``StandardPowerSeries.__mul__`` before ``dot``: one Fraction pair per term."""
+    def fn(nu):
+        total = (Q(0), Q(0))
+        for mu in itertools.product(*(range(k + 1) for k in nu)):
+            a = s.coeff(mu)
+            b = t.coeff(mi_sub(nu, mu))
+            total = (
+                total[0] + a[0] * b[0] - a[1] * b[1],
+                total[1] + a[0] * b[1] + a[1] * b[0],
+            )
+        return total
+
+    return StandardPowerSeries(s.n, fn)
+
+
+def assert_same_hypercomplex(got, want, indices=range(1, 9)):
+    """Term-for-term equal forms and prefix, key order included; numeric-tier
+    values agree at ``indices``."""
+    assert got.symbolic == want.symbolic
+    if got.symbolic:
+        assert (got.re.num, got.re.den) == (want.re.num, want.re.den)
+        assert (got.im.num, got.im.den) == (want.im.num, want.im.den)
+        assert list(got.prefix.items()) == list(want.prefix.items())
+    else:
+        for i in indices:
+            try:
+                w = want.value(i)
+            except ZeroDivisionError:
+                with pytest.raises(ZeroDivisionError):
+                    got.value(i)
+                continue
+            assert got.value(i) == w
+
+
+def indices_to_degree(n, order):
+    return [nu for m in range(order + 1) for nu in multi_indices_of_degree(n, m)]
+
+
+def assert_convolutions_match(p, q, order):
+    prod = ProductPoly(p, q)
+    for nu in indices_to_degree(p.n, order):
+        assert_same_hypercomplex(prod.coeff(nu), reference_box_convolution(p.coeff, q.coeff, nu))
+
+
+def assert_series_products_match(p, q, order=12):
+    sp, sq = st_poly(p), st_poly(q)
+    got, want = sp * sq, reference_series_product(sp, sq)
+    for nu in indices_to_degree(p.n, order):
+        assert got.coeff(nu) == want.coeff(nu)
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_product_coefficients_match_chained_sum_on_drawn_pairs(seed):
+    p, q = random_bounded_pair(random.Random(seed))
+    assert_convolutions_match(p, q, 6)
+    assert_series_products_match(p, q)
+
+
+@settings(max_examples=10, deadline=None)
+@given(seed=st.integers(0, 10**6))
+def test_product_coefficients_match_chained_sum_on_drawn_families(seed):
+    members = [p for _, p in labeled_family(seed, 6)]
+    for p, q in zip(members, members[1:] + members[:1]):
+        if p.n == q.n:
+            assert_convolutions_match(p, q, 5)
+            if classify_poly(p).bounded and classify_poly(q).bounded:
+                assert_series_products_match(p, q)
+
+
+def _prefixed(re, im=None, prefix=None):
+    return HyperComplex(re, im if im is not None else IndexExpr.const(0), prefix)
+
+
+def _singular_at_2():
+    """Complex coefficients; ``1/(i - 2)`` has no value at 2, an index in the
+    other factor's prefix."""
+    p = StructuredPoly(1, HyperNatural.constant(2), {
+        (0,): _prefixed(1 / (I() - 2), IndexExpr.const(Q(1, 3))),
+        (1,): _prefixed(IndexExpr.const(Q(-2, 5)), 1 / I(), {1: (Q(7), Q(-1, 2))}),
+    })
+    q = StructuredPoly(1, HyperNatural.constant(2), {
+        (0,): _prefixed(I() / (I() + 1), IndexExpr.const(Q(5, 6)),
+                        {2: (Q(1, 4), Q(0)), 3: (Q(0), Q(9, 7))}),
+        (2,): _prefixed(IndexExpr.const(Q(3)), IndexExpr.const(Q(-1, 8)), {4: (Q(0), Q(0))}),
+    })
+    return p, q
+
+
+def test_singular_factor_leaves_index_out_of_prefix():
+    p, q = _singular_at_2()
+    assert_convolutions_match(p, q, 4)
+    assert_convolutions_match(q, p, 4)
+    c = ProductPoly(p, q).coeff((1,))
+    assert set(c.prefix) == {1, 3} and c.symbolic
+
+
+def test_bivariate_box_with_prefixes():
+    p = StructuredPoly(2, HyperNatural.constant(3), {
+        (0, 0): _prefixed(IndexExpr.const(Q(1, 6)), 1 / I(), {1: (Q(2), Q(3, 4))}),
+        (1, 0): _prefixed(I() / (I() + 2), IndexExpr.const(Q(-5, 7))),
+        (1, 1): _prefixed(IndexExpr.const(Q(-3, 4)), IndexExpr.const(Q(2, 9)), {3: (Q(0), Q(1))}),
+        (0, 2): _prefixed(1 / (I() - 3)),
+    })
+    assert_convolutions_match(p, _bivariate(), 4)
+    assert_convolutions_match(_bivariate(), p, 4)
+    assert_convolutions_match(p, p, 4)
+
+
+def test_numeric_and_mixed_factors_keep_chained_sum():
+    lazy = LazyPoly(1, HyperNatural.constant(3),
+                    lambda i: {(k,): (Q(k + 1, i), Q(-1, k + 2)) for k in range(4)})
+    p, q = _singular_at_2()
+    for a, b in ((lazy, lazy), (lazy, q), (p, lazy)):
+        assert_convolutions_match(a, b, 4)
+        assert not ProductPoly(a, b).coeff((2,)).symbolic
+
+
+def test_internal_series_product_matches_chained_sum():
+    p, q = _singular_at_2()
+    s = theta(p) * theta(q)
+    for nu in indices_to_degree(1, 4):
+        assert_same_hypercomplex(s.coeff(nu), reference_box_convolution(p.coeff, q.coeff, nu))
+
+
+def test_dot_single_pair():
+    assert dot([((Q(2, 3), Q(-1, 5)), (Q(3, 7), Q(1, 2)))]) == (
+        Q(2, 3) * Q(3, 7) + Q(1, 5) * Q(1, 2), Q(2, 3) * Q(1, 2) - Q(1, 5) * Q(3, 7))
+    assert dot([((Q(1, 2), Q(0)), (Q(4), Q(0)))]) == (Q(2), Q(0))
+
+
+def test_dot_zero_values():
+    zero = (Q(0), Q(0))
+    assert dot([]) == (Q(0), Q(0))
+    assert dot([(zero, zero)]) == (Q(0), Q(0))
+    assert dot([(zero, (Q(5, 3), Q(-2, 9))), ((Q(1, 4), Q(1, 6)), zero)]) == (Q(0), Q(0))
+    assert dot([((Q(1, 3), Q(0)), (Q(3, 2), Q(0))), ((Q(-1, 2), Q(0)), (Q(1), Q(0)))]) == zero
+
+
+def test_dot_mixed_denominators():
+    pairs = [
+        ((Q(1, 6), Q(-3, 4)), (Q(2, 5), Q(7, 9))),
+        ((Q(5, 14), Q(0)), (Q(-1, 3), Q(1, 10))),
+        ((Q(0), Q(11, 15)), (Q(4), Q(-5, 21))),
+        ((Q(-9), Q(1, 8)), (Q(1, 35), Q(0))),
+    ]
+    want = (Q(0), Q(0))
+    for a, b in pairs:
+        t = _pair_mul(a, b)
+        want = (want[0] + t[0], want[1] + t[1])
+    assert dot(pairs) == want
+    assert dot(pairs) == (Q(113, 252), Q(4237, 1512))
+    assert dot([((2, -1), (Q(1, 3), 4))]) == (Q(14, 3), Q(23, 3))

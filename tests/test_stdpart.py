@@ -95,6 +95,28 @@ class TestStPoly:
         assert s.is_constant_to_order(12) and s.coeff((0,)) == (0, 0)
 
 
+class TestSeriesArity:
+    """Series in different numbers of variables do not combine."""
+
+    def test_sum_product_and_comparison_refuse_arity_mismatch(self):
+        a = StandardPowerSeries.from_dict(1, {(0,): 1, (1,): 2})
+        b = StandardPowerSeries.from_dict(2, {(0, 0): 1, (1, 0): 3})
+        for x, y in ((a, b), (b, a), (StandardPowerSeries.exp(), b)):
+            with pytest.raises(ValueError, match="variable-count mismatch"):
+                x + y
+            with pytest.raises(ValueError, match="variable-count mismatch"):
+                x * y
+            with pytest.raises(ValueError, match="variable-count mismatch"):
+                x.eq_to_order(y, 4)
+
+    def test_same_arity_still_combines(self):
+        a = StandardPowerSeries.from_dict(2, {(0, 0): 1, (0, 1): Q(1, 2)})
+        b = StandardPowerSeries.from_dict(2, {(0, 0): 1, (1, 0): 3})
+        assert (a + b).coeff((1, 0)) == (3, 0)
+        assert (a * b).coeff((1, 1)) == (Q(3, 2), 0)
+        assert (a * b).eq_to_order(b * a, 4)
+
+
 class TestSection:
     def test_truncate_then_st_is_identity(self):
         for series in (
