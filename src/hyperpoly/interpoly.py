@@ -76,10 +76,7 @@ def _box_convolution(f, g, nu: MultiIndex) -> HyperComplex:
     pairs = [(f(mu), g(mi_sub(nu, mu)))
              for mu in itertools.product(*(range(k + 1) for k in nu))]
     if not all(a.symbolic and b.symbolic for a, b in pairs):
-        total = HyperComplex.from_rational(0)
-        for a, b in pairs:
-            total = total + a * b
-        return total
+        return sum((a * b for a, b in pairs), HyperComplex.from_rational(0))
     re = im = IndexExpr.const(0)
     for a, b in pairs:
         re = re + (a.re * b.re - a.im * b.im)
