@@ -557,21 +557,17 @@ def test_product_coefficients_match_chained_sum_on_drawn_families(seed):
                 assert_series_products_match(p, q)
 
 
-def _prefixed(re, im=None, prefix=None):
-    return HyperComplex(re, im if im is not None else IndexExpr.const(0), prefix)
-
-
 def _singular_at_2():
     """Complex coefficients; ``1/(i - 2)`` has no value at 2, an index in the
     other factor's prefix."""
     p = StructuredPoly(1, HyperNatural.constant(2), {
-        (0,): _prefixed(1 / (I() - 2), IndexExpr.const(Q(1, 3))),
-        (1,): _prefixed(IndexExpr.const(Q(-2, 5)), 1 / I(), {1: (Q(7), Q(-1, 2))}),
+        (0,): HyperComplex(1 / (I() - 2), IndexExpr.const(Q(1, 3))),
+        (1,): HyperComplex(IndexExpr.const(Q(-2, 5)), 1 / I(), {1: (Q(7), Q(-1, 2))}),
     })
     q = StructuredPoly(1, HyperNatural.constant(2), {
-        (0,): _prefixed(I() / (I() + 1), IndexExpr.const(Q(5, 6)),
+        (0,): HyperComplex(I() / (I() + 1), IndexExpr.const(Q(5, 6)),
                         {2: (Q(1, 4), Q(0)), 3: (Q(0), Q(9, 7))}),
-        (2,): _prefixed(IndexExpr.const(Q(3)), IndexExpr.const(Q(-1, 8)), {4: (Q(0), Q(0))}),
+        (2,): HyperComplex(IndexExpr.const(Q(3)), IndexExpr.const(Q(-1, 8)), {4: (Q(0), Q(0))}),
     })
     return p, q
 
@@ -586,10 +582,10 @@ def test_singular_factor_leaves_index_out_of_prefix():
 
 def test_bivariate_box_with_prefixes():
     p = StructuredPoly(2, HyperNatural.constant(3), {
-        (0, 0): _prefixed(IndexExpr.const(Q(1, 6)), 1 / I(), {1: (Q(2), Q(3, 4))}),
-        (1, 0): _prefixed(I() / (I() + 2), IndexExpr.const(Q(-5, 7))),
-        (1, 1): _prefixed(IndexExpr.const(Q(-3, 4)), IndexExpr.const(Q(2, 9)), {3: (Q(0), Q(1))}),
-        (0, 2): _prefixed(1 / (I() - 3)),
+        (0, 0): HyperComplex(IndexExpr.const(Q(1, 6)), 1 / I(), {1: (Q(2), Q(3, 4))}),
+        (1, 0): HyperComplex(I() / (I() + 2), IndexExpr.const(Q(-5, 7))),
+        (1, 1): HyperComplex(IndexExpr.const(Q(-3, 4)), IndexExpr.const(Q(2, 9)), {3: (Q(0), Q(1))}),
+        (0, 2): HyperComplex(1 / (I() - 3)),
     })
     assert_convolutions_match(p, _bivariate(), 4)
     assert_convolutions_match(_bivariate(), p, 4)
