@@ -7,7 +7,7 @@ infinitesimal differential calculus, and constructive generic points sit on
 top, all exercised through the ``hyperpoly`` command line.
 """
 
-from .config import Config, default_config
+from .config import HORIZON, default_horizon
 from .verdicts import Verdict, eventually, negate
 from .filters import (
     FiniteFilterModel,

@@ -22,13 +22,15 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
-from .config import Config, DEFAULT
+from .config import HORIZON
 from .exacteval import evaluate, integer_form
 from .hypernum import (
     APPRECIABLE,
     BOUNDED_UNCLASSIFIED,
+    GROWTH_RATIO,
     INFINITE,
     INFINITESIMAL,
+    INFINITESIMAL_TOL,
     UNDECIDED,
     HyperComplex,
 )
@@ -414,9 +416,8 @@ def sampling_oracle(
     p: InternalPolynomial,
     sample_count: int = 16,
     radius=1,
-    horizon: int = DEFAULT.horizon,
+    horizon: int = HORIZON,
     seed: int = 0,
-    config: Config = DEFAULT,
 ) -> OracleReport:
     """Evaluate the polynomial at sampled bounded points across the window.
 
@@ -451,7 +452,7 @@ def sampling_oracle(
         for pt in points[:4]:
             hpt = [HyperComplex.from_rational(c[0], c[1]) for c in pt]
             val = poly_eval(p, hpt)
-            cls = val.classify(config)
+            cls = val.classify()
             if cls.label == INFINITE:
                 return OracleReport(
                     Verdict(FAILS, 1, f"symbolic: value at witness point is infinite"),
@@ -471,8 +472,8 @@ def sampling_oracle(
                         "too few materialized indices for a growth ratio")
         return OracleReport(short, short, None, R)
     window = integer_form(mats, p.n)
-    tol2 = Q(config.infinitesimal_tol) ** 2
-    growth2 = Q(config.growth_ratio) ** 2
+    tol2 = Q(INFINITESIMAL_TOL) ** 2
+    growth2 = Q(GROWTH_RATIO) ** 2
 
     worst_growth: Optional[tuple] = None
     all_small = True
@@ -526,7 +527,7 @@ def _torus_values(
     return mat, roots, values
 
 
-def _per_variable_degree(mat: dict, n: int) -> int:
+def _per_variable_degree(mat: dict) -> int:
     deg = 0
     for mu in mat:
         deg = max(deg, max(mu))
@@ -538,7 +539,7 @@ def _quadrature_values(
 ) -> tuple[dict, list, dict]:
     """Torus values for coefficient recovery; refuses too few nodes."""
     mat, roots, values = _torus_values(p, R, at_index, nodes)
-    deg = _per_variable_degree(mat, p.n) if mat else 0
+    deg = _per_variable_degree(mat) if mat else 0
     if nodes <= deg:
         raise ValueError(f"need more than deg = {deg} nodes, got {nodes}")
     return mat, roots, values
@@ -590,24 +591,21 @@ def coefficient_bound_check(
     p: InternalPolynomial,
     radius,
     at_index: int,
-    nodes: Optional[int] = None,
-    slack: float = 1e-8,
 ) -> dict:
     """Max-modulus bound M_R on the torus and the list of violating indices.
 
     Checks |a_nu| <= M_R / R^|nu| for every materialized coefficient; the
-    list should be empty up to quadrature slack.
+    list should be empty up to a quadrature slack of 1e-8.
     """
     R = float(radius)
-    if nodes is None:
-        mat = p.materialize(at_index)
-        deg = _per_variable_degree(mat, p.n) if mat else 0
-        nodes = max(16, 2 * deg + 5)
+    mat = p.materialize(at_index)
+    deg = _per_variable_degree(mat) if mat else 0
+    nodes = max(16, 2 * deg + 5)
     mat, _, values = _torus_values(p, R, at_index, nodes)
     m_r = max((abs(v) for v in values.values()), default=0.0)
     violations = []
     for mu, c in mat.items():
         lhs = abs(complex(c[0], c[1]))
-        if lhs > m_r / (R ** mi_total(mu)) + slack:
+        if lhs > m_r / (R ** mi_total(mu)) + 1e-8:
             violations.append(mu)
     return {"M_R": m_r, "violations": violations, "radius": R, "index": at_index}

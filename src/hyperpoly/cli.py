@@ -14,10 +14,9 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import replace
 from fractions import Fraction
 
-from .config import Config, default_config
+from .config import default_horizon
 from .classify import classify_poly, sampling_oracle
 from .completion import FieldPoly, ResidueTower, lift_tower
 from .filters import ProductRing, enumerate_filters, is_ultrafilter, kochen_ideal_to_filter
@@ -53,7 +52,7 @@ EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_UNDETERMINED = 2
 
-# the classify oracle's horizon when --horizon is not given: the configured
+# the classify oracle's horizon when --horizon is not given: the resolved
 # horizon, capped so that the default window stays short
 ORACLE_DEFAULT_HORIZON = 32
 
@@ -80,7 +79,7 @@ def _materialization_json(p, i: int) -> dict:
     }
 
 
-def _cmd_classify(args, cfg: Config) -> tuple[dict, int]:
+def _cmd_classify(args, horizon: int) -> tuple[dict, int]:
     if args.dump_index is not None:
         _indices("--dump-index", [args.dump_index])
     program, env = _program_env(args.expr, args)
@@ -88,11 +87,11 @@ def _cmd_classify(args, cfg: Config) -> tuple[dict, int]:
     cls = classify_poly(p)
     report = {"command": "classify", **cls.to_json()}
     if args.oracle or cls.verdict == "unbounded":
-        horizon = (cfg.horizon if args.horizon is not None
-                   else min(cfg.horizon, ORACLE_DEFAULT_HORIZON))
+        if args.horizon is None:
+            horizon = min(horizon, ORACLE_DEFAULT_HORIZON)
         rep = sampling_oracle(
             p, sample_count=args.samples, radius=args.radius,
-            horizon=horizon, seed=args.seed, config=cfg,
+            horizon=horizon, seed=args.seed,
         )
         report["oracle"] = rep.to_json()
     if args.dump_index is not None:
@@ -103,14 +102,14 @@ def _cmd_classify(args, cfg: Config) -> tuple[dict, int]:
     return report, EXIT_UNDETERMINED if cls.verdict == "undetermined" else EXIT_OK
 
 
-def _cmd_stdpart(args, cfg: Config) -> tuple[dict, int]:
+def _cmd_stdpart(args, horizon: int) -> tuple[dict, int]:
     program, env = _program_env(args.expr, args)
     p = build_poly(program.expression, env)
     s = st_poly(p)
     return {"command": "stdpart", "series": s.to_json(args.order)}, EXIT_OK
 
 
-def _cmd_zeros(args, cfg: Config) -> tuple[dict, int]:
+def _cmd_zeros(args, horizon: int) -> tuple[dict, int]:
     program, env = _program_env(args.expr, args)
     p = build_poly(program.expression, env)
     indices = _indices("--indices", [int(t) for t in args.indices.split(",")])
@@ -124,7 +123,7 @@ def _indices(flag: str, indices: list[int]) -> list[int]:
     return indices
 
 
-def _cmd_eval(args, cfg: Config) -> tuple[dict, int]:
+def _cmd_eval(args, horizon: int) -> tuple[dict, int]:
     program, env = _program_env(args.expr, args)
     p = build_poly(program.expression, env)
     at = parse(args.at)
@@ -132,7 +131,7 @@ def _cmd_eval(args, cfg: Config) -> tuple[dict, int]:
     from .interpoly import poly_eval
 
     v = poly_eval(p, [x] * p.n)
-    cls = v.classify(cfg)
+    cls = v.classify(horizon)
     report = {
         "command": "eval",
         "classification": cls.to_json(),
@@ -141,7 +140,7 @@ def _cmd_eval(args, cfg: Config) -> tuple[dict, int]:
     return report, EXIT_UNDETERMINED if cls.label == "undetermined" else EXIT_OK
 
 
-def _cmd_delta(args, cfg: Config) -> tuple[dict, int]:
+def _cmd_delta(args, horizon: int) -> tuple[dict, int]:
     program, env = _program_env(args.expr, args)
     f = build_poly(program.expression, env)
     d = delta(f)
@@ -155,7 +154,7 @@ def _cmd_delta(args, cfg: Config) -> tuple[dict, int]:
     return {"command": "delta", "slicesAtIndex4": slices}, EXIT_OK
 
 
-def _cmd_phi(args, cfg: Config) -> tuple[dict, int]:
+def _cmd_phi(args, horizon: int) -> tuple[dict, int]:
     program, env = _program_env(args.expr, args)
     p = build_diff_element(program.expression, env)
     verdict = in_I(p)
@@ -166,7 +165,7 @@ def _cmd_phi(args, cfg: Config) -> tuple[dict, int]:
     return report, EXIT_OK
 
 
-def _cmd_derivation_check(args, cfg: Config) -> tuple[dict, int]:
+def _cmd_derivation_check(args, horizon: int) -> tuple[dict, int]:
     program_f, env_f = _program_env(args.f, args)
     program_g, env_g = _program_env(args.g, args)
     variables = variable_map([program_f.expression, program_g.expression])
@@ -179,7 +178,7 @@ def _cmd_derivation_check(args, cfg: Config) -> tuple[dict, int]:
     )
 
 
-def _cmd_lift(args, cfg: Config) -> tuple[dict, int]:
+def _cmd_lift(args, horizon: int) -> tuple[dict, int]:
     with open(args.levels, encoding="utf-8") as fh:
         level_texts = json.load(fh)
     if not isinstance(level_texts, list) or not all(isinstance(t, str) for t in level_texts):
@@ -194,7 +193,7 @@ def _cmd_lift(args, cfg: Config) -> tuple[dict, int]:
         for text, node in zip(level_texts, nodes)
     ]
     tower = ResidueTower.make(field, len(variables), field_levels)
-    lifted = lift_tower(tower, horizon=max(cfg.horizon, tower.depth))
+    lifted = lift_tower(tower, horizon=tower.depth)
     report = {
         "command": "lift",
         "depth": tower.depth,
@@ -207,9 +206,12 @@ def _cmd_lift(args, cfg: Config) -> tuple[dict, int]:
     return report, EXIT_OK
 
 
-def _cmd_generic(args, cfg: Config) -> tuple[dict, int]:
+def _cmd_generic(args, horizon: int) -> tuple[dict, int]:
     param = _parse_param(args.param)
-    height = int(args.corpus.split(":", 1)[1]) if ":" in args.corpus else 3
+    kind, _, value = args.corpus.partition(":")
+    height = int(value) if kind == "heights" and value.isdigit() else 0
+    if height < 1:
+        raise ValueError(f"--corpus must be heights:N with N >= 1, got {args.corpus!r}")
     halo = None
     if args.halo:
         halo = tuple(Fraction(t) for t in args.halo.split(","))
@@ -284,7 +286,7 @@ def _standard_coeffs(node, variables: dict, mentions_i: str) -> dict:
     return {nu: c[0] for nu, c in poly.materialize(1).items()}
 
 
-def _cmd_kochen(args, cfg: Config) -> tuple[dict, int]:
+def _cmd_kochen(args, horizon: int) -> tuple[dict, int]:
     size = args.index_size
     if size < 0:
         raise ValueError(f"--index-size must be >= 0, got {size}")
@@ -404,24 +406,24 @@ def build_arg_parser() -> argparse.ArgumentParser:
 
 
 def _execute(args) -> tuple[dict, int]:
-    """Resolve the config, check the shared flags, run the parsed command, and
+    """Resolve the horizon, check the shared flags, run the parsed command, and
     map its errors.
 
-    The horizon comes from ``HYPERPOLY_HORIZON``, then ``--horizon``.  Parse
+    The horizon is ``--horizon``, else ``HYPERPOLY_HORIZON``, else 64.  Parse
     and bind errors report as ``"parse"``, any other handled error by its
     type name, with exit code 1.
     """
     try:
-        cfg = default_config()
+        horizon = default_horizon()
         if args.horizon is not None:
-            cfg = replace(cfg, horizon=args.horizon)
+            horizon = args.horizon
         for rule, ok in (("--horizon >= 1", args.horizon is None or args.horizon >= 1),
                          ("--order >= 0", args.order >= 0),
                          ("--radius > 0", args.radius > 0),
                          ("--samples >= 1", args.samples >= 1)):
             if not ok:
                 raise ValueError(f"need {rule}")
-        report, code = args.fn(args, cfg)
+        report, code = args.fn(args, horizon)
     # ParseError, BindError, TowerError and DnCertificateError are
     # ValueErrors; StandardPartError and ZeroDivisionError ArithmeticErrors;
     # OSError is an unreadable --levels file, RecursionError too deep an expression

@@ -17,7 +17,7 @@ from fractions import Fraction
 from itertools import product as iproduct
 from typing import Union
 
-from .config import DEFAULT
+from .config import HORIZON
 from .filters import is_prime
 from .hypernat import HyperNatural
 from .hypernum import HyperComplex
@@ -214,7 +214,7 @@ def lift_tower(tower: ResidueTower, horizon: int) -> LiftedTower:
 # halo membership: P in m^k eventually
 # ---------------------------------------------------------------------------
 
-def halo_membership(p: InternalPolynomial, k: int, horizon: int = DEFAULT.horizon) -> Verdict:
+def halo_membership(p: InternalPolynomial, k: int, horizon: int = HORIZON) -> Verdict:
     """Does every monomial of total degree < k have eventually-zero coefficient?
 
     Structured polynomials are decided exactly through their coefficient

@@ -18,11 +18,16 @@ from fractions import Fraction
 from typing import Callable, Iterator, Optional
 
 from .completion import FieldPoly
-from .config import DEFAULT
+from .config import HORIZON
 from .interpoly import multi_indices_of_degree
 from .verdicts import HOLDS, Verdict, eventually
 
 Q = Fraction
+
+# grid points tried: 40 * GENERIC_HEIGHT_CAP * i by generic_point at index i,
+# WITNESS_HEIGHT_CAP by nullstellensatz_witness per batch
+GENERIC_HEIGHT_CAP = 64
+WITNESS_HEIGHT_CAP = 4096
 
 
 class GridExhausted(RuntimeError):
@@ -179,7 +184,10 @@ def integer_poly_corpus(n: int, height: int) -> Iterator[FieldPoly]:
 
     Height-minor ordering keeps the useful low polynomials (X, X-1, ...) near
     the front instead of burying them under large-coefficient constants.
+    A height below 1 holds no polynomial and is refused.
     """
+    if height < 1:
+        raise ValueError(f"corpus height must be >= 1, got {height}")
     degree = 0
     while True:
         monomials = [
@@ -250,7 +258,6 @@ def generic_point(
     param: Parametrization,
     corpus_factory: Callable[[], Iterator[FieldPoly]],
     halo_center: Optional[tuple] = None,
-    height_cap: int = 64,
 ) -> LazyHyperPoint:
     """The schedule: at index i, satisfy the first i filtered avoidances.
 
@@ -274,7 +281,7 @@ def generic_point(
 
     def gen(i: int) -> tuple:
         constraints = filtered_prefix(i)
-        budget = height_cap * max(1, i)
+        budget = GENERIC_HEIGHT_CAP * max(1, i)
         tried = 0
         for params in param_grid(param.k):
             tried += 1
@@ -325,7 +332,7 @@ def _fmt_poly(g: FieldPoly) -> str:
 # nonstandard zero sets and ideals of points
 # ---------------------------------------------------------------------------
 
-def v_of_ideal(x: LazyHyperPoint, gens: list[FieldPoly], horizon: int = DEFAULT.horizon) -> Verdict:
+def v_of_ideal(x: LazyHyperPoint, gens: list[FieldPoly], horizon: int = HORIZON) -> Verdict:
     """Is the point in the nonstandard zero set of the generated ideal?
 
     Exact vanishing of every generator, eventually in the index.
@@ -341,7 +348,7 @@ def v_of_ideal(x: LazyHyperPoint, gens: list[FieldPoly], horizon: int = DEFAULT.
 
 
 def id_of_point(
-    x: LazyHyperPoint, candidates: list[FieldPoly], horizon: int = DEFAULT.horizon
+    x: LazyHyperPoint, candidates: list[FieldPoly], horizon: int = HORIZON
 ) -> list[FieldPoly]:
     """The candidates vanishing exactly at every sampled index."""
     out = []
@@ -354,7 +361,7 @@ def id_of_point(
 def evaluation_embedding_check(
     x: LazyHyperPoint,
     residues: list[FieldPoly],
-    horizon: int = DEFAULT.horizon,
+    horizon: int = HORIZON,
     param: Optional[Parametrization] = None,
 ) -> Verdict:
     """Injectivity of evaluation at the point on a finite residue list.
@@ -395,8 +402,6 @@ def nullstellensatz_witness(
     gens: list[FieldPoly],
     witnesses: list[FieldPoly],
     param: Parametrization,
-    batches: Optional[int] = None,
-    height_cap: int = 4096,
 ) -> list[tuple]:
     """Standard points satisfying the equations and avoiding witness zero sets.
 
@@ -409,22 +414,19 @@ def nullstellensatz_witness(
             raise ValueError(
                 f"parametrization does not cover Z({_fmt_poly(f)})"
             )
-    composed = []
-    for j, g in enumerate(witnesses):
+    for g in witnesses:
         if param.vanishes_on_variety(g):
             raise ValueError(
                 f"witness {_fmt_poly(g)} vanishes identically on the variety"
             )
-        composed.append(g)
-    batches = len(witnesses) if batches is None else batches
     out = []
-    for ell in range(1, batches + 1):
-        prefix = composed[: min(ell, len(composed))]
+    for ell in range(1, len(witnesses) + 1):
+        prefix = witnesses[:ell]
         found = None
         tried = 0
         for params in param_grid(param.k):
             tried += 1
-            if tried > height_cap:
+            if tried > WITNESS_HEIGHT_CAP:
                 break
             try:
                 pt = param.point_at(params)

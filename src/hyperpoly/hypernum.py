@@ -19,11 +19,18 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional
 
-from .config import Config, DEFAULT
+from .config import HORIZON
 from .indexexpr import IndexExpr
 from .verdicts import HOLDS, UNDETERMINED, Verdict
 
 Q = Fraction
+
+# numeric-tier window heuristics (window = [1, horizon])
+INFINITESIMAL_TOL = 1e-9    # |value| below this on the last quarter
+GROWTH_RATIO = 2.0          # sustained |v[i+1]/v[i]| above this => infinite
+BOUNDED_CAP = 1e9           # window max below this => bounded evidence
+# convergence tolerance of numeric standard parts
+STANDARD_PART_TOL = 1e-9
 
 INFINITESIMAL = "infinitesimal"
 APPRECIABLE = "appreciable"
@@ -180,7 +187,7 @@ class HyperComplex:
             raise TypeError("numeric tier has no symbolic modulus")
         return self.re * self.re + self.im * self.im
 
-    def inv(self, config: Config = DEFAULT) -> "HyperComplex":
+    def inv(self) -> "HyperComplex":
         """Pointwise reciprocal, zero below the non-vanishing threshold.
 
         Requires the number to be eventually nonzero; symbolic numbers get an
@@ -206,7 +213,7 @@ class HyperComplex:
                 prefix[i] = (Q(0), Q(0)) if n == 0 else (a / n, -b / n)
             return HyperComplex(re, im, prefix)
         # numeric tier: demand nonzero through the back half of the window
-        h = config.horizon
+        h = HORIZON
         vals = [complex(self.gen(i)) for i in range(1, h + 1)]
         t = h + 1
         for i in range(h, 0, -1):
@@ -226,12 +233,13 @@ class HyperComplex:
         return HyperComplex(gen=gen)
 
     # -- classification -------------------------------------------------------------
-    def classify(self, config: Config = DEFAULT) -> Classification:
+    def classify(self, horizon: int = HORIZON) -> Classification:
+        """Exact class (symbolic), or window evidence over indices 1..horizon."""
         if self.symbolic:
             return _classify_symbolic(self)
-        return _classify_numeric(self, config)
+        return _classify_numeric(self, horizon)
 
-    def standard_part(self, config: Config = DEFAULT):
+    def standard_part(self):
         """Exact limit (symbolic) or windowed estimate (numeric).
 
         Returns a (re, im) Fraction pair in the symbolic tier, a complex in the
@@ -243,7 +251,7 @@ class HyperComplex:
             re_l, im_l = self.re.limit(), self.im.limit()
             if re_l is not None and im_l is not None:
                 return (re_l, im_l)
-        cls = self.classify(config)
+        cls = self.classify()
         if cls.label == INFINITE:
             raise NoStandardPartError("no standard part: the number is infinite")
         if self.symbolic:
@@ -251,26 +259,26 @@ class HyperComplex:
             if m2.growth().kind == "zero":
                 return (Q(0), Q(0))
             return None
-        h = config.horizon
+        h = HORIZON
         prev = [complex(self.gen(i)) for i in range(max(1, h // 2), 3 * h // 4)]
         tail = [complex(self.gen(i)) for i in range(max(1, 3 * h // 4), h + 1)]
         mean = sum(tail) / len(tail)
         spread = max(abs(v - mean) for v in tail)
         prev_spread = max(abs(v - mean) for v in prev) if prev else spread
         # accept a shrinking spread (convergence trend) or one already at tol
-        if spread <= config.tol * 10 or spread <= prev_spread / 1.5:
+        if spread <= STANDARD_PART_TOL * 10 or spread <= prev_spread / 1.5:
             return mean
         return None
 
 
-def classify_magnitude(x: HyperComplex, config: Config = DEFAULT) -> Classification:
+def classify_magnitude(x: HyperComplex) -> Classification:
     """Module-level spelling of :meth:`HyperComplex.classify`."""
-    return coerce(x).classify(config)
+    return coerce(x).classify()
 
 
-def standard_part(x: HyperComplex, config: Config = DEFAULT):
+def standard_part(x: HyperComplex):
     """Module-level spelling of :meth:`HyperComplex.standard_part`."""
-    return coerce(x).standard_part(config)
+    return coerce(x).standard_part()
 
 
 def coerce(x) -> HyperComplex:
@@ -322,8 +330,7 @@ def _classify_symbolic(x: HyperComplex) -> Classification:
     )
 
 
-def _classify_numeric(x: HyperComplex, config: Config) -> Classification:
-    h = config.horizon
+def _classify_numeric(x: HyperComplex, h: int) -> Classification:
     vals = []
     for i in range(1, h + 1):
         try:
@@ -331,22 +338,22 @@ def _classify_numeric(x: HyperComplex, config: Config) -> Classification:
         except ZeroDivisionError:
             vals.append(float("inf"))
     quarter = vals[3 * h // 4:]
-    if all(v < config.infinitesimal_tol for v in quarter):
+    if all(v < INFINITESIMAL_TOL for v in quarter):
         return Classification(
             INFINITESIMAL,
-            Verdict(HOLDS, 3 * h // 4 + 1, f"window: |x| < {config.infinitesimal_tol} on last quarter"),
+            Verdict(HOLDS, 3 * h // 4 + 1, f"window: |x| < {INFINITESIMAL_TOL} on last quarter"),
         )
     ratios = [
         vals[i + 1] / vals[i]
         for i in range(3 * h // 4, h - 1)
         if vals[i] > 0
     ]
-    if ratios and all(r > config.growth_ratio for r in ratios):
+    if ratios and all(r > GROWTH_RATIO for r in ratios):
         return Classification(
             INFINITE,
-            Verdict(HOLDS, 3 * h // 4 + 1, f"window: sustained growth ratio > {config.growth_ratio}"),
+            Verdict(HOLDS, 3 * h // 4 + 1, f"window: sustained growth ratio > {GROWTH_RATIO}"),
         )
-    if max(vals) <= config.bounded_cap:
+    if max(vals) <= BOUNDED_CAP:
         return Classification(
             BOUNDED_UNCLASSIFIED,
             Verdict(HOLDS, 1, f"window: |x| <= {max(vals):.6g} across horizon {h}"),

@@ -938,16 +938,11 @@ def theta(p: InternalPolynomial) -> InternalSeries:
     return InternalSeries(p.n, p.coeff)
 
 
-def truncate_series(coeff_rule, d: HyperNatural, n: int = 1,
-                    tail: Optional[TailTerm] = None) -> InternalPolynomial:
-    """The internal polynomial sum_{|nu| <= d} c_nu X^nu.
+def truncate_series(coeff_rule, d: HyperNatural, n: int = 1) -> InternalPolynomial:
+    """The materialization-backed internal polynomial sum_{|nu| <= d} c_nu X^nu.
 
-    ``coeff_rule`` maps a multi-index to an exact coefficient pair; when the
-    rule is also available in band form, pass it as ``tail`` so the result
-    stays classifiable.  Without a band the result is materialization-backed.
+    ``coeff_rule`` maps a multi-index to an exact coefficient pair.
     """
-    if tail is not None:
-        return StructuredPoly(n, d, tails=(tail,))
 
     def fn(i):
         out = {}

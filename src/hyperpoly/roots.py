@@ -28,10 +28,11 @@ def _fujiwara_bound(monic: list[complex]) -> float:
     return 2.0 * best if best > 0 else 1.0
 
 
-def durand_kerner(
-    coeffs: list[complex], iterations: int = 200, tol: float = 1e-12
-) -> list[complex]:
-    """Roots of sum coeffs[k] z^k; the leading coefficient must be nonzero."""
+def durand_kerner(coeffs: list[complex]) -> list[complex]:
+    """Roots of sum coeffs[k] z^k; the leading coefficient must be nonzero.
+
+    At most 200 sweeps, stopping once no root moves by 1e-12.
+    """
     coeffs = [complex(c) for c in coeffs]
     while coeffs and abs(coeffs[-1]) == 0:
         coeffs = coeffs[:-1]
@@ -56,7 +57,7 @@ def durand_kerner(
         radius * cmath.exp(2j * cmath.pi * (j / deg + 0.25 / deg + 1 / 16))
         for j in range(deg)
     ]
-    for _ in range(iterations):
+    for _ in range(200):
         moved = 0.0
         for j in range(deg):
             denom = 1.0 + 0j
@@ -69,15 +70,15 @@ def durand_kerner(
             delta = p(w[j]) / denom
             w[j] -= delta
             moved = max(moved, abs(delta))
-        if moved < tol:
+        if moved < 1e-12:
             break
     roots = [scale * wj for wj in w]
     # deterministic order: by angle, ties by modulus
     return sorted(roots, key=lambda z: (cmath.phase(z), abs(z)))
 
 
-def bisection(f, lo: float, hi: float, steps: int = 200) -> float:
-    """Plain bisection; f(lo) and f(hi) must have opposite signs."""
+def bisection(f, lo: float, hi: float) -> float:
+    """Plain bisection, 200 halvings; f(lo) and f(hi) must have opposite signs."""
     flo = f(lo)
     if flo == 0:
         return lo
@@ -85,7 +86,7 @@ def bisection(f, lo: float, hi: float, steps: int = 200) -> float:
         return hi
     if (flo > 0) == (f(hi) > 0):
         raise ValueError("bisection needs a sign change")
-    for _ in range(steps):
+    for _ in range(200):
         mid = (lo + hi) / 2
         fm = f(mid)
         if fm == 0:

@@ -34,6 +34,8 @@ from .roots import durand_kerner
 Q = Fraction
 Pair = tuple[Fraction, Fraction]
 _ZERO: Pair = (Q(0), Q(0))
+# zero_set_compare takes the standard part's roots from its truncation to this degree
+ST_ORDER = 60
 
 
 class StandardPartError(ArithmeticError):
@@ -68,6 +70,9 @@ class StandardPowerSeries:
     def coeff(self, nu: tuple) -> Pair:
         nu = tuple(nu)
         if nu not in self._memo:
+            if len(nu) != self.n:
+                raise ValueError(
+                    f"multi-index {nu} does not fit a series in {self.n} variable(s)")
             c = self._fn(nu)
             self._memo[nu] = (Q(c[0]), Q(c[1])) if isinstance(c, tuple) else (Q(c), Q(0))
         return self._memo[nu]
@@ -377,7 +382,6 @@ def zero_set_compare(
     radius,
     at_indices: list[int],
     tol: float = 1e-9,
-    st_order: int = 60,
 ) -> ZeroSetReport:
     """Roots of P_i in |x| <= R against the zeros of the standard part.
 
@@ -387,12 +391,12 @@ def zero_set_compare(
     if p.n != 1:
         raise ValueError("zero-set comparison is univariate")
     s = st_poly(p)
-    if s.is_constant_to_order(st_order):
+    if s.is_constant_to_order(ST_ORDER):
         raise StandardPartError(
             "standard part is constant on the box; zero sets are not comparable"
         )
     R = float(radius)
-    st_coeffs = [complex(*s.coeff((k,))) for k in range(st_order + 1)]
+    st_coeffs = [complex(*s.coeff((k,))) for k in range(ST_ORDER + 1)]
     st_roots = tuple(r for r in durand_kerner(st_coeffs) if abs(r) <= R * 1.5)
     roots_by_index: dict[int, tuple] = {}
     distance: dict[int, float] = {}

@@ -277,6 +277,23 @@ class TestSamplingOracle:
         assert rep.bounded.holds()
         assert rep.infinitesimal.holds()
 
+    @pytest.mark.parametrize("eps,kind,note", [
+        (1 / IndexExpr.factorial(), "Holds", "all sampled value sequences vanish within tolerance"),
+        (1 / I(), "Fails", "some sampled value stays appreciable"),
+    ], ids=["below-tolerance", "above-tolerance"])
+    def test_infinitesimal_reports(self, eps, kind, note):
+        # |P_i|^2 <= 1/i!^2 falls below the tolerance 1e-18 on indices 13..16,
+        # 1/i^2 does not
+        P = scalar_mul(HyperComplex.from_expr(eps), variable(1, 0))
+        rep = sampling_oracle(P, sample_count=4, radius=1, horizon=16)
+        assert rep.to_json() == {
+            "bounded": {"kind": "Holds", "witness": 1,
+                        "note": "max |P|^2 = 1 over window at radius 1"},
+            "infinitesimal": {"kind": kind, "witness": 1, "note": note},
+            "witness": None,
+            "radius": "1",
+        }
+
     @pytest.mark.parametrize("horizon", [0, -3])
     def test_horizon_below_one_refused(self, horizon):
         with pytest.raises(ValueError):

@@ -254,6 +254,20 @@ class TestGeneric:
             assert x == first(t)
 
 
+    @pytest.mark.parametrize("height", ["0", "-2"])
+    def test_corpus_height_below_one_exits_at_once(self, height):
+        # a corpus of height below 1 holds no polynomial; searching it never
+        # returns, so the command runs in a child process the timeout can stop
+        src = os.path.dirname(os.path.dirname(hyperpoly.__file__))
+        proc = subprocess.run(
+            [sys.executable, "-m", "hyperpoly", "generic", "--param", "t -> (t, 0)",
+             "--corpus", f"heights:{height}", "--indices", "1..2"],
+            env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=30,
+        )
+        assert proc.returncode == EXIT_ERROR
+        assert json.loads(proc.stdout)["error"] == "ValueError"
+
+
 class TestKochen:
     def test_exhaustive_f2(self):
         code, out = run_cli("kochen", "--index-size", "3", "--field", "2", "--enumerate")
@@ -288,8 +302,11 @@ class TestInputRanges:
         ("delta", "X^2", "--samples", "0"),
         ("classify", "eps := 1/i; eps*X", "--dump-index", "-3"),
         ("classify", "eps := 1/i; eps*X", "--dump-index", "0"),
+        ("generic", "--param", "t -> t", "--corpus", "bogus"),
+        ("generic", "--param", "t -> t", "--corpus", "rows:2"),
     ], ids=["radius", "zeros-indices", "generic-indices", "generic-empty-range", "order",
-            "index-size", "horizon", "samples", "dump-index-negative", "dump-index-zero"])
+            "index-size", "horizon", "samples", "dump-index-negative", "dump-index-zero",
+            "corpus-kind", "corpus-rows"])
     def test_out_of_range_is_a_typed_error(self, argv):
         code, out = run_cli(*argv)
         assert code == EXIT_ERROR
@@ -359,6 +376,32 @@ class TestEntryPoints:
 
 
 class TestEval:
+    EXPR = ("eval", "sum(k=0..d, X^k)", "--d", "i", "--at", "2")
+    WINDOW = ["(3+0j)", "(7+0j)", "(31+0j)", "(511+0j)", "(131071+0j)"]
+
+    def test_default_horizon_leaves_the_growth_undetermined(self):
+        code, out = run_cli(*self.EXPR)
+        assert code == EXIT_UNDETERMINED
+        assert json.loads(out) == {
+            "classification": {"class": "undetermined", "verdict": {
+                "kind": "Undetermined", "note": "window evidence inconclusive", "witness": 64}},
+            "command": "eval", "schema": 1, "window": self.WINDOW,
+        }
+
+    @pytest.mark.parametrize("via", ["flag", "environment"])
+    def test_horizon_eight_sees_the_growth(self, via, monkeypatch):
+        if via == "flag":
+            code, out = run_cli(*self.EXPR, "--horizon", "8")
+        else:
+            monkeypatch.setenv("HYPERPOLY_HORIZON", "8")
+            code, out = run_cli(*self.EXPR)
+        assert code == EXIT_OK
+        assert json.loads(out) == {
+            "classification": {"class": "infinite", "verdict": {
+                "kind": "Holds", "note": "window: sustained growth ratio > 2.0", "witness": 7}},
+            "command": "eval", "schema": 1, "window": self.WINDOW,
+        }
+
     def test_power_of_a_band_prints_the_same_bytes(self):
         code, out = run_cli(
             "eval", "eps := 1/i; (sum(k=0..d, k*eps*X^k) - sum(k=0..2, 1*X^k))^3", "--at", "2")

@@ -1,9 +1,13 @@
 """Generic points, nonstandard zero sets, and Nullstellensatz witnesses."""
 
+import os
+import subprocess
+import sys
 from fractions import Fraction as Q
 
 import pytest
 
+import hyperpoly
 from hyperpoly.genpoint import (
     GridExhausted,
     LazyHyperPoint,
@@ -49,6 +53,19 @@ class TestEnumerations:
         gen = integer_poly_corpus(1, 2)
         for _ in range(50):
             assert not next(gen).is_zero()
+
+    @pytest.mark.parametrize("height", [0, -2])
+    def test_corpus_height_below_one_is_refused(self, height):
+        # a corpus that ignores the height raises the degree forever without
+        # yielding, so the draw runs in a child process the timeout can stop
+        src = os.path.dirname(os.path.dirname(hyperpoly.__file__))
+        draw = ("from hyperpoly.genpoint import integer_poly_corpus; "
+                f"next(integer_poly_corpus(1, {height}))")
+        proc = subprocess.run(
+            [sys.executable, "-c", draw], env=dict(os.environ, PYTHONPATH=src),
+            capture_output=True, text=True, timeout=30,
+        )
+        assert f"ValueError: corpus height must be >= 1, got {height}" in proc.stderr
 
     def test_param_grid_bivariate(self):
         gen = param_grid(2)

@@ -105,6 +105,16 @@ class TestClassify:
         x = HyperComplex.from_generator(lambda i: (-1) ** i)
         assert x.classify().label == BOUNDED_UNCLASSIFIED
 
+    def test_window_notes_print_the_thresholds(self):
+        assert HyperComplex.from_generator(lambda i: 0.0).classify().to_json() == {
+            "class": "infinitesimal",
+            "verdict": {"kind": "Holds", "witness": 49,
+                        "note": "window: |x| < 1e-09 on last quarter"}}
+        assert HyperComplex.from_generator(lambda i: 0.5).classify().to_json() == {
+            "class": "bounded-unclassified",
+            "verdict": {"kind": "Holds", "witness": 1,
+                        "note": "window: |x| <= 0.5 across horizon 64"}}
+
     def test_alternating_sign_symbolic_is_appreciable(self):
         x = HyperComplex.from_expr(IndexExpr.geometric(-1))
         assert x.classify().label == APPRECIABLE

@@ -109,6 +109,13 @@ class TestSeriesArity:
             with pytest.raises(ValueError, match="variable-count mismatch"):
                 x.eq_to_order(y, 4)
 
+    def test_coefficient_lookup_refuses_arity_mismatch(self):
+        for s, nu in ((StandardPowerSeries.exp(), (3, 5)),
+                      (StandardPowerSeries.from_dict(1, {(0,): 1}), (0, 0)),
+                      (StandardPowerSeries.from_dict(2, {(0, 0): 1}), (0,))):
+            with pytest.raises(ValueError, match="does not fit a series"):
+                s.coeff(nu)
+
     def test_same_arity_still_combines(self):
         a = StandardPowerSeries.from_dict(2, {(0, 0): 1, (0, 1): Q(1, 2)})
         b = StandardPowerSeries.from_dict(2, {(0, 0): 1, (1, 0): 3})

@@ -67,13 +67,13 @@ class TestCliContracts:
         assert json.loads(buf.getvalue())["verdict"] == "bounded"
 
     def test_horizon_env_override(self, monkeypatch):
-        from hyperpoly.config import default_config
+        from hyperpoly.config import default_horizon
 
         monkeypatch.setenv("HYPERPOLY_HORIZON", "32")
-        assert default_config().horizon == 32
+        assert default_horizon() == 32
         monkeypatch.setenv("HYPERPOLY_HORIZON", "zero")
         with pytest.raises(ValueError):
-            default_config()
+            default_horizon()
 
 
 class TestRingLawsPointwise:
