@@ -423,8 +423,9 @@ def sampling_oracle(
 
     The window ``P_1 .. P_horizon`` is materialized once per call and held as
     Gaussian-integer numerators over one denominator per index; every point
-    is then evaluated exactly in integers, and each value ``|P_i(pt)|^2``
-    becomes one ``Fraction``.
+    is then evaluated exactly in integers.  The verdicts compare each value
+    ``|P_i(pt)|^2`` as an integer pair ``(re^2 + im^2, den^2)`` by
+    cross-multiplication; only the reported maximum becomes a ``Fraction``.
 
     A ``Fails`` verdict on boundedness is conclusive evidence: it names a
     witness point whose value sequence grows without bound.  ``Holds`` is
@@ -472,20 +473,22 @@ def sampling_oracle(
                         "too few materialized indices for a growth ratio")
         return OracleReport(short, short, None, R)
     window = integer_form(mats, p.n)
-    tol2 = Q(INFINITESIMAL_TOL) ** 2
-    growth2 = Q(GROWTH_RATIO) ** 2
+    tn, td = (Q(INFINITESIMAL_TOL) ** 2).as_integer_ratio()
+    gn, gd = (Q(GROWTH_RATIO) ** 2).as_integer_ratio()
 
     worst_growth: Optional[tuple] = None
     all_small = True
-    bound_seen = Q(0)
+    bn, bd = 0, 1  # the largest |P|^2 seen, as bn / bd
     for pt in points:
-        seq = [Q(re * re + im * im, den * den) for re, im, den in evaluate(window, pt)]
-        bound_seen = max(bound_seen, max(seq))
+        seq = [(re * re + im * im, den * den) for re, im, den in evaluate(window, pt)]
+        for N, M in seq:
+            if N * bd > bn * M:
+                bn, bd = N, M
         quarter = seq[3 * len(seq) // 4:]
-        if not all(v < tol2 for v in quarter):
+        if not all(N * td < tn * M for N, M in quarter):
             all_small = False
-        pairs = [(q0, q1) for q0, q1 in zip(quarter, quarter[1:]) if q0 > 0]
-        if pairs and all(q1 > growth2 * q0 for q0, q1 in pairs):
+        pairs = [(a, b) for a, b in zip(quarter, quarter[1:]) if a[0] > 0]
+        if pairs and all(N1 * M0 * gd > gn * N0 * M1 for (N0, M0), (N1, M1) in pairs):
             worst_growth = pt
             break  # one conclusive witness point is enough
     if worst_growth is not None:
@@ -493,7 +496,7 @@ def sampling_oracle(
                           f"value sequence grows at sampled point (radius {R})")
         infl = Verdict(FAILS, horizon, "grows at a sampled point")
         return OracleReport(bounded, infl, worst_growth, R)
-    bounded = Verdict(HOLDS, 1, f"max |P|^2 = {float(bound_seen):.6g} over window at radius {R}")
+    bounded = Verdict(HOLDS, 1, f"max |P|^2 = {float(Q(bn, bd)):.6g} over window at radius {R}")
     if all_small:
         infl = Verdict(HOLDS, 1, "all sampled value sequences vanish within tolerance")
     else:

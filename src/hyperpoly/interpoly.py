@@ -117,24 +117,34 @@ class TailTerm:
         return self.phi[m % len(self.phi)].eval(m)
 
     def value(self, m: int, i: int) -> Pair:
-        f = self.phi_at(m) * self.eps.eval(i) ** m
-        return (f * self.psi_re.eval(i), f * self.psi_im.eval(i))
+        ((_, v),) = self.values(range(m, m + 1), i)
+        return v
 
     def values(self, degrees: range, i: int) -> Iterator[tuple[int, Pair]]:
-        """``(m, value(m, i))`` for ``m`` in ``degrees``.
+        """``(m, phi(m) * eps(i)^m * psi(i))`` for ``m`` in the step-1 range ``degrees``.
 
-        ``eps`` and ``psi`` are read once, after the first ``phi`` as in
-        :meth:`value`, so an empty range reads nothing and a vanishing
-        denominator raises the same error.
+        In integers: ``eps(i)^m`` is kept as running powers of eps's numerator
+        and denominator, and each nonzero part becomes one ``Fraction``
+        (``_ZERO`` when the product vanishes).  ``eps`` and ``psi`` are read
+        after the first ``phi``, so an empty range reads nothing and a
+        vanishing denominator raises the error of the term-by-term product.
         """
-        seqs = None
         for m in degrees:
             f = self.phi_at(m)
-            if seqs is None:
-                seqs = self.eps.eval(i), self.psi_re.eval(i), self.psi_im.eval(i)
-            eps, psi_re, psi_im = seqs
-            f *= eps ** m
-            yield m, (f * psi_re, f * psi_im)
+            if m == degrees.start:
+                en, ed = self.eps.eval(i).as_integer_ratio()
+                re, im = self.psi_re.eval(i), self.psi_im.eval(i)
+                pn, pd = en ** m, ed ** m
+            else:
+                pn *= en
+                pd *= ed
+            n = f.numerator * pn
+            if not n:
+                yield m, _ZERO
+                continue
+            d = f.denominator * pd
+            yield m, (Q(n * re.numerator, d * re.denominator) if re else _ZERO[0],
+                      Q(n * im.numerator, d * im.denominator) if im else _ZERO[0])
 
     def in_range(self, m: int, i: int) -> bool:
         if self.lo is not None and m <= self.lo.value(i):

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from hyperpoly import classify
 from hyperpoly.families import labeled_family, random_bounded_pair
 from hyperpoly.hypernat import HyperNatural
-from hyperpoly.hypernum import HyperComplex
+from hyperpoly.hypernum import INFINITESIMAL_TOL, HyperComplex
 from hyperpoly.indexexpr import IndexExpr
 from hyperpoly.parser import bind_declarations, build_poly, parse
 from hyperpoly.classify import (
@@ -192,6 +192,24 @@ def test_family_verdict_digest():
     assert digest.hexdigest() == FAMILY_DIGEST
 
 
+# sha256 of the concatenated oracle report JSON of the families below,
+# captured before the oracle compared its values as integer pairs; horizons 4
+# and 5 sit on either side of the shortest window with a growth ratio
+ORACLE_DIGEST = "773e3ff09aa673c40cbdb622959bcfbd26f8e4099eca499b4408e854490fc967"
+
+
+def test_oracle_report_digest():
+    digest = hashlib.sha256()
+    for seed in (1, 101, 202, 9001):
+        for _, p in labeled_family(seed, 25):
+            for radius in (1, 4):
+                for horizon in (4, 5, 16, 24):
+                    rep = sampling_oracle(p, sample_count=4, radius=radius,
+                                          horizon=horizon, seed=7)
+                    digest.update(json.dumps(rep.to_json(), sort_keys=True).encode())
+    assert digest.hexdigest() == ORACLE_DIGEST
+
+
 @settings(max_examples=25, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1),
        scale=st.fractions(-50, 50, max_denominator=50).filter(lambda q: q != 0))
@@ -315,6 +333,27 @@ class TestSamplingOracle:
             assert rep.bounded.kind == rep.infinitesimal.kind == UNDETERMINED
             assert rep.bounded.witness == horizon
         assert sampling_oracle(P, sample_count=4, radius=3, horizon=7).bounded.decided
+
+    @pytest.mark.parametrize("base,kind,note", [
+        (2, "Holds", "max |P|^2 = 4.29497e+09 over window at radius 1"),
+        (3, "Fails", "value sequence grows at sampled point (radius 1)"),
+    ])
+    def test_growth_ratio_is_strict(self, base, kind, note):
+        # P_i = base^i: |P|^2 grows by exactly GROWTH_RATIO^2 = 4 at base 2,
+        # which is not growth; base 3 grows by 9
+        band = TailTerm((IndexExpr.const(1),), psi_re=IndexExpr.geometric(base))
+        P = StructuredPoly(1, HyperNatural.constant(0), tails=(band,))
+        rep = sampling_oracle(P, sample_count=4, radius=1, horizon=16)
+        assert (rep.bounded.kind, rep.bounded.note) == (kind, note)
+
+    @pytest.mark.parametrize("scale,kind", [(Q(1), "Fails"), (Q(999999, 1000000), "Holds")])
+    def test_tolerance_is_strict(self, scale, kind):
+        # P_i = INFINITESIMAL_TOL exactly: |P|^2 equals the squared tolerance,
+        # which is not below it
+        c = IndexExpr.const(Q(INFINITESIMAL_TOL) * scale)
+        P = StructuredPoly(1, HyperNatural.constant(0), tails=(TailTerm((c,)),))
+        rep = sampling_oracle(P, sample_count=4, radius=1, horizon=16)
+        assert (rep.bounded.kind, rep.infinitesimal.kind) == ("Holds", kind)
 
     def test_unbounded_confirmation_radius_sweep(self):
         geom = truncated_geometric(D_I)

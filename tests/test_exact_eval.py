@@ -9,6 +9,7 @@ builds must list its keys in their order.
 import itertools
 import random
 from fractions import Fraction as Q
+from unittest.mock import patch
 
 import pytest
 from hypothesis import given, settings
@@ -30,6 +31,7 @@ from hyperpoly.interpoly import (
     mi_sub,
     multi_indices_of_degree,
     partial_derivative,
+    poly_add,
     poly_mul,
     scalar_mul,
     theta,
@@ -156,6 +158,103 @@ def test_window_matches_reference_on_labeled_family(seed):
 def test_window_matches_reference_on_drawn_families(seed, radius):
     for _, p in labeled_family(seed, 6):
         assert_window_matches(p, _oracle_points(p.n, Q(radius), 2, seed), 12, pairs=False)
+
+
+# ---------------------------------------------------------------------------
+# band values: running integer powers against three Fraction products
+# ---------------------------------------------------------------------------
+
+def reference_values(t, degrees, i):
+    """``phi(m) * eps(i) ** m * psi(i)``, read in the order of the band rule."""
+    for m in degrees:
+        f = t.phi_at(m) * t.eps.eval(i) ** m
+        yield m, (f * t.psi_re.eval(i), f * t.psi_im.eval(i))
+
+
+def _drain(thunk):
+    """``repr`` of what ``thunk()`` yields, up to and including its error."""
+    out = []
+    try:
+        for item in thunk():
+            out.append(item)
+    except ZeroDivisionError as e:
+        out.append(e)
+    return repr(out)
+
+
+def assert_band_values_match(make, indices=range(1, 8)):
+    """The bands of ``make()`` and each materialization, keys in order,
+    against a fresh ``make()`` under the reference rule."""
+    got = make()
+    with patch.object(TailTerm, "values", reference_values):
+        want = [[_drain(lambda: [p.materialize(i)]) for i in indices] for p in make()]
+    assert [[_drain(lambda: [p.materialize(i)]) for i in indices] for p in got] == want
+    for p in got:
+        for t in getattr(p, "tails", ()):
+            for i in indices:
+                for degrees in (range(0, 10), range(3, 8), range(4, 4)):
+                    assert _drain(lambda: t.values(degrees, i)) == _drain(
+                        lambda: reference_values(t, degrees, i))
+                for m in range(6):
+                    assert _drain(lambda: [t.value(m, i)]) == _drain(
+                        lambda: [v for _, v in reference_values(t, range(m, m + 1), i)])
+
+
+@settings(max_examples=8, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_band_values_match_reference_on_drawn_families(seed):
+    def make():
+        rng = random.Random(seed)
+        polys = [p for _, p in labeled_family(seed, 8)]
+        for _ in range(3):
+            p, q = random_bounded_pair(rng)
+            polys += [p, q, poly_add(p, q)]
+        return polys
+    assert_band_values_match(make)
+
+
+_PHIS = [(IndexExpr.const(1),), (I() - 2,), (1 / IndexExpr.factorial(),),
+         (IndexExpr.const(1), IndexExpr.const(0), IndexExpr.const(-1), IndexExpr.const(0)),
+         (1 / (I() - 3),)]
+# a negative ratio, eps(1) = 0 (so only degree 0 lives there), a pole at i = 2
+_EPSS = [IndexExpr.const(Q(-3, 2)), I() - 1, 1 / I(), IndexExpr.geometric(Q(2, 3)),
+         1 / (I() - 2)]
+_PSIS = [IndexExpr.const(1), I(), IndexExpr.geometric(-2), IndexExpr.const(Q(-5, 7)),
+         1 / ((I() - 1) * (I() - 2))]
+
+
+@settings(max_examples=40, deadline=None)
+@given(phi=st.sampled_from(_PHIS), eps=st.sampled_from(_EPSS), psi=st.sampled_from(_PSIS),
+       lo=st.sampled_from([None, HyperNatural.constant(1)]))
+def test_band_values_match_reference_on_hand_built_bands(phi, eps, psi, lo):
+    def make():
+        band = TailTerm(phi, eps, psi, IndexExpr.const(0), lo)
+        p = StructuredPoly(1, D_I, tails=(band,))
+        short = StructuredPoly(1, HyperNatural.constant(2), {
+            (0,): HyperComplex.from_rational(Q(1, 3)),
+            (2,): HyperComplex(IndexExpr.const(2), 1 / I()),
+        })
+        return [
+            p,
+            StructuredPoly(2, D_I, tails=(band,)),
+            scalar_mul(HyperComplex(IndexExpr.const(0), IndexExpr.const(1)), p),
+            poly_mul(p, short),   # psi / eps^k tails
+            partial_derivative(p, (1,)),
+            partial_derivative(p, (2,)),
+        ]
+    assert_band_values_match(make)
+
+
+def test_band_value_is_the_one_term_range():
+    t = TailTerm((IndexExpr.const(1),), I() - 1, I())
+    # eps(1) = 0: degree 0 keeps 0^0 = 1, higher degrees vanish
+    assert t.value(0, 1) == (Q(1), Q(0))
+    assert list(t.values(range(0, 3), 1)) == [(0, (Q(1), Q(0))), (1, (Q(0), Q(0))),
+                                              (2, (Q(0), Q(0)))]
+    t = TailTerm((IndexExpr.const(1),), IndexExpr.const(Q(-3, 2)), IndexExpr.const(0),
+                 IndexExpr.const(Q(2, 5)))
+    assert [t.value(m, 1) for m in range(3)] == [
+        (Q(0), Q(2, 5)), (Q(0), Q(-3, 5)), (Q(0), Q(9, 10))]
 
 
 # ---------------------------------------------------------------------------
