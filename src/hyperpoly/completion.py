@@ -14,7 +14,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import product as iproduct
+from math import lcm, prod
 from typing import Union
 
 from .config import HORIZON
@@ -101,15 +103,24 @@ class FieldPoly:
             self.field, self.n, {nu: v * c for nu, v in self.coeffs}
         )
 
+    @cached_property
+    def _over_lcm(self) -> tuple:
+        """Integer coefficients over their lcm ``L``; the top exponent ``E_v`` of used ``v``."""
+        den = lcm(*(Q(c).denominator for _, c in self.coeffs))
+        tops = [(v, max((nu[v] for nu, _ in self.coeffs), default=0)) for v in range(self.n)]
+        return den, [t for t in tops if t[1]], [(nu, int(c * den)) for nu, c in self.coeffs]
+
     def eval_at(self, point) -> "Fraction | int":
-        total = 0
-        for nu, c in self.coeffs:
-            term = c
-            for var, e in enumerate(nu):
-                if e:
-                    term = term * point[var] ** e
-            total = total + term
-        return _normalize(self.field, total) if self.field != "Q" else Q(total)
+        """The value over the one denominator ``L prod q_v^E_v`` at ``x_v = p_v/q_v``."""
+        den, tops, terms = self._over_lcm
+        xs = [(v, point[v].numerator, point[v].denominator, e) for v, e in tops]
+        num = 0
+        for nu, a in terms:
+            for v, p, q, e in xs:
+                a *= p ** nu[v] * q ** (e - nu[v])
+            num += a
+        value = Q(num, den * prod(q ** e for _, _, q, e in xs))
+        return value if self.field == "Q" else _normalize(self.field, value)
 
     def is_zero(self) -> bool:
         return not self.coeffs

@@ -19,9 +19,10 @@ exactly those of term-by-term rational arithmetic.
   written over a common denominator ``D``; scaled by ``D^(top - |nu|)``,
   every term is an integer, and each value one ``(re, im, den)`` triple.
 
-``completion.FieldPoly`` (over Q and F_p) stays outside: through
-:func:`evaluate` its dense power tables made it slower.  So does the torus
-quadrature in ``classify``, which samples in complex floats.
+``completion.FieldPoly.eval_at`` (over Q and F_p) sums over one denominator
+too, but without :func:`evaluate`, whose dense power tables would build every
+power below a sparse residue's ``X^80``.  The torus quadrature in
+``classify`` samples in complex floats and stays outside.
 """
 
 from __future__ import annotations

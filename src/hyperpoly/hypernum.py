@@ -335,7 +335,7 @@ def _classify_numeric(x: HyperComplex, h: int) -> Classification:
     for i in range(1, h + 1):
         try:
             vals.append(abs(complex(x.gen(i))))
-        except ZeroDivisionError:
+        except (ZeroDivisionError, OverflowError):  # past the float range: infinite
             vals.append(float("inf"))
     quarter = vals[3 * h // 4:]
     if all(v < INFINITESIMAL_TOL for v in quarter):

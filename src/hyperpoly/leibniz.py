@@ -30,6 +30,7 @@ from .hypernat import HyperNatural
 from .interpoly import (
     InternalPolynomial,
     StructuredPoly,
+    mi_sub,
     mi_total,
     partial_derivative,
     poly_add,
@@ -190,9 +191,13 @@ def delta(f: InternalPolynomial) -> DiffElement:
     max_total = _derivative_support_cap(f)
     from .interpoly import multi_indices_of_degree
 
+    # d^mu f is d^(mu - e_v) f derived once more in mu's last variable v.
+    derived = {(0,) * n: f}
     for m in range(1, max_total + 1):
         for mu in multi_indices_of_degree(n, m):
-            d = partial_derivative(f, mu)
+            v = max(t for t in range(n) if mu[t])
+            e_v = tuple(int(t == v) for t in range(n))
+            d = derived[mu] = partial_derivative(derived[mi_sub(mu, e_v)], e_v)
             if isinstance(d, StructuredPoly) and not d.explicit and not d.tails and not d.tops:
                 continue
             slices[mu] = scalar_mul(Q(1, _mi_factorial(mu)), d)
@@ -218,9 +223,11 @@ def delta_directional(f: InternalPolynomial, var: int, depth: int) -> DiffElemen
     """
     n = f.n
     slices = {}
+    d = f
+    e_var = tuple(int(t == var) for t in range(n))
     for k in range(1, depth + 1):
         mu = tuple(k if t == var else 0 for t in range(n))
-        d = partial_derivative(f, mu)
+        d = partial_derivative(d, e_var)
         slices[mu] = scalar_mul(Q(1, _mi_factorial(mu)), d)
     return DiffElement(n, slices)
 

@@ -402,6 +402,15 @@ class TestEval:
             "command": "eval", "schema": 1, "window": self.WINDOW,
         }
 
+    def test_growth_past_the_float_range_reads_undetermined(self):
+        # From index ~205 on, 1 + 2^i + ... + 2^5i is too large for a float:
+        # the window reads it as an infinite magnitude, not an OverflowError.
+        code, out = run_cli("eval", "sum(k=0..d, X^k)", "--d", "5", "--at", "2^i",
+                            "--horizon", "3200")
+        assert code == EXIT_UNDETERMINED
+        assert json.loads(out)["classification"] == {"class": "undetermined", "verdict": {
+            "kind": "Undetermined", "note": "window evidence inconclusive", "witness": 3200}}
+
     def test_power_of_a_band_prints_the_same_bytes(self):
         code, out = run_cli(
             "eval", "eps := 1/i; (sum(k=0..d, k*eps*X^k) - sum(k=0..2, 1*X^k))^3", "--at", "2")

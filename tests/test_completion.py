@@ -4,11 +4,14 @@ import random
 from fractions import Fraction as Q
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from hyperpoly.completion import (
     FieldPoly,
     ResidueTower,
     TowerError,
+    _normalize,
     enumerate_residues,
     finite_field_surjectivity_check,
     halo_membership,
@@ -162,3 +165,59 @@ class TestFiniteField:
 
     def test_residue_enumeration_count(self):
         assert sum(1 for _ in enumerate_residues(2, 2, 1)) == 2 ** 3  # 1, X, Y
+
+
+def reference_eval_at(g: FieldPoly, point):
+    """Term-by-term ``Fraction`` evaluation, the rule ``eval_at`` must agree with."""
+    total = 0
+    for nu, c in g.coeffs:
+        term = c
+        for var, e in enumerate(nu):
+            if e:
+                term = term * point[var] ** e
+        total = total + term
+    return _normalize(g.field, total) if g.field != "Q" else Q(total)
+
+
+@st.composite
+def field_polys_at_points(draw):
+    """A polynomial over Q or F_p, p <= 7, with residues up to X^80, at a point of
+    int and ``Fraction`` coordinates, possibly with extra coordinates."""
+    field = draw(st.sampled_from(["Q", 2, 3, 5, 7]))
+    n = draw(st.integers(1, 2))
+    coeff = (st.fractions(min_value=-20, max_value=20, max_denominator=12) if field == "Q"
+             else st.integers(-20, 20))
+    g = FieldPoly.make(field, n, draw(st.dictionaries(
+        st.tuples(*[st.integers(0, 80)] * n), coeff, max_size=4)))
+    coord = st.one_of(st.integers(-9, 9),
+                      st.fractions(min_value=-9, max_value=9, max_denominator=14))
+    return g, tuple(draw(st.lists(coord, min_size=n, max_size=n + 2)))
+
+
+class TestEvalAt:
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(case=field_polys_at_points())
+    @example(case=(FieldPoly.make("Q", 1, {}), (Q(1, 2),)))
+    @example(case=(FieldPoly.make(5, 2, {}), (Q(1, 5), 3)))
+    @example(case=(FieldPoly.make("Q", 2, {(80, 0): Q(1, 3), (0, 1): -2}), (0, Q(-7, 9))))
+    @example(case=(FieldPoly.make(7, 1, {(80,): 1, (3,): 2}), (Q(3, 2), 5, Q(1, 7))))
+    def test_matches_term_by_term_reference(self, case):
+        g, point = case
+        try:
+            want = reference_eval_at(g, point)
+        except TowerError as err:
+            with pytest.raises(TowerError) as got:
+                g.eval_at(point)
+            assert str(got.value) == str(err)
+            return
+        got = g.eval_at(point)
+        assert type(got) is type(want)
+        assert got == want
+
+    def test_denominator_divisible_by_p_raises(self):
+        g = FieldPoly.make(3, 1, {(2,): 1, (0,): 2})
+        with pytest.raises(TowerError) as err:
+            g.eval_at((Q(1, 3),))
+        assert str(err.value) == ("coefficient 19/9 has no value in F_3: "
+                                  "its denominator is divisible by 3")
+        assert g.eval_at((Q(1, 2),)) == 0

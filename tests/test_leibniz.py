@@ -1,17 +1,23 @@
 """The infinitesimal differential calculus: delta, I, phi, factorization."""
 
+import math
 import random
 from fractions import Fraction as Q
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hyperpoly.hypernat import HyperNatural
 from hyperpoly.hypernum import HyperComplex
 from hyperpoly.indexexpr import IndexExpr
+from hyperpoly.families import labeled_family
 from hyperpoly.interpoly import (
     StructuredPoly,
     TailTerm,
     constant,
+    multi_indices_of_degree,
+    partial_derivative,
     poly_mul,
     scalar_mul,
     variable,
@@ -22,6 +28,7 @@ from hyperpoly.leibniz import (
     FactorizationError,
     classify_scaled,
     delta,
+    delta_directional,
     derivation_check,
     factor_chain,
     in_I,
@@ -76,6 +83,70 @@ class TestDelta:
         xs = ((Q(1, 2), Q(0)), (Q(-2, 3), Q(1, 5)))
         dxs = ((Q(1, 7), Q(0)), (Q(0), Q(1, 9)))
         assert d.decomposition_identity_holds(range(1, 9), (xs, dxs))
+
+
+def spelled(p) -> str:
+    """A structured slice written out field by field: same text, same polynomial."""
+    def hc(c):
+        return repr(c.re), repr(c.im), c.prefix, c.tag
+
+    return repr((type(p).__name__, p.n, p.degree,
+                 [(nu, hc(c)) for nu, c in p.explicit.items()],
+                 p.tails, [(t.offset, hc(t.coeff)) for t in p.tops]))
+
+
+def reference_slice(f, mu):
+    """The Taylor slice d^mu f / mu!, derived from f itself."""
+    return scalar_mul(Q(1, math.prod(map(math.factorial, mu))), partial_derivative(f, mu))
+
+
+def reference_delta(f) -> dict:
+    """delta's slices as a derivation of each mu from f, vanishing ones left out."""
+    out = {}
+    for m in range(1, f.degree.intercept + 1):
+        for mu in multi_indices_of_degree(f.n, m):
+            d = partial_derivative(f, mu)
+            if d.explicit or d.tails or d.tops:
+                out[mu] = spelled(reference_slice(f, mu))
+    return out
+
+
+@st.composite
+def explicit_polys(draw):
+    """Univariate and bivariate explicit polynomials; a declared degree above the
+    true one, and mixed monomials in two variables, give vanishing slices."""
+    n = draw(st.integers(1, 2))
+    rational = st.fractions(min_value=-9, max_value=9, max_denominator=6)
+    coeffs = draw(st.dictionaries(st.tuples(*[st.integers(0, 4)] * n),
+                                  st.tuples(rational, rational), max_size=5))
+    deg = max((sum(nu) for nu in coeffs), default=0) + draw(st.integers(0, 2))
+    return StructuredPoly(n, HyperNatural.constant(deg), {
+        nu: HyperComplex.from_rational(re, im) for nu, (re, im) in coeffs.items()})
+
+
+class TestIncrementalSlices:
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(f=explicit_polys())
+    def test_delta_slices_match_per_mu_derivatives(self, f):
+        got = {mu: spelled(s) for mu, s in delta(f).slices.items()}
+        assert got == reference_delta(f)
+        assert list(got) == list(reference_delta(f))
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(f=explicit_polys(), depth=st.integers(1, 5))
+    def test_directional_slices_match_per_mu_derivatives(self, f, depth):
+        for var in range(f.n):
+            slices = delta_directional(f, var, depth).slices
+            for mu, s in slices.items():
+                assert spelled(s) == spelled(reference_slice(f, mu))
+
+    @settings(max_examples=15, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_directional_slices_of_bands_match(self, seed):
+        for _, p in labeled_family(seed, 3):
+            if p.n == 1:
+                for mu, s in delta_directional(p, 0, 3).slices.items():
+                    assert spelled(s) == spelled(reference_slice(p, mu))
 
 
 class TestMembership:
