@@ -15,6 +15,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 from typing import Callable, Iterator, Optional
 
 from .completion import FieldPoly
@@ -71,18 +72,6 @@ class RationalFunc:
     def is_zero(self) -> bool:
         return self.num.is_zero()
 
-    def mul(self, other: "RationalFunc") -> "RationalFunc":
-        return RationalFunc(self.num.mul(other.num), self.den.mul(other.den))
-
-    def add(self, other: "RationalFunc") -> "RationalFunc":
-        return RationalFunc(
-            self.num.mul(other.den).add(other.num.mul(self.den)),
-            self.den.mul(other.den),
-        )
-
-    def scale(self, c) -> "RationalFunc":
-        return RationalFunc(self.num.scale(c), self.den)
-
 
 @dataclass(frozen=True)
 class Parametrization:
@@ -111,30 +100,35 @@ class Parametrization:
         one_minus = qpoly(1, {(0,): 1, (2,): -1})
         one_plus = qpoly(1, {(0,): 1, (2,): 1})
         two_t = qpoly(1, {(1,): 2})
-        return Parametrization(
-            1,
-            (RationalFunc.of(one_minus, one_plus), RationalFunc.of(two_t, one_plus)),
-        )
+        return Parametrization(1, (RationalFunc.of(one_minus, one_plus),
+                                   RationalFunc.of(two_t, one_plus)))
 
     def point_at(self, params) -> tuple:
         return tuple(c.eval_at(params) for c in self.coords)
 
-    def compose(self, g: FieldPoly) -> RationalFunc:
-        """g restricted to the variety, as a rational function of the parameters."""
+    def vanishes_on_variety(self, g: FieldPoly) -> bool:
+        """Is g zero on the variety?  With x_v = p_v/q_v and E_v the top
+        exponent of X_v in g: is sum c_nu prod p_v^nu_v q_v^(E_v - nu_v) the
+        zero polynomial of the parameters?"""
         if g.n != self.n:
             raise ValueError("ambient arity mismatch")
-        zero = RationalFunc.of(qpoly(self.k, {}))
-        total = zero
+        one = qpoly(self.k, {(0,) * self.k: 1})
+        tables = []                 # (p_v powers, q_v powers, E_v) per coordinate
+        for v, x in enumerate(self.coords):
+            top = max((nu[v] for nu, _ in g.coeffs), default=0)
+            nums, dens = [one], [one]
+            for _ in range(top):
+                nums.append(nums[-1].mul(x.num))
+                dens.append(dens[-1].mul(x.den))
+            tables.append((nums, dens, top))
+        total: dict = {}
         for nu, c in g.coeffs:
-            term = RationalFunc.of(qpoly(self.k, {tuple([0] * self.k): c}))
-            for var, e in enumerate(nu):
-                for _ in range(e):
-                    term = term.mul(self.coords[var])
-            total = total.add(term)
-        return total
-
-    def vanishes_on_variety(self, g: FieldPoly) -> bool:
-        return self.compose(g).is_zero()
+            term = qpoly(self.k, {(0,) * self.k: c})
+            for e, (nums, dens, top) in zip(nu, tables):
+                term = term.mul(nums[e]).mul(dens[top - e])
+            for mu, a in term.coeffs:
+                total[mu] = total.get(mu, 0) + a
+        return not any(total.values())
 
 
 # ---------------------------------------------------------------------------
@@ -142,24 +136,16 @@ class Parametrization:
 # ---------------------------------------------------------------------------
 
 def rationals_by_height() -> Iterator[Fraction]:
-    """0, 1, -1, 2, -2, 1/2, -1/2, 3, ... : all rationals, height-ordered."""
+    """0, 1, -1, 1/2, -1/2, 2, -2, 1/3, ... : all rationals, height-ordered."""
     yield Q(0)
-    h = 1
-    while True:
-        out = []
-        for q in range(1, h + 1):
-            for p in range(-h, h + 1):
-                if p != 0 and max(abs(p), q) == h and _coprime(abs(p), q):
-                    out.append(Q(p, q))
-        for v in sorted(out, key=lambda x: (abs(x), x < 0, x.denominator)):
+    for h in itertools.count(1):
+        # height h by |x|: p/h for p < h, then h/q for q from h down to 1;
+        # each value before its negative
+        row = [Q(p, h) for p in range(1, h) if gcd(p, h) == 1]
+        row += [Q(h, q) for q in range(h, 0, -1) if gcd(h, q) == 1]
+        for v in row:
             yield v
-        h += 1
-
-
-def _coprime(a: int, b: int) -> bool:
-    import math
-
-    return math.gcd(a, b) == 1
+            yield -v
 
 
 def param_grid(k: int) -> Iterator[tuple]:
@@ -210,15 +196,6 @@ def integer_poly_corpus(n: int, height: int) -> Iterator[FieldPoly]:
 # ---------------------------------------------------------------------------
 
 @dataclass
-class ConstraintStream:
-    """Equalities (must vanish) and a deterministic avoidance enumeration."""
-
-    equalities: list            # FieldPoly, vanish on the variety
-    avoidances: Callable[[], Iterator[FieldPoly]]
-    halo_center: Optional[tuple] = None
-
-
-@dataclass
 class LogEntry:
     kind: str                   # equality | avoidance | halo
     description: str
@@ -233,7 +210,6 @@ class LazyHyperPoint:
         self._gen = generator
         self._log_fn = log_fn
         self._points: dict[int, tuple] = {}
-        self._logs: dict[int, list[LogEntry]] = {}
 
     def point(self, i: int) -> tuple:
         if i not in self._points:
@@ -243,10 +219,8 @@ class LazyHyperPoint:
     def log(self, i: int) -> list[LogEntry]:
         if self._log_fn is None:
             return []
-        if i not in self._logs:
-            self.point(i)
-            self._logs[i] = self._log_fn(i)
-        return self._logs[i]
+        self.point(i)
+        return self._log_fn(i)
 
     @staticmethod
     def constant(values: tuple) -> "LazyHyperPoint":
@@ -262,57 +236,68 @@ def generic_point(
     """The schedule: at index i, satisfy the first i filtered avoidances.
 
     Corpus elements vanishing identically on the variety are skipped (the
-    check composes them with the parametrization and tests the result
-    symbolically).  With a halo center, the point additionally stays within
-    1/i of it; the search runs over height-ordered rational parameters and
-    reports the obstructing constraint set on exhaustion.
+    test clears the parametrization's denominators and is exact).  With a
+    halo center, the point additionally stays within 1/i of it; the search
+    runs over height-ordered rational parameters and reports the obstructing
+    constraint set, or the halo when no tried point lay in it, on exhaustion.
     """
     center = tuple(Q(c) for c in halo_center) if halo_center is not None else None
     filtered_cache: list[FieldPoly] = []
-    corpus_iter = [corpus_factory()]
+    corpus = corpus_factory()
     logs: dict[int, list[LogEntry]] = {}
 
     def filtered_prefix(count: int) -> list[FieldPoly]:
         while len(filtered_cache) < count:
-            g = next(corpus_iter[0])
+            g = next(corpus)
             if not param.vanishes_on_variety(g):
                 filtered_cache.append(g)
         return filtered_cache[:count]
 
     def gen(i: int) -> tuple:
         constraints = filtered_prefix(i)
-        budget = GENERIC_HEIGHT_CAP * max(1, i)
-        tried = 0
-        for params in param_grid(param.k):
-            tried += 1
-            if tried > budget * 40:
-                break
-            try:
-                pt = param.point_at(params)
-            except ZeroDivisionError:
-                continue
-            entries: list[LogEntry] = []
-            if center is not None:
-                dist2 = sum((a - b) ** 2 for a, b in zip(pt, center))
-                if dist2 > Q(1, i * i):
-                    continue
-                entries.append(LogEntry("halo", f"|x - center|^2 = {dist2} <= 1/{i * i}"))
-            ok = True
-            for g in constraints:
-                v = g.eval_at(pt)
-                if v == 0:
-                    ok = False
-                    break
-                entries.append(
-                    LogEntry("avoidance", _fmt_poly(g), margin_squared=v * v)
-                )
-            if not ok:
-                continue
-            logs[i] = entries
-            return pt
-        raise GridExhausted(i, [_fmt_poly(g) for g in constraints])
+        halo = None if center is None else (center, Q(1, i * i))
+        pt, values = _avoiding_point(
+            param, constraints, GENERIC_HEIGHT_CAP * max(1, i) * 40, i, halo)
+        entries = []
+        if center is not None:
+            entries.append(LogEntry(
+                "halo", f"|x - center|^2 = {_dist2(pt, center)} <= 1/{i * i}"))
+        entries += [LogEntry("avoidance", _fmt_poly(g), margin_squared=v * v)
+                    for g, v in zip(constraints, values)]
+        logs[i] = entries
+        return pt
 
     return LazyHyperPoint(param.n, gen, log_fn=lambda i: logs.get(i, []))
+
+
+def _avoiding_point(param, polys, tries, index, halo=None) -> tuple:
+    """The first of ``tries`` grid points, off the poles and inside the halo
+    ``(center, r^2)`` if one is given, where no poly of ``polys`` vanishes;
+    returned with the values of ``polys`` there."""
+    inside = False
+    for params in itertools.islice(param_grid(param.k), tries):
+        try:
+            pt = param.point_at(params)
+        except ZeroDivisionError:
+            continue
+        if halo is not None and _dist2(pt, halo[0]) > halo[1]:
+            continue
+        inside = True
+        values = []
+        for g in polys:
+            v = g.eval_at(pt)
+            if v == 0:
+                break
+            values.append(v)
+        else:
+            return pt, values
+    if halo is not None and not inside:
+        raise GridExhausted(index, [f"halo |x - center|^2 <= {halo[1]}"])
+    raise GridExhausted(index, [_fmt_poly(g) for g in polys])
+
+
+def _dist2(pt: tuple, center: tuple) -> Fraction:
+    return sum((a - b) ** 2 for a, b in zip(pt, center))
 
 
 def _fmt_poly(g: FieldPoly) -> str:
@@ -351,11 +336,8 @@ def id_of_point(
     x: LazyHyperPoint, candidates: list[FieldPoly], horizon: int = HORIZON
 ) -> list[FieldPoly]:
     """The candidates vanishing exactly at every sampled index."""
-    out = []
-    for f in candidates:
-        if all(f.eval_at(x.point(i)) == 0 for i in range(1, horizon + 1)):
-            out.append(f)
-    return out
+    return [f for f in candidates
+            if all(f.eval_at(x.point(i)) == 0 for i in range(1, horizon + 1))]
 
 
 def evaluation_embedding_check(
@@ -369,28 +351,20 @@ def evaluation_embedding_check(
     When a parametrization is supplied, pairwise distinctness modulo the
     variety is verified symbolically first.
     """
+    diffs = [(a, b, residues[a].add(residues[b].scale(-1)))
+             for a, b in itertools.combinations(range(len(residues)), 2)]
     if param is not None:
-        for a in range(len(residues)):
-            for b in range(a + 1, len(residues)):
-                diff = residues[a].add(residues[b].scale(-1))
-                if param.vanishes_on_variety(diff):
-                    raise ValueError(
-                        f"residues {a} and {b} coincide on the variety"
-                    )
+        for a, b, diff in diffs:
+            if param.vanishes_on_variety(diff):
+                raise ValueError(f"residues {a} and {b} coincide on the variety")
     if len(residues) < 2:
         return Verdict(HOLDS, 1, "fewer than two residues: vacuous")
     worst = 1
-    for a in range(len(residues)):
-        for b in range(a + 1, len(residues)):
-            diff = residues[a].add(residues[b].scale(-1))
-            v = eventually(
-                lambda i, d=diff: d.eval_at(x.point(i)) != 0, horizon
-            )
-            if not v.holds():
-                return Verdict(
-                    v.kind, v.witness, f"pair ({a}, {b}) not separated"
-                )
-            worst = max(worst, v.witness)
+    for a, b, diff in diffs:
+        v = eventually(lambda i, d=diff: d.eval_at(x.point(i)) != 0, horizon)
+        if not v.holds():
+            return Verdict(v.kind, v.witness, f"pair ({a}, {b}) not separated")
+        worst = max(worst, v.witness)
     return Verdict(HOLDS, worst, f"all {len(residues)} residues separated")
 
 
@@ -411,35 +385,13 @@ def nullstellensatz_witness(
     """
     for f in gens:
         if not param.vanishes_on_variety(f):
-            raise ValueError(
-                f"parametrization does not cover Z({_fmt_poly(f)})"
-            )
+            raise ValueError(f"parametrization does not cover Z({_fmt_poly(f)})")
     for g in witnesses:
         if param.vanishes_on_variety(g):
-            raise ValueError(
-                f"witness {_fmt_poly(g)} vanishes identically on the variety"
-            )
+            raise ValueError(f"witness {_fmt_poly(g)} vanishes identically on the variety")
     out = []
     for ell in range(1, len(witnesses) + 1):
-        prefix = witnesses[:ell]
-        found = None
-        tried = 0
-        for params in param_grid(param.k):
-            tried += 1
-            if tried > WITNESS_HEIGHT_CAP:
-                break
-            try:
-                pt = param.point_at(params)
-            except ZeroDivisionError:
-                continue
-            if all(g.eval_at(pt) != 0 for g in prefix):
-                found = pt
-                break
-        if found is None:
-            blockers = [
-                _fmt_poly(g) for g in prefix
-            ]
-            raise GridExhausted(ell, blockers)
+        found, _ = _avoiding_point(param, witnesses[:ell], WITNESS_HEIGHT_CAP, ell)
         for f in gens:
             assert f.eval_at(found) == 0
         out.append(found)

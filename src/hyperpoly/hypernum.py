@@ -125,8 +125,7 @@ class HyperComplex:
 
     def value(self, i: int) -> complex:
         if self.symbolic:
-            re, im = self.value_exact(i)
-            return complex(re, im)
+            return exact_complex(*self.value_exact(i))
         return complex(self.gen(i))
 
     def is_zero_expr(self) -> bool:
@@ -279,6 +278,17 @@ def classify_magnitude(x: HyperComplex) -> Classification:
 def standard_part(x: HyperComplex):
     """Module-level spelling of :meth:`HyperComplex.standard_part`."""
     return coerce(x).standard_part()
+
+
+def exact_complex(re, im) -> complex:
+    """``re + im*i`` as a complex; a part past the float range reads as +-inf."""
+    parts = []
+    for x in (re, im):
+        try:
+            parts.append(float(x))
+        except OverflowError:
+            parts.append(float("inf") if x > 0 else float("-inf"))
+    return complex(*parts)
 
 
 def coerce(x) -> HyperComplex:

@@ -27,7 +27,7 @@ from typing import Iterable, Iterator, Optional
 
 from .exacteval import dot, evaluate, integer_form, multiply
 from .hypernat import HyperNatural
-from .hypernum import HyperComplex, coerce as hc_coerce
+from .hypernum import HyperComplex, coerce as hc_coerce, exact_complex
 from .indexexpr import IndexExpr
 
 Q = Fraction
@@ -677,8 +677,7 @@ def poly_eval(p: InternalPolynomial, point: list) -> HyperComplex:
             else:
                 z = complex(x.value(i))
                 pt.append((Q(z.real), Q(z.imag)))
-        v = p.eval_exact(i, tuple(pt))
-        return complex(v[0], v[1])
+        return exact_complex(*p.eval_exact(i, tuple(pt)))
 
     return HyperComplex(gen=gen)
 

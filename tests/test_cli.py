@@ -254,6 +254,14 @@ class TestGeneric:
             assert x == first(t)
 
 
+    def test_far_halo_is_named_on_exhaustion(self):
+        code, out = run_cli("generic", "--param", "t -> t", "--halo", "1000000",
+                            "--indices", "1..1")
+        assert code == EXIT_ERROR
+        assert json.loads(out) == {
+            "error": "GridExhausted", "schema": 1,
+            "message": "grid exhausted at index 1; obstructed by ['halo |x - center|^2 <= 1']"}
+
     @pytest.mark.parametrize("height", ["0", "-2"])
     def test_corpus_height_below_one_exits_at_once(self, height):
         # a corpus of height below 1 holds no polynomial; searching it never
@@ -410,6 +418,17 @@ class TestEval:
         assert code == EXIT_UNDETERMINED
         assert json.loads(out)["classification"] == {"class": "undetermined", "verdict": {
             "kind": "Undetermined", "note": "window evidence inconclusive", "witness": 3200}}
+
+    @pytest.mark.parametrize("argv,code,label", [
+        (("X^2", "--at", "2^600"), EXIT_OK, "appreciable"),
+        (("sum(k=0..d, X^k)", "--d", "5", "--at", "2^300"), EXIT_UNDETERMINED, "undetermined"),
+    ], ids=["symbolic", "band"])
+    def test_window_past_the_float_range_reads_inf(self, argv, code, label):
+        got, out = run_cli("eval", *argv)
+        assert got == code
+        rep = json.loads(out)
+        assert rep["classification"]["class"] == label
+        assert rep["window"] == ["(inf+0j)"] * 5
 
     def test_power_of_a_band_prints_the_same_bytes(self):
         code, out = run_cli(
