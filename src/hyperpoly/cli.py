@@ -1,16 +1,18 @@
 """The ``hyperpoly`` command line.
 
-Each subcommand parses its expression arguments with the shared grammar,
-dispatches into the computation modules, and returns one JSON report (schema
-version 1) with its exit code; ``main`` alone prints the report on stdout.
-Exit codes: 0 for decided verdicts, 2 when the answer is Undetermined, 1 for
-errors.  All randomness flows from --seed; runs with the same arguments and
-seed are byte-identical.
+Each subcommand accepts only the flags it reads (``COMMANDS``), parses its
+expression arguments with the shared grammar, dispatches into the computation
+modules, and returns one JSON report (schema version 1) with its exit code;
+``main`` alone prints the report on stdout.  Exit codes: 0 for decided
+verdicts, 2 when the answer is Undetermined, 1 for errors, a malformed
+command line included.  All randomness flows from ``classify --seed``; runs
+with the same arguments are byte-identical.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -318,119 +320,112 @@ def _cmd_kochen(args, horizon: int) -> tuple[dict, int]:
     return report, EXIT_OK if bijective and prime_to_ultra else EXIT_ERROR
 
 
+class UsageError(ValueError):
+    """A malformed command line: an unknown or unread flag, a missing
+    argument, or a value of the wrong type."""
+
+
+class _ArgumentParser(argparse.ArgumentParser):
+    def error(self, message):
+        raise UsageError(f"{self.prog}: {message}")
+
+
+# the argparse keywords of each argument; `--field` and `--indices` mean
+# different things to different commands, so their rows give their own
+_FLAGS = {
+    "expr": {}, "f": {}, "g": {},
+    "--d": {"help": "hypernatural binding for the name 'd'"},
+    "--horizon": {"type": int},
+    "--order": {"type": int, "default": 12},
+    "--radius": {"type": Fraction, "default": Fraction(1)},
+    "--samples": {"type": int, "default": 16},
+    "--seed": {"type": int, "default": 0},
+    "--tol": {"type": float, "default": 1e-9},
+    "--oracle": {"action": "store_true", "help": "always include the sampling-oracle report"},
+    "--dump-index": {"type": int, "help": "include the materialized polynomial at this index"},
+    "--at": {"default": "1"},
+    "--levels": {"required": True, "help": "JSON file: list of polynomial strings"},
+    "--param": {"required": True},
+    "--corpus": {"default": "heights:3"},
+    "--halo": {},
+    "--index-size": {"type": int, "default": 3},
+    "--enumerate": {"action": "store_true",
+                    "help": "accepted for compatibility; enumeration is always exhaustive"},
+}
+
+# name, function, help, and the arguments the command reads
+COMMANDS = (
+    ("classify", _cmd_classify, "boundedness class of an internal polynomial",
+     ("expr", "--d", "--oracle", "--dump-index", "--radius", "--samples", "--seed", "--horizon")),
+    ("stdpart", _cmd_stdpart, "coefficientwise standard part", ("expr", "--d", "--order")),
+    ("zeros", _cmd_zeros, "roots against the standard part's zeros",
+     ("expr", "--d", "--radius", ("--indices", {"default": "10,20,40"}), "--tol")),
+    ("eval", _cmd_eval, "evaluate at a sequence point", ("expr", "--d", "--at", "--horizon")),
+    ("delta", _cmd_delta, "infinitesimal increment expansion", ("expr", "--d")),
+    ("phi", _cmd_phi, "1-form image of a differential element", ("expr", "--d", "--order")),
+    ("derivation-check", _cmd_derivation_check, "Leibniz rule modulo I^2", ("f", "g", "--d")),
+    ("lift", _cmd_lift, "lift a residue tower", (("--field", {"default": "q"}), "--levels")),
+    ("generic", _cmd_generic, "generic point with constraint log",
+     ("--param", "--corpus", "--halo", ("--indices", {"default": "1..10"}))),
+    ("kochen", _cmd_kochen, "ideal/filter dictionary, exhaustively",
+     ("--index-size", ("--field", {"type": int, "default": 2}), "--enumerate")),
+)
+
+
+@functools.cache
 def build_arg_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    """The parser of every command, built once per process: parsing does not
+    change it."""
+    ap = _ArgumentParser(
         prog="hyperpoly",
         description="hyperfinite-degree polynomial calculus over sequence-model "
                     "hypercomplex numbers",
     )
     sub = ap.add_subparsers(dest="subcommand", required=True)
-
-    def common(p):
-        p.add_argument("--horizon", type=int, default=None)
-        p.add_argument("--tol", type=float, default=1e-9)
-        p.add_argument("--order", type=int, default=12)
-        p.add_argument("--radius", type=Fraction, default=Fraction(1))
-        p.add_argument("--samples", type=int, default=16)
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--d", type=str, default=None,
-                       help="hypernatural binding for the name 'd'")
+    for name, fn, help_text, flags in COMMANDS:
+        p = sub.add_parser(name, help=help_text)
+        for flag in flags:
+            flag, kwargs = (flag, _FLAGS[flag]) if isinstance(flag, str) else flag
+            p.add_argument(flag, **kwargs)
         p.add_argument("--pretty", action="store_true")
-
-    p = sub.add_parser("classify", help="boundedness class of an internal polynomial")
-    p.add_argument("expr")
-    p.add_argument("--oracle", action="store_true",
-                   help="always include the sampling-oracle report")
-    p.add_argument("--dump-index", type=int, default=None,
-                   help="include the materialized polynomial at this index")
-    common(p)
-    p.set_defaults(fn=_cmd_classify)
-
-    p = sub.add_parser("stdpart", help="coefficientwise standard part")
-    p.add_argument("expr")
-    common(p)
-    p.set_defaults(fn=_cmd_stdpart)
-
-    p = sub.add_parser("zeros", help="roots against the standard part's zeros")
-    p.add_argument("expr")
-    p.add_argument("--indices", type=str, default="10,20,40")
-    common(p)
-    p.set_defaults(fn=_cmd_zeros)
-
-    p = sub.add_parser("eval", help="evaluate at a sequence point")
-    p.add_argument("expr")
-    p.add_argument("--at", type=str, default="1")
-    common(p)
-    p.set_defaults(fn=_cmd_eval)
-
-    p = sub.add_parser("delta", help="infinitesimal increment expansion")
-    p.add_argument("expr")
-    common(p)
-    p.set_defaults(fn=_cmd_delta)
-
-    p = sub.add_parser("phi", help="1-form image of a differential element")
-    p.add_argument("expr")
-    common(p)
-    p.set_defaults(fn=_cmd_phi)
-
-    p = sub.add_parser("derivation-check", help="Leibniz rule modulo I^2")
-    p.add_argument("f")
-    p.add_argument("g")
-    common(p)
-    p.set_defaults(fn=_cmd_derivation_check)
-
-    p = sub.add_parser("lift", help="lift a residue tower")
-    p.add_argument("--field", type=str, default="q")
-    p.add_argument("--levels", type=str, required=True,
-                   help="JSON file: list of polynomial strings")
-    common(p)
-    p.set_defaults(fn=_cmd_lift)
-
-    p = sub.add_parser("generic", help="generic point with constraint log")
-    p.add_argument("--param", type=str, required=True)
-    p.add_argument("--corpus", type=str, default="heights:3")
-    p.add_argument("--halo", type=str, default=None)
-    p.add_argument("--indices", type=str, default="1..10")
-    common(p)
-    p.set_defaults(fn=_cmd_generic)
-
-    p = sub.add_parser("kochen", help="ideal/filter dictionary, exhaustively")
-    p.add_argument("--index-size", type=int, default=3)
-    p.add_argument("--field", type=int, default=2)
-    p.add_argument("--enumerate", action="store_true",
-                   help="accepted for compatibility; enumeration is always exhaustive")
-    common(p)
-    p.set_defaults(fn=_cmd_kochen)
-
+        p.set_defaults(fn=fn)
     return ap
 
 
-def _execute(args) -> tuple[dict, int]:
-    """Resolve the horizon, check the shared flags, run the parsed command, and
-    map its errors.
+def _execute(argv) -> tuple[dict, int, bool]:
+    """Parse ``argv``, resolve the horizon, check the flag ranges, run the
+    command, and map its errors.
 
-    The horizon is ``--horizon``, else ``HYPERPOLY_HORIZON``, else 64.  Parse
-    and bind errors report as ``"parse"``, any other handled error by its
-    type name, with exit code 1.
+    Returns the report, its exit code and whether ``--pretty`` was given.  The
+    horizon is ``--horizon``, else ``HYPERPOLY_HORIZON``, else 64.  Parse and
+    bind errors report as ``"parse"``, any other handled error (a malformed
+    command line is a ``UsageError``) by its type name, with exit code 1.
     """
+    pretty = False
     try:
+        args, unread = build_arg_parser().parse_known_args(argv)
+        pretty = args.pretty
+        if unread:
+            raise UsageError(f"hyperpoly {args.subcommand}: unrecognized arguments: "
+                             + " ".join(unread))
+        given = vars(args)
         horizon = default_horizon()
-        if args.horizon is not None:
+        if given.get("horizon") is not None:
             horizon = args.horizon
-        for rule, ok in (("--horizon >= 1", args.horizon is None or args.horizon >= 1),
-                         ("--order >= 0", args.order >= 0),
-                         ("--radius > 0", args.radius > 0),
-                         ("--samples >= 1", args.samples >= 1)):
-            if not ok:
-                raise ValueError(f"need {rule}")
+        for name, rule, ok in (("horizon", ">= 1", lambda v: v >= 1),
+                               ("order", ">= 0", lambda v: v >= 0),
+                               ("radius", "> 0", lambda v: v > 0),
+                               ("samples", ">= 1", lambda v: v >= 1)):
+            if given.get(name) is not None and not ok(given[name]):
+                raise ValueError(f"need --{name} {rule}")
         report, code = args.fn(args, horizon)
-    # ParseError, BindError, TowerError and DnCertificateError are
+    # ParseError, BindError, TowerError, DnCertificateError and UsageError are
     # ValueErrors; StandardPartError and ZeroDivisionError ArithmeticErrors;
     # OSError is an unreadable --levels file, RecursionError too deep an expression
     except (ValueError, ArithmeticError, OSError, RecursionError, GridExhausted) as exc:
         label = "parse" if isinstance(exc, (ParseError, BindError)) else type(exc).__name__
         report, code = {"error": label, "message": str(exc)}, EXIT_ERROR
-    return {"schema": SCHEMA, **report}, code
+    return {"schema": SCHEMA, **report}, code, pretty
 
 
 def run(text: str, extra_args: tuple = ()) -> tuple[dict, int]:
@@ -448,14 +443,13 @@ def run(text: str, extra_args: tuple = ()) -> tuple[dict, int]:
         Program(program.declarations, None, program.expression)
     )
     argv = [program.command] + ([body] if body else []) + list(extra_args)
-    return _execute(build_arg_parser().parse_args(argv))
+    return _execute(argv)[:2]
 
 
 def main(argv=None) -> int:
-    args = build_arg_parser().parse_args(sys.argv[1:] if argv is None else argv)
-    report, code = _execute(args)
+    report, code, pretty = _execute(sys.argv[1:] if argv is None else argv)
     try:
-        print(json.dumps(report, indent=2 if args.pretty else None, sort_keys=True))
+        print(json.dumps(report, indent=2 if pretty else None, sort_keys=True))
         sys.stdout.flush()
     except BrokenPipeError:
         # the reader closed the pipe; send the interpreter's exit flush to

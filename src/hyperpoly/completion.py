@@ -74,9 +74,6 @@ class FieldPoly:
                 norm[tuple(nu)] = c
         return FieldPoly(field, n, tuple(sorted(norm.items())))
 
-    def to_dict(self) -> dict:
-        return dict(self.coeffs)
-
     def truncate(self, degree: int) -> "FieldPoly":
         """Residue mod m^(degree+1): drop total degrees above ``degree``."""
         return FieldPoly.make(

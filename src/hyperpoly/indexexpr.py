@@ -379,10 +379,6 @@ class SeqGrowth:
     limit: Optional[Fraction]
     parity: tuple[tuple[str, Optional[Fraction]], tuple[str, Optional[Fraction]]]
 
-    @property
-    def has_limit(self) -> bool:
-        return self.limit is not None or self.kind == "zero"
-
 
 def quotient_growth(num: Form, den: Form) -> SeqGrowth:
     num_classes = _classes(num)
@@ -590,10 +586,6 @@ class IndexExpr:
                 break
             t -= 1
         return t
-
-    def defined_threshold(self) -> Optional[int]:
-        """Certified t with self(i) defined (denominator nonzero) for i >= t."""
-        return nonzero_threshold(self.den)
 
     def __repr__(self):
         return f"IndexExpr({_fmt_form(self.num)} / {_fmt_form(self.den)})"

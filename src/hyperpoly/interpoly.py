@@ -378,6 +378,11 @@ class ProductPoly(InternalPolynomial):
     def _coeff(self, nu: MultiIndex) -> HyperComplex:
         return _box_convolution(self.p.coeff, self.q.coeff, nu)
 
+    def eval_exact(self, i: int, point: tuple[Pair, ...]) -> Pair:
+        # the product of the factors' values; the expansion is never built
+        (a, b), (c, d) = self.p.eval_exact(i, point), self.q.eval_exact(i, point)
+        return (a * c - b * d, a * d + b * c)
+
 
 class LazyPoly(InternalPolynomial):
     """Materialization-defined polynomial (homogenization, dehomogenization)."""
@@ -750,13 +755,7 @@ def _abs_expr_eventual(e: IndexExpr) -> IndexExpr:
         s0 = s1
     if s1 == 0:
         s1 = s0
-    if s0 == s1:
-        return e if s0 > 0 else -e
-    # opposite eventual signs on the two parities: fold in (+-1)^i
-    half = Fraction(1, 2)
-    even_ind = (IndexExpr.const(1) + IndexExpr.geometric(-1)) * half
-    odd_ind = (IndexExpr.const(1) - IndexExpr.geometric(-1)) * half
-    return e * (even_ind * s0 + odd_ind * s1)
+    return _parity_signed(e, s0, s1)
 
 
 def _sign_adjust(e: IndexExpr) -> IndexExpr:
@@ -773,9 +772,14 @@ def _sign_adjust(e: IndexExpr) -> IndexExpr:
         if lead_d is None:
             raise TypeError("sign pattern undecidable (denominator parity-degenerate)")
         signs.append(1 if (lead[1] > 0) == (lead_d[1] > 0) else -1)
-    s0, s1 = signs
+    return _parity_signed(e, *signs)
+
+
+def _parity_signed(e: IndexExpr, s0: int, s1: int) -> IndexExpr:
+    """``e`` times the sign ``s0`` on even indices and ``s1`` on odd ones."""
     if s0 == s1:
         return e if s0 > 0 else -e
+    # opposite signs on the two parities: fold in (+-1)^i
     half = Fraction(1, 2)
     even_ind = (IndexExpr.const(1) + IndexExpr.geometric(-1)) * half
     odd_ind = (IndexExpr.const(1) - IndexExpr.geometric(-1)) * half

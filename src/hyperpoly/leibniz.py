@@ -83,9 +83,6 @@ class DiffElement:
         e = tuple(1 if t == var else 0 for t in range(self.n))
         return self.slices.get(e, zero_poly(self.n))
 
-    def dx_degree(self) -> int:
-        return max((mi_total(mu) for mu in self.slices), default=0)
-
     def __add__(self, other: "DiffElement") -> "DiffElement":
         out = dict(self.slices)
         for mu, poly in other.slices.items():
@@ -358,9 +355,6 @@ class EpsFactor:
 
     def value_float(self, i: int) -> float:
         return float(self.s_value(i)) ** float(self.exponent)
-
-    def classify_label(self) -> str:
-        return INFINITESIMAL  # derived: the source is certified infinitesimal
 
 
 class ScaledPoly(InternalPolynomial):

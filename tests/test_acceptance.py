@@ -318,13 +318,13 @@ def test_criterion_10_cli_determinism():
         ("classify", "sum(k=0..d, X^k/k!)", "--d", "i", "--seed", "5"),
         ("classify", "sum(k=0..d, X^k)", "--d", "i", "--radius", "3", "--seed", "5"),
         ("classify", "eps := 1/i; eps*X", "--seed", "5"),
-        ("stdpart", "(1 + 1/i)*X", "--order", "4", "--seed", "5"),
+        ("stdpart", "(1 + 1/i)*X", "--order", "4"),
         ("zeros", "sum(k=0..d, X^k/k!) - 2", "--d", "i", "--indices", "10,20",
-         "--radius", "2", "--seed", "5"),
+         "--radius", "2"),
         ("delta", "X*Y"),
         ("phi", "2*X*dX + dX^2"),
         ("derivation-check", "X", "X*X"),
-        ("generic", "--param", "t -> (t, 0)", "--indices", "1..6", "--seed", "5"),
+        ("generic", "--param", "t -> (t, 0)", "--indices", "1..6"),
         ("kochen", "--index-size", "3", "--field", "2", "--enumerate"),
     ]
     for argv in corpus:
@@ -335,5 +335,5 @@ def test_criterion_10_cli_determinism():
                 code = main(list(argv))
             outs.append((code, buf.getvalue()))
         assert outs[0] == outs[1], f"nondeterministic output for {argv}"
-        json.loads(outs[0][1])
+        assert "error" not in json.loads(outs[0][1]), argv
     report("criterion 10 (CLI byte determinism on the documented corpus)", t0, 5)

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 import hyperpoly
 from hyperpoly.cli import (
-    EXIT_ERROR, EXIT_OK, EXIT_UNDETERMINED, build_arg_parser, main, run,
+    COMMANDS, EXIT_ERROR, EXIT_OK, EXIT_UNDETERMINED, build_arg_parser, main, run,
 )
 
 
@@ -306,8 +306,8 @@ class TestInputRanges:
         ("generic", "--param", "t -> t", "--indices", "5..2"),
         ("stdpart", "X", "--order", "-1"),
         ("kochen", "--index-size", "-1"),
-        ("delta", "X^2", "--horizon", "-3"),
-        ("delta", "X^2", "--samples", "0"),
+        ("eval", "X^2", "--horizon", "-3"),
+        ("classify", "X", "--oracle", "--samples", "0"),
         ("classify", "eps := 1/i; eps*X", "--dump-index", "-3"),
         ("classify", "eps := 1/i; eps*X", "--dump-index", "0"),
         ("generic", "--param", "t -> t", "--corpus", "bogus"),
@@ -320,14 +320,104 @@ class TestInputRanges:
         assert code == EXIT_ERROR
         assert json.loads(out)["error"] == "ValueError"
 
+    def test_radius_with_a_zero_denominator_is_a_typed_error(self):
+        code, out = run_cli("zeros", "X", "--radius", "1/0")
+        assert code == EXIT_ERROR
+        assert json.loads(out)["error"] == "ZeroDivisionError"
+
     def test_dump_index_one_prints_the_coefficients(self):
         code, out = run_cli("classify", "eps := 1/i; eps*X", "--dump-index", "1")
         assert code == EXIT_OK
         assert json.loads(out)["materialized"] == {"index": 1, "coefficients": {"1": ["1", "0"]}}
 
     def test_json_flag_is_gone(self):
-        with pytest.raises(SystemExit):
-            build_arg_parser().parse_args(["delta", "X^2", "--json"])
+        code, out = run_cli("delta", "X^2", "--json")
+        assert code == EXIT_ERROR
+        assert json.loads(out) == {"schema": 1, "error": "UsageError",
+                                   "message": "hyperpoly delta: unrecognized arguments: --json"}
+
+
+class TestUsageErrors:
+    @pytest.mark.parametrize("argv,message", [
+        (("classify", "X", "--bogus"), "hyperpoly classify: unrecognized arguments: --bogus"),
+        (("stdpart", "X", "--seed", "5"), "hyperpoly stdpart: unrecognized arguments: --seed 5"),
+        (("delta", "X^2", "Y"), "hyperpoly delta: unrecognized arguments: Y"),
+        (("classify",), "expr"),
+        (("classify", "X", "--samples", "many"), "--samples"),
+        (("bogus", "X"), "bogus"),
+        ((), "subcommand"),
+    ], ids=["unknown-flag", "unread-flag", "extra-argument", "missing-expr", "bad-int",
+            "unknown-command", "no-command"])
+    def test_malformed_command_line_is_one_json_error_line(self, argv, message):
+        code, out = run_cli(*argv)
+        assert code == EXIT_ERROR
+        assert out.count("\n") == 1
+        report = json.loads(out)
+        assert report.keys() == {"schema", "error", "message"}
+        assert (report["schema"], report["error"]) == (1, "UsageError")
+        assert message in report["message"]
+
+    def test_pretty_applies_to_an_unread_flag_report(self):
+        code, out = run_cli("stdpart", "X", "--seed", "5", "--pretty")
+        assert code == EXIT_ERROR
+        assert out == json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n"
+
+    def test_run_returns_the_usage_error_report(self, capsys):
+        report, code = run("stdpart X", ("--seed", "5"))
+        assert capsys.readouterr().out == ""
+        assert code == EXIT_ERROR
+        assert report == {"schema": 1, "error": "UsageError",
+                          "message": "hyperpoly stdpart: unrecognized arguments: --seed 5"}
+
+    def test_help_exits_zero(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["stdpart", "--help"])
+        assert exc.value.code == 0
+        assert "--order" in capsys.readouterr().out
+
+    def test_parser_is_built_once(self):
+        assert build_arg_parser() is build_arg_parser()
+
+
+# the flags every command used to accept, read or not
+FORMERLY_SHARED = ("--horizon", "--tol", "--order", "--radius", "--samples", "--seed", "--d",
+                   "--pretty")
+# a value each argument parses; None for a switch
+SAMPLE = {
+    "expr": "X", "f": "X", "g": "X*X", "--d": "i", "--horizon": "8", "--tol": "1e-6",
+    "--order": "3", "--radius": "2", "--samples": "4", "--seed": "1", "--oracle": None,
+    "--dump-index": "1", "--indices": "1", "--at": "2", "--field": "2",
+    "--levels": "tower.json", "--param": "t -> t", "--corpus": "heights:2", "--halo": "0",
+    "--index-size": "2", "--enumerate": None, "--pretty": None,
+}
+
+
+def _argv(flags):
+    argv = []
+    for flag in flags:
+        if flag.startswith("--"):
+            argv.append(flag)
+        if SAMPLE[flag] is not None:
+            argv.append(SAMPLE[flag])
+    return argv
+
+
+@pytest.mark.parametrize("row", COMMANDS, ids=lambda row: row[0])
+def test_command_accepts_exactly_its_flags(row):
+    name, fn, _, flags = row
+    listed = [f if isinstance(f, str) else f[0] for f in flags]
+    args, unread = build_arg_parser().parse_known_args([name, *_argv(listed + ["--pretty"])])
+    assert unread == []
+    assert args.fn is fn
+    for flag in FORMERLY_SHARED:
+        if flag in listed + ["--pretty"]:
+            continue
+        code, out = run_cli(name, *_argv(listed), *_argv([flag]))
+        assert code == EXIT_ERROR, flag
+        assert out.count("\n") == 1
+        report = json.loads(out)
+        assert report["error"] == "UsageError"
+        assert report["message"].startswith(f"hyperpoly {name}: unrecognized arguments: {flag}")
 
 
 class TestEntryPoints:
@@ -446,12 +536,12 @@ class TestDeterminism:
     CORPUS = [
         ("classify", "sum(k=0..d, X^k/k!)", "--d", "i", "--seed", "7"),
         ("classify", "sum(k=0..d, X^k)", "--d", "i", "--radius", "3", "--seed", "7"),
-        ("stdpart", "(1 + 1/i)*X", "--order", "6", "--seed", "3"),
+        ("stdpart", "(1 + 1/i)*X", "--order", "6"),
         ("zeros", "sum(k=0..d, X^k/k!) - 2", "--d", "i", "--indices", "10,20", "--radius", "2"),
         ("delta", "X^2"),
         ("phi", "2*X*dX + dX^2"),
         ("derivation-check", "X", "X*X"),
-        ("generic", "--param", "t -> t", "--indices", "1..8", "--seed", "11"),
+        ("generic", "--param", "t -> t", "--indices", "1..8"),
         ("kochen", "--index-size", "2", "--field", "3"),
         ("eval", "eps := 1/i; eps*X", "--at", "2"),
     ]
@@ -463,7 +553,7 @@ class TestDeterminism:
         assert code1 == code2
         assert out1 == out2
         assert out1.strip()
-        json.loads(out1)
+        assert "error" not in json.loads(out1)
 
 
 class TestDeepExpressions:

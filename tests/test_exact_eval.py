@@ -479,6 +479,32 @@ def test_product_materialization_matches_reference_on_drawn_families(seed):
             assert_product_matches(p, q, (1, 2, 5, 9))
 
 
+_PART = st.fractions(-3, 3, max_denominator=4)
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1),
+       point=st.lists(st.tuples(_PART, st.one_of(st.just(Q(0)), _PART)), min_size=2, max_size=2))
+def test_product_evaluates_by_its_factors(seed, point):
+    """``ProductPoly.eval_exact`` multiplies its factors' values; it must agree
+    with evaluating the expansion, at real and at complex points."""
+    p, q = random_bounded_pair(random.Random(seed))
+    members = [m for _, m in labeled_family(seed, 6)]
+    products = [ProductPoly(p, q), ProductPoly(ProductPoly(p, q), p)]
+    products += [ProductPoly(a, b) for a, b in zip(members, members[1:]) if a.n == b.n]
+    for prod in products:
+        pt = tuple(point[:prod.n])
+        for i in (1, 2, 5, 9):
+            try:
+                expansion = prod.materialize(i)
+            except ZeroDivisionError:
+                with pytest.raises(ZeroDivisionError):
+                    prod.eval_exact(i, pt)
+                continue
+            ((re, im, den),) = evaluate(integer_form((expansion,), prod.n), pt)
+            assert prod.eval_exact(i, pt) == (Q(re, den), Q(im, den))
+
+
 def test_products_of_products_match_reference():
     rng = random.Random(7)
     for _ in range(40):

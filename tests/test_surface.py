@@ -1,8 +1,11 @@
 """Cross-module surface checks: public API, exit codes, stated invariants."""
 
+import argparse
 import io
 import json
+import os
 import random
+import re
 from contextlib import redirect_stdout
 from fractions import Fraction as Q
 
@@ -20,7 +23,7 @@ from hyperpoly import (
     standard_part,
 )
 from hyperpoly.classify import INFINITESIMAL
-from hyperpoly.cli import EXIT_OK, EXIT_UNDETERMINED, main, run
+from hyperpoly.cli import EXIT_OK, EXIT_UNDETERMINED, build_arg_parser, main, run
 from hyperpoly.families import labeled_family
 from hyperpoly.interpoly import scalar_mul, variable
 from hyperpoly.leibniz import DiffElement, delta
@@ -74,6 +77,40 @@ class TestCliContracts:
         monkeypatch.setenv("HYPERPOLY_HORIZON", "zero")
         with pytest.raises(ValueError):
             default_horizon()
+
+
+def _command_parsers() -> dict:
+    (sub,) = [a for a in build_arg_parser()._actions
+              if isinstance(a, argparse._SubParsersAction)]
+    return sub.choices
+
+
+def _accepted(parser) -> set:
+    """The arguments a command parser accepts: positionals by name, options
+    by their flag, ``--help`` left out."""
+    return {a.option_strings[0] if a.option_strings else a.dest
+            for a in parser._actions if a.dest != "help"}
+
+
+class TestCliFlagSurface:
+    def test_settable_values(self):
+        # argparse destinations over the subcommands, positionals and --pretty included
+        assert sum(len(_accepted(p)) for p in _command_parsers().values()) == 47
+
+    def test_readme_table_matches_the_parser(self):
+        readme = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                              "README.md")
+        with open(readme, encoding="utf-8") as fh:
+            text = fh.read()
+        table = text.split("| Command | Arguments it accepts |\n|---|---|\n")[1].split("\n\n")[0]
+        rows = {}
+        for line in table.splitlines():
+            command, args = line.strip("|").split("|")
+            rows[command.strip().strip("`")] = set(re.findall(r"`([^`]+)`", args)) | {"--pretty"}
+        parsers = _command_parsers()
+        assert rows.keys() == parsers.keys()
+        for name, parser in parsers.items():
+            assert rows[name] == _accepted(parser), name
 
 
 class TestRingLawsPointwise:
