@@ -1,11 +1,11 @@
 """The ``hyperpoly`` command line.
 
 Each subcommand accepts only the flags it reads (``COMMANDS``), parses its
-expression arguments with the shared grammar, dispatches into the computation
-modules, and returns one JSON report (schema version 1) with its exit code;
-``main`` alone prints the report on stdout.  Exit codes: 0 for decided
-verdicts, 2 when the answer is Undetermined, 1 for errors, a malformed
-command line included.  All randomness flows from ``classify --seed``; runs
+expression arguments with the shared grammar, imports the computation modules
+it calls when it runs (so a fresh process compiles no others), and returns one
+JSON report (schema version 1) with its exit code; ``main`` alone prints the
+report on stdout.  Exit codes: 0 for decided verdicts, 2 when the answer is
+Undetermined, 1 for errors, a malformed command line included.  All randomness flows from ``classify --seed``; runs
 with the same arguments are byte-identical.
 """
 
@@ -17,25 +17,14 @@ import json
 import os
 import sys
 from fractions import Fraction
+from typing import Optional
 
 from .config import default_horizon
-from .classify import classify_poly, sampling_oracle
-from .completion import FieldPoly, ResidueTower, lift_tower
-from .filters import ProductRing, enumerate_filters, is_ultrafilter, kochen_ideal_to_filter
-from .genpoint import (
-    GridExhausted,
-    Parametrization,
-    RationalFunc,
-    generic_point,
-    integer_poly_corpus,
-    qpoly,
-)
-from .hypernum import HyperComplex
-from .leibniz import delta, derivation_check, in_I, phi as phi_map
 from .parser import (
     BindError,
     Bindings,
     ParseError,
+    Program,
     bind_declarations,
     build_diff_element,
     build_poly,
@@ -43,10 +32,10 @@ from .parser import (
     build_sequence,
     free_names,
     parse,
+    print_program,
     variable_map,
 )
-from .stdpart import st_poly, zero_set_compare
-from .verdicts import UNDETERMINED
+from .verdicts import UNDETERMINED, GridExhausted
 
 SCHEMA = 1
 
@@ -82,6 +71,8 @@ def _materialization_json(p, i: int) -> dict:
 
 
 def _cmd_classify(args, horizon: int) -> tuple[dict, int]:
+    from .classify import classify_poly, sampling_oracle
+
     if args.dump_index is not None:
         _indices("--dump-index", [args.dump_index])
     program, env = _program_env(args.expr, args)
@@ -105,6 +96,8 @@ def _cmd_classify(args, horizon: int) -> tuple[dict, int]:
 
 
 def _cmd_stdpart(args, horizon: int) -> tuple[dict, int]:
+    from .stdpart import st_poly
+
     program, env = _program_env(args.expr, args)
     p = build_poly(program.expression, env)
     s = st_poly(p)
@@ -112,6 +105,8 @@ def _cmd_stdpart(args, horizon: int) -> tuple[dict, int]:
 
 
 def _cmd_zeros(args, horizon: int) -> tuple[dict, int]:
+    from .stdpart import zero_set_compare
+
     program, env = _program_env(args.expr, args)
     p = build_poly(program.expression, env)
     indices = _indices("--indices", [int(t) for t in args.indices.split(",")])
@@ -126,12 +121,13 @@ def _indices(flag: str, indices: list[int]) -> list[int]:
 
 
 def _cmd_eval(args, horizon: int) -> tuple[dict, int]:
+    from .hypernum import HyperComplex
+    from .interpoly import poly_eval
+
     program, env = _program_env(args.expr, args)
     p = build_poly(program.expression, env)
     at = parse(args.at)
     x = HyperComplex.from_expr(build_sequence(at.expression, env))
-    from .interpoly import poly_eval
-
     v = poly_eval(p, [x] * p.n)
     cls = v.classify(horizon)
     report = {
@@ -143,6 +139,8 @@ def _cmd_eval(args, horizon: int) -> tuple[dict, int]:
 
 
 def _cmd_delta(args, horizon: int) -> tuple[dict, int]:
+    from .leibniz import delta
+
     program, env = _program_env(args.expr, args)
     f = build_poly(program.expression, env)
     d = delta(f)
@@ -157,17 +155,21 @@ def _cmd_delta(args, horizon: int) -> tuple[dict, int]:
 
 
 def _cmd_phi(args, horizon: int) -> tuple[dict, int]:
+    from .leibniz import in_I, phi
+
     program, env = _program_env(args.expr, args)
     p = build_diff_element(program.expression, env)
     verdict = in_I(p)
     report = {"command": "phi", "inI": verdict.to_json()}
     if not verdict.holds():
         return report, EXIT_UNDETERMINED if verdict.kind == UNDETERMINED else EXIT_ERROR
-    report["form"] = phi_map(p).to_json(args.order)
+    report["form"] = phi(p).to_json(args.order)
     return report, EXIT_OK
 
 
 def _cmd_derivation_check(args, horizon: int) -> tuple[dict, int]:
+    from .leibniz import derivation_check
+
     program_f, env_f = _program_env(args.f, args)
     program_g, env_g = _program_env(args.g, args)
     variables = variable_map([program_f.expression, program_g.expression])
@@ -181,6 +183,8 @@ def _cmd_derivation_check(args, horizon: int) -> tuple[dict, int]:
 
 
 def _cmd_lift(args, horizon: int) -> tuple[dict, int]:
+    from .completion import FieldPoly, ResidueTower, lift_tower
+
     with open(args.levels, encoding="utf-8") as fh:
         level_texts = json.load(fh)
     if not isinstance(level_texts, list) or not all(isinstance(t, str) for t in level_texts):
@@ -209,6 +213,8 @@ def _cmd_lift(args, horizon: int) -> tuple[dict, int]:
 
 
 def _cmd_generic(args, horizon: int) -> tuple[dict, int]:
+    from .genpoint import generic_point, integer_poly_corpus
+
     param = _parse_param(args.param)
     kind, _, value = args.corpus.partition(":")
     height = int(value) if kind == "heights" and value.isdigit() else 0
@@ -237,8 +243,10 @@ def _cmd_generic(args, horizon: int) -> tuple[dict, int]:
     return {"command": "generic", "indices": per_index}, EXIT_OK
 
 
-def _parse_param(text: str) -> Parametrization:
+def _parse_param(text: str):
     """ 't -> (t, 0)' style parametrization strings (one parameter)."""
+    from .genpoint import Parametrization, RationalFunc, qpoly
+
     if "->" not in text:
         raise BindError("parametrization must look like 't -> (expr, ..., expr)'")
     head, _, body = text.partition("->")
@@ -289,6 +297,8 @@ def _standard_coeffs(node, variables: dict, mentions_i: str) -> dict:
 
 
 def _cmd_kochen(args, horizon: int) -> tuple[dict, int]:
+    from .filters import ProductRing, enumerate_filters, is_ultrafilter, kochen_ideal_to_filter
+
     size = args.index_size
     if size < 0:
         raise ValueError(f"--index-size must be >= 0, got {size}")
@@ -377,13 +387,13 @@ def build_arg_parser() -> argparse.ArgumentParser:
     """The parser of every command, built once per process: parsing does not
     change it."""
     ap = _ArgumentParser(
-        prog="hyperpoly",
+        prog="hyperpoly", allow_abbrev=False,
         description="hyperfinite-degree polynomial calculus over sequence-model "
                     "hypercomplex numbers",
     )
     sub = ap.add_subparsers(dest="subcommand", required=True)
     for name, fn, help_text, flags in COMMANDS:
-        p = sub.add_parser(name, help=help_text)
+        p = sub.add_parser(name, help=help_text, allow_abbrev=False)
         for flag in flags:
             flag, kwargs = (flag, _FLAGS[flag]) if isinstance(flag, str) else flag
             p.add_argument(flag, **kwargs)
@@ -392,17 +402,21 @@ def build_arg_parser() -> argparse.ArgumentParser:
     return ap
 
 
-def _execute(argv) -> tuple[dict, int, bool]:
+def _execute(argv, program: Optional[str] = None) -> tuple[dict, int, bool]:
     """Parse ``argv``, resolve the horizon, check the flag ranges, run the
     command, and map its errors.
 
-    Returns the report, its exit code and whether ``--pretty`` was given.  The
-    horizon is ``--horizon``, else ``HYPERPOLY_HORIZON``, else 64.  Parse and
-    bind errors report as ``"parse"``, any other handled error (a malformed
-    command line is a ``UsageError``) by its type name, with exit code 1.
+    A full ``program`` text, when given, supplies the command and expression
+    ahead of ``argv``.  Returns the report, its exit code and whether
+    ``--pretty`` was given.  The horizon is ``--horizon``, else
+    ``HYPERPOLY_HORIZON``, else 64.  Parse and bind errors report as
+    ``"parse"``, any other handled error (a malformed command line is a
+    ``UsageError``) by its type name, with exit code 1.
     """
     pretty = False
     try:
+        if program is not None:
+            argv = _program_argv(program) + list(argv)
         args, unread = build_arg_parser().parse_known_args(argv)
         pretty = args.pretty
         if unread:
@@ -428,22 +442,22 @@ def _execute(argv) -> tuple[dict, int, bool]:
     return {"schema": SCHEMA, **report}, code, pretty
 
 
+def _program_argv(text: str) -> list[str]:
+    """The command and expression arguments of a full program text."""
+    program = parse(text)
+    if program.command is None:
+        raise BindError("program text must name a command")
+    body = print_program(Program(program.declarations, None, program.expression))
+    return [program.command] + ([body] if body else [])
+
+
 def run(text: str, extra_args: tuple = ()) -> tuple[dict, int]:
     """Run a full program text (declarations plus one command) in process.
 
     Returns the JSON report and the exit code; this is the library-side
     equivalent of the shell entry point, and prints nothing.
     """
-    from .parser import Program, print_program
-
-    program = parse(text)
-    if program.command is None:
-        raise BindError("program text must name a command")
-    body = print_program(
-        Program(program.declarations, None, program.expression)
-    )
-    argv = [program.command] + ([body] if body else []) + list(extra_args)
-    return _execute(argv)[:2]
+    return _execute(extra_args, text)[:2]
 
 
 def main(argv=None) -> int:

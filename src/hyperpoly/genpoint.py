@@ -21,7 +21,7 @@ from typing import Callable, Iterator, Optional
 from .completion import FieldPoly
 from .config import HORIZON
 from .interpoly import multi_indices_of_degree
-from .verdicts import HOLDS, Verdict, eventually
+from .verdicts import HOLDS, GridExhausted, Verdict, eventually
 
 Q = Fraction
 
@@ -29,17 +29,6 @@ Q = Fraction
 # WITNESS_HEIGHT_CAP by nullstellensatz_witness per batch
 GENERIC_HEIGHT_CAP = 64
 WITNESS_HEIGHT_CAP = 4096
-
-
-class GridExhausted(RuntimeError):
-    """No grid point satisfied the constraint set (corpus degeneracy)."""
-
-    def __init__(self, index, failing):
-        super().__init__(
-            f"grid exhausted at index {index}; obstructed by {failing}"
-        )
-        self.index = index
-        self.failing = failing
 
 
 def qpoly(n: int, coeffs: dict) -> FieldPoly:

@@ -27,6 +27,18 @@ class PredicateEvaluationError(Exception):
         self.cause = cause
 
 
+class GridExhausted(RuntimeError):
+    """No grid point satisfied the constraint set (corpus degeneracy).
+
+    Raised by ``genpoint``'s avoiding-point search; it lives here so that the
+    command line names it without loading ``genpoint``."""
+
+    def __init__(self, index, failing):
+        super().__init__(f"grid exhausted at index {index}; obstructed by {failing}")
+        self.index = index
+        self.failing = failing
+
+
 @dataclass(frozen=True)
 class Verdict:
     kind: str                # Holds | Fails | Undetermined

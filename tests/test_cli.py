@@ -346,8 +346,10 @@ class TestUsageErrors:
         (("classify", "X", "--samples", "many"), "--samples"),
         (("bogus", "X"), "bogus"),
         ((), "subcommand"),
+        (("stdpart", "X", "--ord", "2"), "hyperpoly stdpart: unrecognized arguments: --ord 2"),
+        (("kochen", "--e"), "hyperpoly kochen: unrecognized arguments: --e"),
     ], ids=["unknown-flag", "unread-flag", "extra-argument", "missing-expr", "bad-int",
-            "unknown-command", "no-command"])
+            "unknown-command", "no-command", "abbreviated-option", "abbreviated-switch"])
     def test_malformed_command_line_is_one_json_error_line(self, argv, message):
         code, out = run_cli(*argv)
         assert code == EXIT_ERROR
@@ -374,6 +376,23 @@ class TestUsageErrors:
             main(["stdpart", "--help"])
         assert exc.value.code == 0
         assert "--order" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("name", [row[0] for row in COMMANDS])
+    def test_command_help_exits_zero(self, name, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([name, "--help"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith(f"usage: hyperpoly {name} ")
+
+    def test_module_help_lists_every_command(self):
+        src = os.path.dirname(os.path.dirname(hyperpoly.__file__))
+        proc = subprocess.run([sys.executable, "-m", "hyperpoly.cli", "--help"],
+                              env=dict(os.environ, PYTHONPATH=src), capture_output=True,
+                              text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert len(COMMANDS) == 10
+        for name, *_ in COMMANDS:
+            assert f"    {name} " in proc.stdout, name
 
     def test_parser_is_built_once(self):
         assert build_arg_parser() is build_arg_parser()
@@ -432,6 +451,23 @@ class TestEntryPoints:
         assert capsys.readouterr().out == ""
         assert main(["delta", "X^2"]) == code == EXIT_OK
         assert json.loads(capsys.readouterr().out) == report
+
+    @pytest.mark.parametrize("text,message", [
+        ("classify X^", "unexpected end of input"),
+        ("classify foo*X", "unbound name 'foo'"),
+    ], ids=["malformed", "unbound-name"])
+    def test_run_reports_a_parse_error_as_main_does(self, text, message):
+        report, code = run(text)
+        main_code, out = run_cli(*text.split(" ", 1))
+        printed = json.loads(out)
+        assert code == main_code == EXIT_ERROR
+        assert report.keys() == printed.keys() == {"schema", "error", "message"}
+        assert report["error"] == printed["error"] == "parse"
+        assert message in report["message"] and message in printed["message"]
+
+    def test_run_of_a_text_without_a_command_is_a_parse_report(self):
+        assert run("X") == ({"schema": 1, "error": "parse",
+                             "message": "program text must name a command"}, EXIT_ERROR)
 
     @pytest.mark.parametrize("argv,want", [
         (("delta", "X^2"), EXIT_OK),
@@ -672,6 +708,52 @@ def test_golden_cli_corpus(name, tmp_path, monkeypatch):
     want = GOLDEN[name]
     code, out = run_cli(*want["argv"])
     assert (code, out) == (want["exit"], want["stdout"])
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_golden_cli_corpus_in_fresh_processes(name, tmp_path):
+    (tmp_path / "tower.json").write_text(json.dumps(_tower_levels()), encoding="utf-8")
+    env = {k: v for k, v in os.environ.items() if k != "HYPERPOLY_HORIZON"}
+    env["PYTHONPATH"] = os.path.dirname(os.path.dirname(hyperpoly.__file__))
+    want = GOLDEN[name]
+    proc = subprocess.run([sys.executable, "-m", "hyperpoly.cli", *want["argv"]],
+                          cwd=tmp_path, env=env, capture_output=True, timeout=120)
+    assert (proc.returncode, proc.stdout) == (want["exit"], want["stdout"].encode("utf-8"))
+
+
+# -- cold start: a fresh process loads only the modules its command runs -------
+
+# run in a fresh interpreter: imports hyperpoly, runs one command line through
+# cli.main, and prints the hyperpoly submodules loaded after each step
+_LOADED_MODULES = """
+import contextlib, io, json, sys
+def loaded():
+    return sorted(m.split(".")[1] for m in sys.modules if m.startswith("hyperpoly."))
+import hyperpoly
+after_import = loaded()
+from hyperpoly import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cli.main(sys.argv[1:])
+print(json.dumps([after_import, code, loaded()]))
+"""
+
+
+@pytest.mark.parametrize("argv,needed,unneeded", [
+    (("kochen",), {"filters"}, {"interpoly", "classify"}),
+    (("classify", "X"), {"classify"}, {"leibniz", "stdpart", "genpoint", "completion", "filters"}),
+    (("eval", "X", "--at", "2"), {"interpoly"}, {"classify"}),
+], ids=["kochen", "classify", "eval"])
+def test_command_loads_only_its_modules(argv, needed, unneeded):
+    src = os.path.dirname(os.path.dirname(hyperpoly.__file__))
+    proc = subprocess.run([sys.executable, "-c", _LOADED_MODULES, *argv],
+                          env=dict(os.environ, PYTHONPATH=src), capture_output=True,
+                          text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    after_import, code, loaded = json.loads(proc.stdout)
+    assert after_import == []
+    assert code == EXIT_OK
+    assert needed <= set(loaded)
+    assert not unneeded & set(loaded)
 
 
 # -- a grammar-driven fuzz: every command answers with one JSON line -----------

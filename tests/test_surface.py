@@ -6,6 +6,8 @@ import json
 import os
 import random
 import re
+import subprocess
+import sys
 from contextlib import redirect_stdout
 from fractions import Fraction as Q
 
@@ -39,6 +41,80 @@ class TestModuleAliases:
         assert hyperpoly.__version__
         for name in ("eventually", "theta", "lift_tower", "generic_point", "parse"):
             assert hasattr(hyperpoly, name)
+
+
+# the 74 names ``hyperpoly`` re-exports, by the module that defines each
+PUBLIC = {
+    "config": ("HORIZON", "default_horizon"),
+    "verdicts": ("Verdict", "eventually", "negate"),
+    "filters": ("FiniteFilterModel", "ProductRing", "enumerate_filters", "is_ultrafilter",
+                "kochen_filter_to_ideal", "kochen_ideal_to_filter"),
+    "indexexpr": ("IndexExpr",),
+    "hypernat": ("HyperNatural",),
+    "hypernum": ("HyperComplex", "classify_magnitude", "standard_part"),
+    "interpoly": ("InternalPolynomial", "InternalSeries", "StructuredPoly", "TailTerm",
+                  "TopTerm", "abs_poly", "homogenize", "dehomogenize", "partial_derivative",
+                  "poly_add", "poly_compose", "poly_eval", "poly_mul", "scalar_mul", "theta",
+                  "truncate_series", "truncated_exp", "truncated_geometric"),
+    "classify": ("Certificate", "PolyClass", "cauchy_all_coefficients", "cauchy_coefficient",
+                 "classify_poly", "coefficient_bound_check", "sampling_oracle"),
+    "stdpart": ("AlgebraPresentation", "StandardPowerSeries", "lift_series", "st_functor",
+                "st_morphism", "st_poly", "zero_set_compare"),
+    "completion": ("FieldPoly", "LiftedTower", "ResidueTower",
+                   "finite_field_surjectivity_check", "halo_membership", "lift_tower"),
+    "leibniz": ("DiffElement", "OneForm", "delta", "derivation_check", "in_I", "in_I2",
+                "infinitesimal_factor", "phi", "reduce_mod_I2", "section_s"),
+    "genpoint": ("LazyHyperPoint", "Parametrization", "evaluation_embedding_check",
+                 "generic_point", "id_of_point", "integer_poly_corpus",
+                 "nullstellensatz_witness", "v_of_ideal"),
+    "parser": ("parse", "print_program"),
+}
+
+# run in a fresh interpreter, where every name below is still unresolved:
+# prints the names that do not resolve to their home module's object, both
+# as an attribute and through ``from hyperpoly import``
+_FRESH_LOOKUPS = """
+import importlib, json, sys
+import hyperpoly
+wrong = []
+for module, names in json.loads(sys.argv[1]).items():
+    for name in names:
+        home = getattr(importlib.import_module("hyperpoly." + module), name)
+        scope = {}
+        exec("from hyperpoly import " + name, scope)
+        if getattr(hyperpoly, name) is not home or scope[name] is not home:
+            wrong.append(name)
+print(json.dumps(wrong))
+"""
+
+
+def _fresh_python(*args):
+    src = os.path.dirname(os.path.dirname(hyperpoly.__file__))
+    return subprocess.run([sys.executable, *args], env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, timeout=60)
+
+
+class TestPublicSurface:
+    def test_each_name_resolves_in_a_fresh_interpreter(self):
+        proc = _fresh_python("-c", _FRESH_LOOKUPS, json.dumps(PUBLIC))
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout) == []
+
+    def test_dir_lists_every_name(self):
+        listed = set(dir(hyperpoly))
+        assert {name for names in PUBLIC.values() for name in names} <= listed
+        assert "__version__" in listed
+
+    def test_submodule_import_yields_the_module(self):
+        proc = _fresh_python("-c", "from hyperpoly import classify; print(classify.__name__)")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "hyperpoly.classify\n"
+
+    def test_unknown_name_is_an_attribute_error(self):
+        with pytest.raises(AttributeError, match="^module 'hyperpoly' has no attribute 'nope'$"):
+            hyperpoly.nope
+        with pytest.raises(ImportError, match="cannot import name 'nope' from 'hyperpoly'"):
+            exec("from hyperpoly import nope", {})
 
 
 class TestOracleSymbolicWitness:
