@@ -238,15 +238,6 @@ def _leading_from_classes(classes: dict, parity: int) -> Optional[tuple[ClassKey
     return best
 
 
-def _leading_on_parity(a: Form, parity: int) -> Optional[tuple[ClassKey, int]]:
-    """Dominant class and its coefficient on the subsequence i = parity mod 2.
-
-    The coefficient is scaled by the form's (positive) denominator.  None
-    means the form vanishes identically on that parity.
-    """
-    return _leading_from_classes(_classes(a), parity)
-
-
 def _class_value(ck: ClassKey, i: int) -> Union[int, Fraction]:
     k, r, p = ck
     v = r**i
@@ -297,6 +288,32 @@ def _class_sub(c1: ClassKey, c2: ClassKey) -> ClassKey:
     return (c1[0] - c2[0], r.numerator if r.denominator == 1 else r, c1[2] - c2[2])
 
 
+def _dominance(classes: dict, parity: int) -> Optional[tuple[int, int]]:
+    """The leading class's coefficient on one parity and a certified index
+    from which it outweighs the sum of all lower classes, exactly.
+
+    None means the form vanishes identically on that parity.
+    """
+    lead = _leading_from_classes(classes, parity)
+    if lead is None:
+        return None
+    ck_star, gamma_star = lead
+    rest = [(ck, A - B if parity else A + B) for ck, (A, B) in classes.items() if ck != ck_star]
+    rest = [(ck, gamma) for ck, gamma in rest if gamma]
+    t = max([1] + [_step_bound_start(_class_sub(ck, ck_star)) for ck, _ in rest])
+
+    # grow to where the lower classes sum below the leader
+    def dominated(i: int) -> bool:
+        lower = sum(abs(g) * _class_value(ck, i) for ck, g in rest)
+        return lower < abs(gamma_star) * _class_value(ck_star, i)
+
+    while not dominated(t):
+        t *= 2
+        if t > 1 << 40:
+            raise FragmentError("dominance threshold search diverged")
+    return gamma_star, t
+
+
 def nonzero_threshold(a: Form) -> Optional[int]:
     """Certified index t with a(i) != 0 for every i >= t, or None.
 
@@ -307,37 +324,9 @@ def nonzero_threshold(a: Form) -> Optional[int]:
     """
     if not a[0]:
         return None
-    worst = 1
     classes = _classes(a)
-    for parity in (0, 1):
-        lead = _leading_from_classes(classes, parity)
-        if lead is None:
-            return None
-        ck_star, gamma_star = lead
-        rest = []
-        for ck, (A, B) in classes.items():
-            gamma = A - B if parity else A + B
-            if ck == ck_star or gamma == 0:
-                continue
-            rest.append((ck, gamma))
-        if not rest:
-            t = 1
-        else:
-            t = 1
-            for ck, _ in rest:
-                t = max(t, _step_bound_start(_class_sub(ck, ck_star)))
-
-            # grow to where the lower classes sum below the leader
-            def dominated(i: int) -> bool:
-                lower = sum(abs(g) * _class_value(ck, i) for ck, g in rest)
-                return lower < abs(gamma_star) * _class_value(ck_star, i)
-
-            while not dominated(t):
-                t *= 2
-                if t > 1 << 40:
-                    raise FragmentError("dominance threshold search diverged")
-        worst = max(worst, t)
-    return worst
+    bounds = [_dominance(classes, parity) for parity in (0, 1)]
+    return None if None in bounds else max(t for _, t in bounds)
 
 
 # per-parity eventual behaviour tags for a quotient num/den
@@ -564,6 +553,25 @@ class IndexExpr:
         if g.kind == "zero":
             return Q(0)
         return g.limit
+
+    def eventual_signs(self) -> tuple[tuple[int, int], int]:
+        """Each parity's eventual sign, ``(even, odd)``, and a certified
+        index from which every defined value has its parity's sign.
+
+        The sign is that of the leading class of num over den, 0 where num
+        vanishes identically on the parity; beyond the dominance bounds of
+        both forms the leading classes outweigh the rest.
+        """
+        num, den = _classes(self.num), _classes(self.den)
+        signs, t = [], 1
+        for parity in (0, 1):
+            d = _dominance(den, parity)
+            if d is None:
+                raise FragmentError("denominator vanishes identically on a parity")
+            n = _dominance(num, parity)
+            signs.append(0 if n is None else 1 if (n[0] > 0) == (d[0] > 0) else -1)
+            t = max(t, d[1], n[1] if n else 1)
+        return (signs[0], signs[1]), t
 
     def eventual_nonzero_threshold(self) -> Optional[int]:
         """Certified t with self(i) defined and nonzero for all i >= t.

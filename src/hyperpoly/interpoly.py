@@ -28,7 +28,7 @@ from typing import Iterable, Iterator, Optional
 from .exacteval import dot, evaluate, integer_form, multiply
 from .hypernat import HyperNatural
 from .hypernum import HyperComplex, coerce as hc_coerce, exact_complex
-from .indexexpr import IndexExpr
+from .indexexpr import INFINITE, UNDEF, IndexExpr
 
 Q = Fraction
 MultiIndex = tuple[int, ...]
@@ -464,12 +464,23 @@ def _hn_eq(a: Optional[HyperNatural], b: Optional[HyperNatural]) -> bool:
     return a is None or a.eq(b)
 
 
-def _hn_le_everywhere(a: HyperNatural, b: HyperNatural) -> bool:
-    """a(i) <= b(i) for every i >= 1, not just eventually."""
+def _hn_le_everywhere(a: HyperNatural, b: HyperNatural, shift: int = 0) -> bool:
+    """a(i) + shift <= b(i) for every i >= 1, not just eventually.
+
+    Past the patches and the clipping at 0 both are affine, and the gap
+    b - a is nondecreasing there when a's slope is at most b's.
+    """
     if a.slope > b.slope:
         return False
-    hi = max([j for j, _ in a.patches + b.patches], default=0) + 2
-    return all(a.value(i) <= b.value(i) for i in range(1, hi + 1))
+    hi = max([j for j, _ in a.patches + b.patches]
+             + [-(h.intercept // h.slope) for h in (a, b) if h.slope], default=0)
+    return all(a.value(i) + shift <= b.value(i) for i in range(1, hi + 2))
+
+
+def _same_rule_and_lo(u: TailTerm, t: TailTerm) -> bool:
+    """The two bands have the same phi, the same eps and the same lower bound."""
+    return (len(u.phi) == len(t.phi) and all(a.eq(b) for a, b in zip(u.phi, t.phi))
+            and u.eps.eq(t.eps) and _hn_eq(u.lo, t.lo))
 
 
 def _merge_tails(tails: tuple[TailTerm, ...]) -> tuple[TailTerm, ...]:
@@ -484,13 +495,7 @@ def _merge_tails(tails: tuple[TailTerm, ...]) -> tuple[TailTerm, ...]:
     out: list[TailTerm] = []
     for t in tails:
         for k, u in enumerate(out):
-            if (
-                len(u.phi) == len(t.phi)
-                and all(a.eq(b) for a, b in zip(u.phi, t.phi))
-                and u.eps.eq(t.eps)
-                and _hn_eq(u.lo, t.lo)
-                and _hn_eq(u.hi, t.hi)
-            ):
+            if _same_rule_and_lo(u, t) and _hn_eq(u.hi, t.hi):
                 out[k] = TailTerm(
                     u.phi, u.eps, u.psi_re + t.psi_re, u.psi_im + t.psi_im, u.lo, u.hi
                 )
@@ -506,10 +511,7 @@ def _merge_tails(tails: tuple[TailTerm, ...]) -> tuple[TailTerm, ...]:
             for b in range(a + 1, len(out)):
                 u, t = out[a], out[b]
                 if not (
-                    len(u.phi) == len(t.phi)
-                    and all(x.eq(y) for x, y in zip(u.phi, t.phi))
-                    and u.eps.eq(t.eps)
-                    and _hn_eq(u.lo, t.lo)
+                    _same_rule_and_lo(u, t)
                     and u.hi is not None
                     and t.hi is not None
                     and not u.hi.eq(t.hi)
@@ -688,28 +690,35 @@ def poly_eval(p: InternalPolynomial, point: list) -> HyperComplex:
 
 
 def abs_poly(p: InternalPolynomial) -> InternalPolynomial:
-    """Coefficientwise absolute value |P|.
+    """Coefficientwise absolute value |P|: at every index, each materialized
+    coefficient of the result is the absolute value of P's.
 
-    Exact for real rational coefficient data: the eventual sign of each
-    coefficient stream is decided symbolically and folded in, with finitely
-    many leading indices patched.  Complex coefficients are rejected (their
-    modulus leaves the rational fragment).
+    Exact for real rational coefficient data.  Each expression's eventual
+    sign per parity is folded in, and an explicit or top coefficient patches
+    every index below the point from which that sign is certified.  Raises
+    ``TypeError`` for:
+
+    * anything but a ``StructuredPoly``, complex or numeric-tier coefficients;
+    * an expression that is infinite or undefined on a parity of the index;
+    * a band whose ``phi`` changes sign from the band's first degree on, or
+      whose ``eps`` or ``psi`` changes sign from index 1 on (a band carries
+      no per-index patches);
+    * a band or top that can share a degree with another term at some index,
+      since the result is built term by term.
     """
     if not isinstance(p, StructuredPoly):
         raise TypeError("absolute value needs a structured polynomial")
-    explicit = {}
-    for nu, c in p.explicit.items():
-        explicit[nu] = _abs_hc(c)
+    explicit = {nu: _abs_hc(c) for nu, c in p.explicit.items()}
     tails = []
     for t in p.tails:
         if not t.is_real():
             raise TypeError("absolute value of complex coefficient bands is not exact")
-        new_phi = tuple(_abs_expr_eventual(e) for e in t.phi)
-        tails.append(
-            TailTerm(new_phi, _abs_expr_eventual(t.eps), _abs_expr_eventual(t.psi_re),
-                     IndexExpr.const(0), t.lo, t.hi)
-        )
+        first = 0 if t.lo is None else t.lo.value(1) + 1
+        phi = tuple(_abs_band_rule(e, first, r, len(t.phi)) for r, e in enumerate(t.phi))
+        tails.append(TailTerm(phi, _abs_band_rule(t.eps, 1), _abs_band_rule(t.psi_re, 1),
+                              IndexExpr.const(0), t.lo, t.hi))
     tops = tuple(TopTerm(t.offset, _abs_hc(t.coeff)) for t in p.tops)
+    _refuse_shared_degrees(p)
     return StructuredPoly(p.n, p.degree, explicit, tuple(tails), tops)
 
 
@@ -718,72 +727,58 @@ def _abs_hc(c: HyperComplex) -> HyperComplex:
         raise TypeError("absolute value of numeric-tier coefficients is not exact")
     if not c.im.is_zero() or any(v[1] != 0 for v in c.prefix.values()):
         raise TypeError("absolute value of complex coefficients is not exact")
-    re = _abs_expr_eventual(c.re)
-    prefix = {i: (abs(a), Q(0)) for i, (a, _) in c.prefix.items()}
-    t = c.re.eventual_nonzero_threshold()
-    if t is not None:
-        for i in range(1, t):
-            if i not in prefix:
-                try:
-                    prefix[i] = (abs(c.re.eval(i)), Q(0))
-                except ZeroDivisionError:
-                    pass
+    re, t = _abs_expr(c.re)
+    while t > 1 and not _negative_at(re, t - 1):
+        t -= 1
+    prefix = {}
+    for i in sorted(set(c.prefix).union(range(1, t))):
+        try:
+            prefix[i] = (abs(c.value_exact(i)[0]), Q(0))
+        except ZeroDivisionError:
+            pass
     return HyperComplex(re, IndexExpr.const(0), prefix)
 
 
-def _abs_expr_eventual(e: IndexExpr) -> IndexExpr:
-    """|e| as an expression valid from the sign-stabilization point on."""
+def _abs_band_rule(e: IndexExpr, first: int, r: int = 0, period: int = 1) -> IndexExpr:
+    """|e| for a band rule read at every ``m >= first`` with ``m = r mod period``."""
+    a, t = _abs_expr(e)
+    if any(_negative_at(a, m) for m in range(first, t) if m % period == r):
+        raise TypeError("a band rule changes sign inside the band; |P| needs per-index patches")
+    return a
+
+
+def _negative_at(e: IndexExpr, i: int) -> bool:
+    try:
+        return e.eval(i) < 0
+    except ZeroDivisionError:
+        return False
+
+
+def _abs_expr(e: IndexExpr) -> tuple[IndexExpr, int]:
+    """``(a, t)``: ``a`` is ``e`` times each parity's eventual sign, so
+    ``a(i) = |e(i)|`` for every ``i >= t``."""
     if e.is_zero():
-        return e
-    g = e.growth()
-    signs = []
-    for parity in (0, 1):
-        tag, val = g.parity[parity]
-        if tag == "finite":
-            signs.append(1 if val > 0 else -1)
-        elif tag in ("zero",):
-            signs.append(0)
-        else:
-            signs.append(None)
-    if None in signs:
-        # sign of the dominant class per parity via direct sampling fallback
+        return e, 1
+    if any(tag in (INFINITE, UNDEF) for tag, _ in e.growth().parity):
         raise TypeError("coefficient sign pattern not decided; |P| not representable")
-    s0, s1 = signs
-    if s0 == 0 and s1 == 0:
-        return _sign_adjust(e)
-    if s0 == 0:
-        s0 = s1
-    if s1 == 0:
-        s1 = s0
-    return _parity_signed(e, s0, s1)
-
-
-def _sign_adjust(e: IndexExpr) -> IndexExpr:
-    # ratio tends to zero on both parities: decide sign by the leading class
-    from .indexexpr import _leading_on_parity  # noqa: PLC0415
-
-    signs = []
-    for parity in (0, 1):
-        lead = _leading_on_parity(e.num, parity)
-        lead_d = _leading_on_parity(e.den, parity)
-        if lead is None:
-            signs.append(1)
-            continue
-        if lead_d is None:
-            raise TypeError("sign pattern undecidable (denominator parity-degenerate)")
-        signs.append(1 if (lead[1] > 0) == (lead_d[1] > 0) else -1)
-    return _parity_signed(e, *signs)
-
-
-def _parity_signed(e: IndexExpr, s0: int, s1: int) -> IndexExpr:
-    """``e`` times the sign ``s0`` on even indices and ``s1`` on odd ones."""
+    (s0, s1), t = e.eventual_signs()
+    s0, s1 = s0 or s1, s1 or s0  # a parity where e vanishes takes the other's sign
     if s0 == s1:
-        return e if s0 > 0 else -e
-    # opposite signs on the two parities: fold in (+-1)^i
-    half = Fraction(1, 2)
-    even_ind = (IndexExpr.const(1) + IndexExpr.geometric(-1)) * half
-    odd_ind = (IndexExpr.const(1) - IndexExpr.geometric(-1)) * half
-    return e * (even_ind * s0 + odd_ind * s1)
+        return (e if s0 > 0 else -e), t
+    return e * (IndexExpr.geometric(-1) * s0), t  # opposite signs: fold in (-1)^i
+
+
+def _refuse_shared_degrees(p: StructuredPoly) -> None:
+    """Refuse a band or top that can share a total degree with another term."""
+    zero = HyperNatural.constant(0)
+    # the degrees m of a term at index i: lo(i) + a < m <= hi(i) + b, as (lo, a, hi, b)
+    fixed = [(zero, m - 1, zero, m) for m in {mi_total(nu) for nu in p.explicit}]
+    moving = [(p.degree, -t.offset - 1, p.degree, -t.offset) for t in p.tops]
+    moving += [(t.lo or zero, 0 if t.lo else -1, t.hi or p.degree, 0) for t in p.tails]
+    for j, (lo, a, hi, b) in enumerate(moving):
+        for lo2, a2, hi2, b2 in moving[j + 1:] + fixed:
+            if not (_hn_le_everywhere(hi, lo2, b - a2) or _hn_le_everywhere(hi2, lo, b2 - a)):
+                raise TypeError("terms of P can share a degree; |P| is taken term by term")
 
 
 def partial_derivative(p: InternalPolynomial, alpha: MultiIndex) -> InternalPolynomial:

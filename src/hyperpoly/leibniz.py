@@ -20,6 +20,7 @@ verify exactly by exponent arithmetic.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
@@ -32,6 +33,7 @@ from .interpoly import (
     StructuredPoly,
     mi_sub,
     mi_total,
+    multi_indices_of_degree,
     partial_derivative,
     poly_add,
     poly_mul,
@@ -167,13 +169,21 @@ class DiffElement:
 # delta and the ideal I
 # ---------------------------------------------------------------------------
 
-def _mi_factorial(mu: MultiIndex) -> int:
-    import math
+def _taylor_slices(f: InternalPolynomial, mus) -> DiffElement:
+    """The slices ``d^mu f / mu!`` of ``f(X + dX) - f(X)`` for ``mu`` in ``mus``.
 
-    out = 1
-    for e in mu:
-        out *= math.factorial(e)
-    return out
+    ``d^mu f`` is ``d^(mu - e_v) f`` derived once more in mu's last nonzero
+    variable v, the step order of ``partial_derivative(f, mu)``; each
+    ``mu - e_v`` must come before ``mu``.
+    """
+    derived = {(0,) * f.n: f}
+    slices = {}
+    for mu in mus:
+        v = max(t for t in range(f.n) if mu[t])
+        e_v = tuple(int(t == v) for t in range(f.n))
+        d = derived[mu] = partial_derivative(derived[mi_sub(mu, e_v)], e_v)
+        slices[mu] = scalar_mul(Q(1, math.prod(map(math.factorial, mu))), d)
+    return DiffElement(f.n, slices)
 
 
 def delta(f: InternalPolynomial) -> DiffElement:
@@ -183,32 +193,15 @@ def delta(f: InternalPolynomial) -> DiffElement:
     every index; derivative slices keep the structured form, so membership
     tests on the result stay decidable.
     """
-    n = f.n
-    slices: dict[MultiIndex, InternalPolynomial] = {}
-    max_total = _derivative_support_cap(f)
-    from .interpoly import multi_indices_of_degree
-
-    # d^mu f is d^(mu - e_v) f derived once more in mu's last variable v.
-    derived = {(0,) * n: f}
-    for m in range(1, max_total + 1):
-        for mu in multi_indices_of_degree(n, m):
-            v = max(t for t in range(n) if mu[t])
-            e_v = tuple(int(t == v) for t in range(n))
-            d = derived[mu] = partial_derivative(derived[mi_sub(mu, e_v)], e_v)
-            if isinstance(d, StructuredPoly) and not d.explicit and not d.tails and not d.tops:
-                continue
-            slices[mu] = scalar_mul(Q(1, _mi_factorial(mu)), d)
-    return DiffElement(n, slices)
-
-
-def _derivative_support_cap(f: InternalPolynomial) -> int:
-    """Total dX-degree beyond which all derivative slices vanish."""
-    if not f.degree.infinite:
-        return max([max(0, f.degree.intercept)] + [v for _, v in f.degree.patches])
-    raise ValueError(
-        "delta of a hyperfinite-degree polynomial has hyperfinitely many slices; "
-        "apply it to finite-degree (explicit) polynomials or use delta_directional"
-    )
+    if f.degree.infinite:
+        raise ValueError(
+            "delta of a hyperfinite-degree polynomial has hyperfinitely many slices; "
+            "apply it to finite-degree (explicit) polynomials or use delta_directional"
+        )
+    # every slice of total dX-degree above the degree vanishes
+    top = max([max(0, f.degree.intercept)] + [v for _, v in f.degree.patches])
+    return _taylor_slices(f, [mu for m in range(1, top + 1)
+                              for mu in multi_indices_of_degree(f.n, m)])
 
 
 def delta_directional(f: InternalPolynomial, var: int, depth: int) -> DiffElement:
@@ -218,15 +211,8 @@ def delta_directional(f: InternalPolynomial, var: int, depth: int) -> DiffElemen
     phi-preimage of a monomial 1-form) only ever reads finitely many slices;
     ``depth`` makes that truncation explicit.
     """
-    n = f.n
-    slices = {}
-    d = f
-    e_var = tuple(int(t == var) for t in range(n))
-    for k in range(1, depth + 1):
-        mu = tuple(k if t == var else 0 for t in range(n))
-        d = partial_derivative(d, e_var)
-        slices[mu] = scalar_mul(Q(1, _mi_factorial(mu)), d)
-    return DiffElement(n, slices)
+    return _taylor_slices(f, [tuple(k if t == var else 0 for t in range(f.n))
+                              for k in range(1, depth + 1)])
 
 
 def in_I(p: DiffElement) -> Verdict:

@@ -25,6 +25,7 @@ from .interpoly import (
     InternalPolynomial,
     StructuredPoly,
     TailTerm,
+    exp_tail,
     mi_sub,
     multi_indices_of_degree,
     truncate_series,
@@ -93,43 +94,26 @@ class StandardPowerSeries:
         return s
 
     @staticmethod
-    def exp() -> "StandardPowerSeries":
-        from .interpoly import exp_tail
+    def _of_band(band: TailTerm) -> "StandardPowerSeries":
+        """The entire univariate series with coefficients ``band.phi_at(m)``."""
+        return StandardPowerSeries(1, lambda nu: band.phi_at(nu[0]), entire=True, band=band)
 
-        return StandardPowerSeries(
-            1,
-            lambda nu: (Q(1, _factorial(nu[0])), Q(0)),
-            entire=True,
-            band=exp_tail(),
-        )
+    @staticmethod
+    def exp() -> "StandardPowerSeries":
+        return StandardPowerSeries._of_band(exp_tail())
 
     @staticmethod
     def sin_like() -> "StandardPowerSeries":
         """Alternating odd series: x - x^3/3! + x^5/5! - ..."""
         zero = IndexExpr.const(0)
         m_fact = IndexExpr.factorial()
-        band = TailTerm(phi=(zero, 1 / m_fact, zero, -1 / m_fact))
-
-        def fn(nu):
-            m = nu[0]
-            if m % 2 == 0:
-                return _ZERO
-            sign = 1 if m % 4 == 1 else -1
-            return (Q(sign, _factorial(m)), Q(0))
-
-        return StandardPowerSeries(1, fn, entire=True, band=band)
+        return StandardPowerSeries._of_band(TailTerm(phi=(zero, 1 / m_fact, zero, -1 / m_fact)))
 
     @staticmethod
     def damped_rational() -> "StandardPowerSeries":
         """Entire series with rational non-factorial structure: 1/(m! (m+1))."""
         m = IndexExpr.index()
-        band = TailTerm(phi=(1 / (IndexExpr.factorial() * (m + 1)),))
-        return StandardPowerSeries(
-            1,
-            lambda nu: (Q(1, _factorial(nu[0]) * (nu[0] + 1)), Q(0)),
-            entire=True,
-            band=band,
-        )
+        return StandardPowerSeries._of_band(TailTerm(phi=(1 / (IndexExpr.factorial() * (m + 1)),)))
 
     # -- ring structure ----------------------------------------------------------
     def _check_arity(self, other: "StandardPowerSeries", what: str):
@@ -197,12 +181,6 @@ class StandardPowerSeries:
                 for k, v in self.coefficients_up_to(order).items()
             },
         }
-
-
-def _factorial(m: int) -> int:
-    import math
-
-    return math.factorial(m)
 
 
 # ---------------------------------------------------------------------------

@@ -394,6 +394,12 @@ class TestUsageErrors:
         for name, *_ in COMMANDS:
             assert f"    {name} " in proc.stdout, name
 
+    def test_program_parser_knows_every_command_word(self):
+        # run() reads the command word through the program parser
+        from hyperpoly import parser
+
+        assert sorted(parser.COMMANDS) == sorted(row[0] for row in COMMANDS)
+
     def test_parser_is_built_once(self):
         assert build_arg_parser() is build_arg_parser()
 

@@ -142,6 +142,29 @@ class TestSection:
         assert st_poly(lifted).eq_to_order(series, 12)
 
 
+class TestSeriesFromBands:
+    """The named series read their coefficients from their bands."""
+
+    def test_coefficients_to_order_30(self):
+        series = {
+            "exp": (StandardPowerSeries.exp(), lambda m: Q(1, math.factorial(m))),
+            "sin_like": (StandardPowerSeries.sin_like(),
+                         lambda m: Q((-1) ** (m // 2), math.factorial(m)) if m % 2 else Q(0)),
+            "damped_rational": (StandardPowerSeries.damped_rational(),
+                                lambda m: Q(1, math.factorial(m) * (m + 1))),
+        }
+        for name, (s, rule) in series.items():
+            for m in range(31):
+                re, im = s.coeff((m,))
+                assert (re, im) == (rule(m), 0), (name, m)
+                assert type(re) is Q and type(im) is Q
+
+    def test_lift_is_structured(self):
+        for s in (StandardPowerSeries.exp(), StandardPowerSeries.sin_like(),
+                  StandardPowerSeries.damped_rational()):
+            assert isinstance(lift_series(s, D_I), StructuredPoly)
+
+
 class TestMorphism:
     def test_polynomial_substitution(self):
         # images (X^2, X+1): h = Y1 + Y2 -> x^2 + x + 1
