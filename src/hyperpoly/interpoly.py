@@ -21,7 +21,7 @@ coefficient streams, which is all the downstream maps need.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Iterable, Iterator, Optional
 
@@ -472,8 +472,8 @@ def _hn_le_everywhere(a: HyperNatural, b: HyperNatural, shift: int = 0) -> bool:
     """
     if a.slope > b.slope:
         return False
-    hi = max([j for j, _ in a.patches + b.patches]
-             + [-(h.intercept // h.slope) for h in (a, b) if h.slope], default=0)
+    hi = max([0] + [j for j, _ in a.patches + b.patches]
+             + [-(h.intercept // h.slope) for h in (a, b) if h.slope])
     return all(a.value(i) + shift <= b.value(i) for i in range(1, hi + 2))
 
 
@@ -496,9 +496,7 @@ def _merge_tails(tails: tuple[TailTerm, ...]) -> tuple[TailTerm, ...]:
     for t in tails:
         for k, u in enumerate(out):
             if _same_rule_and_lo(u, t) and _hn_eq(u.hi, t.hi):
-                out[k] = TailTerm(
-                    u.phi, u.eps, u.psi_re + t.psi_re, u.psi_im + t.psi_im, u.lo, u.hi
-                )
+                out[k] = replace(u, psi_re=u.psi_re + t.psi_re, psi_im=u.psi_im + t.psi_im)
                 break
         else:
             out.append(t)
@@ -522,10 +520,7 @@ def _merge_tails(tails: tuple[TailTerm, ...]) -> tuple[TailTerm, ...]:
                 big, small = (u, t) if t.hi.le_eventually(u.hi) else (t, u)
                 if not _hn_le_everywhere(small.hi, big.hi):
                     continue  # order flips at small indices; keep both bands
-                merged = TailTerm(
-                    big.phi, big.eps, big.psi_re, big.psi_im,
-                    lo=small.hi, hi=big.hi,
-                )
+                merged = replace(big, lo=small.hi)
                 out = [x for j, x in enumerate(out) if j not in (a, b)] + [merged]
                 changed = True
                 break
@@ -538,20 +533,10 @@ def scalar_mul(c, p: InternalPolynomial) -> InternalPolynomial:
     c = hc_coerce(c)
     if isinstance(p, StructuredPoly) and c.symbolic and not c.prefix:
         explicit = {k: c * v for k, v in p.explicit.items()}
-        tails = []
-        for t in p.tails:
-            tails.append(
-                TailTerm(
-                    t.phi,
-                    t.eps,
-                    c.re * t.psi_re - c.im * t.psi_im,
-                    c.re * t.psi_im + c.im * t.psi_re,
-                    t.lo,
-                    t.hi,
-                )
-            )
+        tails = tuple(replace(t, psi_re=c.re * t.psi_re - c.im * t.psi_im,
+                              psi_im=c.re * t.psi_im + c.im * t.psi_re) for t in p.tails)
         tops = tuple(TopTerm(t.offset, c * t.coeff) for t in p.tops)
-        return StructuredPoly(p.n, p.degree, explicit, tuple(tails), tops)
+        return StructuredPoly(p.n, p.degree, explicit, tails, tops)
 
     def fn(i):
         try:
@@ -703,48 +688,55 @@ def abs_poly(p: InternalPolynomial) -> InternalPolynomial:
     * a band whose ``phi`` changes sign from the band's first degree on, or
       whose ``eps`` or ``psi`` changes sign from index 1 on (a band carries
       no per-index patches);
-    * a band or top that can share a degree with another term at some index,
-      since the result is built term by term.
+    * a band or top that can share a degree with another term at some index
+      unless both keep one sign, the same, at every index and degree, since
+      the result is built term by term.
     """
     if not isinstance(p, StructuredPoly):
         raise TypeError("absolute value needs a structured polynomial")
     explicit = {nu: _abs_hc(c) for nu, c in p.explicit.items()}
-    tails = []
+    tops = [_abs_hc(t.coeff) for t in p.tops]
+    tails, band_signs = [], []
     for t in p.tails:
         if not t.is_real():
             raise TypeError("absolute value of complex coefficient bands is not exact")
         first = 0 if t.lo is None else t.lo.value(1) + 1
-        phi = tuple(_abs_band_rule(e, first, r, len(t.phi)) for r, e in enumerate(t.phi))
-        tails.append(TailTerm(phi, _abs_band_rule(t.eps, 1), _abs_band_rule(t.psi_re, 1),
-                              IndexExpr.const(0), t.lo, t.hi))
-    tops = tuple(TopTerm(t.offset, _abs_hc(t.coeff)) for t in p.tops)
-    _refuse_shared_degrees(p)
-    return StructuredPoly(p.n, p.degree, explicit, tuple(tails), tops)
+        phi = [_abs_band_rule(e, first, r, len(t.phi)) for r, e in enumerate(t.phi)]
+        (eps, s_eps), (psi, s_psi) = _abs_band_rule(t.eps, 1), _abs_band_rule(t.psi_re, 1)
+        s_phi = {s for _, s in phi}
+        band_signs.append(s_psi * s_phi.pop() if len(s_phi) == 1 and s_eps > 0 else 0)
+        tails.append(TailTerm(tuple(a for a, _ in phi), eps, psi, IndexExpr.const(0), t.lo, t.hi))
+    _refuse_shared_degrees(p, [s for _, s in explicit.values()], [s for _, s in tops], band_signs)
+    return StructuredPoly(p.n, p.degree, {nu: a for nu, (a, _) in explicit.items()}, tuple(tails),
+                          tuple(TopTerm(t.offset, a) for t, (a, _) in zip(p.tops, tops)))
 
 
-def _abs_hc(c: HyperComplex) -> HyperComplex:
+def _abs_hc(c: HyperComplex) -> tuple[HyperComplex, int]:
+    """``|c|`` and the sign ``c`` keeps at every index (0 if none)."""
     if not c.symbolic:
         raise TypeError("absolute value of numeric-tier coefficients is not exact")
     if not c.im.is_zero() or any(v[1] != 0 for v in c.prefix.values()):
         raise TypeError("absolute value of complex coefficients is not exact")
-    re, t = _abs_expr(c.re)
+    re, t, s = _abs_expr(c.re)
     while t > 1 and not _negative_at(re, t - 1):
         t -= 1
     prefix = {}
     for i in sorted(set(c.prefix).union(range(1, t))):
         try:
-            prefix[i] = (abs(c.value_exact(i)[0]), Q(0))
+            v = c.value_exact(i)[0]
         except ZeroDivisionError:
-            pass
-    return HyperComplex(re, IndexExpr.const(0), prefix)
+            continue
+        prefix[i], s = (abs(v), Q(0)), s if v * s >= 0 else 0
+    return HyperComplex(re, IndexExpr.const(0), prefix), s
 
 
-def _abs_band_rule(e: IndexExpr, first: int, r: int = 0, period: int = 1) -> IndexExpr:
-    """|e| for a band rule read at every ``m >= first`` with ``m = r mod period``."""
-    a, t = _abs_expr(e)
+def _abs_band_rule(e: IndexExpr, first: int, r: int = 0, period: int = 1) -> tuple[IndexExpr, int]:
+    """|e| and its fixed sign for a band rule read at every ``m >= first``
+    with ``m = r mod period``."""
+    a, t, s = _abs_expr(e)
     if any(_negative_at(a, m) for m in range(first, t) if m % period == r):
         raise TypeError("a band rule changes sign inside the band; |P| needs per-index patches")
-    return a
+    return a, s
 
 
 def _negative_at(e: IndexExpr, i: int) -> bool:
@@ -754,30 +746,35 @@ def _negative_at(e: IndexExpr, i: int) -> bool:
         return False
 
 
-def _abs_expr(e: IndexExpr) -> tuple[IndexExpr, int]:
-    """``(a, t)``: ``a`` is ``e`` times each parity's eventual sign, so
-    ``a(i) = |e(i)|`` for every ``i >= t``."""
+def _abs_expr(e: IndexExpr) -> tuple[IndexExpr, int, int]:
+    """``(a, t, s)``: ``a`` is ``e`` times each parity's eventual sign, so
+    ``a(i) = |e(i)|`` for every ``i >= t``; ``s`` is that sign when both
+    parities share it (1 for ``e = 0``), else 0."""
     if e.is_zero():
-        return e, 1
+        return e, 1, 1
     if any(tag in (INFINITE, UNDEF) for tag, _ in e.growth().parity):
         raise TypeError("coefficient sign pattern not decided; |P| not representable")
     (s0, s1), t = e.eventual_signs()
     s0, s1 = s0 or s1, s1 or s0  # a parity where e vanishes takes the other's sign
     if s0 == s1:
-        return (e if s0 > 0 else -e), t
-    return e * (IndexExpr.geometric(-1) * s0), t  # opposite signs: fold in (-1)^i
+        return (e if s0 > 0 else -e), t, s0
+    return e * (IndexExpr.geometric(-1) * s0), t, 0  # opposite signs: fold in (-1)^i
 
 
-def _refuse_shared_degrees(p: StructuredPoly) -> None:
-    """Refuse a band or top that can share a total degree with another term."""
+def _refuse_shared_degrees(p: StructuredPoly, explicit_signs, top_signs, band_signs) -> None:
+    """Refuse a band or top that can share a total degree with another term
+    unless both keep the same sign everywhere (a sign of 0: none)."""
     zero = HyperNatural.constant(0)
-    # the degrees m of a term at index i: lo(i) + a < m <= hi(i) + b, as (lo, a, hi, b)
-    fixed = [(zero, m - 1, zero, m) for m in {mi_total(nu) for nu in p.explicit}]
-    moving = [(p.degree, -t.offset - 1, p.degree, -t.offset) for t in p.tops]
-    moving += [(t.lo or zero, 0 if t.lo else -1, t.hi or p.degree, 0) for t in p.tails]
-    for j, (lo, a, hi, b) in enumerate(moving):
-        for lo2, a2, hi2, b2 in moving[j + 1:] + fixed:
-            if not (_hn_le_everywhere(hi, lo2, b - a2) or _hn_le_everywhere(hi2, lo, b2 - a)):
+    # the degrees m of a term at index i: lo(i) + a < m <= hi(i) + b, as (lo, a, hi, b, sign)
+    fixed = [(zero, mi_total(nu) - 1, zero, mi_total(nu), s)
+             for nu, s in zip(p.explicit, explicit_signs)]
+    moving = [(p.degree, -t.offset - 1, p.degree, -t.offset, s) for t, s in zip(p.tops, top_signs)]
+    moving += [(t.lo or zero, 0 if t.lo else -1, t.hi or p.degree, 0, s)
+               for t, s in zip(p.tails, band_signs)]
+    for j, (lo, a, hi, b, s) in enumerate(moving):
+        for lo2, a2, hi2, b2, s2 in moving[j + 1:] + fixed:
+            if (not s or s != s2) and not (_hn_le_everywhere(hi, lo2, b - a2)
+                                           or _hn_le_everywhere(hi2, lo, b2 - a)):
                 raise TypeError("terms of P can share a degree; |P| is taken term by term")
 
 
@@ -791,6 +788,11 @@ def partial_derivative(p: InternalPolynomial, alpha: MultiIndex) -> InternalPoly
         for _ in range(k):
             out = _derive_once(out, var)
     return out
+
+
+def _less_one(h: HyperNatural) -> HyperNatural:
+    """``h - 1``, each patch clipped at 0."""
+    return HyperNatural(h.slope, h.intercept - 1, tuple((i, max(0, v - 1)) for i, v in h.patches))
 
 
 def _derive_once(p: InternalPolynomial, var: int) -> InternalPolynomial:
@@ -813,14 +815,8 @@ def _derive_once(p: InternalPolynomial, var: int) -> InternalPolynomial:
                 t.phi[(r + 1) % period].subst_affine(1, 1) * (m_expr + 1)
                 for r in range(period)
             )
-            lo = None
-            if t.lo is not None and (t.lo.slope, t.lo.intercept) != (0, 0):
-                lo = HyperNatural(t.lo.slope, t.lo.intercept - 1,
-                                  tuple((i, max(0, v - 1)) for i, v in t.lo.patches))
-            hi = None
-            if t.hi is not None:
-                hi = HyperNatural(t.hi.slope, t.hi.intercept - 1,
-                                  tuple((i, max(0, v - 1)) for i, v in t.hi.patches))
+            lo = None if t.lo is None or (t.lo.slope, t.lo.intercept) == (0, 0) else _less_one(t.lo)
+            hi = None if t.hi is None else _less_one(t.hi)
             tails.append(TailTerm(new_phi, t.eps, t.psi_re * t.eps,
                                   t.psi_im * t.eps, lo, hi))
         tops = []

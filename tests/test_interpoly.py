@@ -18,6 +18,7 @@ from hyperpoly.interpoly import (
     StructuredPoly,
     TailTerm,
     TopTerm,
+    _hn_le_everywhere,
     abs_poly,
     constant,
     dehomogenize,
@@ -234,6 +235,52 @@ class TestAbsSigns:
         assert A.materialize(5) == {(1,): pair(2), (4,): pair(Q(1, 24)), (5,): pair(Q(1, 120))}
         with pytest.raises(TypeError):
             abs_poly(P)  # the top X^d meets the band from index 4 on
+
+    def test_a_top_inside_a_band_from_index_one_is_refused(self):
+        # degree i + 5, the band over (i + 2, d]: the top X^d lies in it at every index
+        band = TailTerm((1 / IndexExpr.factorial(),), lo=HyperNatural.affine(1, 2))
+        P = StructuredPoly(1, HyperNatural.affine(1, 5), tails=(band,),
+                           tops=(TopTerm(0, HyperComplex.from_rational(-1)),))
+        with pytest.raises(TypeError):
+            abs_poly(P)
+
+    def test_terms_sharing_a_degree_with_one_sign_are_kept(self):
+        X = variable(1, 0)
+        for P in (X + truncated_exp(D_I), scalar_mul(-1, X + truncated_exp(D_I))):
+            A = abs_poly(P)
+            for i in range(1, 9):
+                assert A.materialize(i) == \
+                    {nu: (abs(re), Q(0)) for nu, (re, _) in P.materialize(i).items()}, i
+
+    def test_a_band_whose_sign_holds_from_index_one_is_not_scanned(self):
+        # 1 + 10^6/i: its dominance bound lies near 2^20, its classes share one sign
+        psi = 1 + 10**6 / I()
+        assert psi.eventual_signs() == ((1, 1), 1)
+        A = abs_poly(StructuredPoly(1, D_I, tails=(TailTerm((IndexExpr.const(1),), psi_re=psi),)))
+        assert A.materialize(3)[(2,)] == pair(1 + Q(10**6, 3))
+
+
+class TestDegreeRanges:
+    """Comparisons of moving degrees hold at every index, index 1 included."""
+
+    def test_a_constant_above_an_affine_bound_at_index_one_is_not_below_it(self):
+        assert not _hn_le_everywhere(HyperNatural.constant(10), HyperNatural.affine(1, 3))
+        assert _hn_le_everywhere(HyperNatural.constant(4), HyperNatural.affine(1, 3))
+
+    def test_truncations_whose_order_flips_keep_every_coefficient(self):
+        phi = (1 / IndexExpr.factorial(),)
+        P = StructuredPoly(1, HyperNatural.constant(10),
+                           tails=(TailTerm(phi, hi=HyperNatural.constant(10)),))
+        R = StructuredPoly(1, HyperNatural.affine(1, 3),
+                           tails=(TailTerm(phi, psi_re=IndexExpr.const(-1),
+                                           hi=HyperNatural.affine(1, 3)),))
+        S = poly_add(P, R)
+        for i in range(1, 9):
+            want = dict(P.materialize(i))
+            for nu, (re, im) in R.materialize(i).items():
+                want[nu] = (want.get(nu, pair(0))[0] + re, Q(0))
+            assert {nu: c for nu, c in S.materialize(i).items() if c != pair(0)} == \
+                {nu: c for nu, c in want.items() if c != pair(0)}, i
 
 
 @st.composite
