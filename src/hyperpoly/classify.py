@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
@@ -43,6 +42,7 @@ from .interpoly import (
     mi_total,
     poly_eval,
 )
+from .record import Record, _set
 from .verdicts import FAILS, HOLDS, UNDETERMINED, Verdict
 
 Q = Fraction
@@ -55,22 +55,24 @@ UNBOUNDED = "unbounded"
 _ZERO, _POS, _INF, _UNK = "zero", "pos", "inf", "unknown"
 
 
-@dataclass(frozen=True)
-class Certificate:
-    kind: str                      # root-test | sample | finite-degree | propagated
-    details: tuple = field(default=())
-    symbolic: bool = True
+class Certificate(Record, frozen=True):
+    __slots__ = ("kind", "details", "symbolic")
+    def __init__(self, kind: str, details: tuple = (), symbolic: bool = True):
+        _set(self, "kind", kind)  # root-test | sample | finite-degree | propagated
+        _set(self, "details", details)
+        _set(self, "symbolic", symbolic)
 
     def to_json(self):
         return {"kind": self.kind, "details": [str(d) for d in self.details],
                 "symbolic": self.symbolic}
 
 
-@dataclass(frozen=True)
-class PolyClass:
-    verdict: str                   # bounded | infinitesimal | unbounded | undetermined
-    certificate: Certificate
-    infinitesimal: str = "unknown"   # yes | no | unknown (within bounded verdicts)
+class PolyClass(Record, frozen=True):
+    __slots__ = ("verdict", "certificate", "infinitesimal")
+    def __init__(self, verdict: str, certificate: Certificate, infinitesimal: str = "unknown"):
+        _set(self, "verdict", verdict)  # bounded | infinitesimal | unbounded | undetermined
+        _set(self, "certificate", certificate)
+        _set(self, "infinitesimal", infinitesimal)  # yes | no | unknown (if bounded)
 
     @property
     def bounded(self) -> bool:
@@ -396,12 +398,14 @@ def _oracle_points(n: int, R: Fraction, sample_count: int, seed: int) -> list[tu
     return points
 
 
-@dataclass(frozen=True)
-class OracleReport:
-    bounded: Verdict
-    infinitesimal: Verdict
-    witness: Optional[tuple] = None
-    radius: Fraction = Q(1)
+class OracleReport(Record, frozen=True):
+    __slots__ = ("bounded", "infinitesimal", "witness", "radius")
+    def __init__(self, bounded: Verdict, infinitesimal: Verdict,
+                 witness: Optional[tuple] = None, radius: Fraction = Q(1)):
+        _set(self, "bounded", bounded)
+        _set(self, "infinitesimal", infinitesimal)
+        _set(self, "witness", witness)
+        _set(self, "radius", radius)
 
     def to_json(self):
         return {

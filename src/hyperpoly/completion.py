@@ -12,7 +12,6 @@ one where the lift map onto residues is exhaustively checkable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import product as iproduct
@@ -24,6 +23,7 @@ from .filters import is_prime
 from .hypernat import HyperNatural
 from .hypernum import HyperComplex
 from .interpoly import InternalPolynomial, StructuredPoly, mi_total, multi_indices_of_degree
+from .record import Record, _set
 from .verdicts import FAILS, HOLDS, UNDETERMINED, Verdict
 
 Q = Fraction
@@ -56,13 +56,14 @@ def _normalize(field: FieldSpec, c):
     return c.numerator * pow(c.denominator, -1, field) % field
 
 
-@dataclass(frozen=True)
-class FieldPoly:
+class FieldPoly(Record, frozen=True):
     """Plain standard polynomial over Q or F_p, dense-by-dict."""
 
-    field: FieldSpec
-    n: int
-    coeffs: tuple            # sorted ((nu, c), ...)
+    __slots__ = ("field", "n", "coeffs", "__dict__")   # __dict__ keeps _over_lcm
+    def __init__(self, field: FieldSpec, n: int, coeffs: tuple):
+        _set(self, "field", field)
+        _set(self, "n", n)
+        _set(self, "coeffs", coeffs)  # sorted ((nu, c), ...)
 
     @staticmethod
     def make(field: FieldSpec, n: int, coeffs: dict) -> "FieldPoly":
@@ -130,13 +131,14 @@ class FieldPoly:
         return max((mi_total(nu) for nu, _ in self.coeffs), default=0)
 
 
-@dataclass(frozen=True)
-class ResidueTower:
+class ResidueTower(Record, frozen=True):
     """Levels x_0, ..., x_K with x_{k+1} = x_k mod m^{k+1}."""
 
-    field: FieldSpec
-    n: int
-    levels: tuple
+    __slots__ = ("field", "n", "levels")
+    def __init__(self, field: FieldSpec, n: int, levels: tuple):
+        _set(self, "field", field)
+        _set(self, "n", n)
+        _set(self, "levels", levels)
 
     @staticmethod
     def make(field: FieldSpec, n: int, levels) -> "ResidueTower":
@@ -153,11 +155,12 @@ class ResidueTower:
         return len(self.levels) - 1
 
 
-@dataclass(frozen=True)
-class LiftedTower:
+class LiftedTower(Record, frozen=True):
     """The internal polynomial whose index-i member is x_min(i, K)."""
 
-    tower: ResidueTower
+    __slots__ = ("tower",)
+    def __init__(self, tower: ResidueTower):
+        _set(self, "tower", tower)
 
     def at_index(self, i: int) -> FieldPoly:
         k = min(max(i, 0), self.tower.depth)

@@ -27,11 +27,12 @@ power below a sparse residue's ``X^80``.  The torus quadrature in
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import inf, lcm
 from operator import add
 from typing import Iterable, Optional
+
+from .record import Record, _set
 
 
 def _numerators(table: dict) -> tuple[int, list]:
@@ -82,8 +83,7 @@ def dot(pairs: Iterable[tuple[tuple, tuple]]) -> tuple[Fraction, Fraction]:
     return Fraction(re, den), Fraction(im, den)
 
 
-@dataclass(frozen=True)
-class IntegerForm:
+class IntegerForm(Record, frozen=True):
     """Materialized indices as Gaussian-integer numerators.
 
     ``max_exp`` is the largest exponent of each variable and ``top`` the
@@ -94,9 +94,12 @@ class IntegerForm:
     lists ``(variable, exponent)`` for the nonzero exponents of ``nu``.
     """
 
-    max_exp: tuple[int, ...]
-    top: int
-    indices: tuple[tuple[int, int, tuple], ...]
+    __slots__ = ("max_exp", "top", "indices")
+    def __init__(self, max_exp: tuple[int, ...], top: int,
+                 indices: tuple[tuple[int, int, tuple], ...]):
+        _set(self, "max_exp", max_exp)
+        _set(self, "top", top)
+        _set(self, "indices", indices)
 
 
 def integer_form(mats: Iterable[dict], n: int) -> IntegerForm:

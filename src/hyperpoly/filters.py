@@ -10,9 +10,10 @@ its elements, and back.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import product as iproduct
 from typing import Callable, Iterable
+
+from .record import Record, _set
 
 MAX_INDEX_SET = 12
 # the most elements a ProductRing may have.  kochen enumerates every ideal and
@@ -25,12 +26,11 @@ class SizeError(ValueError):
     """Index set too large for exhaustive verification."""
 
 
-@dataclass(frozen=True)
-class FiniteFilterModel:
-    index_set: frozenset
-    members: frozenset  # frozenset of frozensets
-
-    def __post_init__(self):
+class FiniteFilterModel(Record, frozen=True):
+    __slots__ = ("index_set", "members")
+    def __init__(self, index_set: frozenset, members: frozenset):
+        _set(self, "index_set", index_set)
+        _set(self, "members", members)  # frozenset of frozensets
         if len(self.index_set) > MAX_INDEX_SET:
             raise SizeError(f"index set larger than {MAX_INDEX_SET}")
         if frozenset(self.index_set) not in self.members:
@@ -127,19 +127,19 @@ def is_prime(n: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class ProductRing:
+class ProductRing(Record, frozen=True):
     """The ring prod_{i in I} F_{p_i}, elements as tuples over sorted(I)."""
 
-    labels: tuple          # sorted index labels
-    primes: tuple          # prime modulus per label
+    __slots__ = ("labels", "primes")
 
     @staticmethod
     def uniform(index_set: Iterable, p: int) -> "ProductRing":
         labels = tuple(sorted(index_set))
         return ProductRing(labels, tuple(p for _ in labels))
 
-    def __post_init__(self):
+    def __init__(self, labels: tuple, primes: tuple):
+        _set(self, "labels", labels)    # sorted index labels
+        _set(self, "primes", primes)    # prime modulus per label
         if len(self.labels) > MAX_INDEX_SET:
             raise SizeError(f"index set larger than {MAX_INDEX_SET}")
         if len(self.labels) != len(self.primes):

@@ -13,7 +13,6 @@ fractions, an avoidance records a positive rational squared margin.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 from typing import Callable, Iterator, Optional
@@ -21,6 +20,7 @@ from typing import Callable, Iterator, Optional
 from .completion import FieldPoly
 from .config import HORIZON
 from .interpoly import multi_indices_of_degree
+from .record import Record, _set
 from .verdicts import HOLDS, GridExhausted, Verdict, eventually
 
 Q = Fraction
@@ -39,10 +39,11 @@ def qpoly(n: int, coeffs: dict) -> FieldPoly:
 # rational functions and parametrizations
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class RationalFunc:
-    num: FieldPoly
-    den: FieldPoly
+class RationalFunc(Record, frozen=True):
+    __slots__ = ("num", "den")
+    def __init__(self, num: FieldPoly, den: FieldPoly):
+        _set(self, "num", num)
+        _set(self, "den", den)
 
     @staticmethod
     def of(num: FieldPoly, den: Optional[FieldPoly] = None) -> "RationalFunc":
@@ -62,12 +63,13 @@ class RationalFunc:
         return self.num.is_zero()
 
 
-@dataclass(frozen=True)
-class Parametrization:
+class Parametrization(Record, frozen=True):
     """A rational map from k parameters onto (a dense subset of) the variety."""
 
-    k: int
-    coords: tuple            # RationalFunc per ambient coordinate
+    __slots__ = ("k", "coords")
+    def __init__(self, k: int, coords: tuple):
+        _set(self, "k", k)
+        _set(self, "coords", coords)  # RationalFunc per ambient coordinate
 
     @property
     def n(self) -> int:
@@ -184,11 +186,13 @@ def integer_poly_corpus(n: int, height: int) -> Iterator[FieldPoly]:
 # the lazy point
 # ---------------------------------------------------------------------------
 
-@dataclass
-class LogEntry:
-    kind: str                   # equality | avoidance | halo
-    description: str
-    margin_squared: Optional[Fraction] = None
+class LogEntry(Record):
+    __slots__ = ("kind", "description", "margin_squared")
+    def __init__(self, kind: str, description: str,
+                 margin_squared: Optional[Fraction] = None):
+        self.kind = kind  # equality | avoidance | halo
+        self.description = description
+        self.margin_squared = margin_squared
 
 
 class LazyHyperPoint:

@@ -9,19 +9,18 @@ the sequence is unbounded exactly when the eventual slope is positive.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from .record import Record, _set
 
 
-@dataclass(frozen=True)
-class HyperNatural:
-    slope: int = 0
-    intercept: int = 0
-    patches: tuple[tuple[int, int], ...] = field(default=())
-
-    def __post_init__(self):
-        if self.slope < 0:
+class HyperNatural(Record, frozen=True):
+    __slots__ = ("slope", "intercept", "patches")
+    def __init__(self, slope: int = 0, intercept: int = 0,
+                 patches: tuple[tuple[int, int], ...] = ()):
+        if slope < 0:
             raise ValueError("slope must be >= 0")
-        object.__setattr__(self, "patches", tuple(sorted(dict(self.patches).items())))
+        _set(self, "slope", slope)
+        _set(self, "intercept", intercept)
+        _set(self, "patches", tuple(sorted(dict(patches).items())))
         for i, v in self.patches:
             if i < 1 or v < 0:
                 raise ValueError("patches must map indices >= 1 to naturals")

@@ -15,12 +15,12 @@ how reciprocals are zero-padded below their non-vanishing threshold, and how
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional
 
 from .config import HORIZON
 from .indexexpr import IndexExpr
+from .record import Record, _set
 from .verdicts import HOLDS, UNDETERMINED, Verdict
 
 Q = Fraction
@@ -49,10 +49,11 @@ class NotEventuallyNonzeroError(ArithmeticError):
     pass
 
 
-@dataclass(frozen=True)
-class Classification:
-    label: str
-    verdict: Verdict
+class Classification(Record, frozen=True):
+    __slots__ = ("label", "verdict")
+    def __init__(self, label: str, verdict: Verdict):
+        _set(self, "label", label)
+        _set(self, "verdict", verdict)
 
     def to_json(self):
         return {"class": self.label, "verdict": self.verdict.to_json()}

@@ -33,10 +33,11 @@ compare and print as numbers.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Optional, Union
+
+from .record import Record, _set
 
 Q = Fraction
 
@@ -360,8 +361,7 @@ def _parity_behavior_from(
     return (FINITE, Q(g_n * dens[1], g_d * dens[0]))
 
 
-@dataclass(frozen=True)
-class SeqGrowth:
+class SeqGrowth(Record, frozen=True):
     """Eventual behaviour of a real-valued sequence in the fragment.
 
     kind: 'zero' | 'finite' | 'infinite' | 'mixed' | 'undef'
@@ -369,9 +369,11 @@ class SeqGrowth:
     parity: the raw ((tag, value), (tag, value)) pair for even/odd indices.
     """
 
-    kind: str
-    limit: Optional[Fraction]
-    parity: tuple[tuple[str, Optional[Fraction]], tuple[str, Optional[Fraction]]]
+    __slots__ = ("kind", "limit", "parity")
+    def __init__(self, kind: str, limit: Optional[Fraction], parity: tuple):
+        _set(self, "kind", kind)
+        _set(self, "limit", limit)
+        _set(self, "parity", parity)
 
 
 def quotient_growth(num: Form, den: Form) -> SeqGrowth:

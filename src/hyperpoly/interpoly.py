@@ -21,7 +21,6 @@ coefficient streams, which is all the downstream maps need.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Iterable, Iterator, Optional
 
@@ -29,6 +28,7 @@ from .exacteval import dot, evaluate, integer_form, multiply
 from .hypernat import HyperNatural
 from .hypernum import HyperComplex, coerce as hc_coerce, exact_complex
 from .indexexpr import INFINITE, UNDEF, IndexExpr
+from .record import Record, _set
 
 Q = Fraction
 MultiIndex = tuple[int, ...]
@@ -90,8 +90,7 @@ def _box_convolution(f, g, nu: MultiIndex) -> HyperComplex:
     return HyperComplex(re, im, prefix)
 
 
-@dataclass(frozen=True)
-class TailTerm:
+class TailTerm(Record, frozen=True):
     """Coefficient band ``a(nu, i) = phi(|nu|) * eps(i)^|nu| * psi(i)``.
 
     ``phi`` is one expression per residue of ``|nu|`` modulo its length, each
@@ -101,12 +100,15 @@ class TailTerm:
     clipped to the ambient degree.
     """
 
-    phi: tuple[IndexExpr, ...]
-    eps: IndexExpr = field(default_factory=lambda: IndexExpr.const(1))
-    psi_re: IndexExpr = field(default_factory=lambda: IndexExpr.const(1))
-    psi_im: IndexExpr = field(default_factory=lambda: IndexExpr.const(0))
-    lo: Optional[HyperNatural] = None   # exclusive lower bound on |nu|
-    hi: Optional[HyperNatural] = None   # inclusive upper bound on |nu|
+    __slots__ = ("phi", "eps", "psi_re", "psi_im", "lo", "hi")
+    def __init__(self, phi: tuple[IndexExpr, ...], eps=None, psi_re=None, psi_im=None,
+                 lo: Optional[HyperNatural] = None, hi: Optional[HyperNatural] = None):
+        _set(self, "phi", phi)    # eps, psi_re and psi_im default to new 1, 1 and 0
+        _set(self, "eps", IndexExpr.const(1) if eps is None else eps)
+        _set(self, "psi_re", IndexExpr.const(1) if psi_re is None else psi_re)
+        _set(self, "psi_im", IndexExpr.const(0) if psi_im is None else psi_im)
+        _set(self, "lo", lo)    # exclusive lower bound on |nu|
+        _set(self, "hi", hi)    # inclusive upper bound on |nu|
 
     @staticmethod
     def from_degree_rule(phi: IndexExpr | tuple, **kw) -> "TailTerm":
@@ -157,12 +159,13 @@ class TailTerm:
         return self.psi_im.is_zero()
 
 
-@dataclass(frozen=True)
-class TopTerm:
+class TopTerm(Record, frozen=True):
     """Univariate moving monomial ``coeff * X^(d - offset)``."""
 
-    offset: int
-    coeff: HyperComplex
+    __slots__ = ("offset", "coeff")
+    def __init__(self, offset: int, coeff: HyperComplex):
+        _set(self, "offset", offset)
+        _set(self, "coeff", coeff)
 
 
 class InternalPolynomial:
@@ -496,7 +499,7 @@ def _merge_tails(tails: tuple[TailTerm, ...]) -> tuple[TailTerm, ...]:
     for t in tails:
         for k, u in enumerate(out):
             if _same_rule_and_lo(u, t) and _hn_eq(u.hi, t.hi):
-                out[k] = replace(u, psi_re=u.psi_re + t.psi_re, psi_im=u.psi_im + t.psi_im)
+                out[k] = u.replace(psi_re=u.psi_re + t.psi_re, psi_im=u.psi_im + t.psi_im)
                 break
         else:
             out.append(t)
@@ -520,7 +523,7 @@ def _merge_tails(tails: tuple[TailTerm, ...]) -> tuple[TailTerm, ...]:
                 big, small = (u, t) if t.hi.le_eventually(u.hi) else (t, u)
                 if not _hn_le_everywhere(small.hi, big.hi):
                     continue  # order flips at small indices; keep both bands
-                merged = replace(big, lo=small.hi)
+                merged = big.replace(lo=small.hi)
                 out = [x for j, x in enumerate(out) if j not in (a, b)] + [merged]
                 changed = True
                 break
@@ -533,7 +536,7 @@ def scalar_mul(c, p: InternalPolynomial) -> InternalPolynomial:
     c = hc_coerce(c)
     if isinstance(p, StructuredPoly) and c.symbolic and not c.prefix:
         explicit = {k: c * v for k, v in p.explicit.items()}
-        tails = tuple(replace(t, psi_re=c.re * t.psi_re - c.im * t.psi_im,
+        tails = tuple(t.replace(psi_re=c.re * t.psi_re - c.im * t.psi_im,
                               psi_im=c.re * t.psi_im + c.im * t.psi_re) for t in p.tails)
         tops = tuple(TopTerm(t.offset, c * t.coeff) for t in p.tops)
         return StructuredPoly(p.n, p.degree, explicit, tails, tops)

@@ -21,7 +21,6 @@ verify exactly by exponent arithmetic.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
@@ -40,6 +39,7 @@ from .interpoly import (
     scalar_mul,
     zero_poly,
 )
+from .record import Record, _set
 from .stdpart import StandardPowerSeries, StandardPartError, lift_series, st_poly
 from .verdicts import FAILS, HOLDS, UNDETERMINED, Verdict
 
@@ -51,16 +51,14 @@ class DnCertificateError(ValueError):
     """The element has no certificate placing it in the bounded diff ring."""
 
 
-@dataclass
-class DiffElement:
+class DiffElement(Record):
     """body = sum_mu slices[mu](X) * dX^mu, slices internal polynomials."""
 
-    n: int
-    slices: dict[MultiIndex, InternalPolynomial] = field(default_factory=dict)
-
-    def __post_init__(self):
+    __slots__ = ("n", "slices")
+    def __init__(self, n: int, slices: Optional[dict[MultiIndex, InternalPolynomial]] = None):
+        self.n = n
         clean = {}
-        for mu, poly in self.slices.items():
+        for mu, poly in (slices or {}).items():
             mu = tuple(mu)
             if len(mu) != self.n:
                 raise ValueError("slice index arity mismatch")
@@ -254,10 +252,11 @@ def in_I2(p: DiffElement) -> Verdict:
 # phi and reduction mod I^2
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class OneForm:
-    n: int
-    components: tuple          # StandardPowerSeries per variable
+class OneForm(Record, frozen=True):
+    __slots__ = ("n", "components")
+    def __init__(self, n: int, components: tuple):
+        _set(self, "n", n)
+        _set(self, "components", components)  # StandardPowerSeries per variable
 
     def is_zero_to_order(self, order: int) -> bool:
         return all(c.is_constant_to_order(order) and c.coeff(tuple([0] * self.n)) == (0, 0)
@@ -326,12 +325,13 @@ class FactorizationError(ArithmeticError):
     pass
 
 
-@dataclass(frozen=True)
-class EpsFactor:
+class EpsFactor(Record, frozen=True):
     """The scalar s^exponent, where s_i = max |a_nu(i)|^2 of the source."""
 
-    source: InternalPolynomial
-    exponent: Fraction
+    __slots__ = ("source", "exponent")
+    def __init__(self, source: InternalPolynomial, exponent: Fraction):
+        _set(self, "source", source)
+        _set(self, "exponent", exponent)
 
     def s_value(self, i: int) -> Fraction:
         best = Q(0)
@@ -365,13 +365,14 @@ class ScaledPoly(InternalPolynomial):
         raise TypeError("scaled cofactors have no rational coefficient stream")
 
 
-@dataclass(frozen=True)
-class Factorization:
+class Factorization(Record, frozen=True):
     """source = (prod of eps factors) * cofactor, exact by construction."""
 
-    source: InternalPolynomial
-    eps: tuple            # EpsFactor, ...
-    cofactor: ScaledPoly
+    __slots__ = ("source", "eps", "cofactor")
+    def __init__(self, source: InternalPolynomial, eps: tuple, cofactor: ScaledPoly):
+        _set(self, "source", source)
+        _set(self, "eps", eps)  # EpsFactor, ...
+        _set(self, "cofactor", cofactor)
 
     def exponent_identity(self) -> bool:
         total = sum((e.exponent for e in self.eps), Q(0))
@@ -449,14 +450,16 @@ def classify_scaled(obj) -> PolyClass:
 # the section of the standard part, mod I^(m+1)
 # ---------------------------------------------------------------------------
 
-@dataclass
-class SectionClass:
+class SectionClass(Record):
     """s(f) = [lift of f] mod I^(m+1): any two lifts differ inside I^(m+1)."""
 
-    series: StandardPowerSeries
-    order: int
-    degree: HyperNatural
-    lift: DiffElement
+    __slots__ = ("series", "order", "degree", "lift")
+    def __init__(self, series: StandardPowerSeries, order: int, degree: HyperNatural,
+                 lift: DiffElement):
+        self.series = series
+        self.order = order
+        self.degree = degree
+        self.lift = lift
 
     def compare_lift(self, other_degree: HyperNatural) -> Factorization:
         """Factor the difference against a second lift into m+1 infinitesimals."""

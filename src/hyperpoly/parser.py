@@ -24,13 +24,13 @@ not mention ``i`` (unless the parameter is named ``i``) or any other name.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Union
 
 from .hypernat import HyperNatural
 from .hypernum import HyperComplex
 from .indexexpr import IndexExpr
+from .record import Record, _set
 
 Q = Fraction
 
@@ -62,12 +62,13 @@ _TOKEN_RE = re.compile(
 )
 
 
-@dataclass(frozen=True)
-class Token:
-    kind: str        # number | ident | op | end
-    text: str
-    line: int
-    col: int
+class Token(Record, frozen=True):
+    __slots__ = ("kind", "text", "line", "col")
+    def __init__(self, kind: str, text: str, line: int, col: int):
+        _set(self, "kind", kind)  # number | ident | op | end
+        _set(self, "text", text)
+        _set(self, "line", line)
+        _set(self, "col", col)
 
 
 def _line_col(text: str, pos: int) -> tuple[int, int]:
@@ -97,55 +98,63 @@ def tokenize(text: str) -> list[Token]:
 
 # -- AST ----------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Num:
-    value: Fraction
+class Num(Record, frozen=True):
+    __slots__ = ("value",)
+    def __init__(self, value: Fraction):
+        _set(self, "value", value)
 
 
-@dataclass(frozen=True)
-class Var:
-    name: str
+class Var(Record, frozen=True):
+    __slots__ = ("name",)
+    def __init__(self, name: str):
+        _set(self, "name", name)
 
 
-@dataclass(frozen=True)
-class BinOp:
-    op: str
-    left: "Node"
-    right: "Node"
+class BinOp(Record, frozen=True):
+    __slots__ = ("op", "left", "right")
+    def __init__(self, op: str, left: "Node", right: "Node"):
+        _set(self, "op", op)
+        _set(self, "left", left)
+        _set(self, "right", right)
 
 
-@dataclass(frozen=True)
-class Neg:
-    operand: "Node"
+class Neg(Record, frozen=True):
+    __slots__ = ("operand",)
+    def __init__(self, operand: "Node"):
+        _set(self, "operand", operand)
 
 
-@dataclass(frozen=True)
-class Pow:
-    base: "Node"
-    exponent: "Node"     # Num with a natural, or Var (the loop variable)
+class Pow(Record, frozen=True):
+    __slots__ = ("base", "exponent")
+    def __init__(self, base: "Node", exponent: "Node"):
+        _set(self, "base", base)
+        _set(self, "exponent", exponent)  # Num with a natural, or Var (the loop variable)
 
 
-@dataclass(frozen=True)
-class Factorial:
-    name: str
+class Factorial(Record, frozen=True):
+    __slots__ = ("name",)
+    def __init__(self, name: str):
+        _set(self, "name", name)
 
 
-@dataclass(frozen=True)
-class Sum:
-    var: str
-    lo: int
-    hi: "Node"           # Num or Var bound to a hypernatural
-    body: "Node"
+class Sum(Record, frozen=True):
+    __slots__ = ("var", "lo", "hi", "body")
+    def __init__(self, var: str, lo: int, hi: "Node", body: "Node"):
+        _set(self, "var", var)
+        _set(self, "lo", lo)
+        _set(self, "hi", hi)  # Num or Var bound to a hypernatural
+        _set(self, "body", body)
 
 
 Node = Union[Num, Var, BinOp, Neg, Pow, Factorial, Sum]
 
 
-@dataclass(frozen=True)
-class Program:
-    declarations: tuple        # (name, Node) pairs, in order
-    command: Optional[str]
-    expression: Optional[Node]
+class Program(Record, frozen=True):
+    __slots__ = ("declarations", "command", "expression")
+    def __init__(self, declarations: tuple, command: Optional[str], expression: Optional[Node]):
+        _set(self, "declarations", declarations)  # (name, Node) pairs, in order
+        _set(self, "command", command)
+        _set(self, "expression", expression)
 
 
 # -- parser -------------------------------------------------------------------
@@ -351,14 +360,19 @@ class BindError(ValueError):
     pass
 
 
-@dataclass
-class Bindings:
-    sequences: dict            # name -> IndexExpr
-    hypernats: dict            # name -> HyperNatural
+class Bindings(Record):
+    __slots__ = ("sequences", "hypernats")
+    def __init__(self, sequences: dict, hypernats: dict):
+        self.sequences = sequences  # name -> IndexExpr
+        self.hypernats = hypernats  # name -> HyperNatural
 
     @staticmethod
     def empty() -> "Bindings":
         return Bindings({}, {})
+
+
+def _unreadable(node: Optional[Node], what: str) -> BindError:
+    return BindError(f"cannot read {'None' if node is None else print_node(node)} as {what}")
 
 
 def build_sequence(node: Node, env: Bindings) -> IndexExpr:
@@ -394,7 +408,7 @@ def build_sequence(node: Node, env: Bindings) -> IndexExpr:
                     raise BindError("c^i needs a constant rational base")
                 return IndexExpr.geometric(base)
             raise BindError("sequence powers need a literal natural or 'i' exponent")
-        raise BindError(f"cannot read {n!r} as a sequence")
+        raise _unreadable(n, "a sequence")
 
     return go(node)
 
@@ -423,7 +437,7 @@ def build_hypernat(node: Node, env: Bindings) -> HyperNatural:
                     raise BindError("hypernatural expressions must stay affine in i")
                 return (a[0] * b[1] + b[0] * a[1], a[1] * b[1])
             raise BindError(f"operator {n.op!r} not allowed in hypernaturals")
-        raise BindError(f"cannot read {n!r} as a hypernatural")
+        raise _unreadable(n, "a hypernatural")
 
     slope, intercept = go(node)
     if slope.denominator != 1 or intercept.denominator != 1 or slope < 0:
@@ -521,7 +535,7 @@ def build_poly_in(node: Node, env: Bindings, variables: dict):
             for _ in range(int(m.exponent.value)):
                 out = poly_mul(out, base)
             return out
-        raise BindError(f"cannot read {m!r} as a polynomial")
+        raise _unreadable(m, "a polynomial")
 
     return go(node)
 
@@ -643,7 +657,7 @@ def _as_loop_expr(node: Node, k: str) -> IndexExpr:
             if isinstance(m.exponent, Num):
                 return go(m.base) ** int(m.exponent.value)
             raise BindError("nested loop powers are not in the band fragment")
-        raise BindError(f"cannot read {m!r} as a band coefficient")
+        raise _unreadable(m, "a band coefficient")
 
     return go(node)
 

@@ -12,7 +12,6 @@ polynomials with the zeros of their standard part.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Optional
 
@@ -30,6 +29,7 @@ from .interpoly import (
     multi_indices_of_degree,
     truncate_series,
 )
+from .record import Record, _set
 from .roots import durand_kerner
 
 Q = Fraction
@@ -220,13 +220,14 @@ def st_poly(p: InternalPolynomial, cls: Optional[PolyClass] = None) -> StandardP
 # st on morphisms
 # ---------------------------------------------------------------------------
 
-@dataclass
-class SeriesMorphism:
+class SeriesMorphism(Record):
     """Substitution h -> h(g_1, ..., g_n) by standard parts of bounded images."""
 
-    images: list[StandardPowerSeries]     # the series st(g_j), each in m variables
-    n_source: int                          # h lives in this many variables
-    m_target: int
+    __slots__ = ("images", "n_source", "m_target")
+    def __init__(self, images: list[StandardPowerSeries], n_source: int, m_target: int):
+        self.images = images  # the series st(g_j), each in m variables
+        self.n_source = n_source  # h lives in this many variables
+        self.m_target = m_target
 
     def apply(self, h: StandardPowerSeries, order: int) -> StandardPowerSeries:
         if h.n != self.n_source:
@@ -276,8 +277,7 @@ def st_morphism(images: list[InternalPolynomial]) -> SeriesMorphism:
 # algebra presentations and the functor
 # ---------------------------------------------------------------------------
 
-@dataclass
-class AlgebraPresentation:
+class AlgebraPresentation(Record):
     """A quotient presentation by a finite generator list.
 
     The bounded side carries internal polynomials, the analytic side entire
@@ -285,11 +285,11 @@ class AlgebraPresentation:
     generator-level only, and finite generator lists keep the ideal saturated.
     """
 
-    side: str                   # bounded | analytic
-    n: int
-    ideal_gens: list = field(default_factory=list)
-
-    def __post_init__(self):
+    __slots__ = ("side", "n", "ideal_gens")
+    def __init__(self, side: str, n: int, ideal_gens: Optional[list] = None):
+        self.side = side    # bounded | analytic
+        self.n = n
+        self.ideal_gens = [] if ideal_gens is None else ideal_gens
         if self.side not in ("bounded", "analytic"):
             raise ValueError("side must be 'bounded' or 'analytic'")
         if self.side == "bounded":
@@ -332,14 +332,17 @@ def lift_series(g: StandardPowerSeries, d: HyperNatural) -> InternalPolynomial:
 # zero sets
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ZeroSetReport:
-    radius: float
-    indices: tuple[int, ...]
-    roots_by_index: dict[int, tuple]
-    st_roots: tuple
-    matching_distance: dict[int, float]
-    decreasing: bool
+class ZeroSetReport(Record, frozen=True):
+    __slots__ = ("radius", "indices", "roots_by_index", "st_roots", "matching_distance",
+                 "decreasing")
+    def __init__(self, radius: float, indices: tuple[int, ...], roots_by_index: dict[int, tuple],
+                 st_roots: tuple, matching_distance: dict[int, float], decreasing: bool):
+        _set(self, "radius", radius)
+        _set(self, "indices", indices)
+        _set(self, "roots_by_index", roots_by_index)
+        _set(self, "st_roots", st_roots)
+        _set(self, "matching_distance", matching_distance)
+        _set(self, "decreasing", decreasing)
 
     def to_json(self):
         return {

@@ -10,8 +10,9 @@ the same way by every such ultrafilter.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable
+
+from .record import Record, _set
 
 HOLDS = "Holds"
 FAILS = "Fails"
@@ -39,17 +40,18 @@ class GridExhausted(RuntimeError):
         self.failing = failing
 
 
-@dataclass(frozen=True)
-class Verdict:
-    kind: str                # Holds | Fails | Undetermined
-    witness: int             # threshold for Holds/Fails, horizon for Undetermined
-    note: str = ""
-
-    def __post_init__(self):
-        if self.kind not in (HOLDS, FAILS, UNDETERMINED):
-            raise ValueError(f"bad verdict kind {self.kind!r}")
-        if self.witness < 0:
+class Verdict(Record, frozen=True):
+    __slots__ = ("kind", "witness", "note")
+    def __init__(self, kind: str, witness: int, note: str = ""):
+        # kind: Holds | Fails | Undetermined; witness: the threshold for
+        # Holds/Fails, the horizon for Undetermined
+        if kind not in (HOLDS, FAILS, UNDETERMINED):
+            raise ValueError(f"bad verdict kind {kind!r}")
+        if witness < 0:
             raise ValueError("witness must be >= 0")
+        _set(self, "kind", kind)
+        _set(self, "witness", witness)
+        _set(self, "note", note)
 
     @property
     def decided(self) -> bool:

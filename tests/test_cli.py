@@ -664,6 +664,13 @@ REFUSALS = [
      "'i' is a polynomial variable here, not the index"),
     (("generic", "--param", "i -> (1/i, 0)"),  # new
      "'i' is a polynomial variable here, not the index"),
+    # an unreadable expression is written in the grammar, not as Python objects
+    (("classify", "sum(k=0..d, X^k)", "--d", "2^i"), "cannot read (2 ^ i) as a hypernatural"),
+    (("classify", "sum(k=0..d, X^k)", "--d", "-1"), "cannot read (-1) as a hypernatural"),
+    (("eval", "X", "--at", "sum(k=0..2, k*X^k)"),
+     "cannot read sum(k = 0 .. 2, (k * (X ^ k))) as a sequence"),
+    (("classify", "sum(k=0..d, sum(j=0..2, k*X^j)*X^k)", "--d", "i"),
+     "cannot read sum(j = 0 .. 2, (k * (X ^ j))) as a band coefficient"),
 ]
 
 
@@ -760,6 +767,23 @@ def test_command_loads_only_its_modules(argv, needed, unneeded):
     assert code == EXIT_OK
     assert needed <= set(loaded)
     assert not unneeded & set(loaded)
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_corpus_command_loads_no_dataclasses_or_inspect(name, tmp_path):
+    # the records are plain classes: no command pays for building dataclasses
+    (tmp_path / "tower.json").write_text(json.dumps(_tower_levels()), encoding="utf-8")
+    env = {k: v for k, v in os.environ.items() if k != "HYPERPOLY_HORIZON"}
+    env["PYTHONPATH"] = os.path.dirname(os.path.dirname(hyperpoly.__file__))
+    want = GOLDEN[name]
+    proc = subprocess.run([sys.executable, "-X", "importtime", "-m", "hyperpoly.cli",
+                           *want["argv"]], cwd=tmp_path, env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == want["exit"]
+    imported = {line.rsplit("|", 1)[1].strip() for line in proc.stderr.splitlines()
+                if line.startswith("import time:")}
+    assert "hyperpoly.verdicts" in imported     # the log lists the package's modules
+    assert not {"dataclasses", "inspect"} & imported
 
 
 # -- a grammar-driven fuzz: every command answers with one JSON line -----------

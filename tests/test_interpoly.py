@@ -1,6 +1,5 @@
 """Internal polynomial construction, arithmetic, and the theta map."""
 
-import dataclasses
 import random
 from fractions import Fraction as Q
 
@@ -294,7 +293,7 @@ def real_structured_polys(draw):
     q = Q(draw(st.integers(-4, 4)), draw(st.integers(1, 6)))
     explicit = {} if part == "bands" else {nu: c + q for nu, c in p.explicit.items()}
     tails = () if part == "explicit" else tuple(
-        dataclasses.replace(t, psi_re=t.psi_re + q) for t in p.tails)
+        t.replace(psi_re=t.psi_re + q) for t in p.tails)
     tops = () if part != "all" else p.tops
     return StructuredPoly(p.n, p.degree, explicit, tails, tops)
 

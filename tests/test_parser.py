@@ -6,9 +6,12 @@ import pytest
 
 from hyperpoly.hypernat import HyperNatural
 from hyperpoly.parser import (
+    BinOp,
     BindError,
     Bindings,
+    Num,
     ParseError,
+    Var,
     bind_declarations,
     build_diff_element,
     build_hypernat,
@@ -141,6 +144,13 @@ class TestPolynomials:
         env = bind_declarations(parse("d := i; 0"))
         with pytest.raises(BindError):
             build_poly(parse_expression("Y * sum(k=0..d, X^k/k!)"), env)
+
+    def test_unreadable_node_is_written_in_the_grammar(self):
+        # no parsed expression reaches the end of the polynomial reader, so
+        # hand it an operator the grammar does not have
+        node = BinOp("^", Var("X"), Num(Q(2)))
+        with pytest.raises(BindError, match=r"^cannot read \(X \^ 2\) as a polynomial$"):
+            build_poly_in(node, Bindings.empty(), {"X": 0})
 
 
 class TestDiffElements:
