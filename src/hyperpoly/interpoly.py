@@ -537,7 +537,7 @@ def scalar_mul(c, p: InternalPolynomial) -> InternalPolynomial:
     if isinstance(p, StructuredPoly) and c.symbolic and not c.prefix:
         explicit = {k: c * v for k, v in p.explicit.items()}
         tails = tuple(t.replace(psi_re=c.re * t.psi_re - c.im * t.psi_im,
-                              psi_im=c.re * t.psi_im + c.im * t.psi_re) for t in p.tails)
+                                psi_im=c.re * t.psi_im + c.im * t.psi_re) for t in p.tails)
         tops = tuple(TopTerm(t.offset, c * t.coeff) for t in p.tops)
         return StructuredPoly(p.n, p.degree, explicit, tails, tops)
 
