@@ -23,9 +23,9 @@ _EXPORTS = {name: module for module, names in {
     "indexexpr": "IndexExpr",
     "hypernat": "HyperNatural",
     "hypernum": "HyperComplex classify_magnitude standard_part",
-    "interpoly": "InternalPolynomial InternalSeries StructuredPoly TailTerm TopTerm abs_poly "
-                 "homogenize dehomogenize partial_derivative poly_add poly_compose poly_eval "
-                 "poly_mul scalar_mul theta truncate_series truncated_exp truncated_geometric",
+    "interpoly": "InternalPolynomial InternalSeries StructuredPoly TailTerm TopTerm homogenize "
+                 "dehomogenize partial_derivative poly_add poly_compose poly_eval poly_mul "
+                 "scalar_mul theta truncate_series truncated_exp truncated_geometric",
     "classify": "Certificate PolyClass cauchy_all_coefficients cauchy_coefficient classify_poly "
                 "coefficient_bound_check sampling_oracle",
     "stdpart": "AlgebraPresentation StandardPowerSeries lift_series st_functor st_morphism "

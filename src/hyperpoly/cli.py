@@ -32,6 +32,7 @@ from .parser import (
     build_sequence,
     free_names,
     parse,
+    parse_expression,
     print_program,
     variable_map,
 )
@@ -190,10 +191,10 @@ def _cmd_lift(args, horizon: int) -> tuple[dict, int]:
     if not isinstance(level_texts, list) or not all(isinstance(t, str) for t in level_texts):
         raise ValueError("--levels must hold a JSON list of polynomial strings")
     field = "Q" if args.field in ("q", "Q") else int(args.field)
-    nodes = [parse(text).expression for text in level_texts]
+    nodes = [parse_expression(text) for text in level_texts]
     variables = variable_map(nodes)
     field_levels = [
-        FieldPoly.make(field, len(variables), {} if node is None else _standard_coeffs(
+        FieldPoly.make(field, len(variables), _standard_coeffs(
             node, variables, f"tower level {text!r} mentions the index i; "
                              "levels are standard polynomials"))
         for text, node in zip(level_texts, nodes)
@@ -259,7 +260,7 @@ def _parse_param(text: str):
     coords = []
     for ct in coord_texts:
         coeffs = _standard_coeffs(
-            parse(ct).expression, {pname: 0},
+            parse_expression(ct), {pname: 0},
             f"coordinate {ct!r} mentions the index i; coordinates are standard polynomials")
         coords.append(RationalFunc.of(qpoly(1, coeffs)))
     return Parametrization(1, tuple(coords))

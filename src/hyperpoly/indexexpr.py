@@ -315,11 +315,6 @@ def _dominance(classes: dict, parity: int) -> Optional[tuple[int, int]]:
     return gamma_star, t
 
 
-def _one_signed(classes: dict, parity: int) -> bool:
-    gammas = [A - B if parity else A + B for A, B in classes.values()]
-    return all(g >= 0 for g in gammas) or all(g <= 0 for g in gammas)
-
-
 def nonzero_threshold(a: Form) -> Optional[int]:
     """Certified index t with a(i) != 0 for every i >= t, or None.
 
@@ -560,27 +555,6 @@ class IndexExpr:
         if g.kind == "zero":
             return Q(0)
         return g.limit
-
-    def eventual_signs(self) -> tuple[tuple[int, int], int]:
-        """Each parity's eventual sign, ``(even, odd)``, and a certified
-        index from which every defined value has its parity's sign.
-
-        The sign is that of the leading class of num over den, 0 where num
-        vanishes identically on the parity; beyond the dominance bounds of
-        both forms the leading classes outweigh the rest.  Where every class
-        of each form has one sign on the parity, it holds from index 1.
-        """
-        num, den = _classes(self.num), _classes(self.den)
-        signs, t = [], 1
-        for parity in (0, 1):
-            d = _dominance(den, parity)
-            if d is None:
-                raise FragmentError("denominator vanishes identically on a parity")
-            n = _dominance(num, parity)
-            signs.append(0 if n is None else 1 if (n[0] > 0) == (d[0] > 0) else -1)
-            if not (_one_signed(num, parity) and _one_signed(den, parity)):
-                t = max(t, d[1], n[1] if n else 1)
-        return (signs[0], signs[1]), t
 
     def eventual_nonzero_threshold(self) -> Optional[int]:
         """Certified t with self(i) defined and nonzero for all i >= t.

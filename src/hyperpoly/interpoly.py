@@ -12,10 +12,10 @@ lists.  Three kinds of rule coexist:
 * ``tops``: univariate monomials anchored to the moving top degree,
   ``c(i) * X^(d_i - offset)``, which is how ``X^d`` with infinite ``d`` lives.
 
-Sums, scalar multiples, derivatives and the absolute-value polynomial stay in
-this structured form.  Products and homogenizations are kept as lazy nodes:
-they still materialize exactly at every index and expose exact standard-index
-coefficient streams, which is all the downstream maps need.
+Sums, scalar multiples and derivatives stay in this structured form.
+Products and homogenizations are kept as lazy nodes: they still materialize
+exactly at every index and expose exact standard-index coefficient streams,
+which is all the downstream maps need.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from typing import Iterable, Iterator, Optional
 from .exacteval import dot, evaluate, integer_form, multiply
 from .hypernat import HyperNatural
 from .hypernum import HyperComplex, coerce as hc_coerce, exact_complex
-from .indexexpr import INFINITE, UNDEF, IndexExpr
+from .indexexpr import IndexExpr
 from .record import Record, _set
 
 Q = Fraction
@@ -467,8 +467,8 @@ def _hn_eq(a: Optional[HyperNatural], b: Optional[HyperNatural]) -> bool:
     return a is None or a.eq(b)
 
 
-def _hn_le_everywhere(a: HyperNatural, b: HyperNatural, shift: int = 0) -> bool:
-    """a(i) + shift <= b(i) for every i >= 1, not just eventually.
+def _hn_le_everywhere(a: HyperNatural, b: HyperNatural) -> bool:
+    """a(i) <= b(i) for every i >= 1, not just eventually.
 
     Past the patches and the clipping at 0 both are affine, and the gap
     b - a is nondecreasing there when a's slope is at most b's.
@@ -477,7 +477,7 @@ def _hn_le_everywhere(a: HyperNatural, b: HyperNatural, shift: int = 0) -> bool:
         return False
     hi = max([0] + [j for j, _ in a.patches + b.patches]
              + [-(h.intercept // h.slope) for h in (a, b) if h.slope])
-    return all(a.value(i) + shift <= b.value(i) for i in range(1, hi + 2))
+    return all(a.value(i) <= b.value(i) for i in range(1, hi + 2))
 
 
 def _same_rule_and_lo(u: TailTerm, t: TailTerm) -> bool:
@@ -675,110 +675,6 @@ def poly_eval(p: InternalPolynomial, point: list) -> HyperComplex:
         return exact_complex(*p.eval_exact(i, tuple(pt)))
 
     return HyperComplex(gen=gen)
-
-
-def abs_poly(p: InternalPolynomial) -> InternalPolynomial:
-    """Coefficientwise absolute value |P|: at every index, each materialized
-    coefficient of the result is the absolute value of P's.
-
-    Exact for real rational coefficient data.  Each expression's eventual
-    sign per parity is folded in, and an explicit or top coefficient patches
-    every index below the point from which that sign is certified.  Raises
-    ``TypeError`` for:
-
-    * anything but a ``StructuredPoly``, complex or numeric-tier coefficients;
-    * an expression that is infinite or undefined on a parity of the index;
-    * a band whose ``phi`` changes sign from the band's first degree on, or
-      whose ``eps`` or ``psi`` changes sign from index 1 on (a band carries
-      no per-index patches);
-    * a band or top that can share a degree with another term at some index
-      unless both keep one sign, the same, at every index and degree, since
-      the result is built term by term.
-    """
-    if not isinstance(p, StructuredPoly):
-        raise TypeError("absolute value needs a structured polynomial")
-    explicit = {nu: _abs_hc(c) for nu, c in p.explicit.items()}
-    tops = [_abs_hc(t.coeff) for t in p.tops]
-    tails, band_signs = [], []
-    for t in p.tails:
-        if not t.is_real():
-            raise TypeError("absolute value of complex coefficient bands is not exact")
-        first = 0 if t.lo is None else t.lo.value(1) + 1
-        phi = [_abs_band_rule(e, first, r, len(t.phi)) for r, e in enumerate(t.phi)]
-        (eps, s_eps), (psi, s_psi) = _abs_band_rule(t.eps, 1), _abs_band_rule(t.psi_re, 1)
-        s_phi = {s for _, s in phi}
-        band_signs.append(s_psi * s_phi.pop() if len(s_phi) == 1 and s_eps > 0 else 0)
-        tails.append(TailTerm(tuple(a for a, _ in phi), eps, psi, IndexExpr.const(0), t.lo, t.hi))
-    _refuse_shared_degrees(p, [s for _, s in explicit.values()], [s for _, s in tops], band_signs)
-    return StructuredPoly(p.n, p.degree, {nu: a for nu, (a, _) in explicit.items()}, tuple(tails),
-                          tuple(TopTerm(t.offset, a) for t, (a, _) in zip(p.tops, tops)))
-
-
-def _abs_hc(c: HyperComplex) -> tuple[HyperComplex, int]:
-    """``|c|`` and the sign ``c`` keeps at every index (0 if none)."""
-    if not c.symbolic:
-        raise TypeError("absolute value of numeric-tier coefficients is not exact")
-    if not c.im.is_zero() or any(v[1] != 0 for v in c.prefix.values()):
-        raise TypeError("absolute value of complex coefficients is not exact")
-    re, t, s = _abs_expr(c.re)
-    while t > 1 and not _negative_at(re, t - 1):
-        t -= 1
-    prefix = {}
-    for i in sorted(set(c.prefix).union(range(1, t))):
-        try:
-            v = c.value_exact(i)[0]
-        except ZeroDivisionError:
-            continue
-        prefix[i], s = (abs(v), Q(0)), s if v * s >= 0 else 0
-    return HyperComplex(re, IndexExpr.const(0), prefix), s
-
-
-def _abs_band_rule(e: IndexExpr, first: int, r: int = 0, period: int = 1) -> tuple[IndexExpr, int]:
-    """|e| and its fixed sign for a band rule read at every ``m >= first``
-    with ``m = r mod period``."""
-    a, t, s = _abs_expr(e)
-    if any(_negative_at(a, m) for m in range(first, t) if m % period == r):
-        raise TypeError("a band rule changes sign inside the band; |P| needs per-index patches")
-    return a, s
-
-
-def _negative_at(e: IndexExpr, i: int) -> bool:
-    try:
-        return e.eval(i) < 0
-    except ZeroDivisionError:
-        return False
-
-
-def _abs_expr(e: IndexExpr) -> tuple[IndexExpr, int, int]:
-    """``(a, t, s)``: ``a`` is ``e`` times each parity's eventual sign, so
-    ``a(i) = |e(i)|`` for every ``i >= t``; ``s`` is that sign when both
-    parities share it (1 for ``e = 0``), else 0."""
-    if e.is_zero():
-        return e, 1, 1
-    if any(tag in (INFINITE, UNDEF) for tag, _ in e.growth().parity):
-        raise TypeError("coefficient sign pattern not decided; |P| not representable")
-    (s0, s1), t = e.eventual_signs()
-    s0, s1 = s0 or s1, s1 or s0  # a parity where e vanishes takes the other's sign
-    if s0 == s1:
-        return (e if s0 > 0 else -e), t, s0
-    return e * (IndexExpr.geometric(-1) * s0), t, 0  # opposite signs: fold in (-1)^i
-
-
-def _refuse_shared_degrees(p: StructuredPoly, explicit_signs, top_signs, band_signs) -> None:
-    """Refuse a band or top that can share a total degree with another term
-    unless both keep the same sign everywhere (a sign of 0: none)."""
-    zero = HyperNatural.constant(0)
-    # the degrees m of a term at index i: lo(i) + a < m <= hi(i) + b, as (lo, a, hi, b, sign)
-    fixed = [(zero, mi_total(nu) - 1, zero, mi_total(nu), s)
-             for nu, s in zip(p.explicit, explicit_signs)]
-    moving = [(p.degree, -t.offset - 1, p.degree, -t.offset, s) for t, s in zip(p.tops, top_signs)]
-    moving += [(t.lo or zero, 0 if t.lo else -1, t.hi or p.degree, 0, s)
-               for t, s in zip(p.tails, band_signs)]
-    for j, (lo, a, hi, b, s) in enumerate(moving):
-        for lo2, a2, hi2, b2, s2 in moving[j + 1:] + fixed:
-            if (not s or s != s2) and not (_hn_le_everywhere(hi, lo2, b - a2)
-                                           or _hn_le_everywhere(hi2, lo, b2 - a)):
-                raise TypeError("terms of P can share a degree; |P| is taken term by term")
 
 
 def partial_derivative(p: InternalPolynomial, alpha: MultiIndex) -> InternalPolynomial:

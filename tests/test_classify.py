@@ -219,6 +219,24 @@ def test_appreciable_scaling_keeps_the_class(seed, scale):
         assert (after.verdict, after.infinitesimal) == (before.verdict, before.infinitesimal)
 
 
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_the_oracle_never_refutes_a_verdict_over_drawn_seeds(seed):
+    # criterion 1 over drawn seeds: the verdict is the label, a bounded or
+    # infinitesimal member is never refuted at radius 1 or 4, and an unbounded
+    # one is refuted at some radius up to 4 (the oracle's infinitesimal verdict
+    # is not asserted: its window tolerance is not reached on slow decay)
+    for label, p in labeled_family(seed, 10):
+        assert classify_poly(p).verdict == label
+        if label == UNBOUNDED:
+            assert any(sampling_oracle(p, sample_count=4, radius=r, horizon=24, seed=7)
+                       .bounded.fails() for r in (1, 2, 3, 4)), label
+        else:
+            for r in (1, 4):
+                rep = sampling_oracle(p, sample_count=4, radius=r, horizon=16, seed=7)
+                assert not rep.bounded.fails(), (label, r, rep.bounded)
+
+
 def test_each_band_is_read_once(monkeypatch):
     calls = Counter()
     for name in ("_band_ray_values", "_band_key_walk"):

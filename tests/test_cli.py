@@ -658,8 +658,8 @@ REFUSALS = [
      "unbound name 't' in a sequence expression"),
     (("generic", "--param", "t -> (2^t, 0)"),  # new
      "polynomial powers need literal exponents; use sum(...) for bands"),
-    (("generic", "--param", "t -> (, 0)"),  # new
-     "cannot read None as a polynomial"),
+    (("generic", "--param", "t -> (, 0)"),  # an empty coordinate
+     "expected a bare expression at line 1, column 1"),
     (("generic", "--param", "i -> (i!, 0)"),  # new
      "'i' is a polynomial variable here, not the index"),
     (("generic", "--param", "i -> (1/i, 0)"),  # new
@@ -671,6 +671,9 @@ REFUSALS = [
      "cannot read sum(k = 0 .. 2, (k * (X ^ k))) as a sequence"),
     (("classify", "sum(k=0..d, sum(j=0..2, k*X^j)*X^k)", "--d", "i"),
      "cannot read sum(j = 0 .. 2, (k * (X ^ j))) as a band coefficient"),
+    # a coordinate is one bare expression: a command word is not dropped
+    (("generic", "--param", "t -> (classify t, 0)"),
+     "expected a bare expression at line 1, column 1"),
 ]
 
 
@@ -687,7 +690,9 @@ def test_refusal_table(argv, message):
     (["1", "1 + eps*X"], "unbound name 'eps' in a sequence expression"),
     (["1", "1 + sum(k=1..2, X^k/k!)", "1 + X + X^2/2 + Y^3"],  # the tower is in X and Y
      "summation bands are univariate in the command grammar"),
-], ids=["index", "unbound", "band-in-two-variables"])
+    (["classify X"], "expected a bare expression at line 1, column 1"),
+    (["", "X"], "expected a bare expression at line 1, column 1"),
+], ids=["index", "unbound", "band-in-two-variables", "command-word", "empty-level"])
 def test_lift_level_refusals(tmp_path, levels, message):
     path = tmp_path / "tower.json"
     path.write_text(json.dumps(levels), encoding="utf-8")

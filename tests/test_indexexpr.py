@@ -92,22 +92,6 @@ def test_nonzero_threshold_certifies_tail():
         assert f.eval(i) != 0
 
 
-def test_eventual_signs_follow_each_paritys_leading_class():
-    g = IndexExpr.geometric(-1)
-    # 1 on odd indices, -1/i on even ones: the even parity tends to 0 from below
-    e = (1 - g) / 2 - (1 + g) / (2 * I())
-    (s0, s1), t = e.eventual_signs()
-    assert (s0, s1) == (-1, 1)
-    assert all(e.eval(i) * (s1 if i % 2 else s0) > 0 for i in range(t, t + 40))
-    # 1/i - 2/21 is positive through i = 10; the certified index lies past that
-    (s0, s1), t = (1 / I() - Q(2, 21)).eventual_signs()
-    assert (s0, s1) == (-1, -1) and t > 10
-    # a parity where the numerator vanishes identically has sign 0
-    assert (C(1) + g).eventual_signs()[0] == (1, 0)
-    with pytest.raises(FragmentError):
-        (C(1) / (C(1) + g)).eventual_signs()
-
-
 def test_subst_affine_shift_with_factorial():
     # (i+2)! expands exactly
     f = IndexExpr.factorial().subst_affine(1, 2)

@@ -4,10 +4,7 @@ import random
 from fractions import Fraction as Q
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from hyperpoly.families import labeled_family
 from hyperpoly.hypernat import HyperNatural
 from hyperpoly.hypernum import HyperComplex, INFINITE, INFINITESIMAL
 from hyperpoly.indexexpr import IndexExpr
@@ -16,9 +13,7 @@ from hyperpoly.interpoly import (
     ProductPoly,
     StructuredPoly,
     TailTerm,
-    TopTerm,
     _hn_le_everywhere,
-    abs_poly,
     constant,
     dehomogenize,
     homogenize,
@@ -126,29 +121,7 @@ class TestEval:
         assert got == (Q(1) + 1 + Q(1, 2) + Q(1, 6) + Q(1, 24), Q(0))
 
 
-class TestAbsAndDerivative:
-    def test_abs_flips_signs(self):
-        X = variable(1, 0)
-        P = poly_add(X, scalar_mul(-1, poly_mul(X, X)))  # X - X^2
-        A = abs_poly(P)
-        assert A.materialize(2) == {(1,): pair(1), (2,): pair(1)}
-
-    def test_abs_of_alternating_band(self):
-        # coefficients (-1)^m / m!
-        t = TailTerm.from_degree_rule(IndexExpr.geometric(-1) / IndexExpr.factorial())
-        P = StructuredPoly(1, D_I, tails=(t,))
-        A = abs_poly(P)
-        m5 = A.materialize(5)
-        assert m5[(3,)] == pair(Q(1, 6))
-        assert all(c[0] > 0 for c in m5.values())
-
-    def test_abs_idempotent(self):
-        t = TailTerm.from_degree_rule(IndexExpr.geometric(-1) / IndexExpr.factorial())
-        P = StructuredPoly(1, D_I, tails=(t,))
-        A = abs_poly(P)
-        for i in (2, 5, 9):
-            assert abs_poly(A).materialize(i) == A.materialize(i)
-
+class TestDerivative:
     def test_derivative_of_square(self):
         X = variable(1, 0)
         dP = partial_derivative(poly_mul(X, X), (1,))
@@ -185,80 +158,6 @@ class TestAbsAndDerivative:
             assert polys_equal_at(lhs, rhs, [1, 2, 5, 11])
 
 
-def real_times_x(e: IndexExpr) -> StructuredPoly:
-    return scalar_mul(HyperComplex.from_expr(e), variable(1, 0))
-
-
-def band_poly(phi, eps=None) -> StructuredPoly:
-    eps = IndexExpr.const(1) if eps is None else eps
-    return StructuredPoly(1, D_I, tails=(TailTerm((phi,), eps),))
-
-
-class TestAbsSigns:
-    """|P| is exact or refused where a sign used to go wrong."""
-
-    def test_a_parity_tending_to_zero_keeps_its_own_sign(self):
-        # 1 on odd indices, -1/i on even ones
-        g = IndexExpr.geometric(-1)
-        e = (1 - g) / 2 - (1 + g) / (2 * I())
-        A = abs_poly(real_times_x(e))
-        assert [A.materialize(i)[(1,)] for i in (1, 2, 3, 4)] == \
-            [pair(1), pair(Q(1, 2)), pair(1), pair(Q(1, 4))]
-
-    def test_explicit_coefficient_is_patched_below_its_sign_change(self):
-        A = abs_poly(real_times_x(1 / I() - Q(2, 21)))
-        got = [A.materialize(i)[(1,)] for i in (1, 5, 10, 11, 12)]
-        assert got == [pair(Q(19, 21)), pair(Q(11, 105)), pair(Q(1, 210)),
-                       pair(Q(1, 231)), pair(Q(1, 84))]
-
-    def test_band_phi_changing_sign_inside_the_band_is_refused(self):
-        with pytest.raises(TypeError):
-            abs_poly(band_poly(1 / (I() + 1) - Q(1, 4)))
-
-    def test_band_eps_changing_sign_is_refused(self):
-        with pytest.raises(TypeError):
-            abs_poly(band_poly(IndexExpr.const(1), eps=1 / I() - Q(1, 3)))
-
-    def test_terms_sharing_a_degree_are_refused(self):
-        X = variable(1, 0)
-        with pytest.raises(TypeError):
-            abs_poly(X - truncated_exp(D_I))  # coefficient 0 at X^1
-        with pytest.raises(TypeError):
-            abs_poly(moving_monomial(D_I) - moving_monomial(D_I))
-
-    def test_terms_apart_at_every_index_are_kept(self):
-        band = TailTerm((1 / IndexExpr.factorial(),), lo=HyperNatural.constant(3))
-        P = StructuredPoly(1, D_I, {(1,): HyperComplex.from_rational(-2)}, (band,),
-                           (TopTerm(0, HyperComplex.from_rational(-1)),))
-        A = abs_poly(StructuredPoly(1, D_I, P.explicit, P.tails))
-        assert A.materialize(5) == {(1,): pair(2), (4,): pair(Q(1, 24)), (5,): pair(Q(1, 120))}
-        with pytest.raises(TypeError):
-            abs_poly(P)  # the top X^d meets the band from index 4 on
-
-    def test_a_top_inside_a_band_from_index_one_is_refused(self):
-        # degree i + 5, the band over (i + 2, d]: the top X^d lies in it at every index
-        band = TailTerm((1 / IndexExpr.factorial(),), lo=HyperNatural.affine(1, 2))
-        P = StructuredPoly(1, HyperNatural.affine(1, 5), tails=(band,),
-                           tops=(TopTerm(0, HyperComplex.from_rational(-1)),))
-        with pytest.raises(TypeError):
-            abs_poly(P)
-
-    def test_terms_sharing_a_degree_with_one_sign_are_kept(self):
-        X = variable(1, 0)
-        for P in (X + truncated_exp(D_I), scalar_mul(-1, X + truncated_exp(D_I))):
-            A = abs_poly(P)
-            for i in range(1, 9):
-                assert A.materialize(i) == \
-                    {nu: (abs(re), Q(0)) for nu, (re, _) in P.materialize(i).items()}, i
-
-    def test_a_band_whose_sign_holds_from_index_one_is_not_scanned(self):
-        # 1 + 10^6/i: its dominance bound lies near 2^20, its classes share one sign
-        psi = 1 + 10**6 / I()
-        assert psi.eventual_signs() == ((1, 1), 1)
-        A = abs_poly(StructuredPoly(1, D_I, tails=(TailTerm((IndexExpr.const(1),), psi_re=psi),)))
-        assert A.materialize(3)[(2,)] == pair(1 + Q(10**6, 3))
-
-
 class TestDegreeRanges:
     """Comparisons of moving degrees hold at every index, index 1 included."""
 
@@ -280,37 +179,6 @@ class TestDegreeRanges:
                 want[nu] = (want.get(nu, pair(0))[0] + re, Q(0))
             assert {nu: c for nu, c in S.materialize(i).items() if c != pair(0)} == \
                 {nu: c for nu, c in want.items() if c != pair(0)}, i
-
-
-@st.composite
-def real_structured_polys(draw):
-    """A ``labeled_family`` member, or its explicit part or its bands alone,
-    with a drawn rational added to every explicit coefficient and band weight
-    so that signs can change at small indices."""
-    _, p = labeled_family(draw(st.integers(0, 2**32 - 1)), 3)[draw(st.integers(0, 2))]
-    part = draw(st.sampled_from(["all"] + ["explicit"] * bool(p.explicit)
-                                + ["bands"] * bool(p.tails)))
-    q = Q(draw(st.integers(-4, 4)), draw(st.integers(1, 6)))
-    explicit = {} if part == "bands" else {nu: c + q for nu, c in p.explicit.items()}
-    tails = () if part == "explicit" else tuple(
-        t.replace(psi_re=t.psi_re + q) for t in p.tails)
-    tops = () if part != "all" else p.tops
-    return StructuredPoly(p.n, p.degree, explicit, tails, tops)
-
-
-class TestAbsProperty:
-    @settings(max_examples=120, deadline=None, derandomize=True)
-    @given(p=real_structured_polys())
-    def test_abs_is_exact_or_refused_and_idempotent(self, p):
-        try:
-            A = abs_poly(p)
-        except TypeError:
-            return
-        AA = abs_poly(A)
-        for i in range(1, 17):
-            want = {nu: (abs(re), Q(0)) for nu, (re, _) in p.materialize(i).items()}
-            assert A.materialize(i) == want, i
-            assert AA.materialize(i) == want, i
 
 
 class TestTheta:
