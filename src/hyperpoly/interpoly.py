@@ -155,9 +155,6 @@ class TailTerm(Record, frozen=True):
             return False
         return True
 
-    def is_real(self) -> bool:
-        return self.psi_im.is_zero()
-
 
 class TopTerm(Record, frozen=True):
     """Univariate moving monomial ``coeff * X^(d - offset)``."""
