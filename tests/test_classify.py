@@ -222,10 +222,9 @@ def test_appreciable_scaling_keeps_the_class(seed, scale):
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(seed=st.integers(0, 2**32 - 1))
 def test_the_oracle_never_refutes_a_verdict_over_drawn_seeds(seed):
-    # criterion 1 over drawn seeds: the verdict is the label, a bounded or
-    # infinitesimal member is never refuted at radius 1 or 4, and an unbounded
-    # one is refuted at some radius up to 4 (the oracle's infinitesimal verdict
-    # is not asserted: its window tolerance is not reached on slow decay)
+    # criterion 1 over drawn seeds; the oracle's infinitesimal verdict is not
+    # asserted: it reads Fails while a slowly decaying value is still above
+    # its tolerance at the end of the window
     for label, p in labeled_family(seed, 10):
         assert classify_poly(p).verdict == label
         if label == UNBOUNDED:
