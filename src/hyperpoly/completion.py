@@ -24,7 +24,7 @@ from .hypernat import HyperNatural
 from .hypernum import HyperComplex
 from .interpoly import InternalPolynomial, StructuredPoly, mi_total, multi_indices_of_degree
 from .record import Record, _set
-from .verdicts import FAILS, HOLDS, UNDETERMINED, Verdict
+from .verdicts import FAILS, HOLDS, Verdict
 
 Q = Fraction
 
@@ -242,8 +242,6 @@ def halo_membership(p: InternalPolynomial, k: int, horizon: int = HORIZON) -> Ve
         threshold = 1
         for nu in low:
             c = p.coeff(nu)
-            if not c.symbolic:
-                return Verdict(UNDETERMINED, horizon, f"coefficient at {nu} is numeric")
             if not c.is_zero_expr():
                 return Verdict(FAILS, 1, f"coefficient at {nu} persists")
             nonzero = [i for i, v in c.prefix.items() if v != (0, 0)]

@@ -3,7 +3,7 @@
 A statement about a sequence holds when it holds at every sufficiently late
 index; the horizon is how late the window heuristics and the sampling oracle
 look.  It defaults to ``HORIZON``, ``HYPERPOLY_HORIZON`` overrides that, and
-the command line's ``--horizon`` overrides both.  The numeric-tier thresholds
+the command line's ``--horizon`` overrides both.  The window thresholds
 are constants next to the code that reads them (``hypernum``), command-only
 options keep their single default in the argument parser, and nothing in the
 package reads ambient entropy: randomized procedures take an explicit seed.

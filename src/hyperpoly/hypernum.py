@@ -1,11 +1,13 @@
 """Hypercomplex numbers modeled by representative sequences.
 
-Two tiers share one interface.  A *symbolic* number carries one
+Every value is exact.  A *symbolic* number carries one
 :class:`~hyperpoly.indexexpr.IndexExpr` per real/imaginary component, so
-magnitude classification and standard parts are exact decisions.  A *numeric*
-number wraps an opaque generator ``i -> value``; it stays fully usable in
-arithmetic, but classification falls back to windowed evidence and may come
-back Undetermined.
+magnitude classification and standard parts are exact decisions.  A
+*generator-backed* number wraps a rule ``i -> (re, im)`` of exact ``Fraction``
+pairs; it stays fully usable in ring arithmetic, but has no closed form, so
+its classification is windowed evidence that may come back Undetermined.
+Floats appear only where values are read out: :meth:`HyperComplex.value`
+(display) and that window heuristic.
 
 Finitely many leading indices never matter (the ultraproduct quotient), so a
 symbolic number may carry a finite ``prefix`` of per-index overrides - this is
@@ -25,20 +27,16 @@ from .verdicts import HOLDS, UNDETERMINED, Verdict
 
 Q = Fraction
 
-# numeric-tier window heuristics (window = [1, horizon])
+# window heuristics for generator-backed values (window = [1, horizon])
 INFINITESIMAL_TOL = 1e-9    # |value| below this on the last quarter
 GROWTH_RATIO = 2.0          # sustained |v[i+1]/v[i]| above this => infinite
 BOUNDED_CAP = 1e9           # window max below this => bounded evidence
-# convergence tolerance of numeric standard parts
-STANDARD_PART_TOL = 1e-9
 
 INFINITESIMAL = "infinitesimal"
 APPRECIABLE = "appreciable"
 INFINITE = "infinite"
 BOUNDED_UNCLASSIFIED = "bounded-unclassified"
 UNDECIDED = "undetermined"
-
-_TAGS = ("standard", "infinitesimal", "infinite", "bounded")
 
 
 class NoStandardPartError(ArithmeticError):
@@ -62,15 +60,14 @@ class Classification(Record, frozen=True):
 class HyperComplex:
     """An element of the hypercomplex numbers, given by its representative."""
 
-    __slots__ = ("re", "im", "prefix", "gen", "tag")
+    __slots__ = ("re", "im", "prefix", "gen")
 
     def __init__(
         self,
         re: Optional[IndexExpr] = None,
         im: Optional[IndexExpr] = None,
         prefix: Optional[dict[int, tuple[Fraction, Fraction]]] = None,
-        gen: Optional[Callable[[int], complex]] = None,
-        tag: Optional[str] = None,
+        gen: Optional[Callable[[int], tuple[Fraction, Fraction]]] = None,
     ):
         if gen is not None and (re is not None or im is not None):
             raise ValueError("a hypercomplex is either symbolic or generator-backed")
@@ -82,12 +79,6 @@ class HyperComplex:
             self.im = None
         self.gen = gen
         self.prefix = dict(prefix or {})
-        self.tag = tag
-        if tag is not None:
-            if tag not in _TAGS:
-                raise ValueError(f"unknown tag {tag!r}")
-            if self.symbolic:
-                _check_tag(self, tag)
 
     # -- constructors ---------------------------------------------------------
     @staticmethod
@@ -99,7 +90,8 @@ class HyperComplex:
         return HyperComplex(re, im if im is not None else IndexExpr.const(0))
 
     @staticmethod
-    def from_generator(gen: Callable[[int], complex]) -> "HyperComplex":
+    def from_generator(gen: Callable[[int], tuple[Fraction, Fraction]]) -> "HyperComplex":
+        """The class of the sequence ``i -> gen(i)``, an exact ``(re, im)`` pair."""
         return HyperComplex(gen=gen)
 
     @staticmethod
@@ -118,29 +110,24 @@ class HyperComplex:
 
     # -- evaluation -------------------------------------------------------------
     def value_exact(self, i: int) -> tuple[Fraction, Fraction]:
-        if not self.symbolic:
-            raise TypeError("numeric-tier value has no exact form")
+        if self.gen is not None:
+            return self.gen(i)
         if i in self.prefix:
             return self.prefix[i]
         return (self.re.eval(i), self.im.eval(i))
 
     def value(self, i: int) -> complex:
-        if self.symbolic:
-            return exact_complex(*self.value_exact(i))
-        return complex(self.gen(i))
+        return exact_complex(*self.value_exact(i))
 
     def is_zero_expr(self) -> bool:
         """Zero as an element of the ultraproduct (prefix overrides ignored)."""
         return self.symbolic and self.re.is_zero() and self.im.is_zero()
 
-    def is_real(self) -> bool:
-        return self.symbolic and self.im.is_zero() and all(v[1] == 0 for v in self.prefix.values())
-
     # -- ring operations ----------------------------------------------------------
     def _binary(self, other: "HyperComplex", op) -> "HyperComplex":
         """Apply ``op(a, b, c, d) -> (re, im)`` to the parts of ``self = a + bi``
-        and ``other = c + di``: to the expressions, to the exact prefix pairs,
-        and to the float parts of the numeric tier."""
+        and ``other = c + di``: to the expressions and the prefix pairs of two
+        symbolic values, else to the exact values at each index."""
         other = coerce(other)
         if self.symbolic and other.symbolic:
             re, im = op(self.re, self.im, other.re, other.im)
@@ -155,8 +142,7 @@ class HyperComplex:
             return HyperComplex(re, im, prefix)
 
         def gen(i, x=self, y=other):
-            u, v = x.value(i), y.value(i)
-            return complex(*op(u.real, u.imag, v.real, v.imag))
+            return op(*x.value_exact(i), *y.value_exact(i))
         return HyperComplex(gen=gen)
 
     def __add__(self, other):
@@ -169,7 +155,7 @@ class HyperComplex:
             return HyperComplex(
                 -self.re, -self.im, {i: (-a, -b) for i, (a, b) in self.prefix.items()}
             )
-        return HyperComplex(gen=lambda i, g=self.gen: -complex(g(i)))
+        return HyperComplex(gen=lambda i, x=self: tuple(-v for v in x.value_exact(i)))
 
     def __sub__(self, other):
         return self + (-coerce(other))
@@ -184,53 +170,33 @@ class HyperComplex:
 
     def modulus_squared_expr(self) -> IndexExpr:
         if not self.symbolic:
-            raise TypeError("numeric tier has no symbolic modulus")
+            raise TypeError("a generator-backed value has no symbolic modulus")
         return self.re * self.re + self.im * self.im
 
     def inv(self) -> "HyperComplex":
         """Pointwise reciprocal, zero below the non-vanishing threshold.
 
-        Requires the number to be eventually nonzero; symbolic numbers get an
-        exact dominance certificate, numeric ones a windowed check.
+        Requires the number to be eventually nonzero, certified exactly by
+        dominance; a generator-backed value has no such certificate and
+        raises ``TypeError``.
         """
-        if self.symbolic:
-            if self.is_zero_expr():
-                raise NotEventuallyNonzeroError("not eventually nonzero: the zero sequence")
-            m2 = self.modulus_squared_expr()
-            t = m2.eventual_nonzero_threshold()
-            if t is None:
-                raise NotEventuallyNonzeroError(
-                    "not eventually nonzero: vanishes on a parity class"
-                )
-            m2_den_safe = t
-            re = self.re / m2
-            im = -self.im / m2
-            prefix: dict[int, tuple[Fraction, Fraction]] = {}
-            for i in range(1, m2_den_safe):
-                prefix[i] = (Q(0), Q(0))
-            for i, (a, b) in self.prefix.items():
-                n = a * a + b * b
-                prefix[i] = (Q(0), Q(0)) if n == 0 else (a / n, -b / n)
-            return HyperComplex(re, im, prefix)
-        # numeric tier: demand nonzero through the back half of the window
-        h = HORIZON
-        vals = [complex(self.gen(i)) for i in range(1, h + 1)]
-        t = h + 1
-        for i in range(h, 0, -1):
-            if vals[i - 1] != 0:
-                t = i
-            else:
-                break
-        if t > h / 2:
+        if self.is_zero_expr():
+            raise NotEventuallyNonzeroError("not eventually nonzero: the zero sequence")
+        m2 = self.modulus_squared_expr()
+        t = m2.eventual_nonzero_threshold()
+        if t is None:
             raise NotEventuallyNonzeroError(
-                "not eventually nonzero within the sampled window"
+                "not eventually nonzero: vanishes on a parity class"
             )
-        def gen(i, g=self.gen, t=t):
-            if i < t:
-                return 0j
-            v = complex(g(i))
-            return 1 / v
-        return HyperComplex(gen=gen)
+        re = self.re / m2
+        im = -self.im / m2
+        prefix: dict[int, tuple[Fraction, Fraction]] = {}
+        for i in range(1, t):
+            prefix[i] = (Q(0), Q(0))
+        for i, (a, b) in self.prefix.items():
+            n = a * a + b * b
+            prefix[i] = (Q(0), Q(0)) if n == 0 else (a / n, -b / n)
+        return HyperComplex(re, im, prefix)
 
     # -- classification -------------------------------------------------------------
     def classify(self, horizon: int = HORIZON) -> Classification:
@@ -240,10 +206,8 @@ class HyperComplex:
         return _classify_numeric(self, horizon)
 
     def standard_part(self):
-        """Exact limit (symbolic) or windowed estimate (numeric).
-
-        Returns a (re, im) Fraction pair in the symbolic tier, a complex in the
-        numeric tier, or None when the value oscillates (Undetermined).
+        """The exact limit as a (re, im) Fraction pair, or None when it is
+        not decided: the value oscillates, or is generator-backed and bounded.
         Raises for infinite inputs.
         """
         if self.symbolic:
@@ -254,20 +218,8 @@ class HyperComplex:
         cls = self.classify()
         if cls.label == INFINITE:
             raise NoStandardPartError("no standard part: the number is infinite")
-        if self.symbolic:
-            m2 = self.modulus_squared_expr()
-            if m2.growth().kind == "zero":
-                return (Q(0), Q(0))
-            return None
-        h = HORIZON
-        prev = [complex(self.gen(i)) for i in range(max(1, h // 2), 3 * h // 4)]
-        tail = [complex(self.gen(i)) for i in range(max(1, 3 * h // 4), h + 1)]
-        mean = sum(tail) / len(tail)
-        spread = max(abs(v - mean) for v in tail)
-        prev_spread = max(abs(v - mean) for v in prev) if prev else spread
-        # accept a shrinking spread (convergence trend) or one already at tol
-        if spread <= STANDARD_PART_TOL * 10 or spread <= prev_spread / 1.5:
-            return mean
+        if self.symbolic and self.modulus_squared_expr().growth().kind == "zero":
+            return (Q(0), Q(0))
         return None
 
 
@@ -302,20 +254,6 @@ def coerce(x) -> HyperComplex:
     raise TypeError(f"cannot use {type(x).__name__} as a HyperComplex")
 
 
-def _check_tag(x: HyperComplex, tag: str):
-    cls = _classify_symbolic(x).label
-    ok = {
-        "infinitesimal": cls == INFINITESIMAL,
-        "infinite": cls == INFINITE,
-        "bounded": cls in (INFINITESIMAL, APPRECIABLE, BOUNDED_UNCLASSIFIED),
-        "standard": cls in (INFINITESIMAL, APPRECIABLE)
-        and x.re.limit() is not None
-        and x.im.limit() is not None,
-    }[tag]
-    if not ok:
-        raise ValueError(f"declared tag {tag!r} inconsistent with symbolic class {cls}")
-
-
 def _classify_symbolic(x: HyperComplex) -> Classification:
     m2 = x.modulus_squared_expr()
     g = m2.growth()
@@ -345,7 +283,7 @@ def _classify_numeric(x: HyperComplex, h: int) -> Classification:
     vals = []
     for i in range(1, h + 1):
         try:
-            vals.append(abs(complex(x.gen(i))))
+            vals.append(abs(x.value(i)))
         except (ZeroDivisionError, OverflowError):  # past the float range: infinite
             vals.append(float("inf"))
     quarter = vals[3 * h // 4:]

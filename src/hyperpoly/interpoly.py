@@ -26,7 +26,7 @@ from typing import Iterable, Iterator, Optional
 
 from .exacteval import dot, evaluate, integer_form, multiply
 from .hypernat import HyperNatural
-from .hypernum import HyperComplex, coerce as hc_coerce, exact_complex
+from .hypernum import HyperComplex, coerce as hc_coerce
 from .indexexpr import IndexExpr
 from .record import Record, _set
 
@@ -71,7 +71,7 @@ def _box_convolution(f, g, nu: MultiIndex) -> HyperComplex:
     Symbolic factors build the forms with the operations of the chained
     ``HyperComplex`` sum, and the prefix with one :func:`dot` per index of
     the factors' prefixes, left out where a factor has no value.  Any
-    numeric-tier factor sends the whole sum through ``HyperComplex``.
+    generator-backed factor sends the whole sum through ``HyperComplex``.
     """
     pairs = [(f(mu), g(mi_sub(nu, mu)))
              for mu in itertools.product(*(range(k + 1) for k in nu))]
@@ -249,6 +249,8 @@ class StructuredPoly(InternalPolynomial):
                 raise ValueError(f"multi-index {k} has wrong arity")
         self.tails = tuple(tails)
         self.tops = tuple(tops)
+        if not all(c.symbolic for c in [*self.explicit.values(), *(t.coeff for t in self.tops)]):
+            raise TypeError("a structured coefficient must be symbolic, not generator-backed")
 
     # named on this class too, so that a per-class wrapper (perfbench/tracing.py) finds them
     materialize = InternalPolynomial.materialize
@@ -305,11 +307,10 @@ class StructuredPoly(InternalPolynomial):
             raise ValueError("multi-index arity mismatch")
         m = mi_total(nu)
         T = self._stable_from(m)
-        if nu in self.explicit and self.explicit[nu].symbolic:
+        if nu in self.explicit:
             T = max(T, max(self.explicit[nu].prefix, default=0) + 1)
         for t in self.tops:
-            if t.coeff.symbolic:
-                T = max(T, max(t.coeff.prefix, default=0) + 1)
+            T = max(T, max(t.coeff.prefix, default=0) + 1)
         re = IndexExpr.const(0)
         im = IndexExpr.const(0)
         probe = max(T, 1)
@@ -329,11 +330,6 @@ class StructuredPoly(InternalPolynomial):
         for i in range(1, T):
             prefix[i] = self.coeff_value_at(nu, i)
         return HyperComplex(re, im, prefix)
-
-    def is_symbolic(self) -> bool:
-        return all(c.symbolic for c in self.explicit.values()) and all(
-            t.coeff.symbolic for t in self.tops
-        )
 
     def coeff_value_at(self, nu: MultiIndex, i: int) -> Pair:
         # direct rule evaluation; cheaper than materializing the whole index
@@ -398,7 +394,7 @@ class LazyPoly(InternalPolynomial):
     def _coeff(self, nu: MultiIndex) -> HyperComplex:
         if self._coeff_fn is not None:
             return self._coeff_fn(nu)
-        return HyperComplex(gen=lambda i: complex(*self.coeff_value_at(nu, i)))
+        return HyperComplex(gen=lambda i: self.coeff_value_at(nu, i))
 
 
 # ---------------------------------------------------------------------------
@@ -540,12 +536,9 @@ def scalar_mul(c, p: InternalPolynomial) -> InternalPolynomial:
 
     def fn(i):
         try:
-            cv = c.value_exact(i) if c.symbolic else None
+            cv = c.value_exact(i)
         except ZeroDivisionError:
             cv = _ZERO
-        if cv is None:
-            z = complex(c.value(i))
-            cv = (Q(z.real), Q(z.imag))
         return multiply({(0,) * p.n: cv}, p.materialize(i))
 
     return LazyPoly(p.n, p.degree, fn, coeff_fn=lambda nu: c * p.coeff(nu))
@@ -589,12 +582,9 @@ def _tail_times_explicit(p: StructuredPoly, q: StructuredPoly) -> InternalPolyno
             new_phi = tuple(
                 t.phi[(r - k) % period].subst_affine(1, -k) for r in range(period)
             )
-            cre, cim = (c.re, c.im) if c.symbolic else (None, None)
-            if cre is None:
-                return ProductPoly(p, q)
             # a'(m) = c * a(m-k) = phi(m-k) * eps^m * (c * psi / eps^k)
-            psi_re = (cre * t.psi_re - cim * t.psi_im) / t.eps**k
-            psi_im = (cre * t.psi_im + cim * t.psi_re) / t.eps**k
+            psi_re = (c.re * t.psi_re - c.im * t.psi_im) / t.eps**k
+            psi_im = (c.re * t.psi_im + c.im * t.psi_re) / t.eps**k
             if t.lo is None:
                 lo = HyperNatural.constant(k - 1) if k >= 1 else None
             else:
@@ -637,9 +627,9 @@ def poly_compose(outer: InternalPolynomial, inners: list[InternalPolynomial]) ->
 def poly_eval(p: InternalPolynomial, point: list) -> HyperComplex:
     """Evaluate at a vector of hypercomplex numbers.
 
-    Fully explicit symbolic data evaluates symbolically (the result is again
-    growth-classifiable); anything else falls back to a generator built on the
-    exact per-index materialization.
+    Fully explicit data at a symbolic point evaluates symbolically (the
+    result is again growth-classifiable); anything else becomes a generator
+    of the exact values ``P_i(x_i)``, read through :meth:`eval_exact`.
     """
     point = [hc_coerce(x) for x in point]
     if len(point) != p.n:
@@ -648,7 +638,6 @@ def poly_eval(p: InternalPolynomial, point: list) -> HyperComplex:
         isinstance(p, StructuredPoly)
         and not p.tails
         and not p.tops
-        and p.is_symbolic()
         and all(x.symbolic for x in point)
     ):
         total = HyperComplex.from_rational(0)
@@ -660,18 +649,7 @@ def poly_eval(p: InternalPolynomial, point: list) -> HyperComplex:
             total = total + term
         return total
 
-    def gen(i):
-        pt = []
-        for x in point:
-            if x.symbolic:
-                v = x.value_exact(i)
-                pt.append(v)
-            else:
-                z = complex(x.value(i))
-                pt.append((Q(z.real), Q(z.imag)))
-        return exact_complex(*p.eval_exact(i, tuple(pt)))
-
-    return HyperComplex(gen=gen)
+    return HyperComplex(gen=lambda i: p.eval_exact(i, tuple(x.value_exact(i) for x in point)))
 
 
 def partial_derivative(p: InternalPolynomial, alpha: MultiIndex) -> InternalPolynomial:
@@ -770,7 +748,7 @@ def homogenize(p: InternalPolynomial) -> InternalPolynomial:
         base = p.coeff(nu)
         if not base.symbolic:
             return HyperComplex(
-                gen=lambda i: base.value(i) if d.value(i) == mi_total(nu) + z else 0j
+                gen=lambda i: base.value_exact(i) if d.value(i) == mi_total(nu) + z else _ZERO
             )
         m = mi_total(nu) + z
         eventual_hit = d.slope == 0 and max(0, d.intercept) == m

@@ -405,7 +405,7 @@ def infinitesimal_factor(p: InternalPolynomial) -> tuple[EpsFactor, ScaledPoly]:
     pointwise, so the cofactor inherits the root-test decay.
     """
     cls = classify_poly(p)
-    if cls.verdict != INFINITESIMAL or not cls.certificate.symbolic:
+    if cls.verdict != INFINITESIMAL:
         raise FactorizationError(
             f"factorization needs a symbolically certified infinitesimal polynomial "
             f"(got {cls.verdict})"

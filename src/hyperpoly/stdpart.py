@@ -207,10 +207,6 @@ def st_poly(p: InternalPolynomial, cls: Optional[PolyClass] = None) -> StandardP
             raise StandardPartError(
                 f"coefficient at {nu} oscillates; no standard part"
             )
-        if isinstance(st, complex):
-            raise StandardPartError(
-                f"coefficient at {nu} is numeric-tier; exact standard part unavailable"
-            )
         return st
 
     return StandardPowerSeries(p.n, fn, entire=True)

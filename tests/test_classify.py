@@ -120,10 +120,10 @@ def _built(text: str):
     return build_poly(program.expression, env)
 
 
-def _verdict(verdict, infinitesimal, *details, symbolic=True):
+def _verdict(verdict, infinitesimal, *details):
     return {"verdict": verdict, "infinitesimal": infinitesimal,
             "certificate": {"kind": "root-test", "details": list(details),
-                            "symbolic": symbolic}}
+                            "symbolic": True}}
 
 
 _OSCILLATING = 1 + IndexExpr.geometric(-1)   # 2, 0, 2, 0, ...
@@ -154,9 +154,6 @@ CLAUSE_CASES = {
     "finite-top-omega": (
         lambda: moving_monomial(HyperNatural.constant(3), HyperComplex.omega()),
         _verdict("unbounded", "no", "clause i fails: top coefficient infinite")),
-    "numeric-top": (
-        lambda: moving_monomial(D_I, HyperComplex.from_generator(lambda i: 1.0)),
-        _verdict("undetermined", "unknown", "numeric top coefficient", symbolic=False)),
     "oscillating-top": (
         lambda: moving_monomial(D_I, HyperComplex.from_expr(_OSCILLATING)),
         _verdict("undetermined", "unknown", "top coefficient class undecided")),

@@ -573,6 +573,29 @@ class TestEval:
             '"(5359.375+0j)", "(85912064.453125+0j)", "(1855114462223675+0j)"]}\n'
         )
 
+    # one row per window verdict of a generator-backed value, bytes as printed
+    # before generators carried exact pairs
+    @pytest.mark.parametrize("argv,out", [
+        (("eps := 1/i!; sum(k=0..d, eps*X^k)", "--d", "i", "--at", "1/2"),
+         '{"classification": {"class": "infinitesimal", "verdict": {"kind": "Holds", '
+         '"note": "window: |x| < 1e-09 on last quarter", "witness": 49}}, '
+         '"command": "eval", "schema": 1, "window": ["(1.5+0j)", "(0.875+0j)", '
+         '"(0.08072916666666667+0j)", "(4.950629340277778e-05+0j)", '
+         '"(9.558881735738326e-14+0j)"]}\n'),
+        (("sum(k=0..d, X^k/k!)", "--d", "i", "--at", "1/i"),
+         '{"classification": {"class": "bounded-unclassified", "verdict": {"kind": "Holds", '
+         '"note": "window: |x| <= 2 across horizon 64", "witness": 1}}, '
+         '"command": "eval", "schema": 1, "window": ["(2+0j)", "(1.625+0j)", '
+         '"(1.2840169270833333+0j)", "(1.1331484530668055+0j)", "(1.0644944589178593+0j)"]}\n'),
+        (("sum(k=0..d, X^k)", "--d", "i", "--at", "3"),
+         '{"classification": {"class": "infinite", "verdict": {"kind": "Holds", '
+         '"note": "window: sustained growth ratio > 2.0", "witness": 49}}, '
+         '"command": "eval", "schema": 1, "window": ["(4+0j)", "(13+0j)", "(121+0j)", '
+         '"(9841+0j)", "(64570081+0j)"]}\n'),
+    ], ids=["infinitesimal", "bounded-unclassified", "infinite"])
+    def test_window_verdicts_print_the_same_bytes(self, argv, out):
+        assert run_cli("eval", *argv) == (EXIT_OK, out)
+
 
 class TestDeterminism:
     CORPUS = [
@@ -674,6 +697,13 @@ REFUSALS = [
     # a coordinate is one bare expression: a command word is not dropped
     (("generic", "--param", "t -> (classify t, 0)"),
      "expected a bare expression at line 1, column 1"),
+    # so are --d and --at: no command word, declaration or empty text
+    (("classify", "sum(k=0..d, X^k)", "--d", "classify i"),
+     "expected a bare expression at line 1, column 1"),
+    (("eval", "X", "--at", "classify 2"), "expected a bare expression at line 1, column 1"),
+    (("classify", "X", "--d", ""), "expected a bare expression at line 1, column 1"),
+    (("eval", "X", "--at", ""), "expected a bare expression at line 1, column 1"),
+    (("eval", "X", "--at", "c := 3; c"), "expected a bare expression at line 1, column 1"),
 ]
 
 

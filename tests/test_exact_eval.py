@@ -519,7 +519,7 @@ def test_lazy_scalar_multiple_matches_reference():
     scalars = [
         HyperComplex(IndexExpr.const(Q(2, 3)), IndexExpr.const(Q(-1, 5)), {1: (Q(7), Q(0))}),
         HyperComplex(1 / I(), prefix={2: (Q(0), Q(0))}),
-        HyperComplex(gen=lambda i: complex(1 / i, 0.5)),
+        HyperComplex(gen=lambda i: (Q(1, i), Q(1, 2))),
     ]
     for p in (_bivariate(), truncated_exp(D_I), ProductPoly(truncated_exp(D_I), _pole_at_index_2())):
         for c in scalars:
@@ -529,8 +529,7 @@ def test_lazy_scalar_multiple_matches_reference():
                     mat = p.materialize(i)
                 except ZeroDivisionError:
                     continue
-                cv = (c.value_exact(i) if c.symbolic
-                      else (Q(c.value(i).real), Q(c.value(i).imag)))
+                cv = c.value_exact(i)
                 want = {k: _pair_mul(cv, v) for k, v in mat.items()}
                 assert_same_table(scaled.materialize(i),
                                   {k: v for k, v in want.items() if v != (Q(0), Q(0))})
@@ -628,8 +627,8 @@ def reference_series_product(s, t):
 
 
 def assert_same_hypercomplex(got, want, indices=range(1, 9)):
-    """Term-for-term equal forms and prefix, key order included; numeric-tier
-    values agree at ``indices``."""
+    """Term-for-term equal forms and prefix, key order included; generator-backed
+    values agree exactly at ``indices``."""
     assert got.symbolic == want.symbolic
     if got.symbolic:
         assert (got.re.num, got.re.den) == (want.re.num, want.re.den)
@@ -638,12 +637,12 @@ def assert_same_hypercomplex(got, want, indices=range(1, 9)):
     else:
         for i in indices:
             try:
-                w = want.value(i)
+                w = want.value_exact(i)
             except ZeroDivisionError:
                 with pytest.raises(ZeroDivisionError):
-                    got.value(i)
+                    got.value_exact(i)
                 continue
-            assert got.value(i) == w
+            assert got.value_exact(i) == w
 
 
 def indices_to_degree(n, order):

@@ -13,6 +13,7 @@ from hyperpoly.hypernum import (
     HyperComplex,
     NoStandardPartError,
     NotEventuallyNonzeroError,
+    exact_complex,
 )
 from hyperpoly.indexexpr import IndexExpr
 
@@ -89,6 +90,10 @@ class TestInv:
         with pytest.raises(NotEventuallyNonzeroError):
             osc.inv()
 
+    def test_inv_of_a_generator_value_is_refused(self):
+        with pytest.raises(TypeError):
+            HyperComplex.from_generator(lambda i: (Q(i), Q(0))).inv()
+
 
 class TestClassify:
     def test_inverse_factorial(self):
@@ -102,15 +107,15 @@ class TestClassify:
         assert x.standard_part() == (Q(1), Q(0))
 
     def test_alternating_sign_numeric(self):
-        x = HyperComplex.from_generator(lambda i: (-1) ** i)
+        x = HyperComplex.from_generator(lambda i: (Q((-1) ** i), Q(0)))
         assert x.classify().label == BOUNDED_UNCLASSIFIED
 
     def test_window_notes_print_the_thresholds(self):
-        assert HyperComplex.from_generator(lambda i: 0.0).classify().to_json() == {
+        assert HyperComplex.from_generator(lambda i: (Q(0), Q(0))).classify().to_json() == {
             "class": "infinitesimal",
             "verdict": {"kind": "Holds", "witness": 49,
                         "note": "window: |x| < 1e-09 on last quarter"}}
-        assert HyperComplex.from_generator(lambda i: 0.5).classify().to_json() == {
+        assert HyperComplex.from_generator(lambda i: (Q(1, 2), Q(0))).classify().to_json() == {
             "class": "bounded-unclassified",
             "verdict": {"kind": "Holds", "witness": 1,
                         "note": "window: |x| <= 0.5 across horizon 64"}}
@@ -119,11 +124,6 @@ class TestClassify:
         x = HyperComplex.from_expr(IndexExpr.geometric(-1))
         assert x.classify().label == APPRECIABLE
         assert x.standard_part() is None  # no limit
-
-    def test_declared_tag_checked(self):
-        with pytest.raises(ValueError):
-            HyperComplex(I(), tag="infinitesimal")
-        HyperComplex(1 / I(), tag="infinitesimal")
 
 
 class TestStandardPart:
@@ -143,38 +143,36 @@ class TestStandardPart:
         assert (x + y).standard_part() == (sx[0] + sy[0], 0)
         assert (x * y).standard_part() == (sx[0] * sy[0], 0)
 
-    def test_numeric_tier_average(self):
-        x = HyperComplex.from_generator(lambda i: 2 + 1 / i**2)
-        v = x.standard_part()
-        assert v is not None and abs(v - 2) < 1e-3
-        osc = HyperComplex.from_generator(lambda i: (-1) ** i)
-        assert osc.standard_part() is None
+    def test_bounded_generator_value_is_undetermined(self):
+        x = HyperComplex.from_generator(lambda i: (2 + Q(1, i * i), Q(0)))
+        assert x.standard_part() is None
+
+    def test_growing_generator_value_has_none(self):
+        with pytest.raises(NoStandardPartError):
+            HyperComplex.from_generator(lambda i: (Q(3) ** i, Q(0))).standard_part()
 
 
-FLOATS = st.floats(allow_nan=False, allow_infinity=False, width=64)
-
-
-def _bits(z: complex):
-    return z.real.hex(), z.imag.hex()
+PAIRS = st.tuples(st.fractions(max_denominator=40), st.fractions(max_denominator=40))
+WINDOWS = st.lists(PAIRS, min_size=4, max_size=4)
 
 
 class TestOneFormulaPerOperation:
-    @settings(max_examples=200, deadline=None)
-    @given(a=FLOATS, b=FLOATS, c=FLOATS, d=FLOATS)
-    def test_numeric_tier_matches_complex_arithmetic_bit_for_bit(self, a, b, c, d):
-        u, v = complex(a, b), complex(c, d)
-        x = HyperComplex.from_generator(lambda i: u)
-        y = HyperComplex.from_generator(lambda i: v)
-        assert _bits((x * y).value(1)) == _bits(u * v)
-        assert _bits((x + y).value(1)) == _bits(u + v)
-        assert _bits((x - y).value(1)) == _bits(u - v)
-
-    def test_mixed_tiers_use_the_exact_value_as_floats(self):
-        x = HyperComplex(IndexExpr.const(Q(1, 3)), IndexExpr.const(Q(-2, 7)), {2: (Q(5), Q(1))})
-        y = HyperComplex.from_generator(lambda i: complex(0.1 * i, -0.7))
-        for i in (1, 2, 5):
-            assert _bits((x * y).value(i)) == _bits(x.value(i) * y.value(i))
-            assert _bits((y + x).value(i)) == _bits(y.value(i) + x.value(i))
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(u=WINDOWS, v=WINDOWS, k=PAIRS, w=PAIRS)
+    def test_generator_values_follow_the_exact_formula(self, u, v, k, w):
+        x = HyperComplex.from_generator(lambda i: u[i - 1])
+        y = HyperComplex.from_generator(lambda i: v[i - 1])
+        s = HyperComplex(IndexExpr.const(k[0]) + 1 / I(), IndexExpr.const(k[1]), {2: w})
+        for f, g in ((x, y), (x, s), (s, x)):
+            for i in range(1, 5):
+                (a, b), (c, d) = f.value_exact(i), g.value_exact(i)
+                for z, want in ((f * g, (a * c - b * d, a * d + b * c)),
+                                (f + g, (a + c, b + d)),
+                                (f - g, (a - c, b - d)),
+                                (-x, (-u[i - 1][0], -u[i - 1][1]))):
+                    assert not z.symbolic
+                    assert z.value_exact(i) == want
+                    assert z.value(i) == exact_complex(*want)
 
     def test_prefix_pairs_follow_the_symbolic_formula(self):
         x = HyperComplex(IndexExpr.const(Q(1, 3)), IndexExpr.const(Q(-2, 7)), {2: (Q(5), Q(1))})

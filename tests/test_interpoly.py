@@ -110,15 +110,24 @@ class TestEval:
     def test_truncated_exp_at_one_tends_to_e(self):
         P = truncated_exp(D_I)
         v = poly_eval(P, [HyperComplex.from_rational(1)])
-        # numeric generator tier: compare against e
+        # a generator of exact values; its float reading against e
         import math
 
+        assert v.value_exact(4) == P.eval_exact(4, (pair(1),))
         assert abs(v.value(30) - math.e) < 1e-12
 
     def test_exact_evaluation_of_tail(self):
         P = truncated_exp(D_I)
         got = P.eval_exact(4, (pair(1),))
         assert got == (Q(1) + 1 + Q(1, 2) + Q(1, 6) + Q(1, 24), Q(0))
+
+
+def test_structured_coefficients_are_symbolic():
+    g = HyperComplex.from_generator(lambda i: (Q(1, i), Q(0)))
+    with pytest.raises(TypeError):
+        StructuredPoly(1, HyperNatural.constant(2), {(2,): g})
+    with pytest.raises(TypeError):
+        moving_monomial(D_I, g)
 
 
 class TestDerivative:

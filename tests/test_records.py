@@ -64,12 +64,12 @@ CASES = {
                  ("phi", "eps", "psi_re", "psi_im", "lo", "hi"), True),
     "TopTerm": (lambda: TopTerm(1, HC), f"TopTerm(offset=1, coeff={HC!r})",
                 ("offset", "coeff"), True),
-    "Certificate": (lambda: Certificate("sample", ("a", 2), False),
-                    "Certificate(kind='sample', details=('a', 2), symbolic=False)",
-                    ("kind", "details", "symbolic"), True),
+    "Certificate": (lambda: Certificate("sample", ("a", 2)),
+                    "Certificate(kind='sample', details=('a', 2))",
+                    ("kind", "details"), True),
     "PolyClass": (lambda: PolyClass("bounded", Certificate("root-test"), "no"),
                   "PolyClass(verdict='bounded', certificate=Certificate(kind='root-test', "
-                  "details=(), symbolic=True), infinitesimal='no')",
+                  "details=()), infinitesimal='no')",
                   ("verdict", "certificate", "infinitesimal"), True),
     "OracleReport": (lambda: OracleReport(HOLDS3, FAILS1, (Q(3), Q(0)), Q(2)),
                      "OracleReport(bounded=Verdict(kind='Holds', witness=3, note='ok'), "
@@ -224,7 +224,7 @@ def test_inequality_across_fields_and_classes():
 def test_record_defaults():
     assert Verdict("Fails", 2).note == ""
     assert HyperNatural() == HyperNatural(0, 0, ()) == HyperNatural.constant(0)
-    assert Certificate("sample") == Certificate("sample", (), True)
+    assert Certificate("sample") == Certificate("sample", ())
     assert PolyClass("bounded", Certificate("sample")).infinitesimal == "unknown"
     report = OracleReport(HOLDS3, FAILS1)
     assert (report.witness, report.radius) == (None, 1)
