@@ -225,6 +225,11 @@ class InternalPolynomial:
         return poly_mul(self, other)
 
 
+def _refuse_generator(c: HyperComplex):
+    if c.gen is not None:
+        raise TypeError("a structured coefficient must be symbolic, not generator-backed")
+
+
 class StructuredPoly(InternalPolynomial):
     """Explicit coefficients, tail bands, and top-anchored monomials."""
 
@@ -244,13 +249,14 @@ class StructuredPoly(InternalPolynomial):
         self.explicit = {
             tuple(k): hc_coerce(v) for k, v in (explicit or {}).items()
         }
-        for k in self.explicit:
-            if len(k) != n:
-                raise ValueError(f"multi-index {k} has wrong arity")
         self.tails = tuple(tails)
         self.tops = tuple(tops)
-        if not all(c.symbolic for c in [*self.explicit.values(), *(t.coeff for t in self.tops)]):
-            raise TypeError("a structured coefficient must be symbolic, not generator-backed")
+        for k, c in self.explicit.items():
+            if len(k) != n:
+                raise ValueError(f"multi-index {k} has wrong arity")
+            _refuse_generator(c)
+        for t in self.tops:
+            _refuse_generator(t.coeff)
 
     # named on this class too, so that a per-class wrapper (perfbench/tracing.py) finds them
     materialize = InternalPolynomial.materialize
