@@ -10,7 +10,7 @@ Floats appear only where values are read out: :meth:`HyperComplex.value`
 (display) and that window heuristic.
 
 Finitely many leading indices never matter (the ultraproduct quotient), so a
-symbolic number may carry a finite ``prefix`` of per-index overrides - this is
+number may carry a finite ``prefix`` of per-index overrides - this is
 how reciprocals are zero-padded below their non-vanishing threshold, and how
 "eventually constant" coefficient streams are represented.
 """
@@ -110,10 +110,10 @@ class HyperComplex:
 
     # -- evaluation -------------------------------------------------------------
     def value_exact(self, i: int) -> tuple[Fraction, Fraction]:
-        if self.gen is not None:
-            return self.gen(i)
         if i in self.prefix:
             return self.prefix[i]
+        if self.gen is not None:
+            return self.gen(i)
         return (self.re.eval(i), self.im.eval(i))
 
     def value(self, i: int) -> complex:

@@ -174,6 +174,11 @@ class TestOneFormulaPerOperation:
                     assert z.value_exact(i) == want
                     assert z.value(i) == exact_complex(*want)
 
+    def test_prefix_overrides_a_generator_value(self):
+        x = HyperComplex(gen=lambda i: (Q(i), Q(0)), prefix={2: (Q(5), Q(1))})
+        assert [x.value_exact(i) for i in (1, 2, 3)] == [(1, 0), (5, 1), (3, 0)]
+        assert (x * x).value_exact(2) == (24, 10)
+
     def test_prefix_pairs_follow_the_symbolic_formula(self):
         x = HyperComplex(IndexExpr.const(Q(1, 3)), IndexExpr.const(Q(-2, 7)), {2: (Q(5), Q(1))})
         y = HyperComplex(1 / I(), IndexExpr.const(Q(1, 2)), {3: (Q(-1, 4), Q(2))})
