@@ -47,6 +47,10 @@ from .verdicts import FAILS, HOLDS, UNDETERMINED, Verdict
 
 Q = Fraction
 
+# the oracle's tolerances on |P|^2, as integer ratios
+_TOL_SQ = (Q(INFINITESIMAL_TOL) ** 2).as_integer_ratio()
+_GROWTH_SQ = (Q(GROWTH_RATIO) ** 2).as_integer_ratio()
+
 BOUNDED = "bounded"
 UNBOUNDED = "unbounded"
 # INFINITESIMAL / UNDECIDED reused from hypernum
@@ -415,11 +419,12 @@ def sampling_oracle(
 ) -> OracleReport:
     """Evaluate the polynomial at sampled bounded points across the window.
 
-    The window ``P_1 .. P_horizon`` is materialized once per call and held as
-    Gaussian-integer numerators over one denominator per index; every point
-    is then evaluated exactly in integers.  The verdicts compare each value
-    ``|P_i(pt)|^2`` as an integer pair ``(re^2 + im^2, den^2)`` by
-    cross-multiplication; only the reported maximum becomes a ``Fraction``.
+    The window ``P_1 .. P_horizon`` is read as the polynomial's integer rows
+    (Gaussian-integer numerators over one denominator per index, kept by the
+    polynomial across calls); every point is evaluated exactly in integers.
+    The verdicts compare each value ``|P_i(pt)|^2`` as an integer pair
+    ``(re^2 + im^2, den^2)`` by cross-multiplication; only the reported
+    maximum becomes a ``Fraction``.
 
     A ``Fails`` verdict on boundedness is conclusive evidence: it names a
     witness point whose value sequence grows without bound.  ``Holds`` is
@@ -451,19 +456,18 @@ def sampling_oracle(
                     R,
                 )
 
-    mats = []
+    rows = []
     for i in range(1, horizon + 1):
         try:
-            mats.append(p.materialize(i))
+            rows.append(p.row(i))
         except ZeroDivisionError:
             continue
-    if len(mats) - 3 * len(mats) // 4 < 2:
+    if len(rows) - 3 * len(rows) // 4 < 2:
         short = Verdict(UNDETERMINED, horizon,
                         "too few materialized indices for a growth ratio")
         return OracleReport(short, short, None, R)
-    window = integer_form(mats, p.n)
-    tn, td = (Q(INFINITESIMAL_TOL) ** 2).as_integer_ratio()
-    gn, gd = (Q(GROWTH_RATIO) ** 2).as_integer_ratio()
+    window = integer_form(rows, p.n)
+    (tn, td), (gn, gd) = _TOL_SQ, _GROWTH_SQ
 
     worst_growth: Optional[tuple] = None
     all_small = True

@@ -1,28 +1,29 @@
-"""Exact arithmetic on materialized polynomials.
+"""Exact arithmetic on integer rows.
 
-A materialized index is a table ``{nu: (re, im)}`` of ``Fraction`` pairs.
-Every exact product and evaluation of such tables happens here, on the
-layout of FLINT's ``fmpq_poly``: Gaussian-integer numerators over one shared
-denominator per table.  Inside, the arithmetic is on integers, with no
-intermediate ``Fraction`` and no gcd per operation, and the values are
-exactly those of term-by-term rational arithmetic.
+Each index of an internal polynomial is stored as a *row*, in the layout of
+FLINT's ``fmpq_poly``: a tuple ``(den, top, max_exp, terms)`` of one common
+denominator (not necessarily the least), the largest total degree, the
+largest exponent of each variable, and one ``(nu, factors, re, im, top - |nu|)``
+per nonzero coefficient ``(re + i im) / den``, where ``factors`` lists the
+nonzero ``(variable, exponent)`` of ``nu``.  Its ``Fraction`` view is the table
+``{nu: (re, im)}`` (:func:`fraction_table`).  Products and evaluations run on
+the integers, with no gcd per operation, and give exactly the values of
+term-by-term rational arithmetic.
 
-* :func:`multiply` convolves two tables in the order of the nested
-  term-by-term loop, so keys keep that order and zero sums stay; ``top``
-  drops keys of total degree above it.
-* :func:`dot` sums products of exact pairs, the same layout for one value:
-  a coefficient of ``StandardPowerSeries.__mul__``, and each prefix index of
-  ``interpoly._box_convolution`` (the coefficient rule of ``ProductPoly``
-  and ``InternalSeries`` products).  Numeric-tier factors have no exact
-  values; their products stay on ``HyperComplex`` arithmetic.
-* :func:`evaluate` takes the tables of an :func:`integer_form` to one point
-  written over a common denominator ``D``; scaled by ``D^(top - |nu|)``,
-  every term is an integer, and each value one ``(re, im, den)`` triple.
+* :func:`row_of_parts` sums ``(nu, re, im, den)`` parts over one lcm, and
+  :func:`row_of_table` writes a table as a row.
+* :func:`multiply_rows` (the integer entry point) and :func:`multiply` (the
+  table entry point, truncated at ``top``) convolve in the order of the nested
+  term-by-term loop; a row drops the zero sums, a table keeps them.
+* :func:`dot` sums products of exact pairs over one denominator: a coefficient
+  of ``StandardPowerSeries.__mul__``, and each prefix index of
+  ``interpoly._box_convolution``.
+* :func:`integer_form` merges rows, and :func:`evaluate` takes them to one
+  point over a common denominator ``D``; scaled by ``D^(top - |nu|)``, every
+  term is an integer, and each value one ``(re, im, den)`` triple.
 
-``completion.FieldPoly.eval_at`` (over Q and F_p) sums over one denominator
-too, but without :func:`evaluate`, whose dense power tables would build every
-power below a sparse residue's ``X^80``.  The torus quadrature in
-``classify`` samples in complex floats and stays outside.
+``completion.FieldPoly.eval_at`` sums over one denominator too, but without
+dense power tables; the torus quadrature in ``classify`` samples in floats.
 """
 
 from __future__ import annotations
@@ -35,6 +36,44 @@ from typing import Iterable, Optional
 from .record import Record, _set
 
 
+Row = tuple  # (den, top, max_exp, terms), see the module docstring
+
+
+def fraction_table(row: Row) -> dict:
+    """The ``Fraction`` view ``{nu: (re, im)}`` of a row, keys in row order."""
+    den = row[0]
+    return {nu: (Fraction(re, den), Fraction(im, den)) for nu, _, re, im, _ in row[3]}
+
+
+def _build_row(den: int, sums: Iterable[tuple], n: int) -> Row:
+    """The row of ``(nu, re, im)`` numerators over ``den``, zeros dropped."""
+    kept = [(nu, re, im, sum(nu)) for nu, re, im in sums if re or im]
+    top = max((m for *_, m in kept), default=0)
+    max_exp = [0] * n
+    terms = []
+    for nu, re, im, m in kept:
+        for var, e in enumerate(nu):
+            if e > max_exp[var]:
+                max_exp[var] = e
+        terms.append((nu, tuple((var, e) for var, e in enumerate(nu) if e), re, im, top - m))
+    return den, top, tuple(max_exp), tuple(terms)
+
+
+def row_of_parts(parts: list[tuple], n: int) -> Row:
+    """The row of ``(nu, re, im, den)`` parts, each ``(re + i im) / den``; the parts
+    at one ``nu`` add up, in the place of its first part."""
+    den = lcm(*{part[3] for part in parts})
+    acc: dict = {}
+    for nu, re, im, d in parts:
+        k = den // d
+        if nu in acc:
+            a, b = acc[nu]
+            acc[nu] = (a + re * k, b + im * k)
+        else:
+            acc[nu] = (re * k, im * k)
+    return _build_row(den, [(nu, a, b) for nu, (a, b) in acc.items()], n)
+
+
 def _numerators(table: dict) -> tuple[int, list]:
     """``(den, [(nu, re_num, im_num), ...])``: ``table`` over one denominator."""
     den = lcm(*(c.denominator for pair in table.values() for c in pair))
@@ -44,10 +83,14 @@ def _numerators(table: dict) -> tuple[int, list]:
     ]
 
 
-def multiply(a: dict, b: dict, top: Optional[int] = None) -> dict:
-    """The product of two tables, without its keys of total degree above ``top``."""
-    den_a, xs = _numerators(a)
-    den_b, ys = _numerators(b)
+def row_of_table(table: dict, n: int) -> Row:
+    """The row of a table ``{nu: (re, im)}`` of exact pairs, zeros dropped."""
+    return _build_row(*_numerators(table), n)
+
+
+def _convolve(xs: list, ys: list, top: Optional[int]) -> tuple[dict, dict]:
+    """``(re, im)`` sums of ``(p + iq)(r + is)`` over ``(nu, p, q)`` and
+    ``(mu, r, s)``, keyed by ``nu + mu`` in nested-loop order, up to ``top``."""
     ys = [(mu, r, s, sum(mu)) for mu, r, s in ys]
     acc_re: dict = {}
     acc_im: dict = {}
@@ -58,6 +101,21 @@ def multiply(a: dict, b: dict, top: Optional[int] = None) -> dict:
                 k = tuple(map(add, nu, mu))
                 acc_re[k] = acc_re.get(k, 0) + p * r - q * s
                 acc_im[k] = acc_im.get(k, 0) + p * s + q * r
+    return acc_re, acc_im
+
+
+def multiply_rows(a: Row, b: Row) -> Row:
+    """The product of two rows of one arity."""
+    acc_re, acc_im = _convolve([(nu, re, im) for nu, _, re, im, _ in a[3]],
+                               [(nu, re, im) for nu, _, re, im, _ in b[3]], None)
+    return _build_row(a[0] * b[0], [(k, re, acc_im[k]) for k, re in acc_re.items()], len(a[2]))
+
+
+def multiply(a: dict, b: dict, top: Optional[int] = None) -> dict:
+    """The product of two tables, without its keys of total degree above ``top``."""
+    den_a, xs = _numerators(a)
+    den_b, ys = _numerators(b)
+    acc_re, acc_im = _convolve(xs, ys, top)
     den = den_a * den_b
     return {k: (Fraction(re, den), Fraction(acc_im[k], den)) for k, re in acc_re.items()}
 
@@ -84,49 +142,32 @@ def dot(pairs: Iterable[tuple[tuple, tuple]]) -> tuple[Fraction, Fraction]:
 
 
 class IntegerForm(Record, frozen=True):
-    """Materialized indices as Gaussian-integer numerators.
+    """The rows of several indices, merged for :func:`evaluate`.
 
     ``max_exp`` is the largest exponent of each variable and ``top`` the
-    largest total degree over all indices; they size the power tables.
-    ``indices`` holds one ``(den, top, terms)`` per materialized index: the
-    lcm of its coefficient denominators, its largest total degree, and one
-    ``(factors, re_num, im_num, top - |nu|)`` per monomial, where ``factors``
-    lists ``(variable, exponent)`` for the nonzero exponents of ``nu``.
+    largest total degree over all the rows; they size the power tables.
     """
 
     __slots__ = ("max_exp", "top", "indices")
-    def __init__(self, max_exp: tuple[int, ...], top: int,
-                 indices: tuple[tuple[int, int, tuple], ...]):
+    def __init__(self, max_exp: tuple[int, ...], top: int, indices: tuple[Row, ...]):
         _set(self, "max_exp", max_exp)
         _set(self, "top", top)
         _set(self, "indices", indices)
 
 
-def integer_form(mats: Iterable[dict], n: int) -> IntegerForm:
-    """Convert materialized ``{nu: (re, im)}`` dicts of arity ``n``."""
-    max_exp = [0] * n
-    top_all = 0
-    indices = []
-    for mat in mats:
-        den, nums = _numerators(mat)
-        top = max(map(sum, mat), default=0)
-        terms = []
-        for nu, re, im in nums:
-            for var, e in enumerate(nu):
-                if e > max_exp[var]:
-                    max_exp[var] = e
-            terms.append((tuple((var, e) for var, e in enumerate(nu) if e), re, im, top - sum(nu)))
-        top_all = max(top_all, top)
-        indices.append((den, top, tuple(terms)))
-    return IntegerForm(tuple(max_exp), top_all, tuple(indices))
+def integer_form(rows: Iterable[Row], n: int) -> IntegerForm:
+    """Merge rows of arity ``n``."""
+    rows = tuple(rows)
+    max_exp = tuple(map(max, zip((0,) * n, *(r[2] for r in rows))))
+    return IntegerForm(max_exp, max((r[1] for r in rows), default=0), rows)
 
 
 def evaluate(form: IntegerForm, point: tuple) -> list[tuple[int, int, int]]:
-    """``(re_num, im_num, den)`` of the value at ``point``, per index of ``form``.
+    """``(re_num, im_num, den)`` of the value at ``point``, per row of ``form``.
 
     ``point`` gives one exact ``(re, im)`` pair per variable.  Coordinate
     powers and powers of the common denominator are built once and shared by
-    every index.
+    every row.
     """
     if len(point) != len(form.max_exp):
         raise ValueError(
@@ -144,9 +185,9 @@ def evaluate(form: IntegerForm, point: tuple) -> list[tuple[int, int, int]]:
     for _ in range(form.top):
         dpow.append(dpow[-1] * D)
     out = []
-    for den, top, terms in form.indices:
+    for den, top, _, terms in form.indices:
         sum_re = sum_im = 0
-        for factors, a, b, s in terms:
+        for _, factors, a, b, s in terms:
             for var, e in factors:
                 c, d = tables[var][e]
                 a, b = a * c - b * d, a * d + b * c

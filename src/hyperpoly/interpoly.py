@@ -24,7 +24,8 @@ import itertools
 from fractions import Fraction
 from typing import Iterable, Iterator, Optional
 
-from .exacteval import dot, evaluate, integer_form, multiply
+from .exacteval import (Row, dot, evaluate, fraction_table, integer_form, multiply,
+                        multiply_rows, row_of_parts, row_of_table)
 from .hypernat import HyperNatural
 from .hypernum import HyperComplex, coerce as hc_coerce
 from .indexexpr import IndexExpr
@@ -119,34 +120,30 @@ class TailTerm(Record, frozen=True):
         return self.phi[m % len(self.phi)].eval(m)
 
     def value(self, m: int, i: int) -> Pair:
-        ((_, v),) = self.values(range(m, m + 1), i)
-        return v
+        ((_, re, im, den),) = self.values(range(m, m + 1), i)
+        return Q(re, den), Q(im, den)
 
-    def values(self, degrees: range, i: int) -> Iterator[tuple[int, Pair]]:
-        """``(m, phi(m) * eps(i)^m * psi(i))`` for ``m`` in the step-1 range ``degrees``.
-
-        In integers: ``eps(i)^m`` is kept as running powers of eps's numerator
-        and denominator, and each nonzero part becomes one ``Fraction``
-        (``_ZERO`` when the product vanishes).  ``eps`` and ``psi`` are read
-        after the first ``phi``, so an empty range reads nothing and a
-        vanishing denominator raises the error of the term-by-term product.
+    def values(self, degrees: range, i: int) -> Iterator[tuple[int, int, int, int]]:
+        """``(m, re, im, den)``, ``phi(m) * eps(i)^m * psi(i) = (re + i im) / den``, for
+        ``m`` in the step-1 range ``degrees``, in integers: ``eps(i)^m`` as running
+        powers of eps's numerator and denominator, ``psi(i)`` as one Gaussian
+        integer over one denominator.  ``eps`` and ``psi`` are read after the
+        first ``phi``, so an empty range reads nothing and a vanishing
+        denominator raises the error of the term-by-term product.
         """
         for m in degrees:
             f = self.phi_at(m)
             if m == degrees.start:
                 en, ed = self.eps.eval(i).as_integer_ratio()
                 re, im = self.psi_re.eval(i), self.psi_im.eval(i)
+                sr, si = re.numerator * im.denominator, im.numerator * re.denominator
+                sd = re.denominator * im.denominator
                 pn, pd = en ** m, ed ** m
             else:
                 pn *= en
                 pd *= ed
             n = f.numerator * pn
-            if not n:
-                yield m, _ZERO
-                continue
-            d = f.denominator * pd
-            yield m, (Q(n * re.numerator, d * re.denominator) if re else _ZERO[0],
-                      Q(n * im.numerator, d * im.denominator) if im else _ZERO[0])
+            yield m, n * sr, n * si, f.denominator * pd * sd
 
     def in_range(self, m: int, i: int) -> bool:
         if self.lo is not None and m <= self.lo.value(i):
@@ -168,22 +165,30 @@ class TopTerm(Record, frozen=True):
 class InternalPolynomial:
     """Common interface; see the concrete classes below.
 
-    Each representation computes ``_materialize(i)`` and ``_coeff(nu)``; this
-    class keeps every result for the life of the object and drops the zero
-    coefficients from each materialization.
+    Each representation computes ``_row(i)``, the integer row of index ``i``
+    (see :mod:`~hyperpoly.exacteval`), and ``_coeff(nu)``.  This class keeps
+    rows, their ``Fraction`` views (:meth:`materialize`) and coefficients for
+    the life of the object, with no cap; an index whose row raises is not kept.
     """
 
     def __init__(self, n: int, degree: HyperNatural):
         self.n = n
         self.degree = degree
+        self._rows: dict[int, Row] = {}
         self._materialized: dict[int, dict[MultiIndex, Pair]] = {}
         self._coeffs: dict[MultiIndex, HyperComplex] = {}
 
+    def row(self, i: int) -> Row:
+        out = self._rows.get(i)
+        if out is None:
+            out = self._rows[i] = self._row(i)
+        return out
+
     def materialize(self, i: int) -> dict[MultiIndex, Pair]:
+        """``P_i`` as ``{nu: (re, im)}``, nonzero coefficients in row order."""
         out = self._materialized.get(i)
         if out is None:
-            out = {k: v for k, v in self._materialize(i).items() if v != _ZERO}
-            self._materialized[i] = out
+            out = self._materialized[i] = fraction_table(self.row(i))
         return out
 
     def coeff(self, nu: MultiIndex) -> HyperComplex:
@@ -193,7 +198,7 @@ class InternalPolynomial:
             out = self._coeffs[nu] = self._coeff(nu)
         return out
 
-    def _materialize(self, i: int) -> dict[MultiIndex, Pair]:
+    def _row(self, i: int) -> Row:
         raise NotImplementedError
 
     def _coeff(self, nu: MultiIndex) -> HyperComplex:
@@ -206,13 +211,12 @@ class InternalPolynomial:
     def eval_exact(self, i: int, point: tuple[Pair, ...]) -> Pair:
         """Exact value of ``P_i`` at a point of exact ``(re, im)`` pairs.
 
-        The coefficients are held as Gaussian-integer numerators over one
-        denominator and the point over another, so the sum is computed in
-        integers and each part of the value becomes one ``Fraction``.
+        The row's numerators and the point over one denominator make the sum
+        an integer computation; each part of the value becomes one ``Fraction``.
         """
         if len(point) != self.n:
             raise ValueError(f"point has arity {len(point)}, polynomial has {self.n}")
-        ((re, im, den),) = evaluate(integer_form((self.materialize(i),), self.n), point)
+        ((re, im, den),) = evaluate(integer_form((self.row(i),), self.n), point)
         return (Q(re, den), Q(im, den))
 
     def __add__(self, other):
@@ -263,31 +267,26 @@ class StructuredPoly(InternalPolynomial):
     coeff = InternalPolynomial.coeff
 
     # -- materialization ---------------------------------------------------------
-    def _materialize(self, i: int) -> dict[MultiIndex, Pair]:
+    def _row(self, i: int) -> Row:
+        """Band values, then tops, then explicit coefficients, summed in integers."""
         d_i = self.degree.value(i)
-        out: dict[MultiIndex, Pair] = {}
+        parts = []
         for t in self.tails:
             lo = t.lo.value(i) if t.lo is not None else -1
             hi = t.hi.value(i) if t.hi is not None else d_i
-            for m, c in t.values(range(max(0, lo + 1), min(hi, d_i) + 1), i):
-                if c == _ZERO:
-                    continue
-                for nu in multi_indices_of_degree(self.n, m):
-                    out[nu] = _pair_add(out[nu], c) if nu in out else c
-        for t in self.tops:
-            k = d_i - t.offset
-            if k >= 0:
-                try:
-                    out[(k,)] = _pair_add(out.get((k,), _ZERO), t.coeff.value_exact(i))
-                except ZeroDivisionError:
-                    pass
-        for nu, c in self.explicit.items():
-            if mi_total(nu) <= d_i:
-                try:
-                    out[nu] = _pair_add(out.get(nu, _ZERO), c.value_exact(i))
-                except ZeroDivisionError:
-                    pass
-        return out
+            for m, re, im, den in t.values(range(max(0, lo + 1), min(hi, d_i) + 1), i):
+                if re or im:
+                    parts += [(nu, re, im, den) for nu in multi_indices_of_degree(self.n, m)]
+        exact = [((d_i - t.offset,), t.coeff) for t in self.tops if d_i >= t.offset]
+        exact += [(nu, c) for nu, c in self.explicit.items() if mi_total(nu) <= d_i]
+        for nu, c in exact:
+            try:
+                re, im = c.value_exact(i)
+            except ZeroDivisionError:
+                continue   # a coefficient with no value at i is left out
+            parts.append((nu, re.numerator * im.denominator, im.numerator * re.denominator,
+                          re.denominator * im.denominator))
+        return row_of_parts(parts, self.n)
 
     # -- exact coefficient streams --------------------------------------------------
     def _stable_from(self, m: int) -> int:
@@ -374,8 +373,8 @@ class ProductPoly(InternalPolynomial):
 
     coeff = InternalPolynomial.coeff  # named here for the same reason as StructuredPoly's
 
-    def _materialize(self, i: int) -> dict[MultiIndex, Pair]:
-        return multiply(self.p.materialize(i), self.q.materialize(i))
+    def _row(self, i: int) -> Row:
+        return multiply_rows(self.p.row(i), self.q.row(i))
 
     def _coeff(self, nu: MultiIndex) -> HyperComplex:
         return _box_convolution(self.p.coeff, self.q.coeff, nu)
@@ -394,8 +393,8 @@ class LazyPoly(InternalPolynomial):
         self._fn = fn
         self._coeff_fn = coeff_fn
 
-    def _materialize(self, i: int) -> dict[MultiIndex, Pair]:
-        return self._fn(i)
+    def _row(self, i: int) -> Row:
+        return row_of_table(self._fn(i), self.n)
 
     def _coeff(self, nu: MultiIndex) -> HyperComplex:
         if self._coeff_fn is not None:
@@ -833,9 +832,7 @@ def truncate_series(coeff_rule, d: HyperNatural, n: int = 1) -> InternalPolynomi
         for m in range(0, d.value(i) + 1):
             for nu in multi_indices_of_degree(n, m):
                 c = coeff_rule(nu)
-                c = (Q(c[0]), Q(c[1])) if isinstance(c, tuple) else (Q(c), Q(0))
-                if c != _ZERO:
-                    out[nu] = c
+                out[nu] = (Q(c[0]), Q(c[1])) if isinstance(c, tuple) else (Q(c), Q(0))
         return out
 
     def coeff_fn(nu):

@@ -25,7 +25,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .classify import BOUNDED, INFINITESIMAL, Certificate, PolyClass, classify_poly
-from .exacteval import evaluate, integer_form
+from .exacteval import evaluate, integer_form, row_of_table
 from .hypernat import HyperNatural
 from .interpoly import (
     InternalPolynomial,
@@ -151,7 +151,8 @@ class DiffElement(Record):
             raise ValueError(f"point has arity ({len(xs)}, {len(dxs)}), element has {self.n}")
         table = {nu + mu: c for mu, poly in self.slices.items()
                  for nu, c in poly.materialize(i).items()}
-        ((re, im, den),) = evaluate(integer_form((table,), 2 * self.n), tuple(xs) + tuple(dxs))
+        row = row_of_table(table, 2 * self.n)
+        ((re, im, den),) = evaluate(integer_form((row,), 2 * self.n), tuple(xs) + tuple(dxs))
         return (Q(re, den), Q(im, den))
 
     def dn_certificate(self) -> Optional[str]:
@@ -357,9 +358,11 @@ class ScaledPoly(InternalPolynomial):
         self.source = source
         self.exponent = Fraction(exponent)
 
-    def materialize(self, i: int):
+    def row(self, i: int):
         raise TypeError("scaled cofactors carry irrational coefficients; "
                         "use exponent arithmetic on the factorization instead")
+
+    materialize = row
 
     def coeff(self, nu):
         raise TypeError("scaled cofactors have no rational coefficient stream")

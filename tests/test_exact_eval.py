@@ -15,8 +15,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hyperpoly.classify import _oracle_points, classify_poly
-from hyperpoly.exacteval import dot, evaluate, integer_form, multiply
+from hyperpoly.classify import _oracle_points, classify_poly, sampling_oracle
+from hyperpoly.exacteval import dot, evaluate, integer_form, multiply, row_of_table
 from hyperpoly.families import labeled_family, random_bounded_pair
 from hyperpoly.hypernat import HyperNatural
 from hyperpoly.hypernum import HyperComplex
@@ -26,6 +26,7 @@ from hyperpoly.interpoly import (
     ProductPoly,
     StructuredPoly,
     TailTerm,
+    TopTerm,
     dehomogenize,
     homogenize,
     mi_sub,
@@ -125,8 +126,8 @@ def materialized_window(p, horizon):
 
 def kernel_window(p, pt, horizon):
     """Exact values (re, im) and |value|^2 as the oracle builds them."""
-    mats = [p.materialize(i) for i in materialized_window(p, horizon)]
-    triples = evaluate(integer_form(mats, p.n), pt)
+    rows = [p.row(i) for i in materialized_window(p, horizon)]
+    triples = evaluate(integer_form(rows, p.n), pt)
     values = [(Q(re, den), Q(im, den)) for re, im, den in triples]
     squared = [Q(re * re + im * im, den * den) for re, im, den in triples]
     return values, squared
@@ -171,6 +172,19 @@ def reference_values(t, degrees, i):
         yield m, (f * t.psi_re.eval(i), f * t.psi_im.eval(i))
 
 
+def as_pairs(values):
+    """``TailTerm.values``'s integer ``(m, re, im, den)`` as ``(m, (re / den, im / den))``."""
+    for m, re, im, den in values:
+        yield m, (Q(re, den), Q(im, den))
+
+
+def as_integers(values):
+    """``(m, (re, im))`` of ``Fraction``s in the integer layout of ``TailTerm.values``."""
+    for m, (re, im) in values:
+        yield (m, re.numerator * im.denominator, im.numerator * re.denominator,
+               re.denominator * im.denominator)
+
+
 def _drain(thunk):
     """``repr`` of what ``thunk()`` yields, up to and including its error."""
     out = []
@@ -186,14 +200,15 @@ def assert_band_values_match(make, indices=range(1, 8)):
     """The bands of ``make()`` and each materialization, keys in order,
     against a fresh ``make()`` under the reference rule."""
     got = make()
-    with patch.object(TailTerm, "values", reference_values):
+    with patch.object(TailTerm, "values",
+                      lambda t, degrees, i: as_integers(reference_values(t, degrees, i))):
         want = [[_drain(lambda: [p.materialize(i)]) for i in indices] for p in make()]
     assert [[_drain(lambda: [p.materialize(i)]) for i in indices] for p in got] == want
     for p in got:
         for t in getattr(p, "tails", ()):
             for i in indices:
                 for degrees in (range(0, 10), range(3, 8), range(4, 4)):
-                    assert _drain(lambda: t.values(degrees, i)) == _drain(
+                    assert _drain(lambda: as_pairs(t.values(degrees, i))) == _drain(
                         lambda: reference_values(t, degrees, i))
                 for m in range(6):
                     assert _drain(lambda: [t.value(m, i)]) == _drain(
@@ -249,7 +264,7 @@ def test_band_value_is_the_one_term_range():
     t = TailTerm((IndexExpr.const(1),), I() - 1, I())
     # eps(1) = 0: degree 0 keeps 0^0 = 1, higher degrees vanish
     assert t.value(0, 1) == (Q(1), Q(0))
-    assert list(t.values(range(0, 3), 1)) == [(0, (Q(1), Q(0))), (1, (Q(0), Q(0))),
+    assert list(as_pairs(t.values(range(0, 3), 1))) == [(0, (Q(1), Q(0))), (1, (Q(0), Q(0))),
                                               (2, (Q(0), Q(0)))]
     t = TailTerm((IndexExpr.const(1),), IndexExpr.const(Q(-3, 2)), IndexExpr.const(0),
                  IndexExpr.const(Q(2, 5)))
@@ -318,7 +333,7 @@ def test_arity_mismatch_refused():
     with pytest.raises(ValueError):
         variable(2, 0).eval_exact(1, ((Q(1), Q(0)),))
     with pytest.raises(ValueError):
-        evaluate(integer_form([{(1,): (Q(1), Q(0))}], 1), ())
+        evaluate(integer_form([row_of_table({(1,): (Q(1), Q(0))}, 1)], 1), ())
 
 
 # ---------------------------------------------------------------------------
@@ -346,6 +361,131 @@ def test_eval_exact_matches_reference_across_representations():
         for pt in _oracle_points(p.n, Q(5, 4), 3, 11):
             for i in (1, 4, 9):
                 assert p.eval_exact(i, pt) == reference_eval_exact(p, i, pt)
+
+
+# ---------------------------------------------------------------------------
+# rows: memoized once per index, and materialize as their Fraction view
+# ---------------------------------------------------------------------------
+
+ZERO = (Q(0), Q(0))
+
+
+def reference_materialize(p, i):
+    """``P_i`` by the ``Fraction`` rule the rows replaced: band values through
+    ``reference_values``, then tops, then explicit coefficients, each key in
+    the place of its first value, zeros dropped; a product convolves its
+    factors' tables."""
+    if isinstance(p, ProductPoly):
+        out = reference_product(reference_materialize(p.p, i), reference_materialize(p.q, i))
+        return {k: v for k, v in out.items() if v != ZERO}
+    out = {}
+
+    def add(nu, c):
+        out[nu] = (out[nu][0] + c[0], out[nu][1] + c[1]) if nu in out else c
+
+    d_i = p.degree.value(i)
+    for t in p.tails:
+        lo = t.lo.value(i) if t.lo is not None else -1
+        hi = t.hi.value(i) if t.hi is not None else d_i
+        for m, c in reference_values(t, range(max(0, lo + 1), min(hi, d_i) + 1), i):
+            if c != ZERO:
+                for nu in multi_indices_of_degree(p.n, m):
+                    add(nu, c)
+    for t in p.tops:
+        if d_i - t.offset >= 0:
+            try:
+                add((d_i - t.offset,), t.coeff.value_exact(i))
+            except ZeroDivisionError:
+                pass
+    for nu, c in p.explicit.items():
+        if sum(nu) <= d_i:
+            try:
+                add(nu, c.value_exact(i))
+            except ZeroDivisionError:
+                pass
+    return {k: v for k, v in out.items() if v != ZERO}
+
+
+def reference_lazy_sum(p, q, i):
+    out = dict(reference_materialize(p, i))
+    for k, v in reference_materialize(q, i).items():
+        prev = out.get(k, ZERO)
+        out[k] = (prev[0] + v[0], prev[1] + v[1])
+    return {k: v for k, v in out.items() if v != ZERO}
+
+
+def assert_view_matches(p, reference, indices=range(1, 10)):
+    """``materialize(i)``'s items, in order, or its error, against ``reference(i)``."""
+    for i in indices:
+        assert _drain(lambda: [list(p.materialize(i).items())]) == _drain(
+            lambda: [list(reference(i).items())])
+
+
+@settings(max_examples=10, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_materialize_is_the_view_of_the_fraction_rule(seed):
+    for _, p in labeled_family(seed, 8):
+        assert_view_matches(p, lambda i: reference_materialize(p, i))
+    rng = random.Random(seed)
+    scalar = HyperComplex(IndexExpr.const(Q(2, 3)), 1 / I(), {1: (Q(7), Q(-1))})
+    for _ in range(3):
+        p, q = random_bounded_pair(rng)
+        for s in (poly_add(p, q), poly_mul(p, q), ProductPoly(p, q), ProductPoly(q, p)):
+            assert_view_matches(s, lambda i: reference_materialize(s, i))
+        prod = ProductPoly(p, q)
+        lazy = poly_add(prod, q)
+        assert isinstance(lazy, LazyPoly)
+        assert_view_matches(lazy, lambda i: reference_lazy_sum(prod, q, i))
+        scaled = scalar_mul(scalar, prod)
+        assert isinstance(scaled, LazyPoly)
+        assert_view_matches(scaled, lambda i: {
+            k: v for k, v in ((k, _pair_mul(scalar.value_exact(i), v))
+                              for k, v in reference_materialize(prod, i).items()) if v != ZERO})
+
+
+def test_materialize_is_the_view_with_tops_and_explicit_coefficients():
+    # the explicit -X and the top -X^d cancel the band at X^1 and X^d; the
+    # top 1/(i - 3) has no value at i = 3 and is left out there
+    band = TailTerm((IndexExpr.const(1),), psi_re=IndexExpr.const(1))
+    tops = (TopTerm(0, HyperComplex.from_rational(-1)), TopTerm(2, HyperComplex(1 / (I() - 3))),
+            TopTerm(1, HyperComplex(IndexExpr.const(Q(1, 2)), I())))
+    explicit = {(1,): HyperComplex.from_rational(-1),
+                (0,): HyperComplex(1 / I(), IndexExpr.const(2)),
+                (5,): HyperComplex.from_rational(Q(3, 7))}
+    for p in (StructuredPoly(1, D_I, explicit, (band,), tops),
+              StructuredPoly(1, D_I, explicit, (), tops),
+              StructuredPoly(1, HyperNatural(1, -2), explicit, (band,), tops[1:])):
+        assert_view_matches(p, lambda i: reference_materialize(p, i))
+
+
+def test_pole_raises_from_row_view_and_eval_on_every_call():
+    pole = _pole_at_index_2()
+    pt = ((Q(2, 5), Q(-1, 3)),)
+    for p in (pole, ProductPoly(truncated_exp(D_I), pole)):
+        for _ in range(3):
+            for read in (p.row, p.materialize, lambda i: p.eval_exact(i, pt)):
+                with pytest.raises(ZeroDivisionError):
+                    read(2)
+        assert_view_matches(p, lambda i: reference_materialize(p, i))
+
+
+def test_oracle_and_eval_exact_build_each_row_once():
+    p = next(p for _, p in labeled_family(101, 40) if isinstance(p, StructuredPoly) and p.tails)
+    built = []
+    real = StructuredPoly._row
+
+    def counting(self, i):
+        built.append(i)
+        return real(self, i)
+
+    with patch.object(StructuredPoly, "_row", counting):
+        sampling_oracle(p, radius=1, horizon=12)
+        sampling_oracle(p, radius=4, horizon=12)
+        assert built == list(range(1, 13))
+        pt, other = _oracle_points(p.n, Q(5, 4), 1, 5)[-2:]
+        assert p.eval_exact(20, pt) == reference_eval_exact(p, 20, pt)
+        assert p.eval_exact(20, other) == reference_eval_exact(p, 20, other)
+        assert built == list(range(1, 13)) + [20]
 
 
 # ---------------------------------------------------------------------------
@@ -501,7 +641,8 @@ def test_product_evaluates_by_its_factors(seed, point):
                 with pytest.raises(ZeroDivisionError):
                     prod.eval_exact(i, pt)
                 continue
-            ((re, im, den),) = evaluate(integer_form((expansion,), prod.n), pt)
+            row = row_of_table(expansion, prod.n)
+            ((re, im, den),) = evaluate(integer_form((row,), prod.n), pt)
             assert prod.eval_exact(i, pt) == (Q(re, den), Q(im, den))
 
 
