@@ -264,8 +264,8 @@ def test_band_value_is_the_one_term_range():
     t = TailTerm((IndexExpr.const(1),), I() - 1, I())
     # eps(1) = 0: degree 0 keeps 0^0 = 1, higher degrees vanish
     assert t.value(0, 1) == (Q(1), Q(0))
-    assert list(as_pairs(t.values(range(0, 3), 1))) == [(0, (Q(1), Q(0))), (1, (Q(0), Q(0))),
-                                              (2, (Q(0), Q(0)))]
+    assert list(as_pairs(t.values(range(0, 3), 1))) == [
+        (0, (Q(1), Q(0))), (1, (Q(0), Q(0))), (2, (Q(0), Q(0)))]
     t = TailTerm((IndexExpr.const(1),), IndexExpr.const(Q(-3, 2)), IndexExpr.const(0),
                  IndexExpr.const(Q(2, 5)))
     assert [t.value(m, 1) for m in range(3)] == [
