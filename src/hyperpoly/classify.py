@@ -22,7 +22,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .config import HORIZON
-from .exacteval import evaluate, integer_form
+from .exacteval import evaluate
 from .hypernum import (
     APPRECIABLE,
     BOUNDED_UNCLASSIFIED,
@@ -466,14 +466,13 @@ def sampling_oracle(
         short = Verdict(UNDETERMINED, horizon,
                         "too few materialized indices for a growth ratio")
         return OracleReport(short, short, None, R)
-    window = integer_form(rows, p.n)
     (tn, td), (gn, gd) = _TOL_SQ, _GROWTH_SQ
 
     worst_growth: Optional[tuple] = None
     all_small = True
     bn, bd = 0, 1  # the largest |P|^2 seen, as bn / bd
     for pt in points:
-        seq = [(re * re + im * im, den * den) for re, im, den in evaluate(window, pt)]
+        seq = [(re * re + im * im, den * den) for re, im, den in evaluate(rows, pt)]
         for N, M in seq:
             if N * bd > bn * M:
                 bn, bd = N, M

@@ -6,21 +6,23 @@ denominator (not necessarily the least), the largest total degree, the
 largest exponent of each variable, and one ``(nu, factors, re, im, top - |nu|)``
 per nonzero coefficient ``(re + i im) / den``, where ``factors`` lists the
 nonzero ``(variable, exponent)`` of ``nu``.  Its ``Fraction`` view is the table
-``{nu: (re, im)}`` (:func:`fraction_table`).  Products and evaluations run on
-the integers, with no gcd per operation, and give exactly the values of
+``{nu: (re, im)}`` (:func:`fraction_table`).  Rows are the exact input and
+output of this module: sums, scalings, products and evaluations run on the
+integers, with no gcd per operation, and give exactly the values of
 term-by-term rational arithmetic.
 
-* :func:`row_of_parts` sums ``(nu, re, im, den)`` parts over one lcm, and
-  :func:`row_of_table` writes a table as a row.
+* A *part* ``(nu, re, im, den)`` is one value ``(re + i im) / den`` at ``nu``:
+  :func:`part` writes an exact pair as one, :func:`parts_of_row` reads a row
+  back as parts, and :func:`row_of_parts` sums parts over one lcm.
 * :func:`multiply_rows` (the integer entry point) and :func:`multiply` (the
   table entry point, truncated at ``top``) convolve in the order of the nested
   term-by-term loop; a row drops the zero sums, a table keeps them.
 * :func:`dot` sums products of exact pairs over one denominator: a coefficient
   of ``StandardPowerSeries.__mul__``, and each prefix index of
   ``interpoly._box_convolution``.
-* :func:`integer_form` merges rows, and :func:`evaluate` takes them to one
-  point over a common denominator ``D``; scaled by ``D^(top - |nu|)``, every
-  term is an integer, and each value one ``(re, im, den)`` triple.
+* :func:`evaluate` takes rows to one point over a common denominator ``D``;
+  scaled by ``D^(top - |nu|)``, every term is an integer, and each value one
+  ``(re, im, den)`` triple.
 
 ``completion.FieldPoly.eval_at`` sums over one denominator too, but without
 dense power tables; the torus quadrature in ``classify`` samples in floats.
@@ -31,9 +33,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import inf, lcm
 from operator import add
-from typing import Iterable, Optional
-
-from .record import Record, _set
+from typing import Iterable, Optional, Sequence
 
 
 Row = tuple  # (den, top, max_exp, terms), see the module docstring
@@ -59,6 +59,19 @@ def _build_row(den: int, sums: Iterable[tuple], n: int) -> Row:
     return den, top, tuple(max_exp), tuple(terms)
 
 
+def part(nu: tuple, pair: tuple) -> tuple:
+    """The part ``(nu, re, im, den)`` of an exact pair ``(re, im)`` at ``nu``."""
+    re, im = pair
+    return (nu, re.numerator * im.denominator, im.numerator * re.denominator,
+            re.denominator * im.denominator)
+
+
+def parts_of_row(row: Row) -> list[tuple]:
+    """The terms of a row as ``(nu, re, im, den)`` parts, in row order."""
+    den = row[0]
+    return [(nu, re, im, den) for nu, _, re, im, _ in row[3]]
+
+
 def row_of_parts(parts: list[tuple], n: int) -> Row:
     """The row of ``(nu, re, im, den)`` parts, each ``(re + i im) / den``; the parts
     at one ``nu`` add up, in the place of its first part."""
@@ -81,11 +94,6 @@ def _numerators(table: dict) -> tuple[int, list]:
         (nu, re.numerator * (den // re.denominator), im.numerator * (den // im.denominator))
         for nu, (re, im) in table.items()
     ]
-
-
-def row_of_table(table: dict, n: int) -> Row:
-    """The row of a table ``{nu: (re, im)}`` of exact pairs, zeros dropped."""
-    return _build_row(*_numerators(table), n)
 
 
 def _convolve(xs: list, ys: list, top: Optional[int]) -> tuple[dict, dict]:
@@ -141,51 +149,31 @@ def dot(pairs: Iterable[tuple[tuple, tuple]]) -> tuple[Fraction, Fraction]:
     return Fraction(re, den), Fraction(im, den)
 
 
-class IntegerForm(Record, frozen=True):
-    """The rows of several indices, merged for :func:`evaluate`.
-
-    ``max_exp`` is the largest exponent of each variable and ``top`` the
-    largest total degree over all the rows; they size the power tables.
-    """
-
-    __slots__ = ("max_exp", "top", "indices")
-    def __init__(self, max_exp: tuple[int, ...], top: int, indices: tuple[Row, ...]):
-        _set(self, "max_exp", max_exp)
-        _set(self, "top", top)
-        _set(self, "indices", indices)
-
-
-def integer_form(rows: Iterable[Row], n: int) -> IntegerForm:
-    """Merge rows of arity ``n``."""
-    rows = tuple(rows)
-    max_exp = tuple(map(max, zip((0,) * n, *(r[2] for r in rows))))
-    return IntegerForm(max_exp, max((r[1] for r in rows), default=0), rows)
-
-
-def evaluate(form: IntegerForm, point: tuple) -> list[tuple[int, int, int]]:
-    """``(re_num, im_num, den)`` of the value at ``point``, per row of ``form``.
+def evaluate(rows: Sequence[Row], point: tuple) -> list[tuple[int, int, int]]:
+    """``(re_num, im_num, den)`` of the value at ``point``, per row.
 
     ``point`` gives one exact ``(re, im)`` pair per variable.  Coordinate
-    powers and powers of the common denominator are built once and shared by
-    every row.
+    powers, up to each variable's largest exponent over the rows, and powers
+    of the common denominator, up to their largest top degree, are built once
+    and shared by every row.
     """
-    if len(point) != len(form.max_exp):
-        raise ValueError(
-            f"point has arity {len(point)}, polynomial has {len(form.max_exp)}"
-        )
+    for row in rows:
+        if len(row[2]) != len(point):
+            raise ValueError(f"point has arity {len(point)}, polynomial has {len(row[2])}")
+    max_exp = map(max, zip((0,) * len(point), *(row[2] for row in rows)))
     D, coords = _numerators(dict(enumerate(point)))
     tables = []
-    for (_, c, d), k in zip(coords, form.max_exp):
+    for (_, c, d), k in zip(coords, max_exp):
         tbl = [(1, 0)]
         for _ in range(k):
             a, b = tbl[-1]
             tbl.append((a * c - b * d, a * d + b * c))
         tables.append(tbl)
     dpow = [1]
-    for _ in range(form.top):
+    for _ in range(max((row[1] for row in rows), default=0)):
         dpow.append(dpow[-1] * D)
     out = []
-    for den, top, _, terms in form.indices:
+    for den, top, _, terms in rows:
         sum_re = sum_im = 0
         for _, factors, a, b, s in terms:
             for var, e in factors:

@@ -13,9 +13,10 @@ lists.  Three kinds of rule coexist:
   ``c(i) * X^(d_i - offset)``, which is how ``X^d`` with infinite ``d`` lives.
 
 Sums, scalar multiples and derivatives stay in this structured form.
-Products and homogenizations are kept as lazy nodes: they still materialize
-exactly at every index and expose exact standard-index coefficient streams,
-which is all the downstream maps need.
+Products and homogenizations are kept as lazy nodes: each builds the integer
+row of an index (see :mod:`~hyperpoly.exacteval`) from its operands' rows and
+exposes exact standard-index coefficient streams, which is all the downstream
+maps need.
 """
 
 from __future__ import annotations
@@ -24,8 +25,8 @@ import itertools
 from fractions import Fraction
 from typing import Iterable, Iterator, Optional
 
-from .exacteval import (Row, dot, evaluate, fraction_table, integer_form, multiply,
-                        multiply_rows, row_of_parts, row_of_table)
+from .exacteval import (Row, dot, evaluate, fraction_table, multiply_rows, part, parts_of_row,
+                        row_of_parts)
 from .hypernat import HyperNatural
 from .hypernum import HyperComplex, coerce as hc_coerce
 from .indexexpr import IndexExpr
@@ -216,7 +217,7 @@ class InternalPolynomial:
         """
         if len(point) != self.n:
             raise ValueError(f"point has arity {len(point)}, polynomial has {self.n}")
-        ((re, im, den),) = evaluate(integer_form((self.row(i),), self.n), point)
+        ((re, im, den),) = evaluate((self.row(i),), point)
         return (Q(re, den), Q(im, den))
 
     def __add__(self, other):
@@ -281,11 +282,9 @@ class StructuredPoly(InternalPolynomial):
         exact += [(nu, c) for nu, c in self.explicit.items() if mi_total(nu) <= d_i]
         for nu, c in exact:
             try:
-                re, im = c.value_exact(i)
+                parts.append(part(nu, c.value_exact(i)))
             except ZeroDivisionError:
-                continue   # a coefficient with no value at i is left out
-            parts.append((nu, re.numerator * im.denominator, im.numerator * re.denominator,
-                          re.denominator * im.denominator))
+                pass   # a coefficient with no value at i is left out
         return row_of_parts(parts, self.n)
 
     # -- exact coefficient streams --------------------------------------------------
@@ -386,7 +385,12 @@ class ProductPoly(InternalPolynomial):
 
 
 class LazyPoly(InternalPolynomial):
-    """Materialization-defined polynomial (homogenization, dehomogenization)."""
+    """Polynomial defined by a row rule (lazy sums and scalar multiples,
+    derivatives, homogenization, truncated series).
+
+    ``fn(i)`` returns the ``(nu, re, im, den)`` parts of index ``i``, which
+    :func:`~hyperpoly.exacteval.row_of_parts` sums into its row.
+    """
 
     def __init__(self, n: int, degree: HyperNatural, fn, coeff_fn=None):
         super().__init__(n, degree)
@@ -394,7 +398,7 @@ class LazyPoly(InternalPolynomial):
         self._coeff_fn = coeff_fn
 
     def _row(self, i: int) -> Row:
-        return row_of_table(self._fn(i), self.n)
+        return row_of_parts(self._fn(i), self.n)
 
     def _coeff(self, nu: MultiIndex) -> HyperComplex:
         if self._coeff_fn is not None:
@@ -451,10 +455,7 @@ def poly_add(p: InternalPolynomial, q: InternalPolynomial) -> InternalPolynomial
     deg = p.degree.max_with(q.degree)
 
     def fn(i):
-        out = dict(p.materialize(i))
-        for k, v in q.materialize(i).items():
-            out[k] = _pair_add(out.get(k, _ZERO), v)
-        return out
+        return parts_of_row(p.row(i)) + parts_of_row(q.row(i))
 
     return LazyPoly(p.n, deg, fn, coeff_fn=lambda nu: p.coeff(nu) + q.coeff(nu))
 
@@ -541,10 +542,11 @@ def scalar_mul(c, p: InternalPolynomial) -> InternalPolynomial:
 
     def fn(i):
         try:
-            cv = c.value_exact(i)
+            _, a, b, d = part((), c.value_exact(i))
         except ZeroDivisionError:
-            cv = _ZERO
-        return multiply({(0,) * p.n: cv}, p.materialize(i))
+            a, b, d = 0, 0, 1   # a scalar with no value at i scales by zero
+        return [(nu, re * a - im * b, re * b + im * a, den * d)
+                for nu, re, im, den in parts_of_row(p.row(i))]
 
     return LazyPoly(p.n, p.degree, fn, coeff_fn=lambda nu: c * p.coeff(nu))
 
@@ -713,14 +715,9 @@ def _derive_once(p: InternalPolynomial, var: int) -> InternalPolynomial:
 
 def _lazy_derivative(p: InternalPolynomial, var: int) -> LazyPoly:
     def fn(i):
-        out: dict[MultiIndex, Pair] = {}
-        for nu, c in p.materialize(i).items():
-            if nu[var] == 0:
-                continue
-            new_nu = tuple(v - 1 if t == var else v for t, v in enumerate(nu))
-            scaled = (c[0] * nu[var], c[1] * nu[var])
-            out[new_nu] = _pair_add(out.get(new_nu, _ZERO), scaled)
-        return out
+        return [(tuple(v - 1 if t == var else v for t, v in enumerate(nu)),
+                 re * nu[var], im * nu[var], den)
+                for nu, re, im, den in parts_of_row(p.row(i)) if nu[var]]
 
     def coeff_fn(nu):
         up = tuple(v + 1 if t == var else v for t, v in enumerate(nu))
@@ -742,10 +739,8 @@ def homogenize(p: InternalPolynomial) -> InternalPolynomial:
 
     def fn(i):
         d_i = d.value(i)
-        out = {}
-        for nu, c in p.materialize(i).items():
-            out[nu + (d_i - mi_total(nu),)] = c
-        return out
+        return [(nu + (d_i - mi_total(nu),), re, im, den)
+                for nu, re, im, den in parts_of_row(p.row(i))]
 
     def coeff_fn(ext):
         # coefficient of X^nu Z^z is a_nu masked by the indicator of d_i = |nu|+z
@@ -782,11 +777,7 @@ def dehomogenize(p: InternalPolynomial) -> InternalPolynomial:
     """Substitute 1 for the last variable."""
 
     def fn(i):
-        out: dict[MultiIndex, Pair] = {}
-        for nu, c in p.materialize(i).items():
-            base = tuple(nu[:-1])
-            out[base] = _pair_add(out.get(base, _ZERO), c)
-        return out
+        return [(nu[:-1], re, im, den) for nu, re, im, den in parts_of_row(p.row(i))]
 
     return LazyPoly(p.n - 1, p.degree, fn)
 
@@ -822,23 +813,23 @@ def theta(p: InternalPolynomial) -> InternalSeries:
 
 
 def truncate_series(coeff_rule, d: HyperNatural, n: int = 1) -> InternalPolynomial:
-    """The materialization-backed internal polynomial sum_{|nu| <= d} c_nu X^nu.
+    """The internal polynomial sum_{|nu| <= d} c_nu X^nu, one part per coefficient.
 
-    ``coeff_rule`` maps a multi-index to an exact coefficient pair.
+    ``coeff_rule`` maps a multi-index to an exact coefficient pair, or to a
+    rational read as a real one.
     """
 
+    def pair(nu):
+        c = coeff_rule(nu)
+        return (Q(c[0]), Q(c[1])) if isinstance(c, tuple) else (Q(c), Q(0))
+
     def fn(i):
-        out = {}
-        for m in range(0, d.value(i) + 1):
-            for nu in multi_indices_of_degree(n, m):
-                c = coeff_rule(nu)
-                out[nu] = (Q(c[0]), Q(c[1])) if isinstance(c, tuple) else (Q(c), Q(0))
-        return out
+        return [part(nu, pair(nu))
+                for m in range(0, d.value(i) + 1) for nu in multi_indices_of_degree(n, m)]
 
     def coeff_fn(nu):
         m = mi_total(nu)
-        c = coeff_rule(tuple(nu))
-        c = (Q(c[0]), Q(c[1])) if isinstance(c, tuple) else (Q(c), Q(0))
+        c = pair(tuple(nu))
         eventual = max(0, d.intercept) >= m if d.slope == 0 else True
         if not eventual:
             prefix = {}

@@ -25,7 +25,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .classify import BOUNDED, INFINITESIMAL, Certificate, PolyClass, classify_poly
-from .exacteval import evaluate, integer_form, row_of_table
+from .exacteval import evaluate, parts_of_row, row_of_parts
 from .hypernat import HyperNatural
 from .interpoly import (
     InternalPolynomial,
@@ -149,10 +149,9 @@ class DiffElement(Record):
         """Exact value at index ``i``, read as one polynomial in X then dX."""
         if len(xs) != self.n or len(dxs) != self.n:
             raise ValueError(f"point has arity ({len(xs)}, {len(dxs)}), element has {self.n}")
-        table = {nu + mu: c for mu, poly in self.slices.items()
-                 for nu, c in poly.materialize(i).items()}
-        row = row_of_table(table, 2 * self.n)
-        ((re, im, den),) = evaluate(integer_form((row,), 2 * self.n), tuple(xs) + tuple(dxs))
+        row = row_of_parts([(nu + mu, re, im, den) for mu, poly in self.slices.items()
+                            for nu, re, im, den in parts_of_row(poly.row(i))], 2 * self.n)
+        ((re, im, den),) = evaluate((row,), tuple(xs) + tuple(dxs))
         return (Q(re, den), Q(im, den))
 
     def dn_certificate(self) -> Optional[str]:
@@ -335,10 +334,8 @@ class EpsFactor(Record, frozen=True):
         _set(self, "exponent", exponent)
 
     def s_value(self, i: int) -> Fraction:
-        best = Q(0)
-        for _, c in self.source.materialize(i).items():
-            best = max(best, c[0] * c[0] + c[1] * c[1])
-        return best
+        den, _, _, terms = self.source.row(i)
+        return Q(max((re * re + im * im for _, _, re, im, _ in terms), default=0), den * den)
 
     def value_float(self, i: int) -> float:
         return float(self.s_value(i)) ** float(self.exponent)
@@ -392,9 +389,7 @@ class Factorization(Record, frozen=True):
             return False
         e0 = self.eps[0]
         for i in indices:
-            s = e0.s_value(i)
-            mat = self.source.materialize(i)
-            if s == 0 and mat:
+            if e0.s_value(i) == 0 and self.source.row(i)[3]:
                 return False
         return True
 

@@ -15,8 +15,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hyperpoly import interpoly
 from hyperpoly.classify import _oracle_points, classify_poly, sampling_oracle
-from hyperpoly.exacteval import dot, evaluate, integer_form, multiply, row_of_table
+from hyperpoly.exacteval import dot, evaluate, fraction_table, multiply, part, row_of_parts
 from hyperpoly.families import labeled_family, random_bounded_pair
 from hyperpoly.hypernat import HyperNatural
 from hyperpoly.hypernum import HyperComplex
@@ -36,6 +37,7 @@ from hyperpoly.interpoly import (
     poly_mul,
     scalar_mul,
     theta,
+    truncate_series,
     truncated_exp,
     variable,
     zero_poly,
@@ -127,7 +129,7 @@ def materialized_window(p, horizon):
 def kernel_window(p, pt, horizon):
     """Exact values (re, im) and |value|^2 as the oracle builds them."""
     rows = [p.row(i) for i in materialized_window(p, horizon)]
-    triples = evaluate(integer_form(rows, p.n), pt)
+    triples = evaluate(rows, pt)
     values = [(Q(re, den), Q(im, den)) for re, im, den in triples]
     squared = [Q(re * re + im * im, den * den) for re, im, den in triples]
     return values, squared
@@ -333,7 +335,7 @@ def test_arity_mismatch_refused():
     with pytest.raises(ValueError):
         variable(2, 0).eval_exact(1, ((Q(1), Q(0)),))
     with pytest.raises(ValueError):
-        evaluate(integer_form([row_of_table({(1,): (Q(1), Q(0))}, 1)], 1), ())
+        evaluate([row_of_parts([part((1,), (Q(1), Q(0)))], 1)], ())
 
 
 # ---------------------------------------------------------------------------
@@ -352,7 +354,7 @@ def _representations():
         ProductPoly(_bivariate(), _bivariate()),
         dehomogenize(homogenize(exp)),
         partial_derivative(ProductPoly(exp, geom), (1,)),
-        LazyPoly(1, D_I, lambda i: {(k,): (Q(k, i), Q(-1, k + 1)) for k in range(i + 1)}),
+        LazyPoly(1, D_I, lambda i: [part((k,), (Q(k, i), Q(-1, k + 1))) for k in range(i + 1)]),
     ]
 
 
@@ -414,6 +416,49 @@ def reference_lazy_sum(p, q, i):
     return {k: v for k, v in out.items() if v != ZERO}
 
 
+def reference_lazy_scaled(c, p, i):
+    """``c * P_i``; a scalar with no value at ``i`` scales by zero."""
+    try:
+        cv = c.value_exact(i)
+    except ZeroDivisionError:
+        cv = ZERO
+    out = ((k, _pair_mul(cv, v)) for k, v in reference_materialize(p, i).items())
+    return {k: v for k, v in out if v != ZERO}
+
+
+def reference_lazy_derivative(table, var):
+    """The lazy derivative's ``Fraction`` rule on the operand's table."""
+    out = {}
+    for nu, c in table.items():
+        if nu[var] == 0:
+            continue
+        new_nu = tuple(v - 1 if t == var else v for t, v in enumerate(nu))
+        prev = out.get(new_nu, ZERO)
+        out[new_nu] = (prev[0] + c[0] * nu[var], prev[1] + c[1] * nu[var])
+    return {k: v for k, v in out.items() if v != ZERO}
+
+
+def reference_homogenize(table, d_i):
+    return {nu + (d_i - sum(nu),): c for nu, c in table.items()}
+
+
+def reference_dehomogenize(table):
+    out = {}
+    for nu, c in table.items():
+        prev = out.get(nu[:-1], ZERO)
+        out[nu[:-1]] = (prev[0] + c[0], prev[1] + c[1])
+    return {k: v for k, v in out.items() if v != ZERO}
+
+
+def reference_truncate_series(rule, d_i, n):
+    out = {}
+    for m in range(d_i + 1):
+        for nu in multi_indices_of_degree(n, m):
+            c = rule(nu)
+            out[nu] = (Q(c[0]), Q(c[1])) if isinstance(c, tuple) else (Q(c), Q(0))
+    return {k: v for k, v in out.items() if v != ZERO}
+
+
 def assert_view_matches(p, reference, indices=range(1, 10)):
     """``materialize(i)``'s items, in order, or its error, against ``reference(i)``."""
     for i in indices:
@@ -438,9 +483,28 @@ def test_materialize_is_the_view_of_the_fraction_rule(seed):
         assert_view_matches(lazy, lambda i: reference_lazy_sum(prod, q, i))
         scaled = scalar_mul(scalar, prod)
         assert isinstance(scaled, LazyPoly)
-        assert_view_matches(scaled, lambda i: {
-            k: v for k, v in ((k, _pair_mul(scalar.value_exact(i), v))
-                              for k, v in reference_materialize(prod, i).items()) if v != ZERO})
+        assert_view_matches(scaled, lambda i: reference_lazy_scaled(scalar, prod, i))
+        lowered = partial_derivative(prod, (0,) * (prod.n - 1) + (1,))
+        assert isinstance(lowered, LazyPoly)
+        assert_view_matches(lowered, lambda i: reference_lazy_derivative(
+            reference_materialize(prod, i), prod.n - 1))
+    for _, p in labeled_family(seed, 8):
+        if p.n > 1 and p.tails:
+            lowered = partial_derivative(p, (1,) + (0,) * (p.n - 1))
+            assert isinstance(lowered, LazyPoly)
+            assert_view_matches(lowered, lambda i: reference_lazy_derivative(
+                reference_materialize(p, i), 0))
+        hom = homogenize(p)
+        assert_view_matches(hom, lambda i: reference_homogenize(
+            reference_materialize(p, i), p.degree.value(i)))
+        assert_view_matches(dehomogenize(hom), lambda i: reference_dehomogenize(
+            reference_homogenize(reference_materialize(p, i), p.degree.value(i))))
+    values = [rng.choice([0, 1, Q(-2, 3), (Q(1, 2), Q(-1, 5)), (0, 0), (-3, Q(7, 4))])
+              for _ in range(5)]
+    for n, d in ((1, D_I), (2, HyperNatural.affine(1, 2))):
+        rule = lambda nu: values[(sum(nu) + nu[0]) % len(values)]
+        assert_view_matches(truncate_series(rule, d, n),
+                            lambda i: reference_truncate_series(rule, d.value(i), n))
 
 
 def test_materialize_is_the_view_with_tops_and_explicit_coefficients():
@@ -461,12 +525,18 @@ def test_materialize_is_the_view_with_tops_and_explicit_coefficients():
 def test_pole_raises_from_row_view_and_eval_on_every_call():
     pole = _pole_at_index_2()
     pt = ((Q(2, 5), Q(-1, 3)),)
-    for p in (pole, ProductPoly(truncated_exp(D_I), pole)):
+    prod = ProductPoly(truncated_exp(D_I), pole)
+    # no value at i = 3: scales by zero there
+    scalar = HyperComplex(IndexExpr.const(Q(2, 3)), 1 / (I() - 3), {1: (Q(7), Q(-1))})
+    for p, reference in ((pole, lambda i: reference_materialize(pole, i)),
+                         (prod, lambda i: reference_materialize(prod, i)),
+                         (poly_add(prod, pole), lambda i: reference_lazy_sum(prod, pole, i)),
+                         (scalar_mul(scalar, pole), lambda i: reference_lazy_scaled(scalar, pole, i))):
         for _ in range(3):
             for read in (p.row, p.materialize, lambda i: p.eval_exact(i, pt)):
                 with pytest.raises(ZeroDivisionError):
                     read(2)
-        assert_view_matches(p, lambda i: reference_materialize(p, i))
+        assert_view_matches(p, reference)
 
 
 def test_oracle_and_eval_exact_build_each_row_once():
@@ -486,6 +556,30 @@ def test_oracle_and_eval_exact_build_each_row_once():
         assert p.eval_exact(20, pt) == reference_eval_exact(p, 20, pt)
         assert p.eval_exact(20, other) == reference_eval_exact(p, 20, other)
         assert built == list(range(1, 13)) + [20]
+
+
+def test_lazy_rows_and_diff_eval_build_no_fraction_view():
+    """Lazy rules and ``DiffElement.eval_exact`` combine their operands' rows;
+    no ``Fraction`` view is built on the way."""
+    e = truncated_exp(D_I)
+    b = StructuredPoly(2, D_I, tails=(TailTerm((1 / IndexExpr.factorial(),),
+                                               psi_im=IndexExpr.const(Q(1, 3))),))
+    with patch.object(interpoly, "fraction_table", wraps=fraction_table) as views:
+        shapes = [poly_add(ProductPoly(e, e), e),
+                  scalar_mul(HyperComplex(gen=lambda i: (Q(1, i), Q(1, 2))), e),
+                  partial_derivative(b, (1, 0)),
+                  homogenize(e),
+                  dehomogenize(homogenize(e)),
+                  truncate_series(lambda nu: Q(1, 1 + nu[0]), D_I)]
+        assert all(isinstance(p, LazyPoly) for p in shapes)
+        elem = delta(ProductPoly(_bivariate(), _bivariate()))
+        for i in range(1, 9):
+            for p in shapes:
+                p.row(i)
+                p.eval_exact(i, ((Q(1, 2), Q(-1, 3)),) * p.n)
+            elem.eval_exact(i, ((Q(1, 3), Q(1)), (Q(-2), Q(0))),
+                            ((Q(1, 7), Q(0)), (Q(0), Q(-1, 5))))
+    assert views.call_count == 0
 
 
 # ---------------------------------------------------------------------------
@@ -641,8 +735,8 @@ def test_product_evaluates_by_its_factors(seed, point):
                 with pytest.raises(ZeroDivisionError):
                     prod.eval_exact(i, pt)
                 continue
-            row = row_of_table(expansion, prod.n)
-            ((re, im, den),) = evaluate(integer_form((row,), prod.n), pt)
+            row = row_of_parts([part(nu, c) for nu, c in expansion.items()], prod.n)
+            ((re, im, den),) = evaluate((row,), pt)
             assert prod.eval_exact(i, pt) == (Q(re, den), Q(im, den))
 
 
@@ -859,7 +953,7 @@ def test_bivariate_box_with_prefixes():
 
 def test_numeric_and_mixed_factors_keep_chained_sum():
     lazy = LazyPoly(1, HyperNatural.constant(3),
-                    lambda i: {(k,): (Q(k + 1, i), Q(-1, k + 2)) for k in range(4)})
+                    lambda i: [part((k,), (Q(k + 1, i), Q(-1, k + 2))) for k in range(4)])
     p, q = _singular_at_2()
     for a, b in ((lazy, lazy), (lazy, q), (p, lazy)):
         assert_convolutions_match(a, b, 4)

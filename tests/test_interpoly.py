@@ -5,6 +5,7 @@ from fractions import Fraction as Q
 
 import pytest
 
+from hyperpoly.exacteval import part
 from hyperpoly.hypernat import HyperNatural
 from hyperpoly.hypernum import HyperComplex, INFINITE, INFINITESIMAL
 from hyperpoly.indexexpr import IndexExpr
@@ -319,7 +320,7 @@ class TestSampledConsistency:
 @pytest.mark.parametrize("make", [
     lambda: scalar_mul(HyperComplex.from_expr(I()), variable(2, 1)),
     lambda: ProductPoly(truncated_exp(HyperNatural.constant(2)), variable(1, 0)),
-    lambda: LazyPoly(1, D_I, lambda i: {(0,): pair(i), (1,): pair(0)}),
+    lambda: LazyPoly(1, D_I, lambda i: [part((0,), pair(i)), part((1,), pair(0))]),
 ], ids=["structured", "product", "lazy"])
 def test_every_materialization_and_coefficient_is_kept(make):
     p = make()

@@ -8,7 +8,6 @@ import pytest
 
 from hyperpoly.classify import Certificate, OracleReport, PolyClass
 from hyperpoly.completion import FieldPoly, LiftedTower, ResidueTower
-from hyperpoly.exacteval import IntegerForm
 from hyperpoly.filters import FiniteFilterModel, ProductRing, SizeError
 from hyperpoly.genpoint import LogEntry, Parametrization, RationalFunc
 from hyperpoly.hypernat import HyperNatural
@@ -55,9 +54,6 @@ CASES = {
                   "SeqGrowth(kind='finite', limit=Fraction(1, 2), "
                   "parity=(('finite', Fraction(1, 2)), ('zero', Fraction(0, 1))))",
                   ("kind", "limit", "parity"), True),
-    "IntegerForm": (lambda: IntegerForm((2,), 2, ((1, 2, ()),)),
-                    "IntegerForm(max_exp=(2,), top=2, indices=((1, 2, ()),))",
-                    ("max_exp", "top", "indices"), True),
     "TailTerm": (lambda: TailTerm((HALF,), ONE, ONE, HALF, None, HyperNatural(1, 0)),
                  f"TailTerm(phi=({HALF!r},), eps={ONE!r}, psi_re={ONE!r}, psi_im={HALF!r}, "
                  "lo=None, hi=HyperNatural(slope=1, intercept=0, patches=()))",
@@ -150,7 +146,7 @@ MUTABLE = {"Bindings", "LogEntry", "DiffElement", "SectionClass", "SeriesMorphis
 
 
 def test_every_record_class_is_pinned():
-    assert len(CASES) == 36
+    assert len(CASES) == 35
     assert {name for name, case in CASES.items() if not case[3]} == MUTABLE
     for name, (build, *_rest) in CASES.items():
         assert type(build()).__name__ == name
