@@ -32,8 +32,7 @@ _EXPORTS = {name: module for module, names in {
                "st_poly zero_set_compare",
     "completion": "FieldPoly LiftedTower ResidueTower finite_field_surjectivity_check "
                   "halo_membership lift_tower",
-    "leibniz": "DiffElement OneForm delta derivation_check in_I in_I2 infinitesimal_factor phi "
-               "reduce_mod_I2 section_s",
+    "leibniz": "DiffElement OneForm delta derivation_check in_I in_I2 infinitesimal_factor phi",
     "genpoint": "LazyHyperPoint Parametrization evaluation_embedding_check generic_point "
                 "id_of_point integer_poly_corpus nullstellensatz_witness v_of_ideal",
     "parser": "parse print_program",

@@ -20,8 +20,6 @@ from typing import Union
 
 from .config import HORIZON
 from .filters import is_prime
-from .hypernat import HyperNatural
-from .hypernum import HyperComplex
 from .interpoly import InternalPolynomial, StructuredPoly, mi_total, multi_indices_of_degree
 from .record import Record, _set
 from .verdicts import FAILS, HOLDS, Verdict
@@ -175,36 +173,6 @@ class LiftedTower(Record, frozen=True):
         return all(
             y.congruent(self.tower.levels[k], k) for k in range(self.tower.depth + 1)
         )
-
-    def as_internal(self) -> InternalPolynomial:
-        """Rational towers as honest internal polynomials over C."""
-        t = self.tower
-        if t.field != "Q":
-            raise TowerError("only rational towers embed into the complex model")
-        K = t.depth
-        explicit = {}
-        all_nu = set()
-        for lv in t.levels:
-            all_nu.update(nu for nu, _ in lv.coeffs)
-        for nu in all_nu:
-            vals = [dict(t.levels[min(i, K)].coeffs).get(nu, Q(0)) for i in range(0, K + 1)]
-            final = vals[K]
-            prefix = {
-                i: (vals[i], Q(0)) for i in range(1, K) if vals[i] != final
-            }
-            explicit[nu] = HyperComplex.from_rational(final) if not prefix else \
-                HyperComplex(
-                    _const_expr(final), _const_expr(0), prefix
-                )
-        deg = max((lv.degree for lv in t.levels), default=0)
-        return StructuredPoly(t.n, HyperNatural.constant(deg), explicit)
-
-
-def _const_expr(v):
-    from .indexexpr import IndexExpr
-
-    return IndexExpr.const(Q(v))
-
 
 def lift_tower(tower: ResidueTower, horizon: int) -> LiftedTower:
     """Lift a coherent tower; the horizon plays the role of the late index.

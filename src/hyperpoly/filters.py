@@ -171,31 +171,6 @@ class ProductRing(Record, frozen=True):
     def principal_ideal(self, f) -> frozenset:
         return frozenset(self.mul(r, f) for r in self.elements())
 
-    def ideal_generated(self, gens) -> frozenset:
-        """All sums of ring multiples of the generators."""
-        gens = [tuple(g) for g in gens]
-        zero = tuple(0 for _ in self.labels)
-        out = {zero}
-        frontier = [zero]
-        while frontier:
-            x = frontier.pop()
-            for g in gens:
-                for r in self.elements():
-                    y = self.add(x, self.mul(r, g))
-                    if y not in out:
-                        out.add(y)
-                        frontier.append(y)
-        return frozenset(out)
-
-    def is_ideal(self, s) -> bool:
-        s = set(map(tuple, s))
-        zero = tuple(0 for _ in self.labels)
-        if zero not in s:
-            return False
-        return all(self.add(a, b) in s for a in s for b in s) and all(
-            self.mul(r, a) in s for a in s for r in self.elements()
-        )
-
     def all_ideals(self) -> list[frozenset]:
         """Every ideal (a finite product of fields has only principal ones)."""
         seen = {}

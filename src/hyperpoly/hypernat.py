@@ -45,11 +45,6 @@ class HyperNatural(Record, frozen=True):
     def affine(a: int, b: int) -> "HyperNatural":
         return HyperNatural(a, b)
 
-    @staticmethod
-    def min_with(cap: int) -> "HyperNatural":
-        """The sequence min(i, cap)."""
-        return HyperNatural(0, cap, tuple((i, i) for i in range(1, cap)))
-
     # -- queries --------------------------------------------------------------
     def value(self, i: int) -> int:
         for j, v in self.patches:

@@ -10,8 +10,7 @@ Floats appear only where values are read out: :meth:`HyperComplex.value`
 (display) and that window heuristic.
 
 Finitely many leading indices never matter (the ultraproduct quotient), so a
-number may carry a finite ``prefix`` of per-index overrides - this is
-how reciprocals are zero-padded below their non-vanishing threshold, and how
+number may carry a finite ``prefix`` of per-index overrides - this is how
 "eventually constant" coefficient streams are represented.
 """
 
@@ -40,10 +39,6 @@ UNDECIDED = "undetermined"
 
 
 class NoStandardPartError(ArithmeticError):
-    pass
-
-
-class NotEventuallyNonzeroError(ArithmeticError):
     pass
 
 
@@ -172,31 +167,6 @@ class HyperComplex:
         if not self.symbolic:
             raise TypeError("a generator-backed value has no symbolic modulus")
         return self.re * self.re + self.im * self.im
-
-    def inv(self) -> "HyperComplex":
-        """Pointwise reciprocal, zero below the non-vanishing threshold.
-
-        Requires the number to be eventually nonzero, certified exactly by
-        dominance; a generator-backed value has no such certificate and
-        raises ``TypeError``.
-        """
-        if self.is_zero_expr():
-            raise NotEventuallyNonzeroError("not eventually nonzero: the zero sequence")
-        m2 = self.modulus_squared_expr()
-        t = m2.eventual_nonzero_threshold()
-        if t is None:
-            raise NotEventuallyNonzeroError(
-                "not eventually nonzero: vanishes on a parity class"
-            )
-        re = self.re / m2
-        im = -self.im / m2
-        prefix: dict[int, tuple[Fraction, Fraction]] = {}
-        for i in range(1, t):
-            prefix[i] = (Q(0), Q(0))
-        for i, (a, b) in self.prefix.items():
-            n = a * a + b * b
-            prefix[i] = (Q(0), Q(0)) if n == 0 else (a / n, -b / n)
-        return HyperComplex(re, im, prefix)
 
     # -- classification -------------------------------------------------------------
     def classify(self, horizon: int = HORIZON) -> Classification:

@@ -239,95 +239,9 @@ def _leading_from_classes(classes: dict, parity: int) -> Optional[tuple[ClassKey
     return best
 
 
-def _class_value(ck: ClassKey, i: int) -> Union[int, Fraction]:
-    k, r, p = ck
-    v = r**i
-    if k:
-        v *= _factorial(i) ** k
-    if p:
-        v *= i**p
-    return v
-
-
-def _step_bound_start(delta: ClassKey) -> int:
-    """Smallest verified i0 such that g_delta(i+1)/g_delta(i) <= 1 for i >= i0.
-
-    ``delta`` must be strictly below the unit class.  The step ratio is
-    rho * (i+1)^dk * (1+1/i)^dp with rho = |base|; we return an index from
-    which a decreasing upper bound of it is <= 1.
-    """
-    dk, rho, dp = delta
-    if dk < 0:
-        # step <= rho * 2^max(dp,0) * (i+1)^dk, decreasing in i
-        cap = rho * Q(2) ** max(dp, 0)
-        i0 = 1
-        guess = float(cap) ** (1.0 / (-dk))
-        if guess > 1.0:
-            i0 = max(1, int(guess) - 1)
-        while Q(i0 + 1) ** (-dk) < cap:
-            i0 += 1
-        return i0
-    if dk == 0 and rho < 1:
-        if dp <= 0:
-            return 1
-        # need rho * (1+1/i)^dp <= 1, LHS decreasing in i
-        i0 = 1
-        while rho * Q(i0 + 1) ** dp > Q(i0) ** dp:
-            i0 *= 2
-            if i0 > 1 << 40:
-                raise FragmentError("step threshold search diverged")
-        while i0 > 1 and rho * Q(i0) ** dp <= Q(i0 - 1) ** dp:
-            i0 -= 1
-        return i0
-    if dk == 0 and rho == 1 and dp < 0:
-        return 1
-    raise FragmentError(f"step bound asked for non-decaying class delta {delta}")
-
-
 def _class_sub(c1: ClassKey, c2: ClassKey) -> ClassKey:
     r = Q(c1[1], c2[1])
     return (c1[0] - c2[0], r.numerator if r.denominator == 1 else r, c1[2] - c2[2])
-
-
-def _dominance(classes: dict, parity: int) -> Optional[tuple[int, int]]:
-    """The leading class's coefficient on one parity and a certified index
-    from which it outweighs the sum of all lower classes, exactly.
-
-    None means the form vanishes identically on that parity.
-    """
-    lead = _leading_from_classes(classes, parity)
-    if lead is None:
-        return None
-    ck_star, gamma_star = lead
-    rest = [(ck, A - B if parity else A + B) for ck, (A, B) in classes.items() if ck != ck_star]
-    rest = [(ck, gamma) for ck, gamma in rest if gamma]
-    t = max([1] + [_step_bound_start(_class_sub(ck, ck_star)) for ck, _ in rest])
-
-    # grow to where the lower classes sum below the leader
-    def dominated(i: int) -> bool:
-        lower = sum(abs(g) * _class_value(ck, i) for ck, g in rest)
-        return lower < abs(gamma_star) * _class_value(ck_star, i)
-
-    while not dominated(t):
-        t *= 2
-        if t > 1 << 40:
-            raise FragmentError("dominance threshold search diverged")
-    return gamma_star, t
-
-
-def nonzero_threshold(a: Form) -> Optional[int]:
-    """Certified index t with a(i) != 0 for every i >= t, or None.
-
-    None means the form vanishes at infinitely many indices (it is identically
-    zero on at least one parity class).  The certificate is a dominance
-    argument: beyond t the leading monomial class outweighs the sum of all
-    lower ones, exactly, on each parity.
-    """
-    if not a[0]:
-        return None
-    classes = _classes(a)
-    bounds = [_dominance(classes, parity) for parity in (0, 1)]
-    return None if None in bounds else max(t for _, t in bounds)
 
 
 # per-parity eventual behaviour tags for a quotient num/den
@@ -555,28 +469,6 @@ class IndexExpr:
         if g.kind == "zero":
             return Q(0)
         return g.limit
-
-    def eventual_nonzero_threshold(self) -> Optional[int]:
-        """Certified t with self(i) defined and nonzero for all i >= t.
-
-        The dominance argument may overshoot; the returned t is tightened by
-        exact evaluation back down to just past the last actual zero.
-        """
-        if not self.num[0]:
-            return None
-        tn = nonzero_threshold(self.num)
-        td = nonzero_threshold(self.den)
-        if tn is None or td is None:
-            return None
-        t = max(tn, td)
-        while t > 1:
-            try:
-                if self.eval(t - 1) == 0:
-                    break
-            except ZeroDivisionError:
-                break
-            t -= 1
-        return t
 
     def __repr__(self):
         return f"IndexExpr({_fmt_form(self.num)} / {_fmt_form(self.den)})"

@@ -13,9 +13,11 @@ the dX-degree <= 2 elements every reduction here produces, with boundedness
 of the higher slices making their quadratic part land in I*I).
 
 The factorization lemma (infinitesimal = infinitesimal * infinitesimal) is
-implemented by the explicit recipe eps = max |a_nu|^(1/2): the scalar and the
-cofactor are powers of one rational sequence, so iterated factorizations
-verify exactly by exponent arithmetic.
+implemented by the explicit recipe eps = max |a_nu|^(1/2): the scalars and the
+cofactor are powers of the one rational sequence s_i = max |a_nu(i)|^2 of the
+source, so an iterated factorization holds exactly when every factor is built
+on the source and the exponents add up to 0; ``Factorization.verify_at``
+checks both, the first by comparing rows index by index.
 """
 
 from __future__ import annotations
@@ -25,13 +27,11 @@ from fractions import Fraction
 from typing import Optional
 
 from .classify import BOUNDED, INFINITESIMAL, Certificate, PolyClass, classify_poly
-from .exacteval import evaluate, parts_of_row, row_of_parts
-from .hypernat import HyperNatural
+from .exacteval import Row, evaluate, parts_of_row, row_of_parts
 from .interpoly import (
     InternalPolynomial,
     StructuredPoly,
     mi_sub,
-    mi_total,
     multi_indices_of_degree,
     partial_derivative,
     poly_add,
@@ -40,7 +40,7 @@ from .interpoly import (
     zero_poly,
 )
 from .record import Record, _set
-from .stdpart import StandardPowerSeries, StandardPartError, lift_series, st_poly
+from .stdpart import StandardPartError, st_poly
 from .verdicts import FAILS, HOLDS, UNDETERMINED, Verdict
 
 Q = Fraction
@@ -71,10 +71,6 @@ class DiffElement(Record):
         self.slices = clean
 
     # -- basics -----------------------------------------------------------------
-    @staticmethod
-    def from_poly(p: InternalPolynomial) -> "DiffElement":
-        return DiffElement(p.n, {tuple([0] * p.n): p})
-
     def x_part(self) -> InternalPolynomial:
         """The dX-free slice P(X, 0)."""
         return self.slices.get(tuple([0] * self.n), zero_poly(self.n))
@@ -111,40 +107,6 @@ class DiffElement(Record):
             self.n, {mu: poly_mul(p, s) for mu, s in self.slices.items()}
         )
 
-    # -- verification hooks --------------------------------------------------------
-    def decomposition(self) -> tuple[InternalPolynomial, list["DiffElement"]]:
-        """body = P_0 + sum_i Q_i dX_i, routing each monomial by its first dX."""
-        p0 = self.x_part()
-        qs: list[dict] = [dict() for _ in range(self.n)]
-        for mu, poly in self.slices.items():
-            if mi_total(mu) == 0:
-                continue
-            j = next(t for t, e in enumerate(mu) if e > 0)
-            reduced = tuple(e - 1 if t == j else e for t, e in enumerate(mu))
-            qs[j][reduced] = poly_add(qs[j][reduced], poly) if reduced in qs[j] else poly
-        return p0, [DiffElement(self.n, q) for q in qs]
-
-    def decomposition_identity_holds(self, indices, probe) -> bool:
-        """Exact check of body = P_0 + sum Q_i dX_i at sampled indices.
-
-        ``probe`` supplies exact rational values for (X, dX) coordinates.
-        """
-        p0, qs = self.decomposition()
-        xs, dxs = probe
-        for i in indices:
-            lhs = self.eval_exact(i, xs, dxs)
-            total = p0.eval_exact(i, xs)
-            for var, q in enumerate(qs):
-                qv = q.eval_exact(i, xs, dxs)
-                d = dxs[var]
-                total = (
-                    total[0] + qv[0] * d[0] - qv[1] * d[1],
-                    total[1] + qv[0] * d[1] + qv[1] * d[0],
-                )
-            if lhs != total:
-                return False
-        return True
-
     def eval_exact(self, i: int, xs, dxs):
         """Exact value at index ``i``, read as one polynomial in X then dX."""
         if len(xs) != self.n or len(dxs) != self.n:
@@ -167,50 +129,31 @@ class DiffElement(Record):
 # delta and the ideal I
 # ---------------------------------------------------------------------------
 
-def _taylor_slices(f: InternalPolynomial, mus) -> DiffElement:
-    """The slices ``d^mu f / mu!`` of ``f(X + dX) - f(X)`` for ``mu`` in ``mus``.
-
-    ``d^mu f`` is ``d^(mu - e_v) f`` derived once more in mu's last nonzero
-    variable v, the step order of ``partial_derivative(f, mu)``; each
-    ``mu - e_v`` must come before ``mu``.
-    """
-    derived = {(0,) * f.n: f}
-    slices = {}
-    for mu in mus:
-        v = max(t for t in range(f.n) if mu[t])
-        e_v = tuple(int(t == v) for t in range(f.n))
-        d = derived[mu] = partial_derivative(derived[mi_sub(mu, e_v)], e_v)
-        slices[mu] = scalar_mul(Q(1, math.prod(map(math.factorial, mu))), d)
-    return DiffElement(f.n, slices)
-
-
 def delta(f: InternalPolynomial) -> DiffElement:
     """f(X + dX) - f(X), expanded exactly by the Taylor identity.
 
     For polynomials the expansion sum_mu (d^mu f / mu!) dX^mu is finite at
     every index; derivative slices keep the structured form, so membership
-    tests on the result stay decidable.
+    tests on the result stay decidable.  Each ``d^mu f`` is ``d^(mu - e_v) f``,
+    met one degree earlier, derived once more in mu's last nonzero variable v:
+    the step order of ``partial_derivative(f, mu)``.
     """
     if f.degree.infinite:
         raise ValueError(
             "delta of a hyperfinite-degree polynomial has hyperfinitely many slices; "
-            "apply it to finite-degree (explicit) polynomials or use delta_directional"
+            "apply it to finite-degree (explicit) polynomials"
         )
     # every slice of total dX-degree above the degree vanishes
     top = max([max(0, f.degree.intercept)] + [v for _, v in f.degree.patches])
-    return _taylor_slices(f, [mu for m in range(1, top + 1)
-                              for mu in multi_indices_of_degree(f.n, m)])
-
-
-def delta_directional(f: InternalPolynomial, var: int, depth: int) -> DiffElement:
-    """f(X + dX_var e_var) - f(X) up to dX-degree ``depth`` slices.
-
-    The one construction that needs delta of a banded polynomial (the
-    phi-preimage of a monomial 1-form) only ever reads finitely many slices;
-    ``depth`` makes that truncation explicit.
-    """
-    return _taylor_slices(f, [tuple(k if t == var else 0 for t in range(f.n))
-                              for k in range(1, depth + 1)])
+    derived = {(0,) * f.n: f}
+    slices = {}
+    for m in range(1, top + 1):
+        for mu in multi_indices_of_degree(f.n, m):
+            v = max(t for t in range(f.n) if mu[t])
+            e_v = tuple(int(t == v) for t in range(f.n))
+            d = derived[mu] = partial_derivative(derived[mi_sub(mu, e_v)], e_v)
+            slices[mu] = scalar_mul(Q(1, math.prod(map(math.factorial, mu))), d)
+    return DiffElement(f.n, slices)
 
 
 def in_I(p: DiffElement) -> Verdict:
@@ -291,16 +234,6 @@ def phi(p: DiffElement) -> OneForm:
     return OneForm(p.n, tuple(comps))
 
 
-def reduce_mod_I2(p: DiffElement) -> OneForm:
-    """Canonical representative of p modulo I^2, as a 1-form."""
-    return phi(p)
-
-
-def reduce_equal(p: DiffElement, q: DiffElement) -> Verdict:
-    """Do p and q reduce identically, i.e. is p - q in I^2?"""
-    return in_I2(p - q)
-
-
 def derivation_check(f: InternalPolynomial, g: InternalPolynomial) -> Verdict:
     """delta(fg) - f delta(g) - g delta(f) lands in I^2."""
     lhs = delta(poly_mul(f, g))
@@ -332,13 +265,6 @@ class EpsFactor(Record, frozen=True):
     def __init__(self, source: InternalPolynomial, exponent: Fraction):
         _set(self, "source", source)
         _set(self, "exponent", exponent)
-
-    def s_value(self, i: int) -> Fraction:
-        den, _, _, terms = self.source.row(i)
-        return Q(max((re * re + im * im for _, _, re, im, _ in terms), default=0), den * den)
-
-    def value_float(self, i: int) -> float:
-        return float(self.s_value(i)) ** float(self.exponent)
 
 
 class ScaledPoly(InternalPolynomial):
@@ -379,19 +305,26 @@ class Factorization(Record, frozen=True):
         return total + self.cofactor.exponent == 0
 
     def verify_at(self, indices) -> bool:
-        """Exact check source_i = prod eps_i * cofactor_i.
+        """Exact check source_i = prod eps_i * cofactor_i at the given indices.
 
-        All factors are powers of the same rational sequence s, so the check
-        is exponent arithmetic plus the zero convention: where s_i = 0 the
-        source materializes to zero and every factor is zero by definition.
+        Each factor is a power of s read off its own source, so the identity
+        holds when the exponents add up to 0 and, at every index, the source
+        of each eps factor and of the cofactor has the source's coefficients.
+        False on any difference.
         """
         if not self.exponent_identity():
             return False
-        e0 = self.eps[0]
-        for i in indices:
-            if e0.s_value(i) == 0 and self.source.row(i)[3]:
-                return False
+        sources = [e.source for e in self.eps] + [self.cofactor.source]
+        return all(_same_values(self.source.row(i), s.row(i)) for i in indices for s in sources)
+
+
+def _same_values(a: Row, b: Row) -> bool:
+    """Do two rows hold the same coefficients, over whatever denominators?"""
+    if a is b:
         return True
+    da, db = a[0], b[0]
+    return ({nu: (re * db, im * db) for nu, _, re, im, _ in a[3]}
+            == {nu: (re * da, im * da) for nu, _, re, im, _ in b[3]})
 
 
 def infinitesimal_factor(p: InternalPolynomial) -> tuple[EpsFactor, ScaledPoly]:
@@ -442,89 +375,3 @@ def classify_scaled(obj) -> PolyClass:
             )
         return PolyClass("undetermined", Certificate("propagated", ("source not infinitesimal",)))
     return classify_poly(obj)
-
-
-# ---------------------------------------------------------------------------
-# the section of the standard part, mod I^(m+1)
-# ---------------------------------------------------------------------------
-
-class SectionClass(Record):
-    """s(f) = [lift of f] mod I^(m+1): any two lifts differ inside I^(m+1)."""
-
-    __slots__ = ("series", "order", "degree", "lift")
-    def __init__(self, series: StandardPowerSeries, order: int, degree: HyperNatural,
-                 lift: DiffElement):
-        self.series = series
-        self.order = order
-        self.degree = degree
-        self.lift = lift
-
-    def compare_lift(self, other_degree: HyperNatural) -> Factorization:
-        """Factor the difference against a second lift into m+1 infinitesimals."""
-        first = lift_series(self.series, self.degree)
-        second = lift_series(self.series, other_degree)
-        diff = poly_add(first, scalar_mul(-1, second))
-        cls = classify_poly(diff)
-        if cls.verdict != INFINITESIMAL:
-            raise FactorizationError(
-                f"lift difference should be infinitesimal, classifier says {cls.verdict}"
-            )
-        return factor_chain(diff, self.order + 1)
-
-
-def section_s(f: StandardPowerSeries, order: int, d: HyperNatural) -> SectionClass:
-    """The natural section of st into the diff ring modulo I^(order+1)."""
-    if not f.entire:
-        raise ValueError("the section needs an entire-certified series")
-    lifted = lift_series(f, d)
-    return SectionClass(f, order, d, DiffElement.from_poly(lifted))
-
-
-# ---------------------------------------------------------------------------
-# surjectivity onto monomial 1-forms
-# ---------------------------------------------------------------------------
-
-def phi_preimage_of_monomial_form(
-    f: StandardPowerSeries, var: int, d: HyperNatural, n: Optional[int] = None
-) -> DiffElement:
-    """An element of I with phi-image f dx_var.
-
-    Taking F with dF/dX_var = (lift of f) and expanding F(X + dX_var) - F(X)
-    gives the preimage; only finitely many slices are ever read, and the
-    linear one is the lifted f by construction.
-    """
-    n = f.n if n is None else n
-    lifted = lift_series(f, d)
-    big = _antiderivative(lifted, var)
-    return delta_directional(big, var, depth=3)
-
-
-def _antiderivative(p: InternalPolynomial, var: int) -> InternalPolynomial:
-    """An internal polynomial F with dF/dX_var = p (structured inputs)."""
-    if not isinstance(p, StructuredPoly):
-        raise ValueError("antiderivative needs a structured polynomial")
-    explicit = {}
-    for nu, c in p.explicit.items():
-        up = tuple(e + 1 if t == var else e for t, e in enumerate(nu))
-        explicit[up] = c * Q(1, nu[var] + 1)
-    tails = []
-    for t in p.tails:
-        if p.n != 1:
-            raise ValueError("banded antiderivatives are univariate")
-        period = len(t.phi)
-        from .indexexpr import IndexExpr
-
-        m_expr = IndexExpr.index()
-        new_phi = tuple(
-            t.phi[(r - 1) % period].subst_affine(1, -1) / m_expr for r in range(period)
-        )
-        lo = (t.lo + HyperNatural.constant(1)) if t.lo is not None \
-            else HyperNatural.constant(0)
-        hi = (t.hi + HyperNatural.constant(1)) if t.hi is not None else None
-        tails.append(
-            type(t)(new_phi, t.eps, t.psi_re / t.eps, t.psi_im / t.eps, lo, hi)
-        )
-    if p.tops:
-        raise ValueError("antiderivative of moving-top monomials is not needed here")
-    deg = p.degree + HyperNatural.constant(1)
-    return StructuredPoly(p.n, deg, explicit, tuple(tails))

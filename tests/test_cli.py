@@ -714,6 +714,21 @@ def test_refusal_table(argv, message):
     assert json.loads(out) == {"error": "parse", "message": message, "schema": 1}
 
 
+# refusals of a well-formed expression outside a command's domain
+DOMAIN_REFUSALS = [
+    (("delta", "sum(k=0..d, X^k)", "--d", "i"), "ValueError",
+     "delta of a hyperfinite-degree polynomial has hyperfinitely many slices; "
+     "apply it to finite-degree (explicit) polynomials"),
+]
+
+
+@pytest.mark.parametrize("argv,error,message", DOMAIN_REFUSALS)
+def test_domain_refusal_table(argv, error, message):
+    code, out = run_cli(*argv)
+    assert code == EXIT_ERROR
+    assert json.loads(out) == {"error": error, "message": message, "schema": 1}
+
+
 @pytest.mark.parametrize("levels,message", [
     (["1", "1 + X/i"],
      "tower level '1 + X/i' mentions the index i; levels are standard polynomials"),

@@ -98,13 +98,6 @@ class TestLift:
             with pytest.raises(TowerError):
                 ResidueTower.make("Q", 1, bad)
 
-    def test_rational_tower_as_internal_polynomial(self):
-        tower = geometric_tower(4)
-        P = lift_tower(tower, horizon=8).as_internal()
-        assert P.materialize(2) == {(j,): (Q(1), Q(0)) for j in range(3)}
-        assert P.materialize(7) == {(j,): (Q(1), Q(0)) for j in range(5)}
-
-
 class TestHalo:
     def test_moving_monomial_in_every_power(self):
         P = moving_monomial(HyperNatural.identity())  # X^d

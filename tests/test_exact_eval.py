@@ -814,7 +814,7 @@ def test_diff_element_eval_matches_reference():
         delta(ProductPoly(_bivariate(), _bivariate())),
         DiffElement(1, {(0,): ProductPoly(truncated_exp(D_I), geom), (1,): geom,
                         (3,): truncated_exp(D_I)}) * delta(ProductPoly(variable(1, 0), variable(1, 0))),
-        DiffElement.from_poly(geom),
+        DiffElement(geom.n, {(0,) * geom.n: geom}),
         DiffElement(2, {}),
     ]
     points = [

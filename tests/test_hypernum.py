@@ -12,7 +12,6 @@ from hyperpoly.hypernum import (
     INFINITESIMAL,
     HyperComplex,
     NoStandardPartError,
-    NotEventuallyNonzeroError,
     exact_complex,
 )
 from hyperpoly.indexexpr import IndexExpr
@@ -27,11 +26,6 @@ class TestHyperNatural:
         assert d.infinite
         assert not HyperNatural.constant(4).infinite
         assert HyperNatural.constant(4).finite_value == 4
-
-    def test_min_with(self):
-        d = HyperNatural.min_with(5)
-        assert [d.value(i) for i in range(1, 8)] == [1, 2, 3, 4, 5, 5, 5]
-        assert not d.infinite
 
     def test_monotonicity_enforced(self):
         with pytest.raises(ValueError):
@@ -63,36 +57,6 @@ class TestArithmetic:
     def test_complex_multiplication(self):
         z = HyperComplex(IndexExpr.const(0), IndexExpr.const(1))  # the constant i
         assert (z * z).value_exact(1) == (Q(-1), Q(0))
-
-
-class TestInv:
-    def test_inv_of_omega(self):
-        x = HyperComplex.omega().inv()
-        assert x.classify().label == INFINITESIMAL
-        assert x.value_exact(10) == (Q(1, 10), Q(0))
-
-    def test_inv_of_epsilon(self):
-        x = HyperComplex.epsilon().inv()
-        assert x.classify().label == INFINITE
-
-    def test_inv_of_zero_rejected(self):
-        with pytest.raises(NotEventuallyNonzeroError):
-            HyperComplex.from_rational(0).inv()
-
-    def test_inv_zero_padding_below_threshold(self):
-        x = HyperComplex.from_expr(I() - 5)  # vanishes at i = 5
-        y = x.inv()
-        assert y.value_exact(5) == (Q(0), Q(0))
-        assert y.value_exact(7) == (Q(1, 2), Q(0))
-
-    def test_inv_rejects_parity_vanishing(self):
-        osc = HyperComplex.from_expr(IndexExpr.const(1) + IndexExpr.geometric(-1))
-        with pytest.raises(NotEventuallyNonzeroError):
-            osc.inv()
-
-    def test_inv_of_a_generator_value_is_refused(self):
-        with pytest.raises(TypeError):
-            HyperComplex.from_generator(lambda i: (Q(i), Q(0))).inv()
 
 
 class TestClassify:

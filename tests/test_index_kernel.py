@@ -20,9 +20,7 @@ from hyperpoly.indexexpr import (
     FragmentError,
     IndexExpr,
     SeqGrowth,
-    _step_bound_start,
     class_key_of_square,
-    nonzero_threshold,
 )
 
 # ---------------------------------------------------------------------------
@@ -85,11 +83,6 @@ def ref_classes(a):
     return out
 
 
-def ref_class_value(ck, i):
-    k, r, p = ck
-    return r**i * Q(math.factorial(i)) ** k * Q(i) ** p
-
-
 def ref_class_sub(c1, c2):
     return (c1[0] - c2[0], c1[1] / c2[1], c1[2] - c2[2])
 
@@ -144,34 +137,6 @@ def ref_leading(classes, parity):
         if best is None or ck > best[0]:
             best = (ck, gamma)
     return best
-
-
-def ref_nonzero_threshold(a):
-    if not a:
-        return None
-    worst = 1
-    for parity in (0, 1):
-        lead = ref_leading(ref_classes(a), parity)
-        if lead is None:
-            return None
-        ck_star, gamma_star = lead
-        sigma = 1 if parity == 0 else -1
-        rest = [(ck, A + sigma * B) for ck, (A, B) in ref_classes(a).items()
-                if ck != ck_star and A + sigma * B != 0]
-        t = 1
-        for ck, _ in rest:
-            t = max(t, _step_bound_start(ref_class_sub(ck, ck_star)))
-
-        def tail_sum(i):
-            g_star = ref_class_value(ck_star, i)
-            return sum((abs(g) * ref_class_value(ck, i) / g_star for ck, g in rest), Q(0))
-
-        while rest and tail_sum(t) >= abs(gamma_star):
-            t *= 2
-            if t > 1 << 40:
-                raise FragmentError("dominance threshold search diverged")
-        worst = max(worst, t)
-    return worst
 
 
 def ref_parity_behavior(num, den, parity):
@@ -321,22 +286,6 @@ class Ref:
         g = self.growth()
         return Q(0) if g.kind == "zero" else g.limit
 
-    def eventual_nonzero_threshold(self):
-        if not self.num:
-            return None
-        tn, td = ref_nonzero_threshold(self.num), ref_nonzero_threshold(self.den)
-        if tn is None or td is None:
-            return None
-        t = max(tn, td)
-        while t > 1:
-            try:
-                if self.eval(t - 1) == 0:
-                    break
-            except ZeroDivisionError:
-                break
-            t -= 1
-        return t
-
     def __repr__(self):
         return f"IndexExpr({ref_fmt(self.num)} / {ref_fmt(self.den)})"
 
@@ -414,13 +363,9 @@ def assert_same_sequence(e, r):
     for i in range(41):
         assert outcome(e.eval, i) == outcome(r.eval, i), i
     got = (outcome(e.growth), outcome(e.limit), outcome(e.constant_value),
-           outcome(class_key_of_square, e * e),
-           outcome(nonzero_threshold, e.num), outcome(nonzero_threshold, e.den),
-           outcome(e.eventual_nonzero_threshold))
+           outcome(class_key_of_square, e * e))
     want = (outcome(r.growth), outcome(r.limit), outcome(r.constant_value),
-            outcome(ref_class_key_of_square, r * r),
-            outcome(ref_nonzero_threshold, r.num), outcome(ref_nonzero_threshold, r.den),
-            outcome(r.eventual_nonzero_threshold))
+            outcome(ref_class_key_of_square, r * r))
     assert got == want
     key, ref_key = got[3][1], want[3][1]
     if got[3][0] == "ok" and key is not None:

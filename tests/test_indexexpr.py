@@ -67,7 +67,6 @@ def test_parity_oscillation_variants():
     e = C(1) + IndexExpr.geometric(-1)
     assert e.eval(1) == 0 and e.eval(2) == 2
     assert e.growth().kind == "finite-or-zero"
-    assert e.eventual_nonzero_threshold() is None
     # (-1)^i / i oscillates in sign but tends to zero
     assert (IndexExpr.geometric(-1) / I()).growth().kind == "zero"
 
@@ -76,20 +75,6 @@ def test_mixed_parity_growth_is_flagged():
     # (1 + (-1)^i) * i is 0, 4, 0, 8, ... : neither bounded nor infinite
     e = (C(1) + IndexExpr.geometric(-1)) * I()
     assert e.growth().kind == "mixed"
-
-
-def test_nonzero_threshold_certifies_tail():
-    e = I() ** 2 - C(30)  # negative through i=5, positive from 6 on
-    t = e.eventual_nonzero_threshold()
-    assert t is not None
-    for i in range(t, t + 200):
-        assert e.eval(i) != 0
-    # i! - 2^i flips sign once, then factorial dominates
-    f = IndexExpr.factorial() - IndexExpr.geometric(2)
-    t = f.eventual_nonzero_threshold()
-    assert t is not None
-    for i in range(t, t + 60):
-        assert f.eval(i) != 0
 
 
 def test_subst_affine_shift_with_factorial():

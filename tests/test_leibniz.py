@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from hyperpoly.hypernat import HyperNatural
 from hyperpoly.hypernum import HyperComplex
 from hyperpoly.indexexpr import IndexExpr
-from hyperpoly.families import labeled_family
 from hyperpoly.interpoly import (
     StructuredPoly,
     TailTerm,
@@ -20,28 +19,27 @@ from hyperpoly.interpoly import (
     partial_derivative,
     poly_mul,
     scalar_mul,
+    truncated_exp,
     variable,
+    zero_poly,
 )
 from hyperpoly.leibniz import (
     DiffElement,
     DnCertificateError,
+    EpsFactor,
+    Factorization,
     FactorizationError,
+    ScaledPoly,
     classify_scaled,
     delta,
-    delta_directional,
     derivation_check,
     factor_chain,
     in_I,
     in_I2,
     infinitesimal_factor,
     phi,
-    phi_preimage_of_monomial_form,
-    reduce_equal,
-    reduce_mod_I2,
-    section_s,
     taylor_identity_check,
 )
-from hyperpoly.stdpart import StandardPowerSeries
 from hyperpoly.classify import INFINITESIMAL
 
 I = IndexExpr.index
@@ -74,15 +72,6 @@ class TestDelta:
         assert d.linear_slice(0).materialize(2) == {(0, 1): (Q(1), Q(0))}
         assert d.linear_slice(1).materialize(2) == {(1, 0): (Q(1), Q(0))}
         assert d.slices[(1, 1)].materialize(2) == {(0, 0): (Q(1), Q(0))}
-
-    def test_decomposition_identity(self):
-        rng = random.Random(5)
-        f = rpoly(2, {(rng.randint(0, 2), rng.randint(0, 2)): rng.randint(-4, 4)
-                      for _ in range(4)})
-        d = delta(f)
-        xs = ((Q(1, 2), Q(0)), (Q(-2, 3), Q(1, 5)))
-        dxs = ((Q(1, 7), Q(0)), (Q(0), Q(1, 9)))
-        assert d.decomposition_identity_holds(range(1, 9), (xs, dxs))
 
 
 def spelled(p) -> str:
@@ -131,22 +120,6 @@ class TestIncrementalSlices:
         got = {mu: spelled(s) for mu, s in delta(f).slices.items()}
         assert got == reference_delta(f)
         assert list(got) == list(reference_delta(f))
-
-    @settings(max_examples=40, deadline=None, derandomize=True)
-    @given(f=explicit_polys(), depth=st.integers(1, 5))
-    def test_directional_slices_match_per_mu_derivatives(self, f, depth):
-        for var in range(f.n):
-            slices = delta_directional(f, var, depth).slices
-            for mu, s in slices.items():
-                assert spelled(s) == spelled(reference_slice(f, mu))
-
-    @settings(max_examples=15, deadline=None, derandomize=True)
-    @given(seed=st.integers(0, 2**32 - 1))
-    def test_directional_slices_of_bands_match(self, seed):
-        for _, p in labeled_family(seed, 3):
-            if p.n == 1:
-                for mu, s in delta_directional(p, 0, 3).slices.items():
-                    assert spelled(s) == spelled(reference_slice(p, mu))
 
 
 class TestMembership:
@@ -210,20 +183,20 @@ class TestReduction:
     def test_delta_square_equals_2x_dx(self):
         d = delta(rpoly(1, {(2,): 1}))
         q = DiffElement(1, {(1,): rpoly(1, {(1,): 2})})
-        assert reduce_equal(d, q).holds()
-        assert reduce_mod_I2(d).eq_to_order(reduce_mod_I2(q), 8)
+        assert in_I2(d - q).holds()
+        assert phi(d).eq_to_order(phi(q), 8)
 
     def test_eps_x_dx_reduces_to_zero(self):
         p = DiffElement(
             1, {(1,): scalar_mul(HyperComplex.epsilon(), variable(1, 0))}
         )
         assert in_I2(p).holds()
-        assert reduce_mod_I2(p).is_zero_to_order(8)
+        assert phi(p).is_zero_to_order(8)
 
     def test_zero_reduces_to_zero(self):
         z = DiffElement(1, {})
         assert in_I2(z).holds()
-        assert reduce_mod_I2(z).is_zero_to_order(4)
+        assert phi(z).is_zero_to_order(4)
 
 
 class TestDerivation:
@@ -259,27 +232,25 @@ class TestFactorization:
         # P = eta X with eta = [1/i]: eps = [i^(-1/2)], Q = [i^(-1/2)] X
         P = scalar_mul(HyperComplex.epsilon(), variable(1, 0))
         eps, q = infinitesimal_factor(P)
-        assert eps.s_value(4) == Q(1, 16)  # max |a|^2 = (1/4)^2
-        assert eps.value_float(4) == pytest.approx(0.5)
+        assert eps.source is P and q.source is P
+        assert (eps.exponent, q.exponent) == (Q(1, 4), Q(-1, 4))
         assert classify_scaled(eps).verdict == INFINITESIMAL
         assert classify_scaled(q).verdict == INFINITESIMAL
 
     def test_zero_polynomial(self):
-        from hyperpoly.interpoly import zero_poly
-
-        eps, q = infinitesimal_factor(zero_poly())
-        assert eps.s_value(3) == 0
+        z = zero_poly()
+        eps, q = infinitesimal_factor(z)
+        assert eps.source is z and q.source is z
+        assert classify_scaled(q).verdict == INFINITESIMAL
 
     def test_band_source_factorizes(self):
         t = TailTerm.from_degree_rule(IndexExpr.const(1), eps=1 / I(), psi_re=1 / I())
         P = StructuredPoly(1, D_I, tails=(t,))
         eps, q = infinitesimal_factor(P)
-        # s_i = max_m (i^-(m+1))^2 = i^-2 at m = 0
-        assert eps.s_value(5) == Q(1, 25)
+        assert eps.source is P and q.source is P
+        assert classify_scaled(eps).verdict == INFINITESIMAL
 
     def test_non_infinitesimal_refused(self):
-        from hyperpoly.interpoly import truncated_exp
-
         with pytest.raises(FactorizationError):
             infinitesimal_factor(truncated_exp(D_I))
 
@@ -291,45 +262,22 @@ class TestFactorization:
         assert [e.exponent for e in chain.eps] == [Q(1, 4), Q(1, 8), Q(1, 16)]
         assert chain.cofactor.exponent == -Q(7, 16)
 
+    def test_factors_on_other_sources_are_refused(self):
+        # exponents that add up to 0 prove nothing when the factors are built on
+        # other polynomials than the source
+        wrong = Factorization(variable(1, 0), (EpsFactor(truncated_exp(D_I), Q(1, 4)),),
+                              ScaledPoly(zero_poly(1), Q(-1, 4)))
+        assert wrong.exponent_identity()
+        assert not wrong.verify_at(range(1, 9))
 
-class TestSection:
-    def test_identity_series_lifts_agree(self):
-        s = StandardPowerSeries.from_dict(1, {(1,): 1})
-        cls = section_s(s, 1, D_I)
-        chain = cls.compare_lift(HyperNatural.affine(2, 0))
-        # the two lifts are equal: the difference is the zero polynomial
-        assert chain.exponent_identity()
-
-    def test_exp_lifts_differ_by_iterated_factorization(self):
-        s = StandardPowerSeries.exp()
-        cls = section_s(s, 2, D_I)
-        chain = cls.compare_lift(HyperNatural.affine(1, 5))
-        assert len(chain.eps) == 3
-        assert chain.exponent_identity()
-        assert chain.verify_at(range(1, 10))
-        for e in chain.eps:
-            assert classify_scaled(e).verdict == INFINITESIMAL
-        assert classify_scaled(chain.cofactor).verdict == INFINITESIMAL
-
-    def test_zero_series(self):
-        s = StandardPowerSeries.from_dict(1, {})
-        cls = section_s(s, 1, D_I)
-        assert cls.lift.x_part().materialize(5) == {}
-
-
-class TestSurjectivity:
-    def test_monomial_form_has_preimage_univariate(self):
-        f = StandardPowerSeries.exp()
-        pre = phi_preimage_of_monomial_form(f, 0, D_I)
-        assert in_I(pre).holds()
-        form = phi(pre)
-        assert form.components[0].eq_to_order(f, 10)
-
-    def test_monomial_form_explicit_bivariate(self):
-        f = StandardPowerSeries.from_dict(2, {(1, 1): Q(2), (0, 0): Q(1)})
-        pre = phi_preimage_of_monomial_form(f, 1, D_I)
-        assert in_I(pre).holds()
-        form = phi(pre)
-        assert form.components[1].eq_to_order(f, 8)
-        zero = StandardPowerSeries.from_dict(2, {})
-        assert form.components[0].eq_to_order(zero, 8)
+    def test_cofactor_on_another_source_is_refused(self):
+        P = scalar_mul(HyperComplex.epsilon(), variable(1, 0))
+        chain = factor_chain(P, 2)
+        other = scalar_mul(HyperComplex.epsilon(), constant(1, 1))
+        wrong = Factorization(P, chain.eps, ScaledPoly(other, chain.cofactor.exponent))
+        assert wrong.exponent_identity()
+        assert not wrong.verify_at(range(1, 9))
+        # the same polynomial built again is the same source
+        again = scalar_mul(HyperComplex.epsilon(), variable(1, 0))
+        assert Factorization(P, chain.eps, ScaledPoly(again, chain.cofactor.exponent)) \
+            .verify_at(range(1, 9))

@@ -14,8 +14,7 @@ from hyperpoly.hypernat import HyperNatural
 from hyperpoly.hypernum import Classification, HyperComplex
 from hyperpoly.indexexpr import IndexExpr, SeqGrowth
 from hyperpoly.interpoly import StructuredPoly, TailTerm, TopTerm
-from hyperpoly.leibniz import (DiffElement, EpsFactor, Factorization, OneForm, ScaledPoly,
-                               SectionClass)
+from hyperpoly.leibniz import DiffElement, EpsFactor, Factorization, OneForm, ScaledPoly
 from hyperpoly.parser import (BinOp, Bindings, Factorial, Neg, Num, Pow, Program, Sum, Token,
                               Var)
 from hyperpoly.stdpart import (AlgebraPresentation, SeriesMorphism, StandardPowerSeries,
@@ -35,7 +34,6 @@ RF = RationalFunc(FP, FP1)
 INDEX_SET = frozenset({1, 2})
 MEMBERS = frozenset({frozenset({1}), frozenset({1, 2})})
 SCALED = ScaledPoly(P, Q(-1, 2))
-DIFF = DiffElement(1, {(1,): P})
 HOLDS3 = Verdict("Holds", 3, "ok")
 FAILS1 = Verdict("Fails", 1)
 
@@ -123,10 +121,6 @@ CASES = {
                       f"Factorization(source={P!r}, eps=(EpsFactor(source={P!r}, "
                       f"exponent=Fraction(1, 2)),), cofactor={SCALED!r})",
                       ("source", "eps", "cofactor"), True),
-    "SectionClass": (lambda: SectionClass(SERIES, 2, HyperNatural(1, 0), DIFF),
-                     f"SectionClass(series={SERIES!r}, order=2, "
-                     f"degree=HyperNatural(slope=1, intercept=0, patches=()), lift={DIFF!r})",
-                     ("series", "order", "degree", "lift"), False),
     "SeriesMorphism": (lambda: SeriesMorphism([SERIES], 1, 1),
                        f"SeriesMorphism(images=[{SERIES!r}], n_source=1, m_target=1)",
                        ("images", "n_source", "m_target"), False),
@@ -141,12 +135,11 @@ CASES = {
 }
 # frozen records whose fields hold dicts: hashing fails on the dict, as for a tuple
 UNHASHABLE_FIELDS = {"ZeroSetReport"}
-MUTABLE = {"Bindings", "LogEntry", "DiffElement", "SectionClass", "SeriesMorphism",
-           "AlgebraPresentation"}
+MUTABLE = {"Bindings", "LogEntry", "DiffElement", "SeriesMorphism", "AlgebraPresentation"}
 
 
 def test_every_record_class_is_pinned():
-    assert len(CASES) == 35
+    assert len(CASES) == 34
     assert {name for name, case in CASES.items() if not case[3]} == MUTABLE
     for name, (build, *_rest) in CASES.items():
         assert type(build()).__name__ == name
