@@ -159,9 +159,6 @@ class ProductRing(Record, frozen=True):
     def elements(self):
         return iproduct(*(range(p) for p in self.primes))
 
-    def add(self, f, g):
-        return tuple((a + b) % p for a, b, p in zip(f, g, self.primes))
-
     def mul(self, f, g):
         return tuple((a * b) % p for a, b, p in zip(f, g, self.primes))
 
@@ -196,8 +193,8 @@ def kochen_ideal_to_filter(ring: ProductRing, ideal_gens) -> FiniteFilterModel:
 
     In a product of fields the generated ideal is supported exactly on the
     union of the generators' supports, so the answer is the principal filter
-    at the complement of that union; the closure enumeration in the test suite
-    double-checks this on small instances.
+    at the complement of that union; an enumeration of the generated ideal in
+    the test suite double-checks this on small instances.
     """
     zero_common = ring.index_set
     for g in ideal_gens:

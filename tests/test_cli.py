@@ -120,6 +120,14 @@ class TestLeibnizCommands:
         assert rep["slicesAtIndex4"]["1"]["1"] == ["2", "0"]
         assert rep["slicesAtIndex4"]["2"]["0"] == ["1", "0"]
 
+    def test_delta_of_a_hyperfinite_degree_is_refused(self):
+        code, out = run_cli("delta", "sum(k=0..d, X^k)", "--d", "i")
+        assert code == EXIT_ERROR
+        assert json.loads(out) == {
+            "error": "ValueError", "schema": 1,
+            "message": "delta of a hyperfinite-degree polynomial has hyperfinitely many "
+                       "slices; apply it to finite-degree (explicit) polynomials"}
+
     def test_phi(self):
         code, out = run_cli("phi", "2*X*dX + dX^2")
         rep = json.loads(out)
@@ -712,21 +720,6 @@ def test_refusal_table(argv, message):
     code, out = run_cli(*argv)
     assert code == EXIT_ERROR
     assert json.loads(out) == {"error": "parse", "message": message, "schema": 1}
-
-
-# refusals of a well-formed expression outside a command's domain
-DOMAIN_REFUSALS = [
-    (("delta", "sum(k=0..d, X^k)", "--d", "i"), "ValueError",
-     "delta of a hyperfinite-degree polynomial has hyperfinitely many slices; "
-     "apply it to finite-degree (explicit) polynomials"),
-]
-
-
-@pytest.mark.parametrize("argv,error,message", DOMAIN_REFUSALS)
-def test_domain_refusal_table(argv, error, message):
-    code, out = run_cli(*argv)
-    assert code == EXIT_ERROR
-    assert json.loads(out) == {"error": error, "message": message, "schema": 1}
 
 
 @pytest.mark.parametrize("levels,message", [

@@ -175,8 +175,8 @@ class TestKochen:
         ring = ProductRing.uniform({1, 2}, 3)
         gens = [(0, 1), (0, 2)]
         # the ideal two generators generate is the sum of their principal ideals
-        ideal = {ring.add(a, b) for a in ring.principal_ideal(gens[0])
-                 for b in ring.principal_ideal(gens[1])}
+        ideal = {tuple((x + y) % 3 for x, y in zip(a, b))
+                 for a in ring.principal_ideal(gens[0]) for b in ring.principal_ideal(gens[1])}
         zsets = {ring.zero_set(g) for g in ideal}
         f = kochen_ideal_to_filter(ring, gens)
         # filter members are exactly the zero sets of the generated ideal
