@@ -272,7 +272,7 @@ class ScaledPoly(InternalPolynomial):
 
     The coefficients are irrational scalings of the source's, so this node
     does not pretend to materialize; equality claims about products with the
-    matching EpsFactor are checked by adding exponents.
+    matching EpsFactor are checked by adding exponents and comparing sources.
     """
 
     def __init__(self, source: InternalPolynomial, exponent: Fraction):

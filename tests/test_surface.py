@@ -1,6 +1,8 @@
 """Cross-module surface checks: public API, exit codes, stated invariants."""
 
 import argparse
+import ast
+import glob
 import io
 import json
 import os
@@ -267,9 +269,6 @@ class TestNoCodeWithoutACaller:
         """A function, method or class whose name appears, as a whole word,
         only at its own definitions across the package, the benchmark harness
         and the acceptance criteria has no caller but the unit tests."""
-        import ast
-        import glob
-
         root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
         package = sorted(glob.glob(os.path.join(root, "src", "hyperpoly", "*.py")))
         corpus = package + sorted(glob.glob(os.path.join(root, "perfbench", "*.py"))) + [
