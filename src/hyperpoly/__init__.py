@@ -16,8 +16,7 @@ __version__ = "0.1.0"
 
 # each public name, by the module that defines it
 _EXPORTS = {name: module for module, names in {
-    "config": "HORIZON default_horizon",
-    "verdicts": "Verdict eventually negate",
+    "verdicts": "HORIZON Verdict eventually negate",
     "filters": "FiniteFilterModel ProductRing enumerate_filters is_ultrafilter "
                "kochen_filter_to_ideal kochen_ideal_to_filter",
     "indexexpr": "IndexExpr",

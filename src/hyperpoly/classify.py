@@ -21,7 +21,6 @@ import math
 from fractions import Fraction
 from typing import Optional
 
-from .config import HORIZON
 from .exacteval import evaluate
 from .hypernum import (
     APPRECIABLE,
@@ -43,7 +42,7 @@ from .interpoly import (
     poly_eval,
 )
 from .record import Record, _set
-from .verdicts import FAILS, HOLDS, UNDETERMINED, Verdict
+from .verdicts import FAILS, HOLDS, HORIZON, UNDETERMINED, Verdict
 
 Q = Fraction
 

@@ -5,8 +5,11 @@ expression arguments with the shared grammar, imports the computation modules
 it calls when it runs (so a fresh process compiles no others), and returns one
 JSON report (schema version 1) with its exit code; ``main`` alone prints the
 report on stdout.  Exit codes: 0 for decided verdicts, 2 when the answer is
-Undetermined, 1 for errors, a malformed command line included.  All randomness flows from ``classify --seed``; runs
-with the same arguments are byte-identical.
+Undetermined, 1 for errors, a malformed command line included.  Every
+setting comes from the command line: the sampling horizon is ``--horizon``
+(64 for ``eval``, 32 for the ``classify`` oracle), all randomness flows from
+``classify --seed``, and nothing is read from the environment, so runs with
+the same arguments are byte-identical.
 """
 
 from __future__ import annotations
@@ -19,7 +22,6 @@ import sys
 from fractions import Fraction
 from typing import Optional
 
-from .config import default_horizon
 from .parser import (
     BindError,
     Bindings,
@@ -36,17 +38,13 @@ from .parser import (
     print_program,
     variable_map,
 )
-from .verdicts import UNDETERMINED, GridExhausted
+from .verdicts import HORIZON, UNDETERMINED, GridExhausted
 
 SCHEMA = 1
 
 EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_UNDETERMINED = 2
-
-# the classify oracle's horizon when --horizon is not given: the resolved
-# horizon, capped so that the default window stays short
-ORACLE_DEFAULT_HORIZON = 32
 
 
 def _program_env(text: str, args) -> tuple:
@@ -70,7 +68,7 @@ def _materialization_json(p, i: int) -> dict:
     }
 
 
-def _cmd_classify(args, horizon: int) -> tuple[dict, int]:
+def _cmd_classify(args) -> tuple[dict, int]:
     from .classify import classify_poly, sampling_oracle
 
     if args.dump_index is not None:
@@ -80,11 +78,9 @@ def _cmd_classify(args, horizon: int) -> tuple[dict, int]:
     cls = classify_poly(p)
     report = {"command": "classify", **cls.to_json()}
     if args.oracle or cls.verdict == "unbounded":
-        if args.horizon is None:
-            horizon = min(horizon, ORACLE_DEFAULT_HORIZON)
         rep = sampling_oracle(
             p, sample_count=args.samples, radius=args.radius,
-            horizon=horizon, seed=args.seed,
+            horizon=args.horizon, seed=args.seed,
         )
         report["oracle"] = rep.to_json()
     if args.dump_index is not None:
@@ -95,7 +91,7 @@ def _cmd_classify(args, horizon: int) -> tuple[dict, int]:
     return report, EXIT_UNDETERMINED if cls.verdict == "undetermined" else EXIT_OK
 
 
-def _cmd_stdpart(args, horizon: int) -> tuple[dict, int]:
+def _cmd_stdpart(args) -> tuple[dict, int]:
     from .stdpart import st_poly
 
     program, env = _program_env(args.expr, args)
@@ -104,7 +100,7 @@ def _cmd_stdpart(args, horizon: int) -> tuple[dict, int]:
     return {"command": "stdpart", "series": s.to_json(args.order)}, EXIT_OK
 
 
-def _cmd_zeros(args, horizon: int) -> tuple[dict, int]:
+def _cmd_zeros(args) -> tuple[dict, int]:
     from .stdpart import zero_set_compare
 
     program, env = _program_env(args.expr, args)
@@ -120,7 +116,7 @@ def _indices(flag: str, indices: list[int]) -> list[int]:
     return indices
 
 
-def _cmd_eval(args, horizon: int) -> tuple[dict, int]:
+def _cmd_eval(args) -> tuple[dict, int]:
     from .hypernum import HyperComplex
     from .interpoly import poly_eval
 
@@ -128,7 +124,7 @@ def _cmd_eval(args, horizon: int) -> tuple[dict, int]:
     p = build_poly(program.expression, env)
     x = HyperComplex.from_expr(build_sequence(parse_expression(args.at), env))
     v = poly_eval(p, [x] * p.n)
-    cls = v.classify(horizon)
+    cls = v.classify(args.horizon)
     report = {
         "command": "eval",
         "classification": cls.to_json(),
@@ -137,7 +133,7 @@ def _cmd_eval(args, horizon: int) -> tuple[dict, int]:
     return report, EXIT_UNDETERMINED if cls.label == "undetermined" else EXIT_OK
 
 
-def _cmd_delta(args, horizon: int) -> tuple[dict, int]:
+def _cmd_delta(args) -> tuple[dict, int]:
     from .leibniz import delta
 
     program, env = _program_env(args.expr, args)
@@ -153,7 +149,7 @@ def _cmd_delta(args, horizon: int) -> tuple[dict, int]:
     return {"command": "delta", "slicesAtIndex4": slices}, EXIT_OK
 
 
-def _cmd_phi(args, horizon: int) -> tuple[dict, int]:
+def _cmd_phi(args) -> tuple[dict, int]:
     from .leibniz import in_I, phi
 
     program, env = _program_env(args.expr, args)
@@ -166,7 +162,7 @@ def _cmd_phi(args, horizon: int) -> tuple[dict, int]:
     return report, EXIT_OK
 
 
-def _cmd_derivation_check(args, horizon: int) -> tuple[dict, int]:
+def _cmd_derivation_check(args) -> tuple[dict, int]:
     from .leibniz import derivation_check
 
     program_f, env_f = _program_env(args.f, args)
@@ -181,7 +177,7 @@ def _cmd_derivation_check(args, horizon: int) -> tuple[dict, int]:
     )
 
 
-def _cmd_lift(args, horizon: int) -> tuple[dict, int]:
+def _cmd_lift(args) -> tuple[dict, int]:
     from .completion import FieldPoly, ResidueTower, lift_tower
 
     with open(args.levels, encoding="utf-8") as fh:
@@ -211,7 +207,7 @@ def _cmd_lift(args, horizon: int) -> tuple[dict, int]:
     return report, EXIT_OK
 
 
-def _cmd_generic(args, horizon: int) -> tuple[dict, int]:
+def _cmd_generic(args) -> tuple[dict, int]:
     from .genpoint import generic_point, integer_poly_corpus
 
     param = _parse_param(args.param)
@@ -295,7 +291,7 @@ def _standard_coeffs(node, variables: dict, mentions_i: str) -> dict:
     return {nu: c[0] for nu, c in poly.materialize(1).items()}
 
 
-def _cmd_kochen(args, horizon: int) -> tuple[dict, int]:
+def _cmd_kochen(args) -> tuple[dict, int]:
     from .filters import ProductRing, enumerate_filters, is_ultrafilter, kochen_ideal_to_filter
 
     size = args.index_size
@@ -340,11 +336,11 @@ class _ArgumentParser(argparse.ArgumentParser):
 
 
 # the argparse keywords of each argument; `--field` and `--indices` mean
-# different things to different commands, so their rows give their own
+# different things to different commands, and `--horizon` has a default per
+# command (64 for eval, 32 for the classify oracle), so their rows give their own
 _FLAGS = {
     "expr": {}, "f": {}, "g": {},
     "--d": {"help": "hypernatural binding for the name 'd'"},
-    "--horizon": {"type": int},
     "--order": {"type": int, "default": 12},
     "--radius": {"type": Fraction, "default": Fraction(1)},
     "--samples": {"type": int, "default": 16},
@@ -365,11 +361,13 @@ _FLAGS = {
 # name, function, help, and the arguments the command reads
 COMMANDS = (
     ("classify", _cmd_classify, "boundedness class of an internal polynomial",
-     ("expr", "--d", "--oracle", "--dump-index", "--radius", "--samples", "--seed", "--horizon")),
+     ("expr", "--d", "--oracle", "--dump-index", "--radius", "--samples", "--seed",
+      ("--horizon", {"type": int, "default": 32}))),
     ("stdpart", _cmd_stdpart, "coefficientwise standard part", ("expr", "--d", "--order")),
     ("zeros", _cmd_zeros, "roots against the standard part's zeros",
      ("expr", "--d", "--radius", ("--indices", {"default": "10,20,40"}), "--tol")),
-    ("eval", _cmd_eval, "evaluate at a sequence point", ("expr", "--d", "--at", "--horizon")),
+    ("eval", _cmd_eval, "evaluate at a sequence point",
+     ("expr", "--d", "--at", ("--horizon", {"type": int, "default": HORIZON}))),
     ("delta", _cmd_delta, "infinitesimal increment expansion", ("expr", "--d")),
     ("phi", _cmd_phi, "1-form image of a differential element", ("expr", "--d", "--order")),
     ("derivation-check", _cmd_derivation_check, "Leibniz rule modulo I^2", ("f", "g", "--d")),
@@ -402,13 +400,12 @@ def build_arg_parser() -> argparse.ArgumentParser:
 
 
 def _execute(argv, program: Optional[str] = None) -> tuple[dict, int, bool]:
-    """Parse ``argv``, resolve the horizon, check the flag ranges, run the
-    command, and map its errors.
+    """Parse ``argv``, check the flag ranges, run the command, and map its
+    errors.
 
     A full ``program`` text, when given, supplies the command and expression
     ahead of ``argv``.  Returns the report, its exit code and whether
-    ``--pretty`` was given.  The horizon is ``--horizon``, else
-    ``HYPERPOLY_HORIZON``, else 64.  Parse and bind errors report as
+    ``--pretty`` was given.  Parse and bind errors report as
     ``"parse"``, any other handled error (a malformed command line is a
     ``UsageError``) by its type name, with exit code 1.
     """
@@ -422,16 +419,13 @@ def _execute(argv, program: Optional[str] = None) -> tuple[dict, int, bool]:
             raise UsageError(f"hyperpoly {args.subcommand}: unrecognized arguments: "
                              + " ".join(unread))
         given = vars(args)
-        horizon = default_horizon()
-        if given.get("horizon") is not None:
-            horizon = args.horizon
         for name, rule, ok in (("horizon", ">= 1", lambda v: v >= 1),
                                ("order", ">= 0", lambda v: v >= 0),
                                ("radius", "> 0", lambda v: v > 0),
                                ("samples", ">= 1", lambda v: v >= 1)):
             if given.get(name) is not None and not ok(given[name]):
                 raise ValueError(f"need --{name} {rule}")
-        report, code = args.fn(args, horizon)
+        report, code = args.fn(args)
     # ParseError, BindError, TowerError, DnCertificateError and UsageError are
     # ValueErrors; StandardPartError and ZeroDivisionError ArithmeticErrors;
     # OSError is an unreadable --levels file, RecursionError too deep an expression

@@ -18,11 +18,10 @@ from itertools import product as iproduct
 from math import lcm, prod
 from typing import Union
 
-from .config import HORIZON
 from .filters import is_prime
 from .interpoly import InternalPolynomial, StructuredPoly, mi_total, multi_indices_of_degree
 from .record import Record, _set
-from .verdicts import FAILS, HOLDS, Verdict
+from .verdicts import FAILS, HOLDS, HORIZON, Verdict
 
 Q = Fraction
 
@@ -123,10 +122,6 @@ class FieldPoly(Record, frozen=True):
 
     def congruent(self, other: "FieldPoly", degree: int) -> bool:
         return self.truncate(degree) == other.truncate(degree)
-
-    @property
-    def degree(self) -> int:
-        return max((mi_total(nu) for nu, _ in self.coeffs), default=0)
 
 
 class ResidueTower(Record, frozen=True):

@@ -18,10 +18,9 @@ from math import gcd
 from typing import Callable, Iterator, Optional
 
 from .completion import FieldPoly
-from .config import HORIZON
 from .interpoly import multi_indices_of_degree
 from .record import Record, _set
-from .verdicts import HOLDS, GridExhausted, Verdict, eventually
+from .verdicts import HOLDS, HORIZON, GridExhausted, Verdict, eventually
 
 Q = Fraction
 
@@ -58,9 +57,6 @@ class RationalFunc(Record, frozen=True):
         if d == 0:
             raise ZeroDivisionError("parametrization pole")
         return Q(self.num.eval_at(point)) / d
-
-    def is_zero(self) -> bool:
-        return self.num.is_zero()
 
 
 class Parametrization(Record, frozen=True):

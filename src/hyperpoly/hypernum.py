@@ -19,10 +19,9 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Callable, Optional
 
-from .config import HORIZON
 from .indexexpr import IndexExpr
 from .record import Record, _set
-from .verdicts import HOLDS, UNDETERMINED, Verdict
+from .verdicts import HOLDS, HORIZON, UNDETERMINED, Verdict
 
 Q = Fraction
 

@@ -27,7 +27,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .classify import BOUNDED, INFINITESIMAL, Certificate, PolyClass, classify_poly
-from .exacteval import Row, evaluate, parts_of_row, row_of_parts
+from .exacteval import Row
 from .interpoly import (
     InternalPolynomial,
     StructuredPoly,
@@ -106,15 +106,6 @@ class DiffElement(Record):
         return DiffElement(
             self.n, {mu: poly_mul(p, s) for mu, s in self.slices.items()}
         )
-
-    def eval_exact(self, i: int, xs, dxs):
-        """Exact value at index ``i``, read as one polynomial in X then dX."""
-        if len(xs) != self.n or len(dxs) != self.n:
-            raise ValueError(f"point has arity ({len(xs)}, {len(dxs)}), element has {self.n}")
-        row = row_of_parts([(nu + mu, re, im, den) for mu, poly in self.slices.items()
-                            for nu, re, im, den in parts_of_row(poly.row(i))], 2 * self.n)
-        ((re, im, den),) = evaluate((row,), tuple(xs) + tuple(dxs))
-        return (Q(re, den), Q(im, den))
 
     def dn_certificate(self) -> Optional[str]:
         """None when every slice classifies bounded; else the failure reason."""
@@ -204,11 +195,6 @@ class OneForm(Record, frozen=True):
     def is_zero_to_order(self, order: int) -> bool:
         return all(c.is_constant_to_order(order) and c.coeff(tuple([0] * self.n)) == (0, 0)
                    for c in self.components)
-
-    def eq_to_order(self, other: "OneForm", order: int) -> bool:
-        return all(
-            a.eq_to_order(b, order) for a, b in zip(self.components, other.components)
-        )
 
     def to_json(self, order: int = 8):
         return {

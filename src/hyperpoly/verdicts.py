@@ -6,6 +6,13 @@ horizon (``Undetermined``).  Truth here is cofinite truth: finitely many
 leading indices never matter.  This is the constructive stand-in for truth
 along a non-principal ultrafilter — anything decided cofinitely is decided
 the same way by every such ultrafilter.
+
+The sampled horizon is how late the window heuristics and the sampling
+oracle look.  ``HORIZON`` is the library's default; a caller passes another
+per call, and the command line through ``--horizon``.  The window thresholds
+are constants next to the code that reads them (``hypernum``), and nothing
+in the package reads ambient state: no environment variable, and no entropy,
+since randomized procedures take an explicit seed.
 """
 
 from __future__ import annotations
@@ -17,6 +24,9 @@ from .record import Record, _set
 HOLDS = "Holds"
 FAILS = "Fails"
 UNDETERMINED = "Undetermined"
+
+# sampling window for eventual-truth verdicts
+HORIZON = 64
 
 
 class PredicateEvaluationError(Exception):

@@ -42,7 +42,6 @@ from hyperpoly.interpoly import (
     variable,
     zero_poly,
 )
-from hyperpoly.leibniz import DiffElement, delta
 from hyperpoly.stdpart import StandardPowerSeries, st_morphism, st_poly
 
 I = IndexExpr.index
@@ -560,9 +559,9 @@ def test_oracle_and_eval_exact_build_each_row_once():
         assert built == list(range(1, 13)) + [20]
 
 
-def test_lazy_rows_and_diff_eval_build_no_fraction_view():
-    """Lazy rules and ``DiffElement.eval_exact`` combine their operands' rows;
-    no ``Fraction`` view is built on the way."""
+def test_lazy_rows_build_no_fraction_view():
+    """Lazy rules combine their operands' rows; no ``Fraction`` view is built
+    on the way."""
     e = truncated_exp(D_I)
     b = StructuredPoly(2, D_I, tails=(TailTerm((1 / IndexExpr.factorial(),),
                                                psi_im=IndexExpr.const(Q(1, 3))),))
@@ -574,13 +573,10 @@ def test_lazy_rows_and_diff_eval_build_no_fraction_view():
                   dehomogenize(homogenize(e)),
                   truncate_series(lambda nu: Q(1, 1 + nu[0]), D_I)]
         assert all(isinstance(p, LazyPoly) for p in shapes)
-        elem = delta(ProductPoly(_bivariate(), _bivariate()))
         for i in range(1, 9):
             for p in shapes:
                 p.row(i)
                 p.eval_exact(i, ((Q(1, 2), Q(-1, 3)),) * p.n)
-            elem.eval_exact(i, ((Q(1, 3), Q(1)), (Q(-2), Q(0))),
-                            ((Q(1, 7), Q(0)), (Q(0), Q(-1, 5))))
     assert views.call_count == 0
 
 
@@ -787,51 +783,6 @@ def test_series_morphism_matches_reference():
         want = reference_apply(mor, h, order)
         assert got.coefficients_up_to(order) == {
             k: v for k, v in want.items() if v != (Q(0), Q(0))}
-
-
-# ---------------------------------------------------------------------------
-# differential elements: one table over X then dX
-# ---------------------------------------------------------------------------
-
-def reference_diff_eval(elem, i, xs, dxs):
-    """The old per-slice loop: each slice's value times its dX powers."""
-    total = (Q(0), Q(0))
-    for mu, poly in elem.slices.items():
-        v = reference_eval_exact(poly, i, xs)
-        for var, e in enumerate(mu):
-            for _ in range(e):
-                v = _pair_mul(v, dxs[var])
-        total = (total[0] + v[0], total[1] + v[1])
-    return total
-
-
-def test_diff_element_eval_matches_reference():
-    band = TailTerm((IndexExpr.const(1),), psi_re=Q(1, 3) + 1 / I(),
-                    psi_im=IndexExpr.const(Q(-1, 2)))
-    geom = StructuredPoly(1, D_I, tails=(band,))
-    elems = [
-        delta(_bivariate()),
-        delta(ProductPoly(_bivariate(), _bivariate())),
-        DiffElement(1, {(0,): ProductPoly(truncated_exp(D_I), geom), (1,): geom,
-                        (3,): truncated_exp(D_I)}) * delta(ProductPoly(variable(1, 0), variable(1, 0))),
-        DiffElement(geom.n, {(0,) * geom.n: geom}),
-        DiffElement(2, {}),
-    ]
-    points = [
-        (((Q(1, 2), Q(-1, 3)), (Q(2), Q(5, 7))), ((Q(1, 9), Q(1, 4)), (Q(0), Q(-3, 11)))),
-        (((Q(0), Q(0)), (Q(-4, 5), Q(1))), ((Q(2, 3), Q(0)), (Q(1, 6), Q(-1, 6)))),
-    ]
-    for elem in elems:
-        for xs, dxs in points:
-            xs, dxs = xs[:elem.n], dxs[:elem.n]
-            for i in (1, 3, 7):
-                assert elem.eval_exact(i, xs, dxs) == reference_diff_eval(elem, i, xs, dxs)
-
-
-def test_diff_element_eval_refuses_wrong_arity():
-    elem = delta(_bivariate())
-    with pytest.raises(ValueError):
-        elem.eval_exact(1, ((Q(1), Q(0)),), ((Q(1), Q(0)),) * 3)
 
 
 # ---------------------------------------------------------------------------

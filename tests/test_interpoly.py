@@ -5,6 +5,7 @@ from fractions import Fraction as Q
 
 import pytest
 
+from hyperpoly.classify import classify_poly
 from hyperpoly.exacteval import part
 from hyperpoly.hypernat import HyperNatural
 from hyperpoly.hypernum import HyperComplex, INFINITE, INFINITESIMAL
@@ -34,6 +35,7 @@ from hyperpoly.interpoly import (
     variable,
     zero_poly,
 )
+from hyperpoly.parser import bind_declarations, build_poly, parse
 
 I = IndexExpr.index
 D_I = HyperNatural.identity()
@@ -147,6 +149,20 @@ class TestDerivative:
         assert (6,) not in m
         assert dP.degree.value(6) == 5
 
+    def test_derivative_of_a_product_reads_coefficients_off_its_rows(self):
+        # a product has no structured form, so its derivative is a lazy rule
+        # whose coefficient stream must agree with the rows it builds
+        e = truncated_exp(D_I)
+        dP = partial_derivative(ProductPoly(e, e), (1,))
+        assert isinstance(dP, LazyPoly)
+        for k in range(8):
+            c = dP.coeff((k,))
+            for i in range(1, 13):
+                assert c.value_exact(i) == dP.materialize(i).get((k,), pair(0)), (k, i)
+        # at index 2: (1 + X + X^2/2)^2 = 1 + 2X + 2X^2 + X^3 + X^4/4
+        assert dP.materialize(2) == {(0,): pair(2), (1,): pair(4), (2,): pair(3),
+                                     (3,): pair(1)}
+
     def test_derivative_beyond_degree_vanishes(self):
         P = monomial(1, (2,), 3)
         assert partial_derivative(P, (3,)).materialize(5) == {}
@@ -189,6 +205,28 @@ class TestDegreeRanges:
                 want[nu] = (want.get(nu, pair(0))[0] + re, Q(0))
             assert {nu: c for nu, c in S.materialize(i).items() if c != pair(0)} == \
                 {nu: c for nu, c in want.items() if c != pair(0)}, i
+
+    @pytest.mark.parametrize("decls,left,right,bands", [
+        ("d := 2*i; e := i; ", "sum(k=0..d, X^k)", "sum(k=0..e, X^k)", [("[i]", "[2*i]")]),
+        ("e := i; ", "sum(k=0..e, X^k)", "sum(k=0..5, X^k)", [(None, "[i]"), (None, "5")]),
+    ], ids=["nested-bounds-collapse", "flipping-bounds-stay-apart"])
+    def test_difference_of_truncations(self, decls, left, right, bands):
+        """Opposite bands over ranges whose bounds are ordered at every index
+        become one band between the bounds; below index 5, ``5`` exceeds
+        ``[i]``, so those bands stay apart."""
+        def build(text):
+            program = parse(decls + text)
+            return build_poly(program.expression, bind_declarations(program))
+
+        p, a, b = build(f"{left} - {right}"), build(left), build(right)
+        assert [(None if t.lo is None else str(t.lo), str(t.hi)) for t in p.tails] == bands
+        for i in range(1, 13):
+            want = dict(a.materialize(i))
+            for nu, (re, im) in b.materialize(i).items():
+                old = want.get(nu, pair(0))
+                want[nu] = (old[0] - re, old[1] - im)
+            assert p.materialize(i) == {nu: c for nu, c in want.items() if c != pair(0)}, i
+        assert classify_poly(p).verdict == "unbounded"
 
 
 class TestTheta:

@@ -41,6 +41,7 @@ from hyperpoly.leibniz import (
     taylor_identity_check,
 )
 from hyperpoly.classify import INFINITESIMAL
+from hyperpoly.stdpart import StandardPartError
 
 I = IndexExpr.index
 D_I = HyperNatural.identity()
@@ -145,6 +146,15 @@ class TestMembership:
 
 
 class TestPhi:
+    def test_phi_refuses_an_element_outside_I(self):
+        p = DiffElement(1, {(0,): constant(1, 1), (1,): constant(1, 1)})
+        verdict = in_I(p)
+        assert verdict.fails()
+        with pytest.raises(StandardPartError) as info:
+            phi(p)
+        assert str(info.value) == f"phi needs an element of I ({verdict})"
+        assert str(verdict) in str(info.value)
+
     def test_phi_of_delta_square(self):
         form = phi(delta(rpoly(1, {(2,): 1})))
         # 2x dx
@@ -184,7 +194,8 @@ class TestReduction:
         d = delta(rpoly(1, {(2,): 1}))
         q = DiffElement(1, {(1,): rpoly(1, {(1,): 2})})
         assert in_I2(d - q).holds()
-        assert phi(d).eq_to_order(phi(q), 8)
+        assert all(a.eq_to_order(b, 8)
+                   for a, b in zip(phi(d).components, phi(q).components))
 
     def test_eps_x_dx_reduces_to_zero(self):
         p = DiffElement(
@@ -249,6 +260,19 @@ class TestFactorization:
         eps, q = infinitesimal_factor(P)
         assert eps.source is P and q.source is P
         assert classify_scaled(eps).verdict == INFINITESIMAL
+
+    @pytest.mark.parametrize("read,message", [
+        (lambda q: q.row(3), "scaled cofactors carry irrational coefficients; "
+                             "use exponent arithmetic on the factorization instead"),
+        (lambda q: q.materialize(3), "scaled cofactors carry irrational coefficients; "
+                                     "use exponent arithmetic on the factorization instead"),
+        (lambda q: q.coeff((1,)), "scaled cofactors have no rational coefficient stream"),
+    ], ids=["row", "materialize", "coeff"])
+    def test_cofactor_refuses_to_materialize(self, read, message):
+        _, q = infinitesimal_factor(scalar_mul(HyperComplex.epsilon(), variable(1, 0)))
+        with pytest.raises(TypeError) as info:
+            read(q)
+        assert str(info.value) == message
 
     def test_non_infinitesimal_refused(self):
         with pytest.raises(FactorizationError):

@@ -29,7 +29,13 @@ from hyperpoly import (
 from hyperpoly.classify import INFINITESIMAL
 from hyperpoly.cli import EXIT_OK, EXIT_UNDETERMINED, build_arg_parser, main, run
 from hyperpoly.families import labeled_family
-from hyperpoly.interpoly import scalar_mul, variable
+from hyperpoly.interpoly import (
+    scalar_mul,
+    theta,
+    truncated_exp,
+    truncated_geometric,
+    variable,
+)
 from hyperpoly.leibniz import DiffElement, delta
 from hyperpoly.interpoly import constant as const_poly
 
@@ -45,10 +51,9 @@ class TestModuleAliases:
             assert hasattr(hyperpoly, name)
 
 
-# the 71 names ``hyperpoly`` re-exports, by the module that defines each
+# the 70 names ``hyperpoly`` re-exports, by the module that defines each
 PUBLIC = {
-    "config": ("HORIZON", "default_horizon"),
-    "verdicts": ("Verdict", "eventually", "negate"),
+    "verdicts": ("HORIZON", "Verdict", "eventually", "negate"),
     "filters": ("FiniteFilterModel", "ProductRing", "enumerate_filters", "is_ultrafilter",
                 "kochen_filter_to_ideal", "kochen_ideal_to_filter"),
     "indexexpr": ("IndexExpr",),
@@ -104,7 +109,7 @@ class TestPublicSurface:
 
     def test_dir_lists_every_name(self):
         public = {name for names in PUBLIC.values() for name in names}
-        assert len(public) == 71
+        assert len(public) == 70
         assert set(hyperpoly.__all__) == public  # a removed name cannot linger in the table
         listed = set(dir(hyperpoly))
         assert public <= listed
@@ -120,6 +125,54 @@ class TestPublicSurface:
             hyperpoly.nope
         with pytest.raises(ImportError, match="cannot import name 'nope' from 'hyperpoly'"):
             exec("from hyperpoly import nope", {})
+
+
+D_I = HyperNatural.identity()
+
+
+def _row_difference(p, q, i):
+    want = dict(p.materialize(i))
+    for nu, (re, im) in q.materialize(i).items():
+        old = want.get(nu, (Q(0), Q(0)))
+        want[nu] = (old[0] - re, old[1] - im)
+    return {nu: c for nu, c in want.items() if c != (Q(0), Q(0))}
+
+
+def _theta_sum(p, q):
+    s = theta(p) + theta(q)
+    return [s.coeff((k,)).value_exact(i) for k in range(6) for i in range(1, 9)]
+
+
+def _row_sum(p, q):
+    zero = (Q(0), Q(0))
+    return [tuple(a + b for a, b in zip(p.materialize(i).get((k,), zero),
+                                        q.materialize(i).get((k,), zero)))
+            for k in range(6) for i in range(1, 9)]
+
+
+# the reflected and scaled operators of the public numeric types, each against
+# the index-by-index value it must have
+OPERATORS = {
+    "IndexExpr.__rsub__": lambda: ([(1 - IndexExpr.index()).eval(i) for i in range(1, 9)],
+                                   [1 - i for i in range(1, 9)]),
+    "HyperComplex.__rsub__": lambda: (
+        [(1 - HyperComplex.epsilon()).value_exact(i) for i in range(1, 9)],
+        [(1 - Q(1, i), Q(0)) for i in range(1, 9)]),
+    "InternalPolynomial.__sub__": lambda: (
+        [(truncated_exp(D_I) - truncated_geometric(D_I)).materialize(i) for i in range(1, 9)],
+        [_row_difference(truncated_exp(D_I), truncated_geometric(D_I), i)
+         for i in range(1, 9)]),
+    "HyperNatural.__rmul__": lambda: (2 * HyperNatural(1, 3), HyperNatural(2, 6)),
+    "HyperNatural.__str__": lambda: (str(HyperNatural(2, -1)), "[2*i-1]"),
+    "InternalSeries.__add__": lambda: (_theta_sum(truncated_exp(D_I), truncated_geometric(D_I)),
+                                       _row_sum(truncated_exp(D_I), truncated_geometric(D_I))),
+}
+
+
+@pytest.mark.parametrize("name", sorted(OPERATORS))
+def test_operator_completes_its_protocol(name):
+    got, want = OPERATORS[name]()
+    assert got == want
 
 
 class TestOracleSymbolicWitness:
@@ -149,15 +202,6 @@ class TestCliContracts:
             code = main(["classify", "c := (0-1)^i; c*X"])
         assert code == EXIT_OK
         assert json.loads(buf.getvalue())["verdict"] == "bounded"
-
-    def test_horizon_env_override(self, monkeypatch):
-        from hyperpoly.config import default_horizon
-
-        monkeypatch.setenv("HYPERPOLY_HORIZON", "32")
-        assert default_horizon() == 32
-        monkeypatch.setenv("HYPERPOLY_HORIZON", "zero")
-        with pytest.raises(ValueError):
-            default_horizon()
 
 
 def _command_parsers() -> dict:
@@ -289,3 +333,23 @@ class TestNoCodeWithoutACaller:
             if not (name.startswith("__") and name.endswith("__")) and name not in exempt
             and len(re.findall(rf"\b{re.escape(name)}\b", text)) <= count)
         assert not uncalled, "no caller outside the unit tests: " + ", ".join(uncalled)
+
+
+class TestNoAmbientState:
+    def test_no_module_reads_the_environment(self):
+        """Every setting comes from the command line or a call's arguments, so
+        the same argv prints the same bytes whatever the environment holds."""
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        reads = []
+        for path in sorted(glob.glob(os.path.join(root, "src", "hyperpoly", "*.py"))):
+            with open(path, encoding="utf-8") as fh:
+                tree = ast.parse(fh.read())
+            for node in ast.walk(tree):
+                name = (node.attr if isinstance(node, ast.Attribute)
+                        else node.id if isinstance(node, ast.Name)
+                        else None)
+                imported = isinstance(node, ast.ImportFrom) and node.module == "os" and any(
+                    a.name in ("environ", "getenv") for a in node.names)
+                if name in ("environ", "getenv") or imported:
+                    reads.append(f"{os.path.basename(path)}:{node.lineno}")
+        assert not reads, "reads the environment: " + ", ".join(reads)
