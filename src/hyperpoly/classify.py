@@ -500,12 +500,21 @@ def sampling_oracle(
 # ---------------------------------------------------------------------------
 
 def _torus_values(
-    p: InternalPolynomial, radius: float, at_index: int, nodes: int
+    p: InternalPolynomial, radius: float, at_index: int, nodes: Optional[int] = None
 ) -> tuple[dict, list, dict]:
-    """Materialize P_i and evaluate it at every node of the M^n torus grid."""
+    """Materialize P_i and evaluate it at every node of the M^n torus grid.
+
+    Refuses ``nodes`` up to the per-variable degree ``deg`` of P_i before any
+    evaluation; by default ``nodes`` is ``max(16, 2 * deg + 5)``.
+    """
     import itertools as _it
 
     mat = p.materialize(at_index)
+    deg = max((max(mu) for mu in mat), default=0)
+    if nodes is None:
+        nodes = max(16, 2 * deg + 5)
+    elif nodes <= deg:
+        raise ValueError(f"need more than deg = {deg} nodes, got {nodes}")
     roots = [cmath.exp(2j * cmath.pi * k / nodes) for k in range(nodes)]
     values = {}
     for js in _it.product(range(nodes), repeat=p.n):
@@ -518,24 +527,6 @@ def _torus_values(
                     term *= xi[t] ** e
             val += term
         values[js] = val
-    return mat, roots, values
-
-
-def _per_variable_degree(mat: dict) -> int:
-    deg = 0
-    for mu in mat:
-        deg = max(deg, max(mu))
-    return deg
-
-
-def _quadrature_values(
-    p: InternalPolynomial, R: float, at_index: int, nodes: int
-) -> tuple[dict, list, dict]:
-    """Torus values for coefficient recovery; refuses too few nodes."""
-    mat, roots, values = _torus_values(p, R, at_index, nodes)
-    deg = _per_variable_degree(mat) if mat else 0
-    if nodes <= deg:
-        raise ValueError(f"need more than deg = {deg} nodes, got {nodes}")
     return mat, roots, values
 
 
@@ -559,7 +550,7 @@ def cauchy_all_coefficients(
     rounding once ``nodes`` exceeds the per-variable degree.
     """
     R = float(radius)
-    mat, roots, values = _quadrature_values(p, R, at_index, nodes)
+    mat, roots, values = _torus_values(p, R, at_index, nodes)
     return {nu: _trapezoid(values, roots, nodes, nu, p.n, R) for nu in mat}
 
 
@@ -577,7 +568,7 @@ def cauchy_coefficient(
     whole point of the trapezoidal rule on the torus.
     """
     R = float(radius)
-    _, roots, values = _quadrature_values(p, R, at_index, nodes)
+    _, roots, values = _torus_values(p, R, at_index, nodes)
     return _trapezoid(values, roots, nodes, tuple(nu), p.n, R)
 
 
@@ -592,10 +583,7 @@ def coefficient_bound_check(
     list should be empty up to a quadrature slack of 1e-8.
     """
     R = float(radius)
-    mat = p.materialize(at_index)
-    deg = _per_variable_degree(mat) if mat else 0
-    nodes = max(16, 2 * deg + 5)
-    mat, _, values = _torus_values(p, R, at_index, nodes)
+    mat, _, values = _torus_values(p, R, at_index)
     m_r = max((abs(v) for v in values.values()), default=0.0)
     violations = []
     for mu, c in mat.items():

@@ -14,9 +14,8 @@ term-by-term rational arithmetic.
 * A *part* ``(nu, re, im, den)`` is one value ``(re + i im) / den`` at ``nu``:
   :func:`part` writes an exact pair as one, :func:`parts_of_row` reads a row
   back as parts, and :func:`row_of_parts` sums parts over one lcm.
-* :func:`multiply_rows` (the integer entry point) and :func:`multiply` (the
-  table entry point, truncated at ``top``) convolve in the order of the nested
-  term-by-term loop; a row drops the zero sums, a table keeps them.
+* :func:`multiply_rows` convolves two rows in the order of the nested
+  term-by-term loop and drops the zero sums.
 * :func:`dot` sums products of exact pairs over one denominator: a coefficient
   of ``StandardPowerSeries.__mul__``, and each prefix index of
   ``interpoly._box_convolution``.
@@ -31,9 +30,9 @@ dense power tables; the torus quadrature in ``classify`` samples in floats.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import inf, lcm
+from math import lcm
 from operator import add
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Sequence
 
 
 Row = tuple  # (den, top, max_exp, terms), see the module docstring
@@ -96,36 +95,18 @@ def _numerators(table: dict) -> tuple[int, list]:
     ]
 
 
-def _convolve(xs: list, ys: list, top: Optional[int]) -> tuple[dict, dict]:
-    """``(re, im)`` sums of ``(p + iq)(r + is)`` over ``(nu, p, q)`` and
-    ``(mu, r, s)``, keyed by ``nu + mu`` in nested-loop order, up to ``top``."""
-    ys = [(mu, r, s, sum(mu)) for mu, r, s in ys]
+def multiply_rows(a: Row, b: Row) -> Row:
+    """The product of two rows of one arity: ``(p + iq)(r + is)`` summed over
+    their terms, keyed by ``nu + mu`` in nested-loop order."""
+    ys = [(mu, r, s) for mu, _, r, s, _ in b[3]]
     acc_re: dict = {}
     acc_im: dict = {}
-    for nu, p, q in xs:
-        room = inf if top is None else top - sum(nu)
-        for mu, r, s, m in ys:
-            if m <= room:
-                k = tuple(map(add, nu, mu))
-                acc_re[k] = acc_re.get(k, 0) + p * r - q * s
-                acc_im[k] = acc_im.get(k, 0) + p * s + q * r
-    return acc_re, acc_im
-
-
-def multiply_rows(a: Row, b: Row) -> Row:
-    """The product of two rows of one arity."""
-    acc_re, acc_im = _convolve([(nu, re, im) for nu, _, re, im, _ in a[3]],
-                               [(nu, re, im) for nu, _, re, im, _ in b[3]], None)
+    for nu, _, p, q, _ in a[3]:
+        for mu, r, s in ys:
+            k = tuple(map(add, nu, mu))
+            acc_re[k] = acc_re.get(k, 0) + p * r - q * s
+            acc_im[k] = acc_im.get(k, 0) + p * s + q * r
     return _build_row(a[0] * b[0], [(k, re, acc_im[k]) for k, re in acc_re.items()], len(a[2]))
-
-
-def multiply(a: dict, b: dict, top: Optional[int] = None) -> dict:
-    """The product of two tables, without its keys of total degree above ``top``."""
-    den_a, xs = _numerators(a)
-    den_b, ys = _numerators(b)
-    acc_re, acc_im = _convolve(xs, ys, top)
-    den = den_a * den_b
-    return {k: (Fraction(re, den), Fraction(acc_im[k], den)) for k, re in acc_re.items()}
 
 
 def dot(pairs: Iterable[tuple[tuple, tuple]]) -> tuple[Fraction, Fraction]:

@@ -608,6 +608,19 @@ def _tail_times_explicit(p: StructuredPoly, q: StructuredPoly) -> InternalPolyno
     return total
 
 
+def expand(terms, xs: list, zero):
+    """``zero`` plus, for each ``(nu, c)`` of ``terms`` in order, ``c`` times each
+    ``xs[v]``, ``nu[v]`` times: a monomial expansion in the ring's own ``*`` and
+    ``+``, for ring elements ``c`` and ``xs``."""
+    total = zero
+    for nu, term in terms:
+        for var, k in enumerate(nu):
+            for _ in range(k):
+                term = term * xs[var]
+        total = total + term
+    return total
+
+
 def poly_compose(outer: InternalPolynomial, inners: list[InternalPolynomial]) -> InternalPolynomial:
     """outer(Q_1, ..., Q_n); the outer polynomial must have finite degree."""
     if len(inners) != outer.n:
@@ -621,14 +634,8 @@ def poly_compose(outer: InternalPolynomial, inners: list[InternalPolynomial]) ->
     n_inner = inners[0].n
     if any(q.n != n_inner for q in inners):
         raise ValueError("inner polynomials must share a variable count")
-    total: InternalPolynomial = zero_poly(n_inner)
-    for nu, c in outer.explicit.items():
-        term: InternalPolynomial = constant(n_inner, c)
-        for var, k in enumerate(nu):
-            for _ in range(k):
-                term = poly_mul(term, inners[var])
-        total = poly_add(total, term)
-    return total
+    return expand(((nu, constant(n_inner, c)) for nu, c in outer.explicit.items()),
+                  inners, zero_poly(n_inner))
 
 
 def poly_eval(p: InternalPolynomial, point: list) -> HyperComplex:
@@ -647,14 +654,7 @@ def poly_eval(p: InternalPolynomial, point: list) -> HyperComplex:
         and not p.tops
         and all(x.symbolic for x in point)
     ):
-        total = HyperComplex.from_rational(0)
-        for nu, c in p.explicit.items():
-            term = c
-            for var, k in enumerate(nu):
-                for _ in range(k):
-                    term = term * point[var]
-            total = total + term
-        return total
+        return expand(p.explicit.items(), point, HyperComplex.from_rational(0))
 
     return HyperComplex(gen=lambda i: p.eval_exact(i, tuple(x.value_exact(i) for x in point)))
 

@@ -445,22 +445,6 @@ def build_hypernat(node: Node, env: Bindings) -> HyperNatural:
     return HyperNatural(int(slope), int(intercept))
 
 
-def _collect_vars(node: Node, names: list, acc: set) -> set:
-    """Add to ``acc`` the members of ``names`` that ``node`` reads as variables."""
-    if isinstance(node, Var) and node.name in names:
-        acc.add(node.name)
-    elif isinstance(node, BinOp):
-        _collect_vars(node.left, names, acc)
-        _collect_vars(node.right, names, acc)
-    elif isinstance(node, Neg):
-        _collect_vars(node.operand, names, acc)
-    elif isinstance(node, Pow):
-        _collect_vars(node.base, names, acc)
-    elif isinstance(node, Sum):
-        _collect_vars(node.body, names, acc)
-    return acc
-
-
 def _positions(names: set) -> dict:
     order = [v for v in X_VARS if v in names] or ["X"]
     return {v: k for k, v in enumerate(order)}
@@ -475,7 +459,7 @@ def variable_map(nodes) -> dict:
     """
     names: set = set()
     for node in nodes:
-        _collect_vars(node, X_VARS, names)
+        free_names(node, names)
     return _positions(names)
 
 
@@ -524,11 +508,15 @@ def build_poly_in(node: Node, env: Bindings, variables: dict):
                     HyperComplex.from_expr(IndexExpr.const(1) / divisor), go(m.left)
                 )
         if isinstance(m, Pow):
-            if not isinstance(m.exponent, Num):
+            # c^i, with i the index and c free of the variables, is a sequence
+            index_power = (isinstance(m.exponent, Var) and m.exponent.name == "i"
+                           and "i" not in variables
+                           and not free_names(m.base) & variables.keys())
+            if not (index_power or isinstance(m.exponent, Num)):
                 raise BindError(
                     "polynomial powers need literal exponents; use sum(...) for bands"
                 )
-            if isinstance(m.base, Var) and m.base.name not in variables:
+            if index_power or isinstance(m.base, Var) and m.base.name not in variables:
                 return scalar_mul(HyperComplex.from_expr(seq(m)), constant(n, 1))
             out = constant(n, 1)
             base = go(m.base)
@@ -678,8 +666,7 @@ def free_names(node: Node, acc: Optional[set] = None) -> set:
         free_names(node.base, acc)
         free_names(node.exponent, acc)
     elif isinstance(node, Sum):
-        free_names(node.body, acc)
-        acc.discard(node.var)
+        acc |= free_names(node.body) - {node.var}
     return acc
 
 
@@ -688,8 +675,8 @@ def build_diff_element(node: Node, env: Bindings):
     from .interpoly import StructuredPoly
     from .leibniz import DiffElement
 
-    dx_names = _collect_vars(node, DX_VARS, set())
-    positions = _positions(_collect_vars(node, X_VARS, set()) | {_DX_TO_X[d] for d in dx_names})
+    names = free_names(node)
+    positions = _positions(names | {x for d, x in _DX_TO_X.items() if d in names})
     n = len(positions)
     # built in 2n variables: the X's first, then the matching dX's
     variables = {**positions,

@@ -16,7 +16,7 @@ from fractions import Fraction
 from typing import Callable, Optional
 
 from .classify import PolyClass, classify_poly
-from .exacteval import dot, multiply
+from .exacteval import dot
 from .hypernum import HyperComplex
 from .hypernat import HyperNatural
 from .indexexpr import IndexExpr
@@ -25,6 +25,7 @@ from .interpoly import (
     StructuredPoly,
     TailTerm,
     exp_tail,
+    expand,
     mi_sub,
     multi_indices_of_degree,
     truncate_series,
@@ -228,25 +229,21 @@ class SeriesMorphism(Record):
     def apply(self, h: StandardPowerSeries, order: int) -> StandardPowerSeries:
         if h.n != self.n_source:
             raise ValueError("series arity does not match the morphism source")
-        support_cap = max(order, h.display_order)
-        if any(g.coeff(tuple([0] * self.m_target)) != _ZERO for g in self.images):
-            # constant terms present: only finitely supported h substitutes exactly
-            support_cap = h.display_order
-        table: dict[tuple, Pair] = {}
-        img_tables = [g.coefficients_up_to(order) for g in self.images]
-        for m in range(support_cap + 1):
-            for nu in multi_indices_of_degree(self.n_source, m):
-                c = h.coeff(nu)
-                if c == _ZERO:
-                    continue
-                term = {tuple([0] * self.m_target): c}
-                for var, k in enumerate(nu):
-                    for _ in range(k):
-                        term = multiply(term, img_tables[var], top=order)
-                for key, v in term.items():
-                    prev = table.get(key, _ZERO)
-                    table[key] = (prev[0] + v[0], prev[1] + v[1])
-        return StandardPowerSeries.from_dict(self.m_target, table, display_order=order)
+        zero = tuple([0] * self.m_target)
+        if any(g.coeff(zero) != _ZERO for g in self.images):
+            # constant terms present: every term of h reaches every degree, so
+            # only a finitely supported h substitutes exactly
+            if h.support is None:
+                raise ValueError(
+                    "images with constant terms substitute only into finitely supported series")
+            terms = h.support.items()
+        else:
+            terms = h.coefficients_up_to(order).items()
+        out = expand(
+            ((nu, StandardPowerSeries.from_dict(self.m_target, {zero: c})) for nu, c in terms),
+            self.images, StandardPowerSeries.from_dict(self.m_target, {}))
+        return StandardPowerSeries.from_dict(
+            self.m_target, out.coefficients_up_to(order), display_order=order)
 
 
 def st_morphism(images: list[InternalPolynomial]) -> SeriesMorphism:

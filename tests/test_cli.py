@@ -75,6 +75,16 @@ class TestClassify:
         assert oracle["infinitesimal"]["kind"] == "Undetermined"
         assert oracle["bounded"]["witness"] == 4
 
+    @pytest.mark.parametrize("inline,declared", [
+        ("2^i*X", "c := 2^i; c*X"),
+        ("(1/2)^i*X + 1", "c := (1/2)^i; c*X + 1"),
+    ])
+    def test_index_power_reads_as_its_declared_sequence(self, inline, declared):
+        # c^i inside a polynomial is the sequence factor a declaration binds
+        got = run_cli("classify", inline)
+        assert got[0] == EXIT_OK
+        assert got == run_cli("classify", declared)
+
     def test_explicit_horizon_reaches_the_oracle(self):
         code, out = run_cli(
             "classify", "sum(k=0..d, X^k)", "--d", "i", "--radius", "3",
@@ -706,6 +716,10 @@ REFUSALS = [
     (("classify", "X", "--d", ""), "expected a bare expression at line 1, column 1"),
     (("eval", "X", "--at", ""), "expected a bare expression at line 1, column 1"),
     (("eval", "X", "--at", "c := 3; c"), "expected a bare expression at line 1, column 1"),
+    # a sum's loop variable hides the index only inside the sum
+    (("generic", "--param", "t -> (i + sum(i=0..2, t^i), 0)", "--indices", "1..1"),
+     "coordinate 'i + sum(i=0..2, t^i)' mentions the index i; coordinates are standard "
+     "polynomials"),
 ]
 
 

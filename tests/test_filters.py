@@ -50,6 +50,29 @@ class TestEventually:
         w = eventually(lambda i: not (math.factorial(i) > 2**i), 64)
         assert w == negate(v)
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.one_of(
+        st.lists(st.booleans(), min_size=1, max_size=40),
+        # a prefix, then a constant run, so that decided verdicts are drawn too
+        st.builds(lambda head, value, run: head + [value] * run,
+                  st.lists(st.booleans(), max_size=20), st.booleans(), st.integers(1, 40)),
+    ))
+    def test_threshold_contract_on_drawn_windows(self, window):
+        horizon = len(window)
+        v = eventually(lambda i: window[i - 1], horizon)
+        if v.kind == UNDETERMINED:
+            assert v.witness == horizon
+            # no constant run to the horizon starts in the first half
+            t = horizon
+            while t > 1 and window[t - 2] == window[-1]:
+                t -= 1
+            assert t > horizon / 2
+        else:
+            t, value = v.witness, v.kind == HOLDS
+            assert all(w == value for w in window[t - 1:])
+            assert t == 1 or window[t - 2] != value
+            assert t <= horizon / 2
+
     def test_predicate_error_carries_index(self):
         with pytest.raises(PredicateEvaluationError) as e:
             eventually(lambda i: 1 / (i - 5) > 0, 64)

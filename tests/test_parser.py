@@ -18,6 +18,7 @@ from hyperpoly.parser import (
     build_poly,
     build_poly_in,
     build_sequence,
+    free_names,
     parse,
     parse_expression,
     print_program,
@@ -139,6 +140,24 @@ class TestPolynomials:
         assert build_poly_in(f, Bindings.empty(), variables).materialize(1) == {
             (0, 2): (Q(1), Q(0))}
         assert variable_map([parse_expression("2")]) == {"X": 0}
+
+    def test_loop_variable_hides_only_the_sum_body(self):
+        assert free_names(parse_expression("i + sum(i=0..2, X^i)")) == {"i", "X"}
+        assert free_names(parse_expression("sum(i=0..2, X^i)")) == {"X"}
+        # a loop variable named like a polynomial variable is not one
+        assert variable_map([parse_expression("Y + sum(X=0..3, X*Y^X)")]) == {"Y": 0}
+
+    def test_index_power_is_a_sequence_factor(self):
+        env = bind_declarations(parse("c := 2^i; 0"))
+        inline = build_poly(parse_expression("2^i*X"), Bindings.empty())
+        declared = build_poly(parse_expression("c*X"), env)
+        assert [inline.row(i) for i in range(1, 6)] == [declared.row(i) for i in range(1, 6)]
+        for text in ("X^i", "(X+1)^i"):
+            with pytest.raises(BindError, match="polynomial powers need literal exponents"):
+                build_poly(parse_expression(text), Bindings.empty())
+        # i is a polynomial variable here, so 2^i is no sequence
+        with pytest.raises(BindError, match="polynomial powers need literal exponents"):
+            build_poly_in(parse_expression("2^i"), Bindings.empty(), {"i": 0})
 
     def test_band_in_multivariate_context_rejected(self):
         env = bind_declarations(parse("d := i; 0"))

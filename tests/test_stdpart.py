@@ -5,7 +5,10 @@ import random
 from fractions import Fraction as Q
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from hyperpoly.families import make_bounded, make_infinitesimal
 from hyperpoly.hypernat import HyperNatural
 from hyperpoly.hypernum import HyperComplex
 from hyperpoly.indexexpr import IndexExpr
@@ -88,6 +91,16 @@ class TestStPoly:
             lhs_s = st_poly(poly_add(p, q))
             rhs_s = st_poly(p) + st_poly(q)
             assert lhs_s.eq_to_order(rhs_s, 12)
+
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_adding_an_infinitesimal_keeps_the_standard_part(self, seed):
+        rng = random.Random(seed)
+        p = make_bounded(rng)
+        e = make_infinitesimal(rng)
+        while e.n != p.n:
+            e = make_infinitesimal(rng)
+        assert st_poly(poly_add(p, e)).eq_to_order(st_poly(p), 12)
 
     def test_kernel_is_infinitesimal(self):
         P = scalar_mul(HyperComplex.epsilon(), truncated_exp(D_I))
@@ -217,6 +230,20 @@ class TestMorphism:
             lhs = composed.apply(h, 8)
             rhs = mor_w.apply(mor_g.apply(h, 8), 8)
             assert lhs.eq_to_order(rhs, 8)
+
+    def test_constant_term_image_refuses_an_infinitely_supported_series(self):
+        # with X -> 1 + X every term of h reaches the constant term, so a
+        # truncation of exp would be returned as if it were exact
+        mor = st_morphism([rational_poly({(0,): Q(1), (1,): Q(1)})])
+        with pytest.raises(ValueError, match="finitely supported"):
+            mor.apply(StandardPowerSeries.exp(), 6)
+
+    def test_constant_term_image_substitutes_every_term_of_the_support(self):
+        # (1 + x)^20 to order 3, although the support lies past display_order
+        mor = st_morphism([rational_poly({(0,): Q(1), (1,): Q(1)})])
+        out = mor.apply(StandardPowerSeries.from_dict(1, {(20,): 1}), 3)
+        assert out.coefficients_up_to(3) == {
+            (k,): (Q(math.comb(20, k)), Q(0)) for k in range(4)}
 
     def test_unbounded_image_refused(self):
         with pytest.raises(StandardPartError):
