@@ -422,7 +422,8 @@ def _execute(argv, program: Optional[str] = None) -> tuple[dict, int, bool]:
         for name, rule, ok in (("horizon", ">= 1", lambda v: v >= 1),
                                ("order", ">= 0", lambda v: v >= 0),
                                ("radius", "> 0", lambda v: v > 0),
-                               ("samples", ">= 1", lambda v: v >= 1)):
+                               ("samples", ">= 1", lambda v: v >= 1),
+                               ("tol", "finite and >= 0", lambda v: 0 <= v < float("inf"))):
             if given.get(name) is not None and not ok(given[name]):
                 raise ValueError(f"need --{name} {rule}")
         report, code = args.fn(args)

@@ -1,12 +1,14 @@
 """Simultaneous root finding for the materialized polynomials.
 
-Durand-Kerner, deterministic end to end: the polynomial is first rescaled by
-its Fujiwara root bound (z = s*w puts every root inside the unit-ish disc in
-w, whatever the coefficient spread), then all starting points are placed on
-the circle of radius ``1 + max|coefficient|`` of the rescaled monic
-polynomial, at evenly spaced angles with a fixed phase offset so conjugate
-symmetry cannot stall the iteration.  No randomness: the same input always
-yields the same root list.
+Durand-Kerner, deterministic end to end: the polynomial is rescaled by its
+Fujiwara root bound (z = s*w puts every root inside the unit-ish disc in w),
+and the starting points sit evenly spaced, with a fixed phase offset so that
+conjugate symmetry cannot stall the iteration, on the circle of radius
+``1 + max|coefficient|`` of the rescaled monic polynomial.  A sweep corrects
+w_0, w_1, ... in place (Gauss-Seidel), multiplies each denominator from
+1 + 0j over ascending k and evaluates each numerator by Horner from the top
+coefficient.  That order of floating-point operations is part of the output:
+``perfbench/golden/cli.json`` pins the ``zeros`` roots bit for bit.
 """
 
 from __future__ import annotations
@@ -31,49 +33,46 @@ def _fujiwara_bound(monic: list[complex]) -> float:
 def durand_kerner(coeffs: list[complex]) -> list[complex]:
     """Roots of sum coeffs[k] z^k; the leading coefficient must be nonzero.
 
-    At most 200 sweeps, stopping once no root moves by 1e-12.
+    At most 200 sweeps, stopping once no root moves by 1e-12; the roots come
+    sorted by angle, ties by modulus.
     """
     coeffs = [complex(c) for c in coeffs]
     while coeffs and abs(coeffs[-1]) == 0:
         coeffs = coeffs[:-1]
     if len(coeffs) < 2:
         return []
-    lead = coeffs[-1]
-    monic = [c / lead for c in coeffs]
+    monic = [c / coeffs[-1] for c in coeffs]
     deg = len(monic) - 1
     scale = max(_fujiwara_bound(monic), 1e-30)
     # w-polynomial: monic with coefficients b_k = monic_k / scale^(deg-k),
     # all of modulus <= 2^(k-deg) by the Fujiwara construction
     b = [monic[k] / scale ** (deg - k) for k in range(deg + 1)]
-
-    def p(w: complex) -> complex:
-        acc = 0j
-        for c in reversed(b):
-            acc = acc * w + c
-        return acc
-
+    top_first = b[::-1]
     radius = 1.0 + max(abs(c) for c in b)
-    w = [
-        radius * cmath.exp(2j * cmath.pi * (j / deg + 0.25 / deg + 1 / 16))
-        for j in range(deg)
-    ]
+    w = [radius * cmath.exp(2j * cmath.pi * (j / deg + 0.25 / deg + 1 / 16))
+         for j in range(deg)]
     for _ in range(200):
         moved = 0.0
         for j in range(deg):
+            wj = w[j]
             denom = 1.0 + 0j
-            for k in range(deg):
-                if k != j:
-                    denom *= w[j] - w[k]
+            for wk in w[:j]:
+                denom *= wj - wk
+            for wk in w[j + 1:]:
+                denom *= wj - wk
             if denom == 0:
-                w[j] += 1e-8 * (1 + 1j)
+                w[j] = wj + 1e-8 * (1 + 1j)
                 continue
-            delta = p(w[j]) / denom
-            w[j] -= delta
-            moved = max(moved, abs(delta))
+            acc = 0j
+            for c in top_first:
+                acc = acc * wj + c
+            delta = acc / denom
+            w[j] = wj - delta
+            if abs(delta) > moved:
+                moved = abs(delta)
         if moved < 1e-12:
             break
     roots = [scale * wj for wj in w]
-    # deterministic order: by angle, ties by modulus
     return sorted(roots, key=lambda z: (cmath.phase(z), abs(z)))
 
 

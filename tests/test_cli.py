@@ -330,9 +330,14 @@ class TestInputRanges:
         ("classify", "eps := 1/i; eps*X", "--dump-index", "0"),
         ("generic", "--param", "t -> t", "--corpus", "bogus"),
         ("generic", "--param", "t -> t", "--corpus", "rows:2"),
+        ("zeros", "eps := 1/i; X^2 + eps*X^3 - 1", "--indices", "5,50", "--tol=nan"),
+        ("zeros", "eps := 1/i; X^2 + eps*X^3 - 1", "--indices", "50,5", "--tol=inf"),
+        ("zeros", "X", "--tol=-inf"),
+        ("zeros", "X", "--tol=-1e-9"),
     ], ids=["radius", "zeros-indices", "generic-indices", "generic-empty-range", "order",
             "index-size", "horizon", "samples", "dump-index-negative", "dump-index-zero",
-            "corpus-kind", "corpus-rows"])
+            "corpus-kind", "corpus-rows", "tol-nan", "tol-inf", "tol-minus-inf",
+            "tol-negative"])
     def test_out_of_range_is_a_typed_error(self, argv):
         code, out = run_cli(*argv)
         assert code == EXIT_ERROR
@@ -849,6 +854,36 @@ def test_corpus_command_loads_no_dataclasses_or_inspect(name, tmp_path):
                 if line.startswith("import time:")}
     assert "hyperpoly.verdicts" in imported     # the log lists the package's modules
     assert not {"dataclasses", "inspect"} & imported
+
+
+# run in a fresh interpreter: the modules that importing hyperpoly and running
+# each command line (one JSON list per argument) add to those loaded at start-up
+_ADDED_MODULES = """
+import contextlib, io, json, sys
+before = set(sys.modules)
+import hyperpoly
+from hyperpoly import cli
+codes = []
+for argv in sys.argv[1:]:
+    with contextlib.redirect_stdout(io.StringIO()):
+        codes.append(cli.main(json.loads(argv)))
+print(json.dumps([codes, sorted(set(sys.modules) - before)]))
+"""
+
+
+def test_corpus_loads_only_the_standard_library(tmp_path):
+    # dependencies = []: whatever a command runs comes from the package or the
+    # standard library (start-up's own site imports are not counted)
+    (tmp_path / "tower.json").write_text(json.dumps(_tower_levels()), encoding="utf-8")
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(hyperpoly.__file__)))
+    argvs = [json.dumps(GOLDEN[name]["argv"]) for name in sorted(GOLDEN)]
+    proc = subprocess.run([sys.executable, "-c", _ADDED_MODULES, *argvs], cwd=tmp_path,
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    codes, added = json.loads(proc.stdout)
+    assert codes == [GOLDEN[name]["exit"] for name in sorted(GOLDEN)]
+    assert [m for m in added if m.split(".")[0] not in sys.stdlib_module_names
+            and m.split(".")[0] != "hyperpoly"] == []
 
 
 # -- a grammar-driven fuzz: every command answers with one JSON line -----------
