@@ -207,7 +207,7 @@ def halo_membership(p: InternalPolynomial, k: int, horizon: int = HORIZON) -> Ve
             c = p.coeff(nu)
             if not c.is_zero_expr():
                 return Verdict(FAILS, 1, f"coefficient at {nu} persists")
-            nonzero = [i for i, v in c.prefix.items() if v != (0, 0)]
+            nonzero = [i for i in range(1, c.until) if c.value_exact(i) != (0, 0)]
             if nonzero:
                 threshold = max(threshold, max(nonzero) + 1)
         return Verdict(HOLDS, threshold, f"all coefficients below degree {k} vanish")

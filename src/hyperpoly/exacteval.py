@@ -17,8 +17,8 @@ term-by-term rational arithmetic.
 * :func:`multiply_rows` convolves two rows in the order of the nested
   term-by-term loop and drops the zero sums.
 * :func:`dot` sums products of exact pairs over one denominator: a coefficient
-  of ``StandardPowerSeries.__mul__``, and each prefix index of
-  ``interpoly._box_convolution``.
+  of ``StandardPowerSeries.__mul__``, and the value of an
+  ``interpoly._box_convolution`` coefficient at an index below its ``until``.
 * :func:`evaluate` takes rows to one point over a common denominator ``D``;
   scaled by ``D^(top - |nu|)``, every term is an integer, and each value one
   ``(re, im, den)`` triple.

@@ -52,6 +52,15 @@ class HyperNatural(Record, frozen=True):
                 return v
         return max(0, self.slope * i + self.intercept)
 
+    def stable_from(self, m: int) -> int:
+        """An index from which ``value(i)`` compares with ``m`` (<, == or >) as
+        it does at every later index: past the patches, and for a positive
+        slope past the last index with ``value(i) <= m``."""
+        t = self.patches[-1][0] + 1 if self.patches else 1
+        if self.slope > 0:
+            t = max(t, (m - self.intercept) // self.slope + 1)
+        return t
+
     @property
     def infinite(self) -> bool:
         """Unbounded, equivalently not eventually constant."""

@@ -10,8 +10,10 @@ Floats appear only where values are read out: :meth:`HyperComplex.value`
 (display) and that window heuristic.
 
 Finitely many leading indices never matter (the ultraproduct quotient), so a
-number may carry a finite ``prefix`` of per-index overrides - this is how
-"eventually constant" coefficient streams are represented.
+symbolic number may also carry a value rule ``gen`` that answers below a first
+index ``until``, where its expressions take over: this is how coefficients whose
+early values follow other rules (masked degrees, eventually constant streams)
+are represented.  A rule runs only when read, once per index.
 """
 
 from __future__ import annotations
@@ -52,27 +54,27 @@ class Classification(Record, frozen=True):
 
 
 class HyperComplex:
-    """An element of the hypercomplex numbers, given by its representative."""
+    """An element of the hypercomplex numbers, given by its representative: the
+    ``re``/``im`` expressions and a rule ``gen`` read below ``until``, or ``gen`` alone."""
 
-    __slots__ = ("re", "im", "prefix", "gen")
+    __slots__ = ("re", "im", "until", "gen", "_values")
 
     def __init__(
         self,
         re: Optional[IndexExpr] = None,
         im: Optional[IndexExpr] = None,
-        prefix: Optional[dict[int, tuple[Fraction, Fraction]]] = None,
+        until: int = 1,
         gen: Optional[Callable[[int], tuple[Fraction, Fraction]]] = None,
     ):
-        if gen is not None and (re is not None or im is not None):
-            raise ValueError("a hypercomplex is either symbolic or generator-backed")
-        if gen is None:
+        if gen is not None and re is None and im is None:   # generator-backed
+            self.re = self.im = None
+        else:
             self.re = re if re is not None else IndexExpr.const(0)
             self.im = im if im is not None else IndexExpr.const(0)
-        else:
-            self.re = None
-            self.im = None
+            gen = gen if until > 1 else None   # a rule that is never read is not kept
+        self.until = until
         self.gen = gen
-        self.prefix = dict(prefix or {})
+        self._values: dict[int, tuple[Fraction, Fraction]] = {}
 
     # -- constructors ---------------------------------------------------------
     @staticmethod
@@ -100,43 +102,37 @@ class HyperComplex:
 
     @property
     def symbolic(self) -> bool:
-        return self.gen is None
+        return self.re is not None
 
     # -- evaluation -------------------------------------------------------------
     def value_exact(self, i: int) -> tuple[Fraction, Fraction]:
-        if i in self.prefix:
-            return self.prefix[i]
-        if self.gen is not None:
-            return self.gen(i)
-        return (self.re.eval(i), self.im.eval(i))
+        if self.gen is None or (self.re is not None and i >= self.until):
+            return (self.re.eval(i), self.im.eval(i))
+        out = self._values.get(i)
+        if out is None:
+            out = self._values[i] = self.gen(i)
+        return out
 
     def value(self, i: int) -> complex:
         return exact_complex(*self.value_exact(i))
 
     def is_zero_expr(self) -> bool:
-        """Zero as an element of the ultraproduct (prefix overrides ignored)."""
+        """Zero as an element of the ultraproduct (values below ``until`` ignored)."""
         return self.symbolic and self.re.is_zero() and self.im.is_zero()
 
     # -- ring operations ----------------------------------------------------------
     def _binary(self, other: "HyperComplex", op) -> "HyperComplex":
         """Apply ``op(a, b, c, d) -> (re, im)`` to the parts of ``self = a + bi``
-        and ``other = c + di``: to the expressions and the prefix pairs of two
-        symbolic values, else to the exact values at each index."""
+        and ``other = c + di``: to the expressions of two symbolic values, and
+        to the exact values below the larger ``until``, or at every index when
+        a value is generator-backed."""
         other = coerce(other)
-        if self.symbolic and other.symbolic:
-            re, im = op(self.re, self.im, other.re, other.im)
-            prefix = {}
-            for i in set(self.prefix) | set(other.prefix):
-                try:
-                    a, b = self.value_exact(i)
-                    c, d = other.value_exact(i)
-                except ZeroDivisionError:
-                    continue
-                prefix[i] = op(a, b, c, d)
-            return HyperComplex(re, im, prefix)
 
         def gen(i, x=self, y=other):
             return op(*x.value_exact(i), *y.value_exact(i))
+        if self.symbolic and other.symbolic:
+            re, im = op(self.re, self.im, other.re, other.im)
+            return HyperComplex(re, im, max(self.until, other.until), gen)
         return HyperComplex(gen=gen)
 
     def __add__(self, other):
@@ -145,11 +141,7 @@ class HyperComplex:
     __radd__ = __add__
 
     def __neg__(self):
-        if self.symbolic:
-            return HyperComplex(
-                -self.re, -self.im, {i: (-a, -b) for i, (a, b) in self.prefix.items()}
-            )
-        return HyperComplex(gen=lambda i, x=self: tuple(-v for v in x.value_exact(i)))
+        return self._binary(0, lambda a, b, c, d: (-a, -b))
 
     def __sub__(self, other):
         return self + (-coerce(other))

@@ -71,9 +71,9 @@ def _box_convolution(f, g, nu: MultiIndex) -> HyperComplex:
     over ``mu <= nu`` in lexicographic order.
 
     Symbolic factors build the forms with the operations of the chained
-    ``HyperComplex`` sum, and the prefix with one :func:`dot` per index of
-    the factors' prefixes, left out where a factor has no value.  Any
-    generator-backed factor sends the whole sum through ``HyperComplex``.
+    ``HyperComplex`` sum, and below the factors' largest ``until`` the value
+    is one :func:`dot` of the factors' values.  Any generator-backed factor
+    sends the whole sum through ``HyperComplex``.
     """
     pairs = [(f(mu), g(mi_sub(nu, mu)))
              for mu in itertools.product(*(range(k + 1) for k in nu))]
@@ -83,13 +83,9 @@ def _box_convolution(f, g, nu: MultiIndex) -> HyperComplex:
     for a, b in pairs:
         re = re + (a.re * b.re - a.im * b.im)
         im = im + (a.re * b.im + a.im * b.re)
-    prefix = {}
-    for i in set().union(*(x.prefix for pair in pairs for x in pair)):
-        try:
-            prefix[i] = dot([(a.value_exact(i), b.value_exact(i)) for a, b in pairs])
-        except ZeroDivisionError:
-            pass
-    return HyperComplex(re, im, prefix)
+    until = max(x.until for pair in pairs for x in pair)
+    return HyperComplex(re, im, until,
+                        lambda i: dot([(a.value_exact(i), b.value_exact(i)) for a, b in pairs]))
 
 
 class TailTerm(Record, frozen=True):
@@ -231,7 +227,7 @@ class InternalPolynomial:
 
 
 def _refuse_generator(c: HyperComplex):
-    if c.gen is not None:
+    if not c.symbolic:
         raise TypeError("a structured coefficient must be symbolic, not generator-backed")
 
 
@@ -290,74 +286,65 @@ class StructuredPoly(InternalPolynomial):
     # -- exact coefficient streams --------------------------------------------------
     def _stable_from(self, m: int) -> int:
         """Index from which all band/degree comparisons at level m are constant."""
-        t = 1
         bounds = [self.degree] + [b for tt in self.tails for b in (tt.lo, tt.hi) if b is not None]
-        for b in bounds:
-            if b.patches:
-                t = max(t, b.patches[-1][0] + 1)
-            if b.slope > 0:
-                # crossing of slope*i + intercept with m
-                cross = -(-(m - b.intercept) // b.slope)  # ceil
-                t = max(t, cross + 1, 1)
-        for top in self.tops:
-            if self.degree.slope > 0:
-                num = m + top.offset - self.degree.intercept
-                if num % self.degree.slope == 0:
-                    t = max(t, num // self.degree.slope + 2)
-        return t
+        return max([b.stable_from(m) for b in bounds]
+                   + [self.degree.stable_from(m + t.offset) for t in self.tops])
 
     def _coeff(self, nu: MultiIndex) -> HyperComplex:
+        """The rules' forms from :meth:`_stable_from` and the coefficients' own
+        ``until`` on, and their values below."""
         if len(nu) != self.n:
             raise ValueError("multi-index arity mismatch")
         m = mi_total(nu)
-        T = self._stable_from(m)
+        T = max([self._stable_from(m)] + [t.coeff.until for t in self.tops])
         if nu in self.explicit:
-            T = max(T, max(self.explicit[nu].prefix, default=0) + 1)
-        for t in self.tops:
-            T = max(T, max(t.coeff.prefix, default=0) + 1)
+            T = max(T, self.explicit[nu].until)
         re = IndexExpr.const(0)
         im = IndexExpr.const(0)
-        probe = max(T, 1)
-        if self.degree.value(probe) >= m or self.degree.slope > 0:
+        if self.degree.value(T) >= m or self.degree.slope > 0:
             if nu in self.explicit:
                 c = self.explicit[nu]
                 re, im = re + c.re, im + c.im
             for t in self.tops:
-                if self.degree.slope == 0 and self.degree.value(probe) - t.offset == m:
+                if self.degree.slope == 0 and self.degree.value(T) - t.offset == m:
                     re, im = re + t.coeff.re, im + t.coeff.im
             for t in self.tails:
-                if t.in_range(m, probe):
+                if t.in_range(m, T):
                     f = IndexExpr.const(t.phi_at(m)) * t.eps**m
                     re = re + f * t.psi_re
                     im = im + f * t.psi_im
-        prefix: dict[int, Pair] = {}
-        for i in range(1, T):
-            prefix[i] = self.coeff_value_at(nu, i)
-        return HyperComplex(re, im, prefix)
+        rules = (self.degree, self.explicit.get(nu), self.tops, self.tails)
+        # the rule holds the parts, not self: self._coeffs then makes no reference cycle
+        return HyperComplex(re, im, T, lambda i: _rule_value(*rules, nu, i))
 
     def coeff_value_at(self, nu: MultiIndex, i: int) -> Pair:
-        # direct rule evaluation; cheaper than materializing the whole index
         nu = tuple(nu)
-        m = mi_total(nu)
-        d_i = self.degree.value(i)
-        if m > d_i:
-            return _ZERO
-        total = _ZERO
-        if nu in self.explicit:
+        return _rule_value(self.degree, self.explicit.get(nu), self.tops, self.tails, nu, i)
+
+
+def _rule_value(degree, c, tops, tails, nu: MultiIndex, i: int) -> Pair:
+    """The coefficient at ``nu`` and index ``i`` of a structured polynomial's rules
+    (``c`` its explicit coefficient there, or None); cheaper than the whole row."""
+    m = mi_total(nu)
+    d_i = degree.value(i)
+    if m > d_i:
+        return _ZERO
+    total = _ZERO
+    if c is not None:
+        try:
+            total = c.value_exact(i)
+        except ZeroDivisionError:
+            total = _ZERO
+    for t in tops:
+        if d_i - t.offset == m:
             try:
-                total = self.explicit[nu].value_exact(i)
+                total = _pair_add(total, t.coeff.value_exact(i))
             except ZeroDivisionError:
-                total = _ZERO
-        for t in self.tops:
-            if d_i - t.offset == m:
-                try:
-                    total = _pair_add(total, t.coeff.value_exact(i))
-                except ZeroDivisionError:
-                    pass
-        for t in self.tails:
-            if t.in_range(m, i):
-                total = _pair_add(total, t.value(m, i))
-        return total
+                pass
+    for t in tails:
+        if t.in_range(m, i):
+            total = _pair_add(total, t.value(m, i))
+    return total
 
 
 class ProductPoly(InternalPolynomial):
@@ -444,7 +431,7 @@ def poly_add(p: InternalPolynomial, q: InternalPolynomial) -> InternalPolynomial
         explicit = dict(p.explicit)
         for k, v in q.explicit.items():
             explicit[k] = explicit[k] + v if k in explicit else v
-        explicit = {k: v for k, v in explicit.items() if not v.is_zero_expr() or v.prefix}
+        explicit = {k: v for k, v in explicit.items() if not v.is_zero_expr() or v.until > 1}
         return StructuredPoly(
             p.n,
             p.degree.max_with(q.degree),
@@ -533,7 +520,7 @@ def _merge_tails(tails: tuple[TailTerm, ...]) -> tuple[TailTerm, ...]:
 
 def scalar_mul(c, p: InternalPolynomial) -> InternalPolynomial:
     c = hc_coerce(c)
-    if isinstance(p, StructuredPoly) and c.symbolic and not c.prefix:
+    if isinstance(p, StructuredPoly) and c.symbolic and c.until <= 1:
         explicit = {k: c * v for k, v in p.explicit.items()}
         tails = tuple(t.replace(psi_re=c.re * t.psi_re - c.im * t.psi_im,
                                 psi_im=c.re * t.psi_im + c.im * t.psi_re) for t in p.tails)
@@ -704,10 +691,8 @@ def _derive_once(p: InternalPolynomial, var: int) -> InternalPolynomial:
         for t in p.tops:
             # c X^(d-j) -> c (d-j) X^(d-j-1)
             d_expr = IndexExpr.const(p.degree.intercept) + p.degree.slope * IndexExpr.index()
-            factor = HyperComplex(
-                d_expr - t.offset,
-                prefix={i: (Q(v - t.offset), Q(0)) for i, v in p.degree.patches},
-            )
+            factor = HyperComplex(d_expr - t.offset, None, p.degree.stable_from(-1),
+                                  lambda i, d=p.degree, t=t: (Q(d.value(i) - t.offset), Q(0)))
             tops.append(TopTerm(t.offset + 1, t.coeff * factor))
         return StructuredPoly(p.n, _lowered(p.degree), explicit, tuple(tails), tuple(tops))
     return _lazy_derivative(p, var)
@@ -743,32 +728,21 @@ def homogenize(p: InternalPolynomial) -> InternalPolynomial:
                 for nu, re, im, den in parts_of_row(p.row(i))]
 
     def coeff_fn(ext):
-        # coefficient of X^nu Z^z is a_nu masked by the indicator of d_i = |nu|+z
-        nu, z = tuple(ext[:-1]), ext[-1]
+        # coefficient of X^nu Z^z is a_nu masked by the indicator of d_i = |nu|+z;
+        # where a_nu has no value, the coefficient reads 0
+        nu, m = tuple(ext[:-1]), mi_total(ext)
         base = p.coeff(nu)
-        if not base.symbolic:
-            return HyperComplex(
-                gen=lambda i: base.value_exact(i) if d.value(i) == mi_total(nu) + z else _ZERO
-            )
-        m = mi_total(nu) + z
-        eventual_hit = d.slope == 0 and max(0, d.intercept) == m
-        special = {i for i, _ in d.patches}
-        if d.slope > 0:
-            num = m - d.intercept
-            if num % d.slope == 0 and num // d.slope >= 1:
-                special.add(num // d.slope)
-        prefix = {}
-        for i in sorted(special):
-            hit = d.value(i) == m
-            if hit == eventual_hit and hit:
-                continue  # agrees with the eventual expression
+
+        def masked(i):
             try:
-                prefix[i] = base.value_exact(i) if hit else _ZERO
+                return base.value_exact(i) if d.value(i) == m else _ZERO
             except ZeroDivisionError:
-                prefix[i] = _ZERO
-        if eventual_hit:
-            return HyperComplex(base.re, base.im, {**base.prefix, **prefix})
-        return HyperComplex(IndexExpr.const(0), IndexExpr.const(0), prefix)
+                return _ZERO
+        if not base.symbolic:
+            return HyperComplex(gen=masked)
+        if d.slope == 0 and max(0, d.intercept) == m:
+            return HyperComplex(base.re, base.im, max(base.until, d.stable_from(m)), masked)
+        return HyperComplex(IndexExpr.const(0), None, d.stable_from(m), masked)
 
     return LazyPoly(p.n + 1, d, fn, coeff_fn)
 
@@ -828,23 +802,10 @@ def truncate_series(coeff_rule, d: HyperNatural, n: int = 1) -> InternalPolynomi
                 for m in range(0, d.value(i) + 1) for nu in multi_indices_of_degree(n, m)]
 
     def coeff_fn(nu):
-        m = mi_total(nu)
-        c = pair(tuple(nu))
-        eventual = max(0, d.intercept) >= m if d.slope == 0 else True
-        if not eventual:
-            prefix = {}
-            for i, v in d.patches:
-                if v >= m:
-                    prefix[i] = c
-            return HyperComplex(IndexExpr.const(0), IndexExpr.const(0), prefix)
-        t_ok = 1
-        while d.value(t_ok) < m:
-            t_ok += 1
-        prefix = {i: _ZERO for i in range(1, t_ok)}
-        for i, v in d.patches:
-            if v < m:
-                prefix[i] = _ZERO
-        return HyperComplex(IndexExpr.const(c[0]), IndexExpr.const(c[1]), prefix)
+        m, c = mi_total(nu), pair(tuple(nu))
+        eventual = c if d.slope > 0 or max(0, d.intercept) >= m else _ZERO
+        return HyperComplex(IndexExpr.const(eventual[0]), IndexExpr.const(eventual[1]),
+                            d.stable_from(m), lambda i: c if d.value(i) >= m else _ZERO)
 
     return LazyPoly(n, d, fn, coeff_fn)
 

@@ -30,6 +30,16 @@ def _fujiwara_bound(monic: list[complex]) -> float:
     return 2.0 * best if best > 0 else 1.0
 
 
+def _scaled(c: complex, scale: float, e: int) -> complex:
+    """``c / scale^e``; ``e`` divisions where the power passes the float range."""
+    try:
+        return c / scale ** e
+    except OverflowError:   # a tiny leading coefficient
+        for _ in range(e):
+            c /= scale
+        return c
+
+
 def durand_kerner(coeffs: list[complex]) -> list[complex]:
     """Roots of sum coeffs[k] z^k; the leading coefficient must be nonzero.
 
@@ -46,7 +56,7 @@ def durand_kerner(coeffs: list[complex]) -> list[complex]:
     scale = max(_fujiwara_bound(monic), 1e-30)
     # w-polynomial: monic with coefficients b_k = monic_k / scale^(deg-k),
     # all of modulus <= 2^(k-deg) by the Fujiwara construction
-    b = [monic[k] / scale ** (deg - k) for k in range(deg + 1)]
+    b = [_scaled(monic[k], scale, deg - k) for k in range(deg + 1)]
     top_first = b[::-1]
     radius = 1.0 + max(abs(c) for c in b)
     w = [radius * cmath.exp(2j * cmath.pi * (j / deg + 0.25 / deg + 1 / 16))

@@ -109,6 +109,13 @@ class TestStdpart:
         assert code == EXIT_ERROR
         assert json.loads(out)["error"] == "StandardPartError"
 
+    @pytest.mark.parametrize("order", ["2", "3", "6"])
+    def test_pole_at_an_early_index_answers_at_every_order(self, order):
+        # 1/(i - 3)^k has no value at index 3, which no standard part reads
+        code, out = run_cli("stdpart", "sum(k=0..d, X^k/(i-3)^k)", "--d", "i", "--order", order)
+        assert code == EXIT_OK
+        assert json.loads(out)["series"]["coefficients"] == {"0": ["1", "0"]}
+
 
 class TestZeros:
     def test_exp_minus_two(self):
@@ -120,6 +127,14 @@ class TestZeros:
         assert code == EXIT_OK
         root = rep["roots"]["20"][0]
         assert abs(root[0] - 0.6931471805599453) < 1e-6
+
+    def test_tiny_leading_coefficient_keeps_the_root_at_zero(self):
+        # the rescaling power of the root finder passes the float range here
+        code, out = run_cli("zeros", "X + X^2/10^200", "--radius", "2", "--indices", "5,10")
+        rep = json.loads(out)
+        assert code == EXIT_OK
+        assert rep["roots"] == {"5": [[0.0, 0.0]], "10": [[0.0, 0.0]]}
+        assert rep["standardPartRoots"] == [[0.0, 0.0]]
 
 
 class TestLeibnizCommands:

@@ -6,7 +6,9 @@ value the kernel produces must equal theirs exactly, and every table it
 builds must list its keys in their order.
 """
 
+import hashlib
 import itertools
+import math
 import random
 from fractions import Fraction as Q
 from unittest.mock import patch
@@ -32,6 +34,7 @@ from hyperpoly.interpoly import (
     dehomogenize,
     homogenize,
     mi_sub,
+    moving_monomial,
     multi_indices_of_degree,
     partial_derivative,
     poly_add,
@@ -47,6 +50,14 @@ from hyperpoly.stdpart import StandardPowerSeries, st_morphism, st_poly
 
 I = IndexExpr.index
 D_I = HyperNatural.identity()
+
+
+def early(re, im=None, values=None):
+    """``re + i im`` that reads ``values`` ({index: pair}) at those indices:
+    a value rule below the last of them, and the expressions everywhere else."""
+    im = IndexExpr.const(0) if im is None else im
+    return HyperComplex(re, im, max(values) + 1,
+                        lambda i: values[i] if i in values else (re.eval(i), im.eval(i)))
 
 
 # ---------------------------------------------------------------------------
@@ -472,7 +483,7 @@ def test_materialize_is_the_view_of_the_fraction_rule(seed):
     for _, p in labeled_family(seed, 8):
         assert_view_matches(p, lambda i: reference_materialize(p, i))
     rng = random.Random(seed)
-    scalar = HyperComplex(IndexExpr.const(Q(2, 3)), 1 / I(), {1: (Q(7), Q(-1))})
+    scalar = early(IndexExpr.const(Q(2, 3)), 1 / I(), {1: (Q(7), Q(-1))})
     for _ in range(3):
         p, q = random_bounded_pair(rng)
         for s in (poly_add(p, q), poly_mul(p, q), ProductPoly(p, q), ProductPoly(q, p)):
@@ -529,7 +540,7 @@ def test_pole_raises_from_row_view_and_eval_on_every_call():
     pt = ((Q(2, 5), Q(-1, 3)),)
     prod = ProductPoly(truncated_exp(D_I), pole)
     # no value at i = 3: scales by zero there
-    scalar = HyperComplex(IndexExpr.const(Q(2, 3)), 1 / (I() - 3), {1: (Q(7), Q(-1))})
+    scalar = early(IndexExpr.const(Q(2, 3)), 1 / (I() - 3), {1: (Q(7), Q(-1))})
     for p, reference in ((pole, lambda i: reference_materialize(pole, i)),
                          (prod, lambda i: reference_materialize(prod, i)),
                          (poly_add(prod, pole), lambda i: reference_lazy_sum(prod, pole, i)),
@@ -748,8 +759,8 @@ def test_products_of_products_match_reference():
 
 def test_lazy_scalar_multiple_matches_reference():
     scalars = [
-        HyperComplex(IndexExpr.const(Q(2, 3)), IndexExpr.const(Q(-1, 5)), {1: (Q(7), Q(0))}),
-        HyperComplex(1 / I(), prefix={2: (Q(0), Q(0))}),
+        early(IndexExpr.const(Q(2, 3)), IndexExpr.const(Q(-1, 5)), {1: (Q(7), Q(0))}),
+        early(1 / I(), values={2: (Q(0), Q(0))}),
         HyperComplex(gen=lambda i: (Q(1, i), Q(1, 2))),
     ]
     for p in (_bivariate(), truncated_exp(D_I), ProductPoly(truncated_exp(D_I), _pole_at_index_2())):
@@ -789,7 +800,7 @@ def test_series_morphism_matches_reference():
 
 def reference_box_convolution(f, g, nu):
     """The coefficient rule of products before ``dot``: one ``HyperComplex``
-    product and sum per ``mu``, each recomputing the prefix pairs."""
+    product and sum per ``mu``, each reading its operands' early values."""
     total = HyperComplex.from_rational(0)
     for mu in itertools.product(*(range(k + 1) for k in nu)):
         total = total + f(mu) * g(mi_sub(nu, mu))
@@ -813,22 +824,20 @@ def reference_series_product(s, t):
 
 
 def assert_same_hypercomplex(got, want, indices=range(1, 9)):
-    """Term-for-term equal forms and prefix, key order included; generator-backed
-    values agree exactly at ``indices``."""
+    """Term-for-term equal forms of symbolic values, and exactly equal values at
+    ``indices`` (the early ones included), or no value at the same indices."""
     assert got.symbolic == want.symbolic
     if got.symbolic:
         assert (got.re.num, got.re.den) == (want.re.num, want.re.den)
         assert (got.im.num, got.im.den) == (want.im.num, want.im.den)
-        assert list(got.prefix.items()) == list(want.prefix.items())
-    else:
-        for i in indices:
-            try:
-                w = want.value_exact(i)
-            except ZeroDivisionError:
-                with pytest.raises(ZeroDivisionError):
-                    got.value_exact(i)
-                continue
-            assert got.value_exact(i) == w
+    for i in indices:
+        try:
+            w = want.value_exact(i)
+        except ZeroDivisionError:
+            with pytest.raises(ZeroDivisionError):
+                got.value_exact(i)
+            continue
+        assert got.value_exact(i) == w
 
 
 def indices_to_degree(n, order):
@@ -868,16 +877,16 @@ def test_product_coefficients_match_chained_sum_on_drawn_families(seed):
 
 
 def _singular_at_2():
-    """Complex coefficients; ``1/(i - 2)`` has no value at 2, an index in the
-    other factor's prefix."""
+    """Complex coefficients; ``1/(i - 2)`` has no value at 2, an index where the
+    other factor has an early value."""
     p = StructuredPoly(1, HyperNatural.constant(2), {
         (0,): HyperComplex(1 / (I() - 2), IndexExpr.const(Q(1, 3))),
-        (1,): HyperComplex(IndexExpr.const(Q(-2, 5)), 1 / I(), {1: (Q(7), Q(-1, 2))}),
+        (1,): early(IndexExpr.const(Q(-2, 5)), 1 / I(), {1: (Q(7), Q(-1, 2))}),
     })
     q = StructuredPoly(1, HyperNatural.constant(2), {
-        (0,): HyperComplex(I() / (I() + 1), IndexExpr.const(Q(5, 6)),
-                        {2: (Q(1, 4), Q(0)), 3: (Q(0), Q(9, 7))}),
-        (2,): HyperComplex(IndexExpr.const(Q(3)), IndexExpr.const(Q(-1, 8)), {4: (Q(0), Q(0))}),
+        (0,): early(I() / (I() + 1), IndexExpr.const(Q(5, 6)),
+                    {2: (Q(1, 4), Q(0)), 3: (Q(0), Q(9, 7))}),
+        (2,): early(IndexExpr.const(Q(3)), IndexExpr.const(Q(-1, 8)), {4: (Q(0), Q(0))}),
     })
     return p, q
 
@@ -887,14 +896,21 @@ def test_singular_factor_leaves_index_out_of_prefix():
     assert_convolutions_match(p, q, 4)
     assert_convolutions_match(q, p, 4)
     c = ProductPoly(p, q).coeff((1,))
-    assert set(c.prefix) == {1, 3} and c.symbolic
+    assert c.symbolic
+    # the early values at 1 and 3 come from the factors, not from the forms
+    for i in (1, 3):
+        assert c.value_exact(i) == dot([(p.coeff((k,)).value_exact(i),
+                                         q.coeff((1 - k,)).value_exact(i)) for k in (0, 1)])
+        assert c.value_exact(i) != (c.re.eval(i), c.im.eval(i))
+    with pytest.raises(ZeroDivisionError):
+        c.value_exact(2)
 
 
 def test_bivariate_box_with_prefixes():
     p = StructuredPoly(2, HyperNatural.constant(3), {
-        (0, 0): HyperComplex(IndexExpr.const(Q(1, 6)), 1 / I(), {1: (Q(2), Q(3, 4))}),
+        (0, 0): early(IndexExpr.const(Q(1, 6)), 1 / I(), {1: (Q(2), Q(3, 4))}),
         (1, 0): HyperComplex(I() / (I() + 2), IndexExpr.const(Q(-5, 7))),
-        (1, 1): HyperComplex(IndexExpr.const(Q(-3, 4)), IndexExpr.const(Q(2, 9)), {3: (Q(0), Q(1))}),
+        (1, 1): early(IndexExpr.const(Q(-3, 4)), IndexExpr.const(Q(2, 9)), {3: (Q(0), Q(1))}),
         (0, 2): HyperComplex(1 / (I() - 3)),
     })
     assert_convolutions_match(p, _bivariate(), 4)
@@ -946,3 +962,125 @@ def test_dot_mixed_denominators():
     assert dot(pairs) == want
     assert dot(pairs) == (Q(113, 252), Q(4237, 1512))
     assert dot([((2, -1), (Q(1, 3), 4))]) == (Q(14, 3), Q(23, 3))
+
+
+# ---------------------------------------------------------------------------
+# early values: a coefficient's value rule below its ``until``, computed on demand
+# ---------------------------------------------------------------------------
+
+ZERO = (Q(0), Q(0))
+
+
+def drawn_members():
+    """Bounded pairs at four seeds with their sums and products, labeled family
+    members, and the derivative and the homogenization of each."""
+    out = []
+    for seed in (1, 2, 101, 202):
+        rng = random.Random(seed)
+        base = [p for _, p in labeled_family(seed, 9)]
+        for _ in range(5):
+            p, q = random_bounded_pair(rng)
+            base += [p, q, poly_add(p, q), poly_mul(p, q)]
+        for p in base:
+            out += [p, partial_derivative(p, (1,) + (0,) * (p.n - 1)), homogenize(p)]
+    return out
+
+
+def coefficient_values(p, top=5, indices=range(1, 14)):
+    """``(nu, i, value)`` for every ``|nu| <= top`` and index; None where the
+    coefficient has no value."""
+    for m in range(top + 1):
+        for nu in multi_indices_of_degree(p.n, m):
+            c = p.coeff(nu)
+            for i in indices:
+                try:
+                    yield nu, i, c.value_exact(i)
+                except ZeroDivisionError:
+                    yield nu, i, None
+
+
+def assert_values_match_rows(p):
+    for nu, i, v in coefficient_values(p):
+        try:
+            table = p.materialize(i)
+        except ZeroDivisionError:
+            continue
+        assert v == table.get(nu, ZERO), (nu, i)
+
+
+# sha256 of the coefficient values of ``drawn_members``, captured while every
+# symbolic coefficient still stored its early values when it was built
+VALUES_DIGEST = "9bbdedb5e950d942e1019c0273220965d298b61742c029ea3261adc347efe9c2"
+
+
+def test_coefficient_values_match_the_rows_and_the_digest():
+    digest = hashlib.sha256()
+    for p in drawn_members():
+        assert_values_match_rows(p)
+        for nu, i, v in coefficient_values(p):
+            key = (nu, i, "ZeroDivisionError") if v is None else (nu, i, str(v[0]), str(v[1]))
+            digest.update(repr(key).encode())
+    assert digest.hexdigest() == VALUES_DIGEST
+
+
+def test_singular_factor_has_no_value_at_its_pole():
+    p, q = _singular_at_2()
+    for a, b in ((p, q), (q, p)):
+        prod = ProductPoly(a, b)
+        for nu in indices_to_degree(1, 4):
+            with pytest.raises(ZeroDivisionError):
+                prod.coeff(nu).value_exact(2)
+
+
+def test_homogenized_coefficient_reads_zero_at_a_pole():
+    # X^0 Z^2 carries a_0 = 1/(i - 2) where d_i = i = 2, and a_0 has no value there
+    p = StructuredPoly(1, D_I, {(0,): HyperComplex(1 / (I() - 2)),
+                                (1,): HyperComplex.from_rational(3)})
+    hom = homogenize(p)
+    c = hom.coeff((0, 2))
+    assert [c.value_exact(i) for i in (1, 2, 3, 4)] == [ZERO] * 4
+    assert hom.materialize(2) == {(1, 1): (Q(3), Q(0))}
+    assert_values_match_rows(hom)
+
+
+def test_homogenized_coefficient_follows_a_degree_clipped_at_zero():
+    # d = max(0, 2i - 3) is 0 at i = 1, where X^0 Z^0 carries a_0; no patch marks it
+    p = StructuredPoly(1, HyperNatural(2, -3), {(0,): HyperComplex.from_rational(5)})
+    hom = homogenize(p)
+    assert hom.coeff((0, 0)).value_exact(1) == (Q(5), Q(0))
+    assert_values_match_rows(hom)
+
+
+def test_derivative_of_a_moving_monomial_with_a_patched_degree():
+    d = HyperNatural(1, 0, ((1, 0), (2, 1), (3, 1)))   # 0, 1, 1, 4, 5, ...
+    c = HyperComplex(IndexExpr.const(Q(1, 2)), 1 / I())
+    for offset in (0, 1):
+        p = moving_monomial(d, c, offset)
+        for order in (1, 2):
+            dp = partial_derivative(p, (order,))
+            # the factor d_i - offset reads the patches below its until
+            assert dp.tops[0].coeff.until == 4
+            assert_values_match_rows(dp)
+
+
+def test_standard_parts_of_products_read_no_early_value(monkeypatch):
+    """st of drawn st-pairs products comes from the coefficients' forms alone:
+    no value rule is called below its ``until``."""
+    made, calls = [], []
+    init = HyperComplex.__init__
+
+    def counting_init(self, re=None, im=None, until=1, gen=None):
+        if gen is not None and (re is not None or im is not None) and until > 1:
+            made.append(until)
+
+            def gen(i, rule=gen):
+                calls.append(i)
+                return rule(i)
+        init(self, re, im, until, gen)
+
+    monkeypatch.setattr(HyperComplex, "__init__", counting_init)
+    rng = random.Random(1)
+    for _ in range(20):
+        p, q = random_bounded_pair(rng)
+        st_poly(poly_mul(p, q)).coefficients_up_to(12)
+    assert made and calls == []

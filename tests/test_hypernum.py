@@ -19,6 +19,12 @@ from hyperpoly.indexexpr import IndexExpr
 I = IndexExpr.index
 
 
+def early(re, im, values):
+    """``re + i im`` that reads ``values`` ({index: pair}) at those indices."""
+    return HyperComplex(re, im, max(values) + 1,
+                        lambda i: values[i] if i in values else (re.eval(i), im.eval(i)))
+
+
 class TestHyperNatural:
     def test_affine_and_constant(self):
         d = HyperNatural.affine(2, 3)
@@ -37,6 +43,25 @@ class TestHyperNatural:
         assert (a + b).value(10) == 13
         m = a.max_with(b)
         assert [m.value(i) for i in (1, 2, 3, 4)] == [3, 3, 3, 4]
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(slope=st.integers(0, 3), intercept=st.integers(-6, 6), m=st.integers(-2, 40),
+           data=st.data())
+    def test_stable_from_holds_the_eventual_comparison(self, slope, intercept, m, data):
+        # patches at 1..k, nondecreasing and below the affine value at k + 1
+        k = data.draw(st.integers(0, 6))
+        cap = max(0, slope * (k + 1) + intercept)
+        values = sorted(data.draw(st.lists(st.integers(0, cap), min_size=k, max_size=k)))
+        d = HyperNatural(slope, intercept, tuple(enumerate(values, 1)))
+
+        def sign(i):
+            return (d.value(i) > m) - (d.value(i) < m)
+        eventual = 1 if slope > 0 else (max(0, intercept) > m) - (max(0, intercept) < m)
+        t = d.stable_from(m)
+        assert 1 <= t <= 60
+        assert all(sign(i) == eventual for i in range(t, 61))
+        if not d.patches and t > 1:
+            assert sign(t - 1) != eventual   # the first such index without patches
 
 
 class TestArithmetic:
@@ -126,7 +151,7 @@ class TestOneFormulaPerOperation:
     def test_generator_values_follow_the_exact_formula(self, u, v, k, w):
         x = HyperComplex.from_generator(lambda i: u[i - 1])
         y = HyperComplex.from_generator(lambda i: v[i - 1])
-        s = HyperComplex(IndexExpr.const(k[0]) + 1 / I(), IndexExpr.const(k[1]), {2: w})
+        s = early(IndexExpr.const(k[0]) + 1 / I(), IndexExpr.const(k[1]), {2: w})
         for f, g in ((x, y), (x, s), (s, x)):
             for i in range(1, 5):
                 (a, b), (c, d) = f.value_exact(i), g.value_exact(i)
@@ -139,16 +164,21 @@ class TestOneFormulaPerOperation:
                     assert z.value(i) == exact_complex(*want)
 
     def test_prefix_overrides_a_generator_value(self):
-        x = HyperComplex(gen=lambda i: (Q(i), Q(0)), prefix={2: (Q(5), Q(1))})
+        # a generator-backed value reads its rule at every index, whatever `until` says
+        x = HyperComplex(until=2, gen=lambda i: (Q(5), Q(1)) if i == 2 else (Q(i), Q(0)))
+        assert not x.symbolic
         assert [x.value_exact(i) for i in (1, 2, 3)] == [(1, 0), (5, 1), (3, 0)]
         assert (x * x).value_exact(2) == (24, 10)
 
     def test_prefix_pairs_follow_the_symbolic_formula(self):
-        x = HyperComplex(IndexExpr.const(Q(1, 3)), IndexExpr.const(Q(-2, 7)), {2: (Q(5), Q(1))})
-        y = HyperComplex(1 / I(), IndexExpr.const(Q(1, 2)), {3: (Q(-1, 4), Q(2))})
+        x = early(IndexExpr.const(Q(1, 3)), IndexExpr.const(Q(-2, 7)), {2: (Q(5), Q(1))})
+        y = early(1 / I(), IndexExpr.const(Q(1, 2)), {3: (Q(-1, 4), Q(2))})
         prod, total = x * y, x + y
         for i in (1, 2, 3, 4):
             (a, b), (c, d) = x.value_exact(i), y.value_exact(i)
             assert prod.value_exact(i) == (a * c - b * d, a * d + b * c)
             assert total.value_exact(i) == (a + c, b + d)
-        assert set(prod.prefix) == set(total.prefix) == {2, 3}
+        # the operands' early values reach the results at 2 and 3, and only there
+        for z in (prod, total):
+            assert [z.value_exact(i) == (z.re.eval(i), z.im.eval(i)) for i in (1, 2, 3, 4)] == [
+                True, False, False, True]

@@ -78,7 +78,7 @@ class TestDelta:
 def spelled(p) -> str:
     """A structured slice written out field by field: same text, same polynomial."""
     def hc(c):
-        return repr(c.re), repr(c.im), c.prefix
+        return repr(c.re), repr(c.im), [c.value_exact(i) for i in range(1, c.until)]
 
     return repr((type(p).__name__, p.n, p.degree,
                  [(nu, hc(c)) for nu, c in p.explicit.items()],

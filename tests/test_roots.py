@@ -63,7 +63,7 @@ def bits(roots: list[complex]) -> list[tuple[str, str]]:
 
 def outcome(finder, coeffs) -> object:
     """The bits of the roots ``finder`` returns, or the type of what it raises
-    (a tiny leading coefficient overflows the rescaling in both)."""
+    (a tiny leading coefficient overflows the reference's rescaling)."""
     try:
         return bits(finder(coeffs))
     except ArithmeticError as exc:
@@ -121,7 +121,20 @@ def polynomials(draw):
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(coeffs=polynomials())
 def test_drawn_polynomials_are_bit_identical(coeffs):
-    assert outcome(durand_kerner, coeffs) == outcome(reference_durand_kerner, coeffs)
+    want = outcome(reference_durand_kerner, coeffs)
+    got = outcome(durand_kerner, coeffs)
+    if want is OverflowError:
+        # the reference's rescaling power passes the float range; the finder
+        # divides by the scale step by step there and answers, one root per degree
+        assert isinstance(got, list) and len(got) == max(k for k, c in enumerate(coeffs) if c)
+    else:
+        assert got == want
+
+
+def test_tiny_leading_coefficient_keeps_its_roots():
+    # scale ** 2 passes the float range; b_0 = 0 and b_1 = 1/2 come from two divisions
+    zero, far = durand_kerner([0, 1, 1e-200])
+    assert zero == 0 and abs(far.real + 1e200) < 1e186 and far.imag == 0
 
 
 def test_degenerate_inputs_match_the_reference():

@@ -14,6 +14,7 @@ from hyperpoly.hypernum import HyperComplex
 from hyperpoly.indexexpr import IndexExpr
 from hyperpoly.interpoly import (
     StructuredPoly,
+    TailTerm,
     moving_monomial,
     poly_add,
     poly_mul,
@@ -71,6 +72,11 @@ class TestStPoly:
         assert s.coeff((1,)) == (1, 0)
         for k in (0, 2, 3, 4):
             assert s.coeff((k,)) == (0, 0)
+
+    def test_pole_at_an_early_index_is_never_read(self):
+        # sum(k=0..d, X^k/(i - 3)^k), d = i: the band has no value at index 3
+        p = StructuredPoly(1, D_I, tails=(TailTerm((IndexExpr.const(1),), eps=1 / (I() - 3)),))
+        assert st_poly(p).coefficients_up_to(6) == {(0,): (Q(1), Q(0))}
 
     def test_unbounded_is_refused_naming_clause(self):
         with pytest.raises(StandardPartError) as e:
