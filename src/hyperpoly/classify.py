@@ -142,15 +142,15 @@ def _classify_structured(p: StructuredPoly) -> PolyClass:
     rays = [_band_ray_values(p, t, psi2) for t, psi2 in zip(p.tails, squares)]
     live = [any(v != _ZERO for v in r or ()) for r in rays]
 
-    # moving top monomials (univariate): root test at |nu| = d - offset
+    # moving top monomials (univariate): root test at |nu| = each top's own degree
     for t in p.tops:
-        res = _classify_top(p, t, any(live))
+        res = _classify_top(t, any(live))
         if res is not None:
             return res
 
     # coefficient bands: clause (i) on the standard degrees, then clause (ii)
     for t, psi2, r, t_live in zip(p.tails, squares, rays, live):
-        walk = _band_key_walk(p, t, psi2)
+        walk = _band_key_walk(t, psi2)
         if walk is not None and walk[0] == "unbounded":
             return PolyClass(
                 UNBOUNDED,
@@ -191,15 +191,15 @@ def _classify_structured(p: StructuredPoly) -> PolyClass:
     )
 
 
-def _classify_top(p: StructuredPoly, t, shared: bool) -> Optional[PolyClass]:
-    """Moving monomial c(i) X^(d_i - offset): decide its root-test limit.
+def _classify_top(t, shared: bool) -> Optional[PolyClass]:
+    """Moving monomial c(i) X^(e_i), ``e = t.degree``: decide its root-test limit.
 
     ``shared`` says whether some band is live on the infinite range.
     """
     c = t.coeff
     if c.is_zero_expr():
         return None
-    if not p.degree.infinite:
+    if not t.degree.infinite:
         # a plain standard coefficient; fold into clause (i)
         if c.classify().label == INFINITE:
             return PolyClass(
@@ -223,7 +223,7 @@ def _classify_top(p: StructuredPoly, t, shared: bool) -> Optional[PolyClass]:
             UNDECIDED,
             Certificate("root-test", ("top coefficient and band share the infinite range",)),
         )
-    v = "oo" if k2 > 0 else f"({key[1]})^(1/{2 * p.degree.slope})"
+    v = "oo" if k2 > 0 else f"({key[1]})^(1/{2 * t.degree.slope})"
     return PolyClass(
         UNBOUNDED,
         Certificate(
@@ -244,10 +244,7 @@ def _band_reaches_ray(p: StructuredPoly, t: TailTerm, num: int, den: int) -> boo
             p.degree.intercept * num / den
         ):
             return False
-    if t.hi is not None:
-        if Fraction(t.hi.slope) < ray_slope:
-            return False
-    return True
+    return Fraction(t.hi.slope) >= ray_slope
 
 
 def _root_factor(sq: IndexExpr) -> str:
@@ -300,7 +297,7 @@ def _band_ray_values(p: StructuredPoly, t: TailTerm, psi2: IndexExpr) -> Optiona
     return [_combine_root_factors(common + [_root_factor(f * f)]) for f in phis] * rays
 
 
-def _band_key_walk(p: StructuredPoly, t: TailTerm, psi2: IndexExpr):
+def _band_key_walk(t: TailTerm, psi2: IndexExpr):
     """Walk standard degrees m: class key of a(m, .) is key(psi) + m*key(eps).
 
     Returns ("unbounded", m) on a provably infinite standard coefficient,
@@ -316,8 +313,7 @@ def _band_key_walk(p: StructuredPoly, t: TailTerm, psi2: IndexExpr):
         return None
     # the standard degrees in the band: start <= m <= last
     start = 0 if t.lo is None else t.lo.finite_value + 1
-    last = min((b.finite_value for b in (t.hi, p.degree) if b is not None and not b.infinite),
-               default=math.inf)
+    last = math.inf if t.hi.infinite else t.hi.finite_value
     if t.eps.is_zero():
         # eps^m kills every m >= 1; only m = 0 can contribute
         first = 0 if start == 0 and t.phi_at(0) != 0 else None

@@ -17,7 +17,7 @@ from fractions import Fraction
 from .hypernat import HyperNatural
 from .hypernum import HyperComplex
 from .indexexpr import IndexExpr
-from .interpoly import StructuredPoly, TailTerm
+from .interpoly import StructuredPoly, TailTerm, TopTerm
 
 Q = Fraction
 I = IndexExpr.index
@@ -143,15 +143,12 @@ def make_unbounded(rng: random.Random) -> StructuredPoly:
         return StructuredPoly(1, d, tails=(TailTerm((phi,), IndexExpr.const(1),
                                                     psi, IndexExpr.const(0)),))
     # unit-size moving top monomial
-    from .interpoly import TopTerm
-
     coeff = HyperComplex.from_expr(rng.choice(
         (IndexExpr.const(1), (2 * I() + 1) / (I() + 2))
     ))
-    return StructuredPoly(
-        1, HyperNatural.affine(1, rng.randint(0, 3)),
-        tops=(TopTerm(rng.randint(0, 1), coeff),),
-    )
+    shift = rng.randint(0, 3)   # the degree, then the top one or no step below it
+    top = HyperNatural.affine(1, shift - rng.randint(0, 1))
+    return StructuredPoly(1, HyperNatural.affine(1, shift), tops=(TopTerm(top, coeff),))
 
 
 def labeled_family(seed: int, count: int) -> list[tuple[str, StructuredPoly]]:

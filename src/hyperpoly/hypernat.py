@@ -108,13 +108,6 @@ class HyperNatural(Record, frozen=True):
         patches = tuple((i, max(self.value(i), other.value(i))) for i in range(1, hi + 1))
         return HyperNatural(win.slope, win.intercept, patches)
 
-    def le_eventually(self, other: "HyperNatural") -> bool:
-        """self(i) <= other(i) from some index on."""
-        other = _coerce(other)
-        if self.slope != other.slope:
-            return self.slope < other.slope
-        return self.intercept <= other.intercept
-
     def eq(self, other: "HyperNatural") -> bool:
         other = _coerce(other)
         hi = max([j for j, _ in self.patches + other.patches], default=0)

@@ -441,6 +441,32 @@ class IndexExpr:
         v = self._evals[i] = Q(nn * dd, nd * dn)
         return v
 
+    def defined_from(self) -> Optional[int]:
+        """An index from which the denominator never vanishes, or None when it
+        vanishes on every index of a parity.  On each parity the denominator's
+        leading class outweighs twice the sum of the others from the returned
+        index on: there, each ratio of another class to it has stopped growing."""
+        classes = _classes(self.den)
+        n = 1
+        for parity in (0, 1):
+            lead = _leading_from_classes(classes, parity)
+            if lead is None:
+                return None
+            (k, b, p), g = lead
+            rest = [(k2 - k, math.log(Q(b2) / Q(b)), p2 - p, math.log(abs(Q(h, g))))
+                    for (k2, b2, p2), (A, B) in classes.items()
+                    for h in (A - B if parity else A + B,) if h and (k2, b2, p2) < lead[0]]
+
+            def outweighs(i):
+                logs = [lh + i * lb + dk * math.lgamma(i + 1) + dp * math.log(i)
+                        for dk, lb, dp, lh in rest]
+                return (all(lb + dk * math.log(i + 1) + max(dp, 0) * math.log1p(1 / i) <= 0
+                            for dk, lb, dp, _ in rest)
+                        and max(logs, default=-1) < 0 and sum(map(math.exp, logs)) < 0.5)
+            while not outweighs(n):
+                n *= 2
+        return n
+
     def is_zero(self) -> bool:
         return not self.num[0]
 

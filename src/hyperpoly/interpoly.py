@@ -7,12 +7,16 @@ lists.  Three kinds of rule coexist:
 * ``explicit``: finitely many standard multi-indices with hypercomplex
   coefficients;
 * ``tails``: coefficient families ``a(nu, i) = phi(|nu|) * eps(i)^|nu| * psi(i)``
-  on a (possibly moving) band of total degrees - the shape every truncated
-  power series takes here;
-* ``tops``: univariate monomials anchored to the moving top degree,
-  ``c(i) * X^(d_i - offset)``, which is how ``X^d`` with infinite ``d`` lives.
+  on a (possibly moving) band of total degrees ``lo < |nu| <= hi`` - the shape
+  every truncated power series takes here;
+* ``tops``: univariate monomials ``c(i) * X^(e_i)`` of a moving degree ``e``,
+  which is how ``X^d`` with infinite ``d`` lives.
 
-Sums, scalar multiples and derivatives stay in this structured form.
+Each band's ``hi`` and each top's degree is its own hypernatural, at most the
+polynomial's degree: a band given without ``hi`` runs up to the degree it is
+built under.  So sums, scalar multiples, products with ``c X^k`` and
+derivatives stay in this structured form by keeping, shifting or lowering
+each bound, and the polynomial's degree only clips explicit coefficients.
 Products and homogenizations are kept as lazy nodes: each builds the integer
 row of an index (see :mod:`~hyperpoly.exacteval`) from its operands' rows and
 exposes exact standard-index coefficient streams, which is all the downstream
@@ -94,8 +98,9 @@ class TailTerm(Record, frozen=True):
     ``phi`` is one expression per residue of ``|nu|`` modulo its length, each
     read as a function of the total degree m; this admits sign patterns like
     a sine series without leaving the decidable fragment.  The band covers
-    ``lo < |nu| <= hi`` (``None`` bounds default to the full degree range),
-    clipped to the ambient degree.
+    ``lo < |nu| <= hi``; no ``lo`` starts it at degree 0.  A band without
+    ``hi`` is an unbounded template (a series' coefficient rule), which
+    :class:`StructuredPoly` bounds by the degree it is built under.
     """
 
     __slots__ = ("phi", "eps", "psi_re", "psi_im", "lo", "hi")
@@ -143,19 +148,15 @@ class TailTerm(Record, frozen=True):
             yield m, n * sr, n * si, f.denominator * pd * sd
 
     def in_range(self, m: int, i: int) -> bool:
-        if self.lo is not None and m <= self.lo.value(i):
-            return False
-        if self.hi is not None and m > self.hi.value(i):
-            return False
-        return True
+        return (self.lo is None or m > self.lo.value(i)) and m <= self.hi.value(i)
 
 
 class TopTerm(Record, frozen=True):
-    """Univariate moving monomial ``coeff * X^(d - offset)``."""
+    """Univariate moving monomial ``coeff * X^degree``."""
 
-    __slots__ = ("offset", "coeff")
-    def __init__(self, offset: int, coeff: HyperComplex):
-        _set(self, "offset", offset)
+    __slots__ = ("degree", "coeff")
+    def __init__(self, degree: HyperNatural, coeff: HyperComplex):
+        _set(self, "degree", degree)
         _set(self, "coeff", coeff)
 
 
@@ -202,9 +203,6 @@ class InternalPolynomial:
         raise NotImplementedError
 
     # -- shared helpers --------------------------------------------------------
-    def coeff_value_at(self, nu: MultiIndex, i: int) -> Pair:
-        return self.materialize(i).get(tuple(nu), _ZERO)
-
     def eval_exact(self, i: int, point: tuple[Pair, ...]) -> Pair:
         """Exact value of ``P_i`` at a point of exact ``(re, im)`` pairs.
 
@@ -232,7 +230,8 @@ def _refuse_generator(c: HyperComplex):
 
 
 class StructuredPoly(InternalPolynomial):
-    """Explicit coefficients, tail bands, and top-anchored monomials."""
+    """Explicit coefficients, tail bands and moving monomials, each band and
+    top within ``degree``."""
 
     def __init__(
         self,
@@ -250,7 +249,10 @@ class StructuredPoly(InternalPolynomial):
         self.explicit = {
             tuple(k): hc_coerce(v) for k, v in (explicit or {}).items()
         }
-        self.tails = tuple(tails)
+        # a band without hi runs up to this degree; one band object listed twice
+        # stays one object (the classifier tells bands apart by identity)
+        anchored = {id(t): t if t.hi is not None else t.replace(hi=degree) for t in tails}
+        self.tails = tuple(anchored[id(t)] for t in tails)
         self.tops = tuple(tops)
         for k, c in self.explicit.items():
             if len(k) != n:
@@ -266,15 +268,14 @@ class StructuredPoly(InternalPolynomial):
     # -- materialization ---------------------------------------------------------
     def _row(self, i: int) -> Row:
         """Band values, then tops, then explicit coefficients, summed in integers."""
-        d_i = self.degree.value(i)
         parts = []
         for t in self.tails:
             lo = t.lo.value(i) if t.lo is not None else -1
-            hi = t.hi.value(i) if t.hi is not None else d_i
-            for m, re, im, den in t.values(range(max(0, lo + 1), min(hi, d_i) + 1), i):
+            for m, re, im, den in t.values(range(lo + 1, t.hi.value(i) + 1), i):
                 if re or im:
                     parts += [(nu, re, im, den) for nu in multi_indices_of_degree(self.n, m)]
-        exact = [((d_i - t.offset,), t.coeff) for t in self.tops if d_i >= t.offset]
+        d_i = self.degree.value(i)
+        exact = [((t.degree.value(i),), t.coeff) for t in self.tops]
         exact += [(nu, c) for nu, c in self.explicit.items() if mi_total(nu) <= d_i]
         for nu, c in exact:
             try:
@@ -286,9 +287,9 @@ class StructuredPoly(InternalPolynomial):
     # -- exact coefficient streams --------------------------------------------------
     def _stable_from(self, m: int) -> int:
         """Index from which all band/degree comparisons at level m are constant."""
-        bounds = [self.degree] + [b for tt in self.tails for b in (tt.lo, tt.hi) if b is not None]
-        return max([b.stable_from(m) for b in bounds]
-                   + [self.degree.stable_from(m + t.offset) for t in self.tops])
+        bounds = ([self.degree] + [t.hi for t in self.tails] + [t.degree for t in self.tops]
+                  + [t.lo for t in self.tails if t.lo is not None])
+        return max(b.stable_from(m) for b in bounds)
 
     def _coeff(self, nu: MultiIndex) -> HyperComplex:
         """The rules' forms from :meth:`_stable_from` and the coefficients' own
@@ -301,33 +302,27 @@ class StructuredPoly(InternalPolynomial):
             T = max(T, self.explicit[nu].until)
         re = IndexExpr.const(0)
         im = IndexExpr.const(0)
-        if self.degree.value(T) >= m or self.degree.slope > 0:
-            if nu in self.explicit:
-                c = self.explicit[nu]
-                re, im = re + c.re, im + c.im
-            for t in self.tops:
-                if self.degree.slope == 0 and self.degree.value(T) - t.offset == m:
-                    re, im = re + t.coeff.re, im + t.coeff.im
-            for t in self.tails:
-                if t.in_range(m, T):
-                    f = IndexExpr.const(t.phi_at(m)) * t.eps**m
-                    re = re + f * t.psi_re
-                    im = im + f * t.psi_im
+        if nu in self.explicit and self.degree.value(T) >= m:
+            c = self.explicit[nu]
+            re, im = re + c.re, im + c.im
+        for t in self.tops:
+            if t.degree.value(T) == m:
+                re, im = re + t.coeff.re, im + t.coeff.im
+        for t in self.tails:
+            if t.in_range(m, T):
+                f = IndexExpr.const(t.phi_at(m)) * t.eps**m
+                re = re + f * t.psi_re
+                im = im + f * t.psi_im
         rules = (self.degree, self.explicit.get(nu), self.tops, self.tails)
         # the rule holds the parts, not self: self._coeffs then makes no reference cycle
         return HyperComplex(re, im, T, lambda i: _rule_value(*rules, nu, i))
-
-    def coeff_value_at(self, nu: MultiIndex, i: int) -> Pair:
-        nu = tuple(nu)
-        return _rule_value(self.degree, self.explicit.get(nu), self.tops, self.tails, nu, i)
 
 
 def _rule_value(degree, c, tops, tails, nu: MultiIndex, i: int) -> Pair:
     """The coefficient at ``nu`` and index ``i`` of a structured polynomial's rules
     (``c`` its explicit coefficient there, or None); cheaper than the whole row."""
     m = mi_total(nu)
-    d_i = degree.value(i)
-    if m > d_i:
+    if m > degree.value(i):
         return _ZERO
     total = _ZERO
     if c is not None:
@@ -336,7 +331,7 @@ def _rule_value(degree, c, tops, tails, nu: MultiIndex, i: int) -> Pair:
         except ZeroDivisionError:
             total = _ZERO
     for t in tops:
-        if d_i - t.offset == m:
+        if t.degree.value(i) == m:
             try:
                 total = _pair_add(total, t.coeff.value_exact(i))
             except ZeroDivisionError:
@@ -390,7 +385,9 @@ class LazyPoly(InternalPolynomial):
     def _coeff(self, nu: MultiIndex) -> HyperComplex:
         if self._coeff_fn is not None:
             return self._coeff_fn(nu)
-        return HyperComplex(gen=lambda i: self.coeff_value_at(nu, i))
+        # the rule builds its own rows, not self's: self._coeffs then makes no reference cycle
+        return HyperComplex(gen=lambda i, fn=self._fn, n=self.n:
+                            fraction_table(row_of_parts(fn(i), n)).get(nu, _ZERO))
 
 
 # ---------------------------------------------------------------------------
@@ -413,11 +410,9 @@ def variable(n: int, var: int) -> StructuredPoly:
 def constant(n: int, value) -> StructuredPoly:
     return StructuredPoly(n, HyperNatural.constant(0), {tuple([0] * n): hc_coerce(value)})
 
-def moving_monomial(degree: HyperNatural, coeff=1, offset: int = 0) -> StructuredPoly:
-    """Univariate c * X^(d - offset)."""
-    return StructuredPoly(
-        1, degree, tops=(TopTerm(offset, hc_coerce(coeff)),)
-    )
+def moving_monomial(degree: HyperNatural, coeff=1) -> StructuredPoly:
+    """Univariate c * X^d."""
+    return StructuredPoly(1, degree, tops=(TopTerm(degree, hc_coerce(coeff)),))
 
 
 # ---------------------------------------------------------------------------
@@ -447,12 +442,6 @@ def poly_add(p: InternalPolynomial, q: InternalPolynomial) -> InternalPolynomial
     return LazyPoly(p.n, deg, fn, coeff_fn=lambda nu: p.coeff(nu) + q.coeff(nu))
 
 
-def _hn_eq(a: Optional[HyperNatural], b: Optional[HyperNatural]) -> bool:
-    if (a is None) != (b is None):
-        return False
-    return a is None or a.eq(b)
-
-
 def _hn_le_everywhere(a: HyperNatural, b: HyperNatural) -> bool:
     """a(i) <= b(i) for every i >= 1, not just eventually.
 
@@ -469,7 +458,7 @@ def _hn_le_everywhere(a: HyperNatural, b: HyperNatural) -> bool:
 def _same_rule_and_lo(u: TailTerm, t: TailTerm) -> bool:
     """The two bands have the same phi, the same eps and the same lower bound."""
     return (len(u.phi) == len(t.phi) and all(a.eq(b) for a, b in zip(u.phi, t.phi))
-            and u.eps.eq(t.eps) and _hn_eq(u.lo, t.lo))
+            and u.eps.eq(t.eps) and (u.lo is t.lo or None not in (u.lo, t.lo) and u.lo.eq(t.lo)))
 
 
 def _merge_tails(tails: tuple[TailTerm, ...]) -> tuple[TailTerm, ...]:
@@ -484,54 +473,50 @@ def _merge_tails(tails: tuple[TailTerm, ...]) -> tuple[TailTerm, ...]:
     out: list[TailTerm] = []
     for t in tails:
         for k, u in enumerate(out):
-            if _same_rule_and_lo(u, t) and _hn_eq(u.hi, t.hi):
+            if _same_rule_and_lo(u, t) and u.hi.eq(t.hi):
                 out[k] = u.replace(psi_re=u.psi_re + t.psi_re, psi_im=u.psi_im + t.psi_im)
                 break
         else:
             out.append(t)
     out = [t for t in out if not (t.psi_re.is_zero() and t.psi_im.is_zero())]
-    # range-difference rewrite
-    changed = True
-    while changed:
-        changed = False
-        for a in range(len(out)):
-            for b in range(a + 1, len(out)):
-                u, t = out[a], out[b]
-                if not (
-                    _same_rule_and_lo(u, t)
-                    and u.hi is not None
-                    and t.hi is not None
-                    and not u.hi.eq(t.hi)
-                    and u.psi_re.eq(-t.psi_re)
-                    and u.psi_im.eq(-t.psi_im)
-                ):
-                    continue
-                big, small = (u, t) if t.hi.le_eventually(u.hi) else (t, u)
-                if not _hn_le_everywhere(small.hi, big.hi):
-                    continue  # order flips at small indices; keep both bands
-                merged = big.replace(lo=small.hi)
-                out = [x for j, x in enumerate(out) if j not in (a, b)] + [merged]
-                changed = True
-                break
-            if changed:
-                break
-    return tuple(out)
+    # range-difference rewrite, one pair at a time; bounds whose order flips at
+    # small indices keep both bands
+    while True:
+        pair = next(((u, t) for u, t in itertools.combinations(out, 2)
+                     if _same_rule_and_lo(u, t) and not u.hi.eq(t.hi)
+                     and u.psi_re.eq(-t.psi_re) and u.psi_im.eq(-t.psi_im)
+                     and (_hn_le_everywhere(u.hi, t.hi) or _hn_le_everywhere(t.hi, u.hi))), None)
+        if pair is None:
+            return tuple(out)
+        small, big = pair if _hn_le_everywhere(pair[0].hi, pair[1].hi) else pair[::-1]
+        out = [x for x in out if x is not small and x is not big] + [big.replace(lo=small.hi)]
 
 
 def scalar_mul(c, p: InternalPolynomial) -> InternalPolynomial:
+    """``c * P``.  As :class:`StructuredPoly` leaves out a coefficient with no
+    value, a lazy product leaves out its terms where ``c`` has no value: its row
+    and its coefficients read 0 there."""
     c = hc_coerce(c)
     if isinstance(p, StructuredPoly) and c.symbolic and c.until <= 1:
         explicit = {k: c * v for k, v in p.explicit.items()}
         tails = tuple(t.replace(psi_re=c.re * t.psi_re - c.im * t.psi_im,
                                 psi_im=c.re * t.psi_im + c.im * t.psi_re) for t in p.tails)
-        tops = tuple(TopTerm(t.offset, c * t.coeff) for t in p.tops)
+        tops = tuple(TopTerm(t.degree, c * t.coeff) for t in p.tops)
         return StructuredPoly(p.n, p.degree, explicit, tails, tops)
 
-    def fn(i):
+    def value(i, c=c):
         try:
-            _, a, b, d = part((), c.value_exact(i))
+            return c.value_exact(i)
         except ZeroDivisionError:
-            a, b, d = 0, 0, 1   # a scalar with no value at i scales by zero
+            return _ZERO
+    # read through value, which runs below the first index from which c's
+    # expressions always have a value
+    fronts = [e.defined_from() for e in (c.re, c.im)] if c.symbolic else [None]
+    c = HyperComplex(gen=value) if None in fronts else HyperComplex(
+        c.re, c.im, max(c.until, *fronts), value)
+
+    def fn(i):
+        _, a, b, d = part((), c.value_exact(i))
         return [(nu, re * a - im * b, re * b + im * a, den * d)
                 for nu, re, im, den in parts_of_row(p.row(i))]
 
@@ -579,18 +564,10 @@ def _tail_times_explicit(p: StructuredPoly, q: StructuredPoly) -> InternalPolyno
             # a'(m) = c * a(m-k) = phi(m-k) * eps^m * (c * psi / eps^k)
             psi_re = (c.re * t.psi_re - c.im * t.psi_im) / t.eps**k
             psi_im = (c.re * t.psi_im + c.im * t.psi_re) / t.eps**k
-            if t.lo is None:
-                lo = HyperNatural.constant(k - 1) if k >= 1 else None
-            else:
-                lo = t.lo + HyperNatural.constant(k)
-            hi = (t.hi if t.hi is not None else p.degree) + HyperNatural.constant(k)
-            shifted_tails.append(TailTerm(new_phi, t.eps, psi_re, psi_im, lo, hi))
-        tops = tuple(
-            TopTerm(t.offset - k if t.offset >= k else 0, c * t.coeff) for t in p.tops
-        ) if p.tops else ()
-        part = StructuredPoly(
-            1, p.degree + HyperNatural.constant(k), tails=tuple(shifted_tails), tops=tops
-        )
+            lo = t.lo + k if t.lo is not None else HyperNatural.constant(k - 1) if k else None
+            shifted_tails.append(TailTerm(new_phi, t.eps, psi_re, psi_im, lo, t.hi + k))
+        tops = tuple(TopTerm(t.degree + k, c * t.coeff) for t in p.tops)
+        part = StructuredPoly(1, p.degree + k, tails=tuple(shifted_tails), tops=tops)
         total = poly_add(total, part)
     return total
 
@@ -658,11 +635,6 @@ def partial_derivative(p: InternalPolynomial, alpha: MultiIndex) -> InternalPoly
     return out
 
 
-def _less_one(h: HyperNatural) -> HyperNatural:
-    """``h - 1``, each patch clipped at 0."""
-    return HyperNatural(h.slope, h.intercept - 1, tuple((i, max(0, v - 1)) for i, v in h.patches))
-
-
 def _derive_once(p: InternalPolynomial, var: int) -> InternalPolynomial:
     if isinstance(p, StructuredPoly):
         explicit: dict[MultiIndex, HyperComplex] = {}
@@ -683,17 +655,17 @@ def _derive_once(p: InternalPolynomial, var: int) -> InternalPolynomial:
                 t.phi[(r + 1) % period].subst_affine(1, 1) * (m_expr + 1)
                 for r in range(period)
             )
-            lo = None if t.lo is None or (t.lo.slope, t.lo.intercept) == (0, 0) else _less_one(t.lo)
-            hi = None if t.hi is None else _less_one(t.hi)
+            lo = None if t.lo is None or (t.lo.slope, t.lo.intercept) == (0, 0) else _lowered(t.lo)
             tails.append(TailTerm(new_phi, t.eps, t.psi_re * t.eps,
-                                  t.psi_im * t.eps, lo, hi))
+                                  t.psi_im * t.eps, lo, _lowered(t.hi)))
         tops = []
         for t in p.tops:
-            # c X^(d-j) -> c (d-j) X^(d-j-1)
-            d_expr = IndexExpr.const(p.degree.intercept) + p.degree.slope * IndexExpr.index()
-            factor = HyperComplex(d_expr - t.offset, None, p.degree.stable_from(-1),
-                                  lambda i, d=p.degree, t=t: (Q(d.value(i) - t.offset), Q(0)))
-            tops.append(TopTerm(t.offset + 1, t.coeff * factor))
+            # c X^e -> c e X^(e-1)
+            e = t.degree
+            e_expr = IndexExpr.const(e.intercept) + e.slope * IndexExpr.index()
+            factor = HyperComplex(e_expr, None, e.stable_from(-1),
+                                  lambda i, e=e: (Q(e.value(i)), Q(0)))
+            tops.append(TopTerm(_lowered(e), t.coeff * factor))
         return StructuredPoly(p.n, _lowered(p.degree), explicit, tuple(tails), tuple(tops))
     return _lazy_derivative(p, var)
 
@@ -712,7 +684,8 @@ def _lazy_derivative(p: InternalPolynomial, var: int) -> LazyPoly:
 
 
 def _lowered(d: HyperNatural) -> HyperNatural:
-    """The degree bound of a derivative: ``d - 1``, and 0 for degree 0."""
+    """A degree or band bound of a derivative: ``d - 1``, each patch clipped at 0,
+    and the constant 0 for a constant ``d <= 0``."""
     if (d.slope, max(d.intercept, 0)) == (0, 0):
         return HyperNatural.constant(0)
     return HyperNatural(d.slope, d.intercept - 1, tuple((i, max(0, v - 1)) for i, v in d.patches))

@@ -49,8 +49,8 @@ class StandardPowerSeries:
 
     ``entire`` records the root-test certificate inherited from the bounded
     polynomial the series came from (or declared by a constructor).  A
-    ``band`` template, when present, lets truncation rebuild a classifiable
-    internal polynomial.
+    ``band`` template (a band without ``hi``), when present, lets truncation
+    rebuild a classifiable internal polynomial.
     """
 
     def __init__(
@@ -312,9 +312,7 @@ def lift_series(g: StandardPowerSeries, d: HyperNatural) -> InternalPolynomial:
     if not g.entire:
         raise ValueError("only entire series lift to bounded polynomials")
     if g.band is not None:
-        return StructuredPoly(g.n, d, tails=(TailTerm(
-            g.band.phi, g.band.eps, g.band.psi_re, g.band.psi_im, g.band.lo, d
-        ),))
+        return StructuredPoly(g.n, d, tails=(g.band,))
     if g.support is not None:
         explicit = {nu: HyperComplex.from_rational(c[0], c[1]) for nu, c in g.support.items()}
         return StructuredPoly(g.n, d, explicit)

@@ -256,7 +256,7 @@ def test_band_live_past_the_key_walk_is_undetermined():
         phi = phi * (m - j)
     band = TailTerm((phi / IndexExpr.factorial(),), psi_re=IndexExpr.index())
     p = StructuredPoly(1, D_I, tails=(band,))
-    assert p.coeff_value_at((256,), 300) == (Q(300), Q(0))
+    assert p.coeff((256,)).value_exact(300) == (Q(300), Q(0))
     c = classify_poly(p)
     assert c.verdict == "undetermined"
     assert c.certificate.details == ("band finite-range class undecided",)

@@ -34,7 +34,6 @@ from hyperpoly.interpoly import (
     dehomogenize,
     homogenize,
     mi_sub,
-    moving_monomial,
     multi_indices_of_degree,
     partial_derivative,
     poly_add,
@@ -396,22 +395,19 @@ def reference_materialize(p, i):
     def add(nu, c):
         out[nu] = (out[nu][0] + c[0], out[nu][1] + c[1]) if nu in out else c
 
-    d_i = p.degree.value(i)
     for t in p.tails:
         lo = t.lo.value(i) if t.lo is not None else -1
-        hi = t.hi.value(i) if t.hi is not None else d_i
-        for m, c in reference_values(t, range(max(0, lo + 1), min(hi, d_i) + 1), i):
+        for m, c in reference_values(t, range(lo + 1, t.hi.value(i) + 1), i):
             if c != ZERO:
                 for nu in multi_indices_of_degree(p.n, m):
                     add(nu, c)
     for t in p.tops:
-        if d_i - t.offset >= 0:
-            try:
-                add((d_i - t.offset,), t.coeff.value_exact(i))
-            except ZeroDivisionError:
-                pass
+        try:
+            add((t.degree.value(i),), t.coeff.value_exact(i))
+        except ZeroDivisionError:
+            pass
     for nu, c in p.explicit.items():
-        if sum(nu) <= d_i:
+        if sum(nu) <= p.degree.value(i):
             try:
                 add(nu, c.value_exact(i))
             except ZeroDivisionError:
@@ -524,14 +520,18 @@ def test_materialize_is_the_view_with_tops_and_explicit_coefficients():
     # the explicit -X and the top -X^d cancel the band at X^1 and X^d; the
     # top 1/(i - 3) has no value at i = 3 and is left out there
     band = TailTerm((IndexExpr.const(1),), psi_re=IndexExpr.const(1))
-    tops = (TopTerm(0, HyperComplex.from_rational(-1)), TopTerm(2, HyperComplex(1 / (I() - 3))),
-            TopTerm(1, HyperComplex(IndexExpr.const(Q(1, 2)), I())))
+
+    def tops(shift):
+        """-X^d, X^(d-2)/(i - 3) and (1/2 + i*sqrt(-1)) X^(d-1) for d = i - shift."""
+        return (TopTerm(HyperNatural(1, -shift), HyperComplex.from_rational(-1)),
+                TopTerm(HyperNatural(1, -shift - 2), HyperComplex(1 / (I() - 3))),
+                TopTerm(HyperNatural(1, -shift - 1), HyperComplex(IndexExpr.const(Q(1, 2)), I())))
     explicit = {(1,): HyperComplex.from_rational(-1),
                 (0,): HyperComplex(1 / I(), IndexExpr.const(2)),
                 (5,): HyperComplex.from_rational(Q(3, 7))}
-    for p in (StructuredPoly(1, D_I, explicit, (band,), tops),
-              StructuredPoly(1, D_I, explicit, (), tops),
-              StructuredPoly(1, HyperNatural(1, -2), explicit, (band,), tops[1:])):
+    for p in (StructuredPoly(1, D_I, explicit, (band,), tops(0)),
+              StructuredPoly(1, D_I, explicit, (), tops(0)),
+              StructuredPoly(1, HyperNatural(1, -2), explicit, (band,), tops(2)[1:])):
         assert_view_matches(p, lambda i: reference_materialize(p, i))
 
 
@@ -1054,11 +1054,12 @@ def test_homogenized_coefficient_follows_a_degree_clipped_at_zero():
 def test_derivative_of_a_moving_monomial_with_a_patched_degree():
     d = HyperNatural(1, 0, ((1, 0), (2, 1), (3, 1)))   # 0, 1, 1, 4, 5, ...
     c = HyperComplex(IndexExpr.const(Q(1, 2)), 1 / I())
-    for offset in (0, 1):
-        p = moving_monomial(d, c, offset)
+    lowered = HyperNatural(1, -1, ((1, 0), (2, 0), (3, 0)))   # 0, 0, 0, 3, 4, ...
+    for top in (d, lowered):
+        p = StructuredPoly(1, d, tops=(TopTerm(top, c),))
         for order in (1, 2):
             dp = partial_derivative(p, (order,))
-            # the factor d_i - offset reads the patches below its until
+            # the factor e_i, the top's degree, reads the patches below its until
             assert dp.tops[0].coeff.until == 4
             assert_values_match_rows(dp)
 

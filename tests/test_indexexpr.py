@@ -130,3 +130,37 @@ def test_ring_laws_pointwise(a, b, c):
     assert lhs.eq(rhs)
     assert (a * b).eq(b * a)
     assert ((a + b) + c).eq(a + (b + c))
+
+
+@pytest.mark.parametrize("den,last_zero", [
+    (I() - 3, 3),
+    (IndexExpr.factorial() - 6, 3),
+    (IndexExpr.geometric(2) - 8, 3),
+    (I() * I() - 1000 * I(), 1000),
+    (IndexExpr.geometric(2) - I() ** 3, None),
+    (C(5), None),
+])
+def test_defined_from_is_past_the_last_zero(den, last_zero):
+    front = (1 / den).defined_from()
+    assert front is not None and (last_zero is None or front > last_zero)
+    for i in range(front, front + 300):
+        assert den.eval(i) != 0
+
+
+def test_a_denominator_vanishing_on_a_parity_has_no_frontier():
+    den = IndexExpr.geometric(2) + IndexExpr.geometric(-2)   # 0 at every odd index
+    assert (1 / den).defined_from() is None
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(exprs(), st.integers(-3, 3))
+def test_defined_from_property(den, fact):
+    den = den + fact * IndexExpr.factorial()
+    if den.is_zero():
+        return
+    front = (1 / den).defined_from()
+    if front is None:
+        assert any(den.eval(i) == 0 for i in range(1, 9))
+        return
+    for i in range(front, front + 64):
+        assert den.eval(i) != 0

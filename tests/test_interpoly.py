@@ -1,12 +1,17 @@
 """Internal polynomial construction, arithmetic, and the theta map."""
 
+import functools
+import gc
 import random
 from fractions import Fraction as Q
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hyperpoly.classify import classify_poly
-from hyperpoly.exacteval import part
+from hyperpoly.exacteval import fraction_table, multiply_rows, part, parts_of_row, row_of_parts
+from hyperpoly.families import labeled_family, random_bounded_pair
 from hyperpoly.hypernat import HyperNatural
 from hyperpoly.hypernum import HyperComplex, INFINITE, INFINITESIMAL
 from hyperpoly.indexexpr import IndexExpr
@@ -15,6 +20,7 @@ from hyperpoly.interpoly import (
     ProductPoly,
     StructuredPoly,
     TailTerm,
+    TopTerm,
     _hn_le_everywhere,
     constant,
     dehomogenize,
@@ -352,7 +358,7 @@ class TestSampledConsistency:
         for _ in range(16):
             nu = (rng.randint(0, 6),)
             i = rng.randint(1, 40)
-            assert P.coeff(nu).value_exact(i) == P.coeff_value_at(nu, i)
+            assert P.coeff(nu).value_exact(i) == P.materialize(i).get(nu, pair(0))
 
 
 @pytest.mark.parametrize("make", [
@@ -368,3 +374,142 @@ def test_every_materialization_and_coefficient_is_kept(make):
     nus = [(m,) * p.n for m in range(3)]
     coeffs = [p.coeff(nu) for nu in nus]
     assert all(p.coeff(list(nu)) is c for nu, c in zip(nus, coeffs))
+
+
+# ---------------------------------------------------------------------------
+# structured operations against row arithmetic on their operands
+# ---------------------------------------------------------------------------
+
+LATE = range(25, 29)   # past every patch and early-index clip of the drawn members
+
+
+def table(parts, n):
+    return fraction_table(row_of_parts(parts, n))
+
+
+def summed(p, q, i):
+    return table(parts_of_row(p.row(i)) + parts_of_row(q.row(i)), p.n)
+
+
+def scaled(c, p, i):
+    _, a, b, d = part((), c.value_exact(i))
+    return table([(nu, re * a - im * b, re * b + im * a, den * d)
+                  for nu, re, im, den in parts_of_row(p.row(i))], p.n)
+
+
+def lowered(p, i):
+    """d/dX_1 P_i, term by term."""
+    return table([((nu[0] - 1,) + nu[1:], re * nu[0], im * nu[0], den)
+                  for nu, re, im, den in parts_of_row(p.row(i)) if nu[0]], p.n)
+
+
+@functools.lru_cache(maxsize=None)
+def family(seed):
+    return tuple(p for _, p in labeled_family(seed, 9))
+
+
+SEEDS = (1, 2, 30, 101, 202)
+
+
+@st.composite
+def operand_pairs(draw):
+    """Two members of one arity: a bounded pair, two labeled-family members, or
+    a family member with a top times an explicit univariate member (the
+    band-times-short-explicit product)."""
+    kind = draw(st.sampled_from(("pair", "family", "top-times-explicit")))
+    if kind == "pair":
+        rng = random.Random(draw(st.sampled_from(SEEDS)))
+        return [random_bounded_pair(rng) for _ in range(draw(st.integers(1, 5)))][-1]
+    members = [p for seed in SEEDS for p in family(seed)]
+    if kind == "family":
+        p = draw(st.sampled_from(members))
+        return p, draw(st.sampled_from([q for q in members if q.n == p.n]))
+    return (draw(st.sampled_from([p for p in members if p.tops])),
+            draw(st.sampled_from([q for q in members if q.n == 1 and not q.tails
+                                  and not q.tops and len(q.explicit) <= 4])))
+
+
+SCALARS = (HyperComplex.from_rational(Q(-2, 3), Q(1, 2)),
+           HyperComplex(1 / I(), IndexExpr.const(2)),
+           HyperComplex.from_expr((2 * I() + 1) / (I() + 2)))
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(pq=operand_pairs(), c=st.sampled_from(SCALARS))
+def test_structured_operations_agree_with_row_arithmetic(pq, c):
+    """Each structured sum, product, scalar multiple and derivative holds, at
+    late indices, the row arithmetic of its operands; its homogenization has a
+    nonnegative power of Z on every term, and dehomogenizes back to it."""
+    p, q = pq
+    results = [(poly_add(p, q), lambda i: summed(p, q, i)),
+               (poly_mul(p, q), lambda i: fraction_table(multiply_rows(p.row(i), q.row(i)))),
+               (scalar_mul(c, p), lambda i: scaled(c, p, i)),
+               (partial_derivative(p, (1,) + (0,) * (p.n - 1)), lambda i: lowered(p, i))]
+    for r, want in results:
+        if not isinstance(r, StructuredPoly):
+            continue
+        back = dehomogenize(homogenize(r))
+        for i in LATE:
+            assert r.materialize(i) == want(i), i
+            hom = homogenize(r).materialize(i)
+            assert all(nu[-1] >= 0 for nu in hom), i
+            assert back.materialize(i) == r.materialize(i), i
+
+
+D_2I = HyperNatural.affine(2, 0)
+X_ = variable(1, 0)
+
+# the sums, products and derivatives that once moved a band or a top off its
+# own degree, each with the row arithmetic it must equal
+ANCHOR_CASES = {
+    "difference-of-exp-truncations": (
+        lambda: truncated_exp(D_2I) - truncated_exp(D_I),
+        lambda i: summed(truncated_exp(D_2I), scalar_mul(-1, truncated_exp(D_I)), i)),
+    "exp-plus-a-top-of-twice-the-degree": (
+        lambda: poly_add(truncated_exp(D_I), moving_monomial(D_2I)),
+        lambda i: summed(truncated_exp(D_I), moving_monomial(D_2I), i)),
+    "top-one-below-the-degree-times-x": (
+        lambda: StructuredPoly(1, D_I, tops=(TopTerm(HyperNatural(1, -1), HyperComplex.from_rational(1)),)) * X_,
+        lambda i: {(i,): pair(1)}),
+    "derivative-of-x-to-the-d": (
+        lambda: partial_derivative(moving_monomial(D_I), (1,)),
+        lambda i: {(i - 1,): pair(i)}),
+}
+
+
+@pytest.mark.parametrize("name", list(ANCHOR_CASES))
+def test_terms_keep_their_own_degree(name):
+    make, want = ANCHOR_CASES[name]
+    p = make()
+    assert isinstance(p, StructuredPoly)
+    for i in range(2, 9):
+        assert p.materialize(i) == want(i), i
+
+
+def test_exp_truncations_at_index_2_and_3():
+    assert poly_add(truncated_exp(D_I), moving_monomial(D_2I)).materialize(2) == {
+        (0,): pair(1), (1,): pair(1), (2,): pair(Q(1, 2)), (4,): pair(1)}
+    assert (truncated_exp(D_2I) - truncated_exp(D_I)).materialize(3) == {
+        (4,): pair(Q(1, 24)), (5,): pair(Q(1, 120)), (6,): pair(Q(1, 720))}
+
+
+def test_lazy_scalar_multiple_reads_zero_where_the_scalar_has_no_value():
+    p = scalar_mul(HyperComplex(1 / (I() - 3)), ProductPoly(truncated_exp(D_I), variable(1, 0)))
+    assert isinstance(p, LazyPoly)
+    for i in range(1, 12):
+        for k in range(6):
+            assert p.coeff((k,)).value_exact(i) == p.materialize(i).get((k,), pair(0)), (k, i)
+    assert p.materialize(3) == {}
+
+
+def test_a_lazy_coefficient_read_off_the_rows_makes_no_reference_cycle():
+    gc.collect()
+    gc.disable()
+    try:
+        for _ in range(100):
+            p = dehomogenize(homogenize(truncated_exp(D_I)))
+            assert p.coeff((2,)).value_exact(5) == pair(Q(1, 2))
+        del p
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

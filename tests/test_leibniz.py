@@ -82,7 +82,7 @@ def spelled(p) -> str:
 
     return repr((type(p).__name__, p.n, p.degree,
                  [(nu, hc(c)) for nu, c in p.explicit.items()],
-                 p.tails, [(t.offset, hc(t.coeff)) for t in p.tops]))
+                 p.tails, [(t.degree, hc(t.coeff)) for t in p.tops]))
 
 
 def reference_slice(f, mu):

@@ -56,8 +56,9 @@ CASES = {
                  f"TailTerm(phi=({HALF!r},), eps={ONE!r}, psi_re={ONE!r}, psi_im={HALF!r}, "
                  "lo=None, hi=HyperNatural(slope=1, intercept=0, patches=()))",
                  ("phi", "eps", "psi_re", "psi_im", "lo", "hi"), True),
-    "TopTerm": (lambda: TopTerm(1, HC), f"TopTerm(offset=1, coeff={HC!r})",
-                ("offset", "coeff"), True),
+    "TopTerm": (lambda: TopTerm(HyperNatural(1, 0), HC),
+                f"TopTerm(degree=HyperNatural(slope=1, intercept=0, patches=()), coeff={HC!r})",
+                ("degree", "coeff"), True),
     "Certificate": (lambda: Certificate("sample", ("a", 2)),
                     "Certificate(kind='sample', details=('a', 2))",
                     ("kind", "details"), True),
