@@ -1008,9 +1008,9 @@ def assert_values_match_rows(p):
         assert v == table.get(nu, ZERO), (nu, i)
 
 
-# sha256 of the coefficient values of ``drawn_members``, captured while every
-# symbolic coefficient still stored its early values when it was built
-VALUES_DIGEST = "9bbdedb5e950d942e1019c0273220965d298b61742c029ea3261adc347efe9c2"
+# sha256 of the coefficient values of ``drawn_members``, captured after every
+# band and top kept its own degree through sums, products and derivatives
+VALUES_DIGEST = "b052dfc3f994491a738209762b531d38e2a2a92ea1e03a094356e2777d89780a"
 
 
 def test_coefficient_values_match_the_rows_and_the_digest():
