@@ -357,17 +357,19 @@ def _rational_circle_points(count: int, seed: int) -> list[tuple[Fraction, Fract
     """Deterministic low-discrepancy rational points exactly on the unit circle.
 
     Uses the tangent-half-angle parametrization at a golden-ratio-like
-    rational stream, so coordinates are exact rationals of modest height.
+    rational stream, so coordinates are exact rationals of modest height: at
+    half-angle tangent ``t/610`` the point is ``((610^2 - t^2)/d, 2*610*t/d)``
+    with ``d = 610^2 + t^2``, each coordinate one ``Fraction`` of two integers.
     """
     pts = []
     p_num, p_den = 377, 610  # convergent of the golden ratio
+    sq = p_den * p_den
     acc = seed % p_den
     for _ in range(count):
         acc = (acc + p_num) % p_den
-        u = Fraction(acc, p_den)
-        tval = 2 * u - 1  # in (-1, 1)
-        d = 1 + tval * tval
-        pts.append(((1 - tval * tval) / d, 2 * tval / d))
+        t = 2 * acc - p_den  # the tangent in (-1, 1), times p_den
+        d = sq + t * t
+        pts.append((Fraction(sq - t * t, d), Fraction(2 * p_den * t, d)))
     return pts
 
 

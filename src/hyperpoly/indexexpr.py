@@ -28,6 +28,16 @@ in lowest terms with ``den > 1``, so keys hash and multiply without
 integer denominator and computes ``i!`` only for a form with a factorial term.
 Growth-class keys carry ``|c|`` as an ``int`` or a ``Fraction``, so they
 compare and print as numbers.
+
+Forms and expressions are never mutated once built, so operations may return
+an operand unchanged.  An expression's identities are the exact zero (empty
+numerator over ``ONE_FORM``) for ``+`` and the exact one (``ONE_FORM`` over
+``ONE_FORM``) for ``*``: there the general rule would build forms equal term
+for term to the other operand's, so only object identity differs, and the
+operand keeps its memoized growth and values.  A zero over another
+denominator, such as ``0/i`` or ``0/(i-3)``, is not an identity: it is
+undefined where that denominator vanishes, and a sum or product with it keeps
+those poles.
 """
 
 from __future__ import annotations
@@ -368,6 +378,10 @@ class IndexExpr:
     # -- ring/field operations ----------------------------------------------
     def __add__(self, other: "IndexExpr") -> "IndexExpr":
         other = _coerce(other)
+        if not other.num[0] and other.den == ONE_FORM:
+            return self
+        if not self.num[0] and self.den == ONE_FORM:
+            return other
         if self.den == other.den:
             return IndexExpr(_f_add(self.num, other.num), self.den)
         num = _f_add(_f_mul(self.num, other.den), _f_mul(other.num, self.den))
@@ -387,6 +401,10 @@ class IndexExpr:
 
     def __mul__(self, other) -> "IndexExpr":
         other = _coerce(other)
+        if other.num == ONE_FORM and other.den == ONE_FORM:
+            return self
+        if self.num == ONE_FORM and self.den == ONE_FORM:
+            return other
         return IndexExpr(_f_mul(self.num, other.num), _f_mul(self.den, other.den))
 
     def __rmul__(self, other):
@@ -498,6 +516,11 @@ class IndexExpr:
 
     def __repr__(self):
         return f"IndexExpr({_fmt_form(self.num)} / {_fmt_form(self.den)})"
+
+
+# the exact zero as one shared expression: a sum that starts from it and that
+# no term reaches is this object, whose growth and values are computed once
+ZERO_EXPR = IndexExpr(ZERO_FORM, ONE_FORM)
 
 
 def _coerce(x) -> IndexExpr:

@@ -27,13 +27,14 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from operator import sub
 from typing import Iterable, Iterator, Optional
 
 from .exacteval import (Row, dot, evaluate, fraction_table, multiply_rows, part, parts_of_row,
                         row_of_parts)
 from .hypernat import HyperNatural
 from .hypernum import HyperComplex, coerce as hc_coerce
-from .indexexpr import IndexExpr
+from .indexexpr import ZERO_EXPR, IndexExpr
 from .record import Record, _set
 
 Q = Fraction
@@ -51,9 +52,9 @@ def mi_add(a: MultiIndex, b: MultiIndex) -> MultiIndex:
     return tuple(x + y for x, y in zip(a, b))
 
 
-def mi_sub(a: MultiIndex, b: MultiIndex) -> Optional[MultiIndex]:
-    out = tuple(x - y for x, y in zip(a, b))
-    return out if all(c >= 0 for c in out) else None
+def mi_sub(a: MultiIndex, b: MultiIndex) -> MultiIndex:
+    """``a - b`` for ``b <= a``."""
+    return tuple(map(sub, a, b))
 
 
 def multi_indices_of_degree(n: int, m: int) -> Iterable[MultiIndex]:
@@ -75,15 +76,16 @@ def _box_convolution(f, g, nu: MultiIndex) -> HyperComplex:
     over ``mu <= nu`` in lexicographic order.
 
     Symbolic factors build the forms with the operations of the chained
-    ``HyperComplex`` sum, and below the factors' largest ``until`` the value
-    is one :func:`dot` of the factors' values.  Any generator-backed factor
-    sends the whole sum through ``HyperComplex``.
+    ``HyperComplex`` sum, starting from the shared zero ``ZERO_EXPR``, and
+    below the factors' largest ``until`` the value is one :func:`dot` of the
+    factors' values.  Any generator-backed factor sends the whole sum through
+    ``HyperComplex``.
     """
     pairs = [(f(mu), g(mi_sub(nu, mu)))
              for mu in itertools.product(*(range(k + 1) for k in nu))]
     if not all(a.symbolic and b.symbolic for a, b in pairs):
         return sum((a * b for a, b in pairs), HyperComplex.from_rational(0))
-    re = im = IndexExpr.const(0)
+    re = im = ZERO_EXPR
     for a, b in pairs:
         re = re + (a.re * b.re - a.im * b.im)
         im = im + (a.re * b.im + a.im * b.re)
@@ -293,15 +295,15 @@ class StructuredPoly(InternalPolynomial):
 
     def _coeff(self, nu: MultiIndex) -> HyperComplex:
         """The rules' forms from :meth:`_stable_from` and the coefficients' own
-        ``until`` on, and their values below."""
+        ``until`` on, and their values below.  Each part starts from the shared
+        zero ``ZERO_EXPR``, so a part that no rule reaches is that one object."""
         if len(nu) != self.n:
             raise ValueError("multi-index arity mismatch")
         m = mi_total(nu)
         T = max([self._stable_from(m)] + [t.coeff.until for t in self.tops])
         if nu in self.explicit:
             T = max(T, self.explicit[nu].until)
-        re = IndexExpr.const(0)
-        im = IndexExpr.const(0)
+        re = im = ZERO_EXPR
         if nu in self.explicit and self.degree.value(T) >= m:
             c = self.explicit[nu]
             re, im = re + c.re, im + c.im

@@ -21,6 +21,7 @@ from hyperpoly.classify import (
     BOUNDED,
     INFINITESIMAL,
     UNBOUNDED,
+    _rational_circle_points,
     cauchy_all_coefficients,
     cauchy_coefficient,
     classify_poly,
@@ -205,6 +206,25 @@ def test_oracle_report_digest():
                                           horizon=horizon, seed=7)
                     digest.update(json.dumps(rep.to_json(), sort_keys=True).encode())
     assert digest.hexdigest() == ORACLE_DIGEST
+
+
+def _reference_circle_points(count, seed):
+    """The oracle's circle points through the tangent-half-angle chain of
+    ``Fraction`` operations: ``t = 2u - 1`` and ``((1 - t^2), 2t) / (1 + t^2)``."""
+    pts, acc = [], seed % 610
+    for _ in range(count):
+        acc = (acc + 377) % 610
+        t = 2 * Q(acc, 610) - 1
+        d = 1 + t * t
+        pts.append(((1 - t * t) / d, 2 * t / d))
+    return pts
+
+
+@pytest.mark.parametrize("count, seed", [(4, 7), (16, 0), (50, 123), (16, 9001), (700, 305)])
+def test_circle_points_match_the_tangent_half_angle_chain(count, seed):
+    pts = _rational_circle_points(count, seed)
+    assert pts == _reference_circle_points(count, seed)
+    assert all(x * x + y * y == 1 for x, y in pts)
 
 
 @settings(max_examples=25, deadline=None)

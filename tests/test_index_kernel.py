@@ -16,12 +16,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hyperpoly.hypernat import HyperNatural
+from hyperpoly.hypernum import HyperComplex
 from hyperpoly.indexexpr import (
     FragmentError,
     IndexExpr,
     SeqGrowth,
     class_key_of_square,
 )
+from hyperpoly.interpoly import StructuredPoly
 
 # ---------------------------------------------------------------------------
 # reference kernel: Fraction bases and Fraction coefficients throughout
@@ -386,6 +389,13 @@ def test_kernel_matches_fraction_reference(recipe):
     assert_same_recipe(recipe)
 
 
+# a sequence with poles at 1 and 2 and three growth classes
+NON_CONSTANT = ("add", ("div", ("geometric", Q(-3, 4)), ("sub", ("index",), ("const", Q(1)))),
+                ("div", ("factorial",), ("sub", ("index",), ("const", Q(2)))))
+ZERO_OVER_I = ("div", ("const", Q(0)), ("index",))
+ZERO_OVER_I_MINUS_3 = ("div", ("const", Q(0)), ("sub", ("index",), ("const", Q(3))))
+
+
 @pytest.mark.parametrize("recipe", [
     ("four-halves",),
     ("sub", ("four-halves",), ("geometric", Q(2))),
@@ -395,9 +405,39 @@ def test_kernel_matches_fraction_reference(recipe):
     ("subst", ("mul", ("factorial",), ("geometric", Q(-3, 4))), 1, -2),
     ("subst", ("div", ("geometric", Q(1, 2)), ("index",)), 2, 1),
     ("pow", ("add", ("four-halves",), ("factorial",)), -2),
+    # the exact zero and one as identities against the general rule
+    ("add", NON_CONSTANT, ("const", Q(0))),
+    ("add", ("const", Q(0)), NON_CONSTANT),
+    ("mul", ("const", Q(1)), NON_CONSTANT),
+    ("mul", NON_CONSTANT, ("const", Q(1))),
+    # a zero over another denominator keeps its poles (at 0 and at 3)
+    ("add", ("index",), ZERO_OVER_I),
+    ("mul", NON_CONSTANT, ("add", ("const", Q(1)), ZERO_OVER_I_MINUS_3)),
 ])
 def test_kernel_matches_fraction_reference_on_fixed_cases(recipe):
     assert_same_recipe(recipe)
+
+
+def test_exact_zero_and_one_return_the_other_operand():
+    x = build(NON_CONSTANT, IndexExpr)
+    assert (x + IndexExpr.const(0)) is x
+    assert (IndexExpr.const(0) + x) is x
+    assert (IndexExpr.const(1) * x) is x
+    assert (x * IndexExpr.const(1)) is x
+    for pole, zero in ((0, ZERO_OVER_I), (3, ZERO_OVER_I_MINUS_3)):
+        zero = build(zero, IndexExpr)
+        for e in (x + zero, zero + x, x * (IndexExpr.const(1) + zero)):
+            assert e is not x
+            with pytest.raises(ZeroDivisionError):
+                e.eval(pole)
+
+
+def test_untouched_coefficients_share_one_zero_part():
+    p = StructuredPoly(2, HyperNatural.constant(2), {
+        (1, 0): HyperComplex.from_rational(3), (0, 1): HyperComplex.from_rational(5)})
+    a, b, c, d = (p.coeff(nu) for nu in ((1, 0), (0, 1), (1, 1), (2, 0)))
+    assert a.im is b.im is c.re is c.im is d.re is d.im
+    assert c.re.is_zero() and c.value_exact(7) == (0, 0)
 
 
 def test_integral_product_base_is_an_int_key():
