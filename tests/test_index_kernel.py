@@ -389,7 +389,7 @@ def test_kernel_matches_fraction_reference(recipe):
     assert_same_recipe(recipe)
 
 
-# a sequence with poles at 1 and 2 and three growth classes
+# a non-constant sequence with poles at 1 and 2
 NON_CONSTANT = ("add", ("div", ("geometric", Q(-3, 4)), ("sub", ("index",), ("const", Q(1)))),
                 ("div", ("factorial",), ("sub", ("index",), ("const", Q(2)))))
 ZERO_OVER_I = ("div", ("const", Q(0)), ("index",))
