@@ -11,9 +11,9 @@ Floats appear only where values are read out: :meth:`HyperComplex.value`
 
 Finitely many leading indices never matter (the ultraproduct quotient), so a
 symbolic number may also carry a value rule ``gen`` that answers below a first
-index ``until``, where its expressions take over: this is how coefficients whose
-early values follow other rules (masked degrees, eventually constant streams)
-are represented.  A rule runs only when read, once per index.
+index ``until``, where its expressions take over: this is how a coefficient
+whose early values are its entries in its polynomial's rows, or come from its
+operands' values, is represented.  A rule runs only when read, once per index.
 """
 
 from __future__ import annotations

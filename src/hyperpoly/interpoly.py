@@ -21,12 +21,20 @@ Products and homogenizations are kept as lazy nodes: each builds the integer
 row of an index (see :mod:`~hyperpoly.exacteval`) from its operands' rows and
 exposes exact standard-index coefficient streams, which is all the downstream
 maps need.
+
+``P_i`` is its row, so a coefficient's value at ``i`` is its entry in that row:
+a structured, homogenized or truncated coefficient reads it below the index
+where its forms take over, and a dehomogenized one at every index.  Sums,
+scalar multiples, products and derivatives take their values from their
+operands' coefficients instead, so a product coefficient has no value where a
+factor has none, though the row leaves that factor's term out.
 """
 
 from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from functools import partial
 from operator import sub
 from typing import Iterable, Iterator, Optional
 
@@ -65,10 +73,6 @@ def multi_indices_of_degree(n: int, m: int) -> Iterable[MultiIndex]:
     for head in range(m + 1):
         for rest in multi_indices_of_degree(n - 1, m - head):
             yield (head,) + rest
-
-
-def _pair_add(a: Pair, b: Pair) -> Pair:
-    return (a[0] + b[0], a[1] + b[1])
 
 
 def _box_convolution(f, g, nu: MultiIndex) -> HyperComplex:
@@ -123,10 +127,6 @@ class TailTerm(Record, frozen=True):
     def phi_at(self, m: int) -> Fraction:
         return self.phi[m % len(self.phi)].eval(m)
 
-    def value(self, m: int, i: int) -> Pair:
-        ((_, re, im, den),) = self.values(range(m, m + 1), i)
-        return Q(re, den), Q(im, den)
-
     def values(self, degrees: range, i: int) -> Iterator[tuple[int, int, int, int]]:
         """``(m, re, im, den)``, ``phi(m) * eps(i)^m * psi(i) = (re + i im) / den``, for
         ``m`` in the step-1 range ``degrees``, in integers: ``eps(i)^m`` as running
@@ -165,24 +165,24 @@ class TopTerm(Record, frozen=True):
 class InternalPolynomial:
     """Common interface; see the concrete classes below.
 
-    Each representation computes ``_row(i)``, the integer row of index ``i``
-    (see :mod:`~hyperpoly.exacteval`), and ``_coeff(nu)``.  This class keeps
-    rows, their ``Fraction`` views (:meth:`materialize`) and coefficients for
-    the life of the object, with no cap; an index whose row raises is not kept.
+    Each representation gives ``rule``, which builds the integer row of index
+    ``i`` (see :mod:`~hyperpoly.exacteval`) and holds no reference to the
+    polynomial, and ``_coeff(nu, entry)``, where ``entry(i)`` is ``nu``'s entry
+    of the row of ``i``.  This class keeps rows, their ``Fraction`` views
+    (:meth:`materialize`) and coefficients for the life of the object, with no
+    cap; an index whose row raises is not kept.
     """
 
-    def __init__(self, n: int, degree: HyperNatural):
+    def __init__(self, n: int, degree: HyperNatural, rule):
         self.n = n
         self.degree = degree
+        self._rule = rule
         self._rows: dict[int, Row] = {}
         self._materialized: dict[int, dict[MultiIndex, Pair]] = {}
         self._coeffs: dict[MultiIndex, HyperComplex] = {}
 
     def row(self, i: int) -> Row:
-        out = self._rows.get(i)
-        if out is None:
-            out = self._rows[i] = self._row(i)
-        return out
+        return _row_at(self._rows, self._rule, i)
 
     def materialize(self, i: int) -> dict[MultiIndex, Pair]:
         """``P_i`` as ``{nu: (re, im)}``, nonzero coefficients in row order."""
@@ -195,13 +195,11 @@ class InternalPolynomial:
         nu = tuple(nu)
         out = self._coeffs.get(nu)
         if out is None:
-            out = self._coeffs[nu] = self._coeff(nu)
+            # entry holds the rows and the rule, not self, so self._coeffs makes no reference cycle
+            out = self._coeffs[nu] = self._coeff(nu, partial(_entry, self._rows, self._rule, nu))
         return out
 
-    def _row(self, i: int) -> Row:
-        raise NotImplementedError
-
-    def _coeff(self, nu: MultiIndex) -> HyperComplex:
+    def _coeff(self, nu: MultiIndex, entry) -> HyperComplex:
         raise NotImplementedError
 
     # -- shared helpers --------------------------------------------------------
@@ -226,6 +224,25 @@ class InternalPolynomial:
         return poly_mul(self, other)
 
 
+def _row_at(rows: dict, rule, i: int) -> Row:
+    """The row of index ``i``: kept in ``rows``, or built by ``rule`` and kept."""
+    out = rows.get(i)
+    if out is None:
+        out = rows[i] = rule(i)
+    return out
+
+
+def _entry(rows: dict, rule, nu: MultiIndex, i: int) -> Pair:
+    """``nu``'s coefficient in the row of index ``i``, and 0 where the row has
+    no term at ``nu``."""
+    row = _row_at(rows, rule, i)
+    den = row[0]
+    for k, _, re, im, _ in row[3]:
+        if k == nu:
+            return Q(re, den), Q(im, den)
+    return _ZERO
+
+
 def _refuse_generator(c: HyperComplex):
     if not c.symbolic:
         raise TypeError("a structured coefficient must be symbolic, not generator-backed")
@@ -247,15 +264,14 @@ class StructuredPoly(InternalPolynomial):
             raise ValueError("need at least one variable")
         if tops and n != 1:
             raise ValueError("top-anchored monomials are univariate only")
-        super().__init__(n, degree)
-        self.explicit = {
-            tuple(k): hc_coerce(v) for k, v in (explicit or {}).items()
-        }
+        explicit = {tuple(k): hc_coerce(v) for k, v in (explicit or {}).items()}
         # a band without hi runs up to this degree; one band object listed twice
         # stays one object (the classifier tells bands apart by identity)
         anchored = {id(t): t if t.hi is not None else t.replace(hi=degree) for t in tails}
-        self.tails = tuple(anchored[id(t)] for t in tails)
-        self.tops = tuple(tops)
+        tails = tuple(anchored[id(t)] for t in tails)
+        tops = tuple(tops)
+        super().__init__(n, degree, partial(_structured_row, n, degree, explicit, tails, tops))
+        self.explicit, self.tails, self.tops = explicit, tails, tops
         for k, c in self.explicit.items():
             if len(k) != n:
                 raise ValueError(f"multi-index {k} has wrong arity")
@@ -267,25 +283,6 @@ class StructuredPoly(InternalPolynomial):
     materialize = InternalPolynomial.materialize
     coeff = InternalPolynomial.coeff
 
-    # -- materialization ---------------------------------------------------------
-    def _row(self, i: int) -> Row:
-        """Band values, then tops, then explicit coefficients, summed in integers."""
-        parts = []
-        for t in self.tails:
-            lo = t.lo.value(i) if t.lo is not None else -1
-            for m, re, im, den in t.values(range(lo + 1, t.hi.value(i) + 1), i):
-                if re or im:
-                    parts += [(nu, re, im, den) for nu in multi_indices_of_degree(self.n, m)]
-        d_i = self.degree.value(i)
-        exact = [((t.degree.value(i),), t.coeff) for t in self.tops]
-        exact += [(nu, c) for nu, c in self.explicit.items() if mi_total(nu) <= d_i]
-        for nu, c in exact:
-            try:
-                parts.append(part(nu, c.value_exact(i)))
-            except ZeroDivisionError:
-                pass   # a coefficient with no value at i is left out
-        return row_of_parts(parts, self.n)
-
     # -- exact coefficient streams --------------------------------------------------
     def _stable_from(self, m: int) -> int:
         """Index from which all band/degree comparisons at level m are constant."""
@@ -293,9 +290,9 @@ class StructuredPoly(InternalPolynomial):
                   + [t.lo for t in self.tails if t.lo is not None])
         return max(b.stable_from(m) for b in bounds)
 
-    def _coeff(self, nu: MultiIndex) -> HyperComplex:
+    def _coeff(self, nu: MultiIndex, entry) -> HyperComplex:
         """The rules' forms from :meth:`_stable_from` and the coefficients' own
-        ``until`` on, and their values below.  Each part starts from the shared
+        ``until`` on, and the row's entry below.  Each part starts from the shared
         zero ``ZERO_EXPR``, so a part that no rule reaches is that one object."""
         if len(nu) != self.n:
             raise ValueError("multi-index arity mismatch")
@@ -315,33 +312,28 @@ class StructuredPoly(InternalPolynomial):
                 f = IndexExpr.const(t.phi_at(m)) * t.eps**m
                 re = re + f * t.psi_re
                 im = im + f * t.psi_im
-        rules = (self.degree, self.explicit.get(nu), self.tops, self.tails)
-        # the rule holds the parts, not self: self._coeffs then makes no reference cycle
-        return HyperComplex(re, im, T, lambda i: _rule_value(*rules, nu, i))
+        return HyperComplex(re, im, T, entry)
 
 
-def _rule_value(degree, c, tops, tails, nu: MultiIndex, i: int) -> Pair:
-    """The coefficient at ``nu`` and index ``i`` of a structured polynomial's rules
-    (``c`` its explicit coefficient there, or None); cheaper than the whole row."""
-    m = mi_total(nu)
-    if m > degree.value(i):
-        return _ZERO
-    total = _ZERO
-    if c is not None:
-        try:
-            total = c.value_exact(i)
-        except ZeroDivisionError:
-            total = _ZERO
-    for t in tops:
-        if t.degree.value(i) == m:
-            try:
-                total = _pair_add(total, t.coeff.value_exact(i))
-            except ZeroDivisionError:
-                pass
+def _structured_row(n: int, degree: HyperNatural, explicit: dict, tails: tuple, tops: tuple,
+                    i: int) -> Row:
+    """The row of a structured polynomial: band values, then tops, then explicit
+    coefficients, summed in integers."""
+    parts = []
     for t in tails:
-        if t.in_range(m, i):
-            total = _pair_add(total, t.value(m, i))
-    return total
+        lo = t.lo.value(i) if t.lo is not None else -1
+        for m, re, im, den in t.values(range(lo + 1, t.hi.value(i) + 1), i):
+            if re or im:
+                parts += [(nu, re, im, den) for nu in multi_indices_of_degree(n, m)]
+    d_i = degree.value(i)
+    exact = [((t.degree.value(i),), t.coeff) for t in tops]
+    exact += [(nu, c) for nu, c in explicit.items() if mi_total(nu) <= d_i]
+    for nu, c in exact:
+        try:
+            parts.append(part(nu, c.value_exact(i)))
+        except ZeroDivisionError:
+            pass   # a coefficient with no value at i is left out
+    return row_of_parts(parts, n)
 
 
 class ProductPoly(InternalPolynomial):
@@ -350,16 +342,13 @@ class ProductPoly(InternalPolynomial):
     def __init__(self, p: InternalPolynomial, q: InternalPolynomial):
         if p.n != q.n:
             raise ValueError("variable-count mismatch in product")
-        super().__init__(p.n, p.degree + q.degree)
+        super().__init__(p.n, p.degree + q.degree, lambda i: multiply_rows(p.row(i), q.row(i)))
         self.p = p
         self.q = q
 
     coeff = InternalPolynomial.coeff  # named here for the same reason as StructuredPoly's
 
-    def _row(self, i: int) -> Row:
-        return multiply_rows(self.p.row(i), self.q.row(i))
-
-    def _coeff(self, nu: MultiIndex) -> HyperComplex:
+    def _coeff(self, nu: MultiIndex, entry) -> HyperComplex:
         return _box_convolution(self.p.coeff, self.q.coeff, nu)
 
     def eval_exact(self, i: int, point: tuple[Pair, ...]) -> Pair:
@@ -374,22 +363,18 @@ class LazyPoly(InternalPolynomial):
 
     ``fn(i)`` returns the ``(nu, re, im, den)`` parts of index ``i``, which
     :func:`~hyperpoly.exacteval.row_of_parts` sums into its row.
+    ``coeff_fn(nu, entry)`` gives the coefficient at ``nu``; without it, the
+    coefficient is the row's entry at every index.
     """
 
     def __init__(self, n: int, degree: HyperNatural, fn, coeff_fn=None):
-        super().__init__(n, degree)
-        self._fn = fn
+        super().__init__(n, degree, lambda i: row_of_parts(fn(i), n))
         self._coeff_fn = coeff_fn
 
-    def _row(self, i: int) -> Row:
-        return row_of_parts(self._fn(i), self.n)
-
-    def _coeff(self, nu: MultiIndex) -> HyperComplex:
-        if self._coeff_fn is not None:
-            return self._coeff_fn(nu)
-        # the rule builds its own rows, not self's: self._coeffs then makes no reference cycle
-        return HyperComplex(gen=lambda i, fn=self._fn, n=self.n:
-                            fraction_table(row_of_parts(fn(i), n)).get(nu, _ZERO))
+    def _coeff(self, nu: MultiIndex, entry) -> HyperComplex:
+        if self._coeff_fn is None:
+            return HyperComplex(gen=entry)
+        return self._coeff_fn(nu, entry)
 
 
 # ---------------------------------------------------------------------------
@@ -441,7 +426,7 @@ def poly_add(p: InternalPolynomial, q: InternalPolynomial) -> InternalPolynomial
     def fn(i):
         return parts_of_row(p.row(i)) + parts_of_row(q.row(i))
 
-    return LazyPoly(p.n, deg, fn, coeff_fn=lambda nu: p.coeff(nu) + q.coeff(nu))
+    return LazyPoly(p.n, deg, fn, coeff_fn=lambda nu, _: p.coeff(nu) + q.coeff(nu))
 
 
 def _hn_le_everywhere(a: HyperNatural, b: HyperNatural) -> bool:
@@ -522,7 +507,7 @@ def scalar_mul(c, p: InternalPolynomial) -> InternalPolynomial:
         return [(nu, re * a - im * b, re * b + im * a, den * d)
                 for nu, re, im, den in parts_of_row(p.row(i))]
 
-    return LazyPoly(p.n, p.degree, fn, coeff_fn=lambda nu: c * p.coeff(nu))
+    return LazyPoly(p.n, p.degree, fn, coeff_fn=lambda nu, _: c * p.coeff(nu))
 
 
 def poly_mul(p: InternalPolynomial, q: InternalPolynomial) -> InternalPolynomial:
@@ -678,7 +663,7 @@ def _lazy_derivative(p: InternalPolynomial, var: int) -> LazyPoly:
                  re * nu[var], im * nu[var], den)
                 for nu, re, im, den in parts_of_row(p.row(i)) if nu[var]]
 
-    def coeff_fn(nu):
+    def coeff_fn(nu, _):
         up = tuple(v + 1 if t == var else v for t, v in enumerate(nu))
         return p.coeff(up) * (nu[var] + 1)
 
@@ -702,22 +687,16 @@ def homogenize(p: InternalPolynomial) -> InternalPolynomial:
         return [(nu + (d_i - mi_total(nu),), re, im, den)
                 for nu, re, im, den in parts_of_row(p.row(i))]
 
-    def coeff_fn(ext):
-        # coefficient of X^nu Z^z is a_nu masked by the indicator of d_i = |nu|+z;
-        # where a_nu has no value, the coefficient reads 0
+    def coeff_fn(ext, entry):
+        # coefficient of X^nu Z^z is a_nu where d_i = |nu|+z, and 0 elsewhere; below
+        # where that settles, and wherever a_nu is generator-backed, the row's entry
         nu, m = tuple(ext[:-1]), mi_total(ext)
         base = p.coeff(nu)
-
-        def masked(i):
-            try:
-                return base.value_exact(i) if d.value(i) == m else _ZERO
-            except ZeroDivisionError:
-                return _ZERO
         if not base.symbolic:
-            return HyperComplex(gen=masked)
+            return HyperComplex(gen=entry)
         if d.slope == 0 and max(0, d.intercept) == m:
-            return HyperComplex(base.re, base.im, max(base.until, d.stable_from(m)), masked)
-        return HyperComplex(IndexExpr.const(0), None, d.stable_from(m), masked)
+            return HyperComplex(base.re, base.im, max(base.until, d.stable_from(m)), entry)
+        return HyperComplex(IndexExpr.const(0), None, d.stable_from(m), entry)
 
     return LazyPoly(p.n + 1, d, fn, coeff_fn)
 
@@ -776,11 +755,11 @@ def truncate_series(coeff_rule, d: HyperNatural, n: int = 1) -> InternalPolynomi
         return [part(nu, pair(nu))
                 for m in range(0, d.value(i) + 1) for nu in multi_indices_of_degree(n, m)]
 
-    def coeff_fn(nu):
+    def coeff_fn(nu, entry):
         m, c = mi_total(nu), pair(tuple(nu))
         eventual = c if d.slope > 0 or max(0, d.intercept) >= m else _ZERO
         return HyperComplex(IndexExpr.const(eventual[0]), IndexExpr.const(eventual[1]),
-                            d.stable_from(m), lambda i: c if d.value(i) >= m else _ZERO)
+                            d.stable_from(m), entry)
 
     return LazyPoly(n, d, fn, coeff_fn)
 

@@ -222,9 +222,6 @@ def assert_band_values_match(make, indices=range(1, 8)):
                 for degrees in (range(0, 10), range(3, 8), range(4, 4)):
                     assert _drain(lambda: as_pairs(t.values(degrees, i))) == _drain(
                         lambda: reference_values(t, degrees, i))
-                for m in range(6):
-                    assert _drain(lambda: [t.value(m, i)]) == _drain(
-                        lambda: [v for _, v in reference_values(t, range(m, m + 1), i)])
 
 
 @settings(max_examples=8, deadline=None)
@@ -272,15 +269,21 @@ def test_band_values_match_reference_on_hand_built_bands(phi, eps, psi, lo):
     assert_band_values_match(make)
 
 
+def one_term(t, m, i):
+    """The band's value at degree ``m`` and index ``i``, read as a one-term range."""
+    ((_, value),) = as_pairs(t.values(range(m, m + 1), i))
+    return value
+
+
 def test_band_value_is_the_one_term_range():
     t = TailTerm((IndexExpr.const(1),), I() - 1, I())
     # eps(1) = 0: degree 0 keeps 0^0 = 1, higher degrees vanish
-    assert t.value(0, 1) == (Q(1), Q(0))
+    assert one_term(t, 0, 1) == (Q(1), Q(0))
     assert list(as_pairs(t.values(range(0, 3), 1))) == [
         (0, (Q(1), Q(0))), (1, (Q(0), Q(0))), (2, (Q(0), Q(0)))]
     t = TailTerm((IndexExpr.const(1),), IndexExpr.const(Q(-3, 2)), IndexExpr.const(0),
                  IndexExpr.const(Q(2, 5)))
-    assert [t.value(m, 1) for m in range(3)] == [
+    assert [one_term(t, m, 1) for m in range(3)] == [
         (Q(0), Q(2, 5)), (Q(0), Q(-3, 5)), (Q(0), Q(9, 10))]
 
 
@@ -554,21 +557,15 @@ def test_pole_raises_from_row_view_and_eval_on_every_call():
 
 def test_oracle_and_eval_exact_build_each_row_once():
     p = next(p for _, p in labeled_family(101, 40) if isinstance(p, StructuredPoly) and p.tails)
-    built = []
-    real = StructuredPoly._row
-
-    def counting(self, i):
-        built.append(i)
-        return real(self, i)
-
-    with patch.object(StructuredPoly, "_row", counting):
-        sampling_oracle(p, radius=1, horizon=12)
-        sampling_oracle(p, radius=4, horizon=12)
-        assert built == list(range(1, 13))
-        pt, other = _oracle_points(p.n, Q(5, 4), 1, 5)[-2:]
-        assert p.eval_exact(20, pt) == reference_eval_exact(p, 20, pt)
-        assert p.eval_exact(20, other) == reference_eval_exact(p, 20, other)
-        assert built == list(range(1, 13)) + [20]
+    built, rule = [], p._rule
+    p._rule = lambda i: built.append(i) or rule(i)   # the indices whose row is built
+    sampling_oracle(p, radius=1, horizon=12)
+    sampling_oracle(p, radius=4, horizon=12)
+    assert built == list(range(1, 13))
+    pt, other = _oracle_points(p.n, Q(5, 4), 1, 5)[-2:]
+    assert p.eval_exact(20, pt) == reference_eval_exact(p, 20, pt)
+    assert p.eval_exact(20, other) == reference_eval_exact(p, 20, other)
+    assert built == list(range(1, 13)) + [20]
 
 
 def test_lazy_rows_build_no_fraction_view():
@@ -1030,6 +1027,34 @@ def test_singular_factor_has_no_value_at_its_pole():
         for nu in indices_to_degree(1, 4):
             with pytest.raises(ZeroDivisionError):
                 prod.coeff(nu).value_exact(2)
+
+
+def row_read_coefficients():
+    """``(p, nu, indices)``: a coefficient of each kind that reads ``p``'s row at
+    ``indices``, every index below its ``until``: a banded structured one with an
+    early explicit term, two homogenized ones, a truncated series' and a
+    dehomogenized one, which has no coefficient rule and reads the row at every
+    index."""
+    banded = StructuredPoly(1, D_I, {(2,): early(IndexExpr.const(1), None,
+                                                 {1: (Q(5), Q(-1)), 3: (Q(2, 7), Q(0))})},
+                            tails=(TailTerm((1 / IndexExpr.factorial(),)),))
+    hom = homogenize(banded)
+    series = truncate_series(lambda nu: Q(1, 1 + nu[0]), HyperNatural(1, -1))
+    return [(banded, (2,), range(1, 4)), (hom, (2, 1), range(1, 4)), (hom, (0, 3), range(1, 4)),
+            (series, (2,), range(1, 4)), (dehomogenize(hom), (2,), range(1, 6))]
+
+
+def test_early_values_are_the_kept_row_entries():
+    """An early value is the coefficient's entry in the row its polynomial
+    keeps, and reading it builds no row again."""
+    for p, nu, indices in row_read_coefficients():
+        c = p.coeff(nu)
+        assert not c.symbolic or c.until == indices.stop, nu
+        for i in indices:
+            p.row(i)
+            with patch.object(interpoly, "row_of_parts", wraps=row_of_parts) as built:
+                assert c.value_exact(i) == p.materialize(i).get(nu, ZERO), (nu, i)
+            assert built.call_count == 0, (nu, i)
 
 
 def test_homogenized_coefficient_reads_zero_at_a_pole():

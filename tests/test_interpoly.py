@@ -496,13 +496,20 @@ def test_lazy_scalar_multiple_reads_zero_where_the_scalar_has_no_value():
 
 
 def test_a_lazy_coefficient_read_off_the_rows_makes_no_reference_cycle():
+    reads = [(lambda: dehomogenize(homogenize(truncated_exp(D_I))), (2,), 5, pair(Q(1, 2))),
+             # until 4 for both: the degree i reaches 3 at i = 3
+             (lambda: truncated_exp(D_I), (3,), 2, pair(0)),
+             (lambda: homogenize(truncated_exp(D_I)), (2, 1), 3, pair(Q(1, 2)))]
     gc.collect()
     gc.disable()
     try:
-        for _ in range(100):
-            p = dehomogenize(homogenize(truncated_exp(D_I)))
-            assert p.coeff((2,)).value_exact(5) == pair(Q(1, 2))
-        del p
-        assert gc.collect() == 0
+        for make, nu, i, want in reads:
+            for _ in range(100):
+                p = make()
+                c = p.coeff(nu)
+                assert not c.symbolic or i < c.until
+                assert c.value_exact(i) == want
+            del p, c
+            assert gc.collect() == 0, nu
     finally:
         gc.enable()
