@@ -89,6 +89,10 @@ class PolyClass(Record, frozen=True):
         }
 
 
+def _root_test(verdict: str, *details: str, infinitesimal: str = "unknown") -> PolyClass:
+    return PolyClass(verdict, Certificate("root-test", details), infinitesimal)
+
+
 def classify_poly(p: InternalPolynomial) -> PolyClass:
     if isinstance(p, StructuredPoly):
         return _classify_structured(p)
@@ -123,11 +127,8 @@ def _classify_structured(p: StructuredPoly) -> PolyClass:
     for nu, c in sorted(p.explicit.items()):
         label = c.classify().label
         if label == INFINITE:
-            return PolyClass(
-                UNBOUNDED,
-                Certificate("root-test", (f"clause i fails: coefficient at {nu} is infinite",)),
-                "no",
-            )
+            return _root_test(UNBOUNDED, f"clause i fails: coefficient at {nu} is infinite",
+                              infinitesimal="no")
         if label == UNDECIDED:
             undecided.append(f"coefficient at {nu} undecided")
         elif label == APPRECIABLE:
@@ -152,22 +153,14 @@ def _classify_structured(p: StructuredPoly) -> PolyClass:
     for t, psi2, r, t_live in zip(p.tails, squares, rays, live):
         walk = _band_key_walk(t, psi2)
         if walk is not None and walk[0] == "unbounded":
-            return PolyClass(
-                UNBOUNDED,
-                Certificate("root-test",
-                            (f"clause i fails: band coefficient at |nu| = {walk[1]} is infinite",)),
-                "no",
-            )
+            return _root_test(
+                UNBOUNDED, f"clause i fails: band coefficient at |nu| = {walk[1]} is infinite",
+                infinitesimal="no")
         isolated = not any(u_live for u, u_live in zip(p.tails, live) if u is not t)
         if isolated and any(v in (_POS, _INF) for v in r or ()):
-            return PolyClass(
-                UNBOUNDED,
-                Certificate(
-                    "root-test",
-                    ("clause ii fails: band root test has a nonzero limit on a ray",),
-                ),
-                "no",
-            )
+            return _root_test(UNBOUNDED,
+                              "clause ii fails: band root test has a nonzero limit on a ray",
+                              infinitesimal="no")
         if walk is None:
             undecided.append("band finite-range class undecided")
         elif walk[1] == "no":
@@ -176,19 +169,11 @@ def _classify_structured(p: StructuredPoly) -> PolyClass:
             undecided.append("band root test undecided")
 
     if undecided:
-        return PolyClass(UNDECIDED, Certificate("root-test", tuple(undecided)))
+        return _root_test(UNDECIDED, *undecided)
     if inf_flag == "yes":
-        return PolyClass(
-            INFINITESIMAL,
-            Certificate("root-test", ("all standard coefficients infinitesimal; "
-                                      "root test vanishes on both rays",)),
-            "yes",
-        )
-    return PolyClass(
-        BOUNDED,
-        Certificate("root-test", ("clauses i and ii hold",)),
-        inf_flag,
-    )
+        return _root_test(INFINITESIMAL, "all standard coefficients infinitesimal; "
+                          "root test vanishes on both rays", infinitesimal="yes")
+    return _root_test(BOUNDED, "clauses i and ii hold", infinitesimal=inf_flag)
 
 
 def _classify_top(t, shared: bool) -> Optional[PolyClass]:
@@ -202,36 +187,22 @@ def _classify_top(t, shared: bool) -> Optional[PolyClass]:
     if not t.degree.infinite:
         # a plain standard coefficient; fold into clause (i)
         if c.classify().label == INFINITE:
-            return PolyClass(
-                UNBOUNDED,
-                Certificate("root-test", ("clause i fails: top coefficient infinite",)),
-                "no",
-            )
+            return _root_test(UNBOUNDED, "clause i fails: top coefficient infinite",
+                              infinitesimal="no")
         return None
     key = class_key_of_square(c.modulus_squared_expr())
     if key is None:
-        return PolyClass(
-            UNDECIDED, Certificate("root-test", ("top coefficient class undecided",))
-        )
+        return _root_test(UNDECIDED, "top coefficient class undecided")
     k2 = key[0]
     if k2 < 0:
         return None  # |c|^(1/d) -> 0: compatible with bounded
     # k2 >= 0: |c(i)|^(1/d_i) tends to a positive constant or diverges, and
     # factorial growth can never be cancelled by another band in this form
     if shared:
-        return PolyClass(
-            UNDECIDED,
-            Certificate("root-test", ("top coefficient and band share the infinite range",)),
-        )
+        return _root_test(UNDECIDED, "top coefficient and band share the infinite range")
     v = "oo" if k2 > 0 else f"({key[1]})^(1/{2 * t.degree.slope})"
-    return PolyClass(
-        UNBOUNDED,
-        Certificate(
-            "root-test",
-            (f"clause ii fails: top coefficient root test -> {v} > 0",),
-        ),
-        "no",
-    )
+    return _root_test(UNBOUNDED, f"clause ii fails: top coefficient root test -> {v} > 0",
+                      infinitesimal="no")
 
 
 def _band_reaches_ray(p: StructuredPoly, t: TailTerm, num: int, den: int) -> bool:

@@ -19,7 +19,8 @@ from math import lcm, prod
 from typing import Union
 
 from .filters import is_prime
-from .interpoly import InternalPolynomial, StructuredPoly, mi_total, multi_indices_of_degree
+from .interpoly import (InternalPolynomial, StructuredPoly, add_terms, mi_total,
+                        multi_indices_of_degree, times_terms)
 from .record import Record, _set
 from .verdicts import FAILS, HOLDS, HORIZON, Verdict
 
@@ -80,18 +81,11 @@ class FieldPoly(Record, frozen=True):
         )
 
     def add(self, other: "FieldPoly") -> "FieldPoly":
-        out = dict(self.coeffs)
-        for nu, c in other.coeffs:
-            out[nu] = out.get(nu, 0) + c
-        return FieldPoly.make(self.field, self.n, out)
+        return FieldPoly.make(self.field, self.n, add_terms(dict(self.coeffs), other.coeffs))
 
     def mul(self, other: "FieldPoly") -> "FieldPoly":
-        out: dict = {}
-        for nu1, c1 in self.coeffs:
-            for nu2, c2 in other.coeffs:
-                key = tuple(a + b for a, b in zip(nu1, nu2))
-                out[key] = out.get(key, 0) + c1 * c2
-        return FieldPoly.make(self.field, self.n, out)
+        return FieldPoly.make(self.field, self.n,
+                              add_terms({}, times_terms(self.coeffs, other.coeffs)))
 
     def scale(self, c) -> "FieldPoly":
         return FieldPoly.make(

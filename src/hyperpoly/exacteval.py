@@ -25,6 +25,12 @@ term-by-term rational arithmetic.
 
 ``completion.FieldPoly.eval_at`` sums over one denominator too, but without
 dense power tables; the torus quadrature in ``classify`` samples in floats.
+
+Finite ``{nu: coefficient}`` tables in any ring are summed and multiplied by
+``interpoly.add_terms`` and ``interpoly.times_terms``.  Rows keep
+:func:`row_of_parts` and :func:`multiply_rows`, which add Gaussian-integer
+numerators over one denominator: the ring-generic kernels would add one
+``Fraction`` per term on the oracle's and the standard parts' hot path.
 """
 
 from __future__ import annotations

@@ -18,7 +18,7 @@ from math import gcd
 from typing import Callable, Iterator, Optional
 
 from .completion import FieldPoly
-from .interpoly import multi_indices_of_degree
+from .interpoly import add_terms, multi_indices_of_degree
 from .record import Record, _set
 from .verdicts import HOLDS, HORIZON, GridExhausted, Verdict, eventually
 
@@ -113,8 +113,7 @@ class Parametrization(Record, frozen=True):
             term = qpoly(self.k, {(0,) * self.k: c})
             for e, (nums, dens, top) in zip(nu, tables):
                 term = term.mul(nums[e]).mul(dens[top - e])
-            for mu, a in term.coeffs:
-                total[mu] = total.get(mu, 0) + a
+            add_terms(total, term.coeffs)
         return not any(total.values())
 
 

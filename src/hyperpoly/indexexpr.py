@@ -44,7 +44,6 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import lru_cache
 from typing import Optional, Union
 
 from .record import Record, _set
@@ -68,11 +67,6 @@ ONE_FORM: Form = ({ONE_KEY: 1}, 1)
 
 class FragmentError(ValueError):
     """Requested operation leaves the decidable sequence fragment."""
-
-
-@lru_cache(maxsize=4096)
-def _factorial(i: int) -> int:
-    return math.factorial(i)
 
 
 def _base(c: Fraction) -> Base:
@@ -195,7 +189,7 @@ def _f_eval(a: Form, i: int) -> tuple[int, int]:
             d = b[1] ** i
         if k:
             if fact is None:
-                fact = _factorial(i)
+                fact = math.factorial(i)
             n *= fact**k
         if p:
             n *= i**p

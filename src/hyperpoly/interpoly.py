@@ -28,6 +28,11 @@ where its forms take over, and a dehomogenized one at every index.  Sums,
 scalar multiples, products and derivatives take their values from their
 operands' coefficients instead, so a product coefficient has no value where a
 factor has none, though the row leaves that factor's term out.
+
+Every finite ``{multi-index: coefficient}`` table, whatever its ring (the
+explicit part here, ``completion.FieldPoly``, the dX-slices of a
+``leibniz.DiffElement``), is summed by :func:`add_terms` and multiplied by
+:func:`times_terms`, and :func:`expand` expands its monomials.
 """
 
 from __future__ import annotations
@@ -35,7 +40,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from functools import partial
-from operator import sub
+from operator import add, sub
 from typing import Iterable, Iterator, Optional
 
 from .exacteval import (Row, dot, evaluate, fraction_table, multiply_rows, part, parts_of_row,
@@ -56,10 +61,6 @@ def mi_total(nu: MultiIndex) -> int:
     return sum(nu)
 
 
-def mi_add(a: MultiIndex, b: MultiIndex) -> MultiIndex:
-    return tuple(x + y for x, y in zip(a, b))
-
-
 def mi_sub(a: MultiIndex, b: MultiIndex) -> MultiIndex:
     """``a - b`` for ``b <= a``."""
     return tuple(map(sub, a, b))
@@ -77,7 +78,8 @@ def multi_indices_of_degree(n: int, m: int) -> Iterable[MultiIndex]:
 
 def _box_convolution(f, g, nu: MultiIndex) -> HyperComplex:
     """The coefficient at ``nu`` of a product: ``f(mu) * g(nu - mu)`` summed
-    over ``mu <= nu`` in lexicographic order.
+    over ``mu <= nu`` in lexicographic order.  It reads one coefficient of
+    two streams, which have no finite table for :func:`times_terms`.
 
     Symbolic factors build the forms with the operations of the chained
     ``HyperComplex`` sum, starting from the shared zero ``ZERO_EXPR``, and
@@ -410,9 +412,7 @@ def poly_add(p: InternalPolynomial, q: InternalPolynomial) -> InternalPolynomial
     if p.n != q.n:
         raise ValueError("variable-count mismatch in sum")
     if isinstance(p, StructuredPoly) and isinstance(q, StructuredPoly):
-        explicit = dict(p.explicit)
-        for k, v in q.explicit.items():
-            explicit[k] = explicit[k] + v if k in explicit else v
+        explicit = add_terms(dict(p.explicit), q.explicit.items())
         explicit = {k: v for k, v in explicit.items() if not v.is_zero_expr() or v.until > 1}
         return StructuredPoly(
             p.n,
@@ -514,12 +514,7 @@ def poly_mul(p: InternalPolynomial, q: InternalPolynomial) -> InternalPolynomial
     if isinstance(p, StructuredPoly) and isinstance(q, StructuredPoly):
         # fully explicit products stay explicit; otherwise keep a lazy node
         if not p.tails and not p.tops and not q.tails and not q.tops:
-            explicit: dict[MultiIndex, HyperComplex] = {}
-            for nu1, c1 in p.explicit.items():
-                for nu2, c2 in q.explicit.items():
-                    k = mi_add(nu1, nu2)
-                    v = c1 * c2
-                    explicit[k] = explicit[k] + v if k in explicit else v
+            explicit = add_terms({}, times_terms(p.explicit.items(), q.explicit.items()))
             return StructuredPoly(p.n, p.degree + q.degree, explicit)
         if not q.tails and not q.tops and len(q.explicit) <= 4:
             return _tail_times_explicit(p, q)
@@ -557,6 +552,20 @@ def _tail_times_explicit(p: StructuredPoly, q: StructuredPoly) -> InternalPolyno
         part = StructuredPoly(1, p.degree + k, tails=tuple(shifted_tails), tops=tops)
         total = poly_add(total, part)
     return total
+
+
+def add_terms(out: dict, terms) -> dict:
+    """Add each ``(nu, c)`` of ``terms`` into the table ``out``, in order: ``out[nu] + c``
+    where ``nu`` is a key, else ``c`` in a new last place.  Returns ``out``."""
+    for nu, c in terms:
+        out[nu] = out[nu] + c if nu in out else c
+    return out
+
+
+def times_terms(a, b) -> Iterator[tuple[MultiIndex, object]]:
+    """``(nu + mu, c * d)`` for each ``(nu, c)`` of ``a`` and ``(mu, d)`` of ``b``, in
+    nested-loop order with ``a`` outer."""
+    return ((tuple(map(add, nu, mu)), c * d) for (nu, c), (mu, d) in itertools.product(a, b))
 
 
 def expand(terms, xs: list, zero):
@@ -624,14 +633,8 @@ def partial_derivative(p: InternalPolynomial, alpha: MultiIndex) -> InternalPoly
 
 def _derive_once(p: InternalPolynomial, var: int) -> InternalPolynomial:
     if isinstance(p, StructuredPoly):
-        explicit: dict[MultiIndex, HyperComplex] = {}
-        for nu, c in p.explicit.items():
-            if nu[var] == 0:
-                continue
-            k = nu[var]
-            new_nu = tuple(v - 1 if t == var else v for t, v in enumerate(nu))
-            nc = c * k
-            explicit[new_nu] = explicit[new_nu] + nc if new_nu in explicit else nc
+        explicit = add_terms({}, ((tuple(v - 1 if t == var else v for t, v in enumerate(nu)),
+                                   c * nu[var]) for nu, c in p.explicit.items() if nu[var]))
         tails = []
         for t in p.tails:
             if p.n != 1:

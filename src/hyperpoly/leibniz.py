@@ -27,16 +27,17 @@ from fractions import Fraction
 from typing import Optional
 
 from .classify import BOUNDED, INFINITESIMAL, Certificate, PolyClass, classify_poly
-from .exacteval import Row
+from .exacteval import Row, fraction_table
 from .interpoly import (
     InternalPolynomial,
     StructuredPoly,
+    add_terms,
     mi_sub,
     multi_indices_of_degree,
     partial_derivative,
-    poly_add,
     poly_mul,
     scalar_mul,
+    times_terms,
     zero_poly,
 )
 from .record import Record, _set
@@ -80,10 +81,7 @@ class DiffElement(Record):
         return self.slices.get(e, zero_poly(self.n))
 
     def __add__(self, other: "DiffElement") -> "DiffElement":
-        out = dict(self.slices)
-        for mu, poly in other.slices.items():
-            out[mu] = poly_add(out[mu], poly) if mu in out else poly
-        return DiffElement(self.n, out)
+        return DiffElement(self.n, add_terms(dict(self.slices), other.slices.items()))
 
     def __sub__(self, other: "DiffElement") -> "DiffElement":
         return self + other.scale(-1)
@@ -94,13 +92,8 @@ class DiffElement(Record):
         )
 
     def __mul__(self, other: "DiffElement") -> "DiffElement":
-        out: dict[MultiIndex, InternalPolynomial] = {}
-        for mu, a in self.slices.items():
-            for rho, b in other.slices.items():
-                key = tuple(x + y for x, y in zip(mu, rho))
-                prod = poly_mul(a, b)
-                out[key] = poly_add(out[key], prod) if key in out else prod
-        return DiffElement(self.n, out)
+        return DiffElement(self.n, add_terms({}, times_terms(self.slices.items(),
+                                                             other.slices.items())))
 
     def mul_poly(self, p: InternalPolynomial) -> "DiffElement":
         return DiffElement(
@@ -306,11 +299,7 @@ class Factorization(Record, frozen=True):
 
 def _same_values(a: Row, b: Row) -> bool:
     """Do two rows hold the same coefficients, over whatever denominators?"""
-    if a is b:
-        return True
-    da, db = a[0], b[0]
-    return ({nu: (re * db, im * db) for nu, _, re, im, _ in a[3]}
-            == {nu: (re * da, im * da) for nu, _, re, im, _ in b[3]})
+    return a is b or fraction_table(a) == fraction_table(b)
 
 
 def infinitesimal_factor(p: InternalPolynomial) -> tuple[EpsFactor, ScaledPoly]:

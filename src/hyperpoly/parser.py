@@ -685,18 +685,10 @@ def build_diff_element(node: Node, env: Bindings):
     if not isinstance(expanded, StructuredPoly) or expanded.tails or expanded.tops:
         raise BindError("differential expressions must expand to explicit form")
     slices: dict = {}
-    for nu, c in expanded.explicit.items():
-        x_mu, dx_mu = tuple(nu[:n]), tuple(nu[n:])
-        cur = slices.setdefault(dx_mu, {})
-        cur[x_mu] = cur[x_mu] + c if x_mu in cur else c
+    for nu, c in expanded.explicit.items():   # nu is x_mu then dx_mu: each pair occurs once
+        slices.setdefault(nu[n:], {})[nu[:n]] = c
     deg = expanded.degree
-    return DiffElement(
-        n,
-        {
-            mu: StructuredPoly(n, deg, dict(xs))
-            for mu, xs in slices.items()
-        },
-    )
+    return DiffElement(n, {mu: StructuredPoly(n, deg, xs) for mu, xs in slices.items()})
 
 
 def bind_declarations(program: Program, env: Optional[Bindings] = None) -> Bindings:

@@ -134,6 +134,7 @@ class StandardPowerSeries:
         )
 
     def __mul__(self, other: "StandardPowerSeries") -> "StandardPowerSeries":
+        """The Cauchy product, one coefficient at a time: a stream is no finite table."""
         self._check_arity(other, "product")
 
         def fn(nu):

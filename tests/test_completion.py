@@ -187,6 +187,22 @@ def field_polys_at_points(draw):
     return g, tuple(draw(st.lists(coord, min_size=n, max_size=n + 2)))
 
 
+class TestFieldArithmetic:
+    POINTS = ((Q(1, 2), 3), (Q(-2, 3), Q(1, 7)), (4, Q(-1, 3)))
+
+    @pytest.mark.parametrize("field", ["Q", 5])
+    def test_sum_and_product_agree_with_values(self, field):
+        f = FieldPoly.make(field, 2, {(1, 0): Q(1, 2), (0, 1): 3, (1, 1): -2, (0, 0): 1})
+        g = FieldPoly.make(field, 2, {(1, 0): Q(-1, 2), (2, 0): 4, (0, 2): Q(2, 3)})
+        total, prod = f.add(g), f.mul(g)
+        assert (1, 0) not in dict(total.coeffs)     # 1/2 - 1/2 cancels
+        assert not f.add(f.scale(-1)).coeffs
+        ring = (lambda v: v) if field == "Q" else (lambda v: v % field)
+        for x in self.POINTS:
+            assert total.eval_at(x) == ring(f.eval_at(x) + g.eval_at(x))
+            assert prod.eval_at(x) == ring(f.eval_at(x) * g.eval_at(x))
+
+
 class TestEvalAt:
     @settings(max_examples=200, deadline=None, derandomize=True)
     @given(case=field_polys_at_points())

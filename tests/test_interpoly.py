@@ -22,6 +22,7 @@ from hyperpoly.interpoly import (
     TailTerm,
     TopTerm,
     _hn_le_everywhere,
+    add_terms,
     constant,
     dehomogenize,
     homogenize,
@@ -35,6 +36,7 @@ from hyperpoly.interpoly import (
     polys_equal_at,
     scalar_mul,
     theta,
+    times_terms,
     truncate_series,
     truncated_exp,
     truncated_geometric,
@@ -102,6 +104,45 @@ class TestArithmetic:
         p = truncated_exp(D_I)
         q = truncated_exp(HyperNatural.affine(2, 3))
         assert poly_mul(p, q).degree.value(10) == 10 + 23
+
+
+def explicit2(coeffs):
+    """A bivariate explicit polynomial of its largest total degree, keys in the order given."""
+    return StructuredPoly(2, HyperNatural.constant(max(map(sum, coeffs))), coeffs)
+
+
+class TestTableKernel:
+    """Finite tables keep first-insertion order and left-associated sums."""
+
+    def test_product_keys_in_nested_loop_order(self):
+        p = explicit2({(1, 0): 2, (0, 1): 3})
+        q = explicit2({(0, 1): 5, (1, 0): 7, (0, 0): 11})
+        pq = poly_mul(p, q)
+        order = [(1, 1), (2, 0), (1, 0), (0, 2), (0, 1)]   # p outer, q inner
+        assert list(pq.explicit) == order
+        assert list(pq.materialize(1)) == order
+        c = pq.explicit[(1, 1)]     # 2 * 5 first, then 3 * 7
+        assert c.re.eq((p.explicit[(1, 0)] * q.explicit[(0, 1)]
+                        + p.explicit[(0, 1)] * q.explicit[(1, 0)]).re)
+        assert pq.materialize(1)[(1, 1)] == pair(31)
+
+    def test_sum_keys_in_first_insertion_order(self):
+        p = explicit2({(1, 0): 2, (0, 1): 3})
+        q = explicit2({(0, 2): 5, (0, 1): 7, (2, 0): 11})
+        s = poly_add(p, q)
+        order = [(1, 0), (0, 1), (0, 2), (2, 0)]
+        assert list(s.explicit) == order
+        assert list(s.materialize(1)) == order
+        assert s.explicit[(0, 1)].re.eq((p.explicit[(0, 1)] + q.explicit[(0, 1)]).re)
+        assert s.materialize(1)[(0, 1)] == pair(10)
+
+    def test_sums_associate_to_the_left(self):
+        terms = [((0,), 0.1), ((1,), 1.0), ((0,), 0.2), ((0,), 0.3)]
+        assert (0.1 + 0.2) + 0.3 != 0.1 + (0.2 + 0.3)
+        assert add_terms({}, terms) == {(0,): (0.1 + 0.2) + 0.3, (1,): 1.0}
+        a, b = [((1,), 0.1), ((0,), 0.2)], [((0,), 0.3), ((1,), 0.7)]
+        assert list(times_terms(a, b)) == [((1,), 0.1 * 0.3), ((2,), 0.1 * 0.7),
+                                           ((0,), 0.2 * 0.3), ((1,), 0.2 * 0.7)]
 
 
 class TestEval:

@@ -17,6 +17,7 @@ from hyperpoly.interpoly import (
     constant,
     multi_indices_of_degree,
     partial_derivative,
+    poly_add,
     poly_mul,
     scalar_mul,
     truncated_exp,
@@ -208,6 +209,21 @@ class TestReduction:
         z = DiffElement(1, {})
         assert in_I2(z).holds()
         assert phi(z).is_zero_to_order(4)
+
+
+def test_product_slices_match_a_nested_loop():
+    a = delta(rpoly(1, {(3,): 2, (1,): 3}))
+    b = DiffElement(1, {(2,): constant(1, 5), (0,): truncated_exp(D_I), (1,): variable(1, 0)})
+    want: dict = {}
+    for mu, p in a.slices.items():
+        for rho, q in b.slices.items():
+            key = (mu[0] + rho[0],)
+            want[key] = poly_add(want[key], poly_mul(p, q)) if key in want else poly_mul(p, q)
+    got = (a * b).slices
+    assert list(got) == list(want)
+    for key, p in want.items():
+        for i in range(1, 5):
+            assert list(got[key].materialize(i).items()) == list(p.materialize(i).items())
 
 
 class TestDerivation:
