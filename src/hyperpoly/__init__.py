@@ -16,21 +16,21 @@ __version__ = "0.1.0"
 
 # each public name, by the module that defines it
 _EXPORTS = {name: module for module, names in {
-    "verdicts": "HORIZON Verdict eventually negate",
+    "verdicts": "HORIZON Verdict eventually",
     "filters": "FiniteFilterModel ProductRing enumerate_filters is_ultrafilter "
                "kochen_filter_to_ideal kochen_ideal_to_filter",
     "indexexpr": "IndexExpr",
     "hypernat": "HyperNatural",
-    "hypernum": "HyperComplex classify_magnitude standard_part",
-    "interpoly": "InternalPolynomial InternalSeries StructuredPoly TailTerm TopTerm homogenize "
-                 "dehomogenize partial_derivative poly_add poly_compose poly_eval poly_mul "
-                 "scalar_mul theta truncate_series truncated_exp truncated_geometric",
-    "classify": "Certificate PolyClass cauchy_all_coefficients cauchy_coefficient classify_poly "
+    "hypernum": "HyperComplex standard_part",
+    "interpoly": "InternalPolynomial InternalSeries StructuredPoly TailTerm TopTerm "
+                 "partial_derivative poly_add poly_compose poly_eval poly_mul scalar_mul theta "
+                 "truncate_series truncated_exp truncated_geometric",
+    "classify": "Certificate PolyClass cauchy_all_coefficients classify_poly "
                 "coefficient_bound_check sampling_oracle",
     "stdpart": "AlgebraPresentation StandardPowerSeries lift_series st_functor st_morphism "
                "st_poly zero_set_compare",
     "completion": "FieldPoly LiftedTower ResidueTower finite_field_surjectivity_check "
-                  "halo_membership lift_tower",
+                  "lift_tower",
     "leibniz": "DiffElement OneForm delta derivation_check in_I in_I2 infinitesimal_factor phi",
     "genpoint": "LazyHyperPoint Parametrization evaluation_embedding_check generic_point "
                 "id_of_point integer_poly_corpus nullstellensatz_witness v_of_ideal",

@@ -523,24 +523,6 @@ def cauchy_all_coefficients(
     return {nu: _trapezoid(values, roots, nodes, nu, p.n, R) for nu in mat}
 
 
-def cauchy_coefficient(
-    p: InternalPolynomial,
-    nu: tuple,
-    radius,
-    at_index: int,
-    nodes: int,
-) -> complex:
-    """Tensor-product trapezoidal quadrature of P(xi)/xi^(nu+1) on the torus.
-
-    Exact (up to rounding) once ``nodes`` exceeds the per-variable degree of
-    the materialized polynomial; refuses otherwise, because exactness is the
-    whole point of the trapezoidal rule on the torus.
-    """
-    R = float(radius)
-    _, roots, values = _torus_values(p, R, at_index, nodes)
-    return _trapezoid(values, roots, nodes, tuple(nu), p.n, R)
-
-
 def coefficient_bound_check(
     p: InternalPolynomial,
     radius,

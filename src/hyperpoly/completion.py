@@ -19,10 +19,8 @@ from math import lcm, prod
 from typing import Union
 
 from .filters import is_prime
-from .interpoly import (InternalPolynomial, StructuredPoly, add_terms, mi_total,
-                        multi_indices_of_degree, times_terms)
+from .interpoly import add_terms, mi_total, multi_indices_of_degree, times_terms
 from .record import Record, _set
-from .verdicts import FAILS, HOLDS, HORIZON, Verdict
 
 Q = Fraction
 
@@ -176,45 +174,6 @@ def lift_tower(tower: ResidueTower, horizon: int) -> LiftedTower:
     if not lifted.check_congruences():
         raise TowerError("lift failed its congruence check")
     return lifted
-
-
-# ---------------------------------------------------------------------------
-# halo membership: P in m^k eventually
-# ---------------------------------------------------------------------------
-
-def halo_membership(p: InternalPolynomial, k: int, horizon: int = HORIZON) -> Verdict:
-    """Does every monomial of total degree < k have eventually-zero coefficient?
-
-    Structured polynomials are decided exactly through their coefficient
-    streams; anything else gets a windowed check.
-    """
-    if k <= 0:
-        return Verdict(HOLDS, 1, "m^0 is the whole ring")
-    low = [
-        nu
-        for m in range(k)
-        for nu in multi_indices_of_degree(p.n, m)
-    ]
-    if isinstance(p, StructuredPoly):
-        threshold = 1
-        for nu in low:
-            c = p.coeff(nu)
-            if not c.is_zero_expr():
-                return Verdict(FAILS, 1, f"coefficient at {nu} persists")
-            nonzero = [i for i in range(1, c.until) if c.value_exact(i) != (0, 0)]
-            if nonzero:
-                threshold = max(threshold, max(nonzero) + 1)
-        return Verdict(HOLDS, threshold, f"all coefficients below degree {k} vanish")
-    last_bad = 0
-    for i in range(1, horizon + 1):
-        mat = p.materialize(i)
-        if any(mat.get(nu, (0, 0)) != (0, 0) for nu in low):
-            last_bad = i
-    if last_bad == 0:
-        return Verdict(HOLDS, 1, "window evidence only")
-    if last_bad <= horizon / 2:
-        return Verdict(HOLDS, last_bad + 1, "window evidence only")
-    return Verdict(FAILS, 1, f"low-degree coefficient alive at index {last_bad}")
 
 
 # ---------------------------------------------------------------------------

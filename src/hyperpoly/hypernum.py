@@ -184,11 +184,6 @@ class HyperComplex:
         return None
 
 
-def classify_magnitude(x: HyperComplex) -> Classification:
-    """Module-level spelling of :meth:`HyperComplex.classify`."""
-    return coerce(x).classify()
-
-
 def standard_part(x: HyperComplex):
     """Module-level spelling of :meth:`HyperComplex.standard_part`."""
     return coerce(x).standard_part()

@@ -17,17 +17,16 @@ polynomial's degree: a band given without ``hi`` runs up to the degree it is
 built under.  So sums, scalar multiples, products with ``c X^k`` and
 derivatives stay in this structured form by keeping, shifting or lowering
 each bound, and the polynomial's degree only clips explicit coefficients.
-Products and homogenizations are kept as lazy nodes: each builds the integer
-row of an index (see :mod:`~hyperpoly.exacteval`) from its operands' rows and
-exposes exact standard-index coefficient streams, which is all the downstream
-maps need.
+Products are kept as lazy nodes: each builds the integer row of an index
+(see :mod:`~hyperpoly.exacteval`) from its operands' rows and exposes exact
+standard-index coefficient streams, which is all the downstream maps need.
 
 ``P_i`` is its row, so a coefficient's value at ``i`` is its entry in that row:
-a structured, homogenized or truncated coefficient reads it below the index
-where its forms take over, and a dehomogenized one at every index.  Sums,
-scalar multiples, products and derivatives take their values from their
-operands' coefficients instead, so a product coefficient has no value where a
-factor has none, though the row leaves that factor's term out.
+a structured or truncated coefficient reads it below the index where its forms
+take over, and a ``LazyPoly`` coefficient with no rule of its own at every
+index.  Sums, scalar multiples, products and derivatives take their values
+from their operands' coefficients instead, so a product coefficient has no
+value where a factor has none, though the row leaves that factor's term out.
 
 Every finite ``{multi-index: coefficient}`` table, whatever its ring (the
 explicit part here, ``completion.FieldPoly``, the dX-slices of a
@@ -361,7 +360,7 @@ class ProductPoly(InternalPolynomial):
 
 class LazyPoly(InternalPolynomial):
     """Polynomial defined by a row rule (lazy sums and scalar multiples,
-    derivatives, homogenization, truncated series).
+    derivatives, truncated series).
 
     ``fn(i)`` returns the ``(nu, re, im, den)`` parts of index ``i``, which
     :func:`~hyperpoly.exacteval.row_of_parts` sums into its row.
@@ -679,38 +678,6 @@ def _lowered(d: HyperNatural) -> HyperNatural:
     if (d.slope, max(d.intercept, 0)) == (0, 0):
         return HyperNatural.constant(0)
     return HyperNatural(d.slope, d.intercept - 1, tuple((i, max(0, v - 1)) for i, v in d.patches))
-
-
-def homogenize(p: InternalPolynomial) -> InternalPolynomial:
-    """Append one variable Z and send a_nu X^nu to a_nu X^nu Z^(d-|nu|)."""
-    d = p.degree
-
-    def fn(i):
-        d_i = d.value(i)
-        return [(nu + (d_i - mi_total(nu),), re, im, den)
-                for nu, re, im, den in parts_of_row(p.row(i))]
-
-    def coeff_fn(ext, entry):
-        # coefficient of X^nu Z^z is a_nu where d_i = |nu|+z, and 0 elsewhere; below
-        # where that settles, and wherever a_nu is generator-backed, the row's entry
-        nu, m = tuple(ext[:-1]), mi_total(ext)
-        base = p.coeff(nu)
-        if not base.symbolic:
-            return HyperComplex(gen=entry)
-        if d.slope == 0 and max(0, d.intercept) == m:
-            return HyperComplex(base.re, base.im, max(base.until, d.stable_from(m)), entry)
-        return HyperComplex(IndexExpr.const(0), None, d.stable_from(m), entry)
-
-    return LazyPoly(p.n + 1, d, fn, coeff_fn)
-
-
-def dehomogenize(p: InternalPolynomial) -> InternalPolynomial:
-    """Substitute 1 for the last variable."""
-
-    def fn(i):
-        return [(nu[:-1], re, im, den) for nu, re, im, den in parts_of_row(p.row(i))]
-
-    return LazyPoly(p.n - 1, p.degree, fn)
 
 
 # ---------------------------------------------------------------------------

@@ -122,11 +122,3 @@ def eventually(pred: Callable[[int], bool], horizon: int, note: str = "") -> Ver
         return Verdict(FAILS, t_false, note)
     return Verdict(UNDETERMINED, horizon, note)
 
-
-def negate(v: Verdict) -> Verdict:
-    """Verdict of the negated predicate; thresholds carry over unchanged."""
-    if v.kind == HOLDS:
-        return Verdict(FAILS, v.witness, v.note)
-    if v.kind == FAILS:
-        return Verdict(HOLDS, v.witness, v.note)
-    return v

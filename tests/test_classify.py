@@ -23,7 +23,6 @@ from hyperpoly.classify import (
     UNBOUNDED,
     _rational_circle_points,
     cauchy_all_coefficients,
-    cauchy_coefficient,
     classify_poly,
     coefficient_bound_check,
     sampling_oracle,
@@ -411,27 +410,20 @@ class TestCauchy:
                 (2,): HyperComplex.from_rational(3),
             },
         )
-        got = cauchy_coefficient(P, (1,), 1, at_index=5, nodes=8)
+        got = cauchy_all_coefficients(P, 1, at_index=5, nodes=8)[(1,)]
         assert abs(got - 2) < 1e-10
-
-    def test_beyond_degree_is_zero(self):
-        P = StructuredPoly(
-            1, HyperNatural.constant(1), {(1,): HyperComplex.from_rational(4)}
-        )
-        got = cauchy_coefficient(P, (5,), 1, at_index=3, nodes=8)
-        assert abs(got) < 1e-10
 
     def test_bivariate_product_coefficient(self):
         P = StructuredPoly(
             2, HyperNatural.constant(2), {(1, 1): HyperComplex.from_rational(1)}
         )
-        got = cauchy_coefficient(P, (1, 1), 2, at_index=1, nodes=8)
+        got = cauchy_all_coefficients(P, 2, at_index=1, nodes=8)[(1, 1)]
         assert abs(got - 1) < 1e-10
 
     def test_too_few_nodes_refused(self):
         P = truncated_exp(HyperNatural.constant(6))
         with pytest.raises(ValueError):
-            cauchy_coefficient(P, (2,), 1, at_index=1, nodes=6)
+            cauchy_all_coefficients(P, 1, at_index=1, nodes=6)[(2,)]
 
     def test_batch_recovers_all(self):
         rng = random.Random(4)

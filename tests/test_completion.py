@@ -1,4 +1,4 @@
-"""Tower lifting, halo membership, and the finite-field completion check."""
+"""Tower lifting and the finite-field completion check."""
 
 import random
 from fractions import Fraction as Q
@@ -14,12 +14,8 @@ from hyperpoly.completion import (
     _normalize,
     enumerate_residues,
     finite_field_surjectivity_check,
-    halo_membership,
     lift_tower,
 )
-from hyperpoly.hypernat import HyperNatural
-from hyperpoly.hypernum import HyperComplex
-from hyperpoly.interpoly import moving_monomial, variable, zero_poly, StructuredPoly
 
 
 def geometric_tower(K):
@@ -97,35 +93,6 @@ class TestLift:
             bad[k] = FieldPoly.make("Q", 1, d)
             with pytest.raises(TowerError):
                 ResidueTower.make("Q", 1, bad)
-
-class TestHalo:
-    def test_moving_monomial_in_every_power(self):
-        P = moving_monomial(HyperNatural.identity())  # X^d
-        for k in range(1, 9):
-            v = halo_membership(P, k)
-            assert v.holds()
-
-    def test_x_in_m1_not_m2(self):
-        X = variable(1, 0)
-        assert halo_membership(X, 1).holds()
-        assert halo_membership(X, 2).fails()
-
-    def test_zero_in_all(self):
-        for k in (1, 3, 8):
-            assert halo_membership(zero_poly(), k).holds()
-
-    def test_kernel_matches_theta_vanishing(self):
-        # halo membership for all k <= 8 iff low theta coefficients vanish
-        from hyperpoly.interpoly import theta
-
-        P = moving_monomial(HyperNatural.identity())
-        assert all(halo_membership(P, k).holds() for k in range(1, 9))
-        s = theta(P)
-        assert all(s.coeff((j,)).is_zero_expr() for j in range(9))
-        X = variable(1, 0)
-        assert not all(halo_membership(X, k).holds() for k in range(1, 9))
-        assert not all(theta(X).coeff((j,)).is_zero_expr() for j in range(9))
-
 
 class TestFiniteField:
     def test_f2_n1_k2_hits_all_eight(self):

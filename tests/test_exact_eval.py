@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 from hyperpoly import interpoly
 from hyperpoly.classify import _oracle_points, classify_poly, sampling_oracle
 from hyperpoly.exacteval import (dot, evaluate, fraction_table, multiply_rows, part,
-                                 row_of_parts)
+                                 parts_of_row, row_of_parts)
 from hyperpoly.families import labeled_family, random_bounded_pair
 from hyperpoly.hypernat import HyperNatural
 from hyperpoly.hypernum import HyperComplex
@@ -31,8 +31,6 @@ from hyperpoly.interpoly import (
     StructuredPoly,
     TailTerm,
     TopTerm,
-    dehomogenize,
-    homogenize,
     mi_sub,
     multi_indices_of_degree,
     partial_derivative,
@@ -365,7 +363,6 @@ def _representations():
         exp,
         ProductPoly(exp, geom),
         ProductPoly(_bivariate(), _bivariate()),
-        dehomogenize(homogenize(exp)),
         partial_derivative(ProductPoly(exp, geom), (1,)),
         LazyPoly(1, D_I, lambda i: [part((k,), (Q(k, i), Q(-1, k + 1))) for k in range(i + 1)]),
     ]
@@ -448,18 +445,6 @@ def reference_lazy_derivative(table, var):
     return {k: v for k, v in out.items() if v != ZERO}
 
 
-def reference_homogenize(table, d_i):
-    return {nu + (d_i - sum(nu),): c for nu, c in table.items()}
-
-
-def reference_dehomogenize(table):
-    out = {}
-    for nu, c in table.items():
-        prev = out.get(nu[:-1], ZERO)
-        out[nu[:-1]] = (prev[0] + c[0], prev[1] + c[1])
-    return {k: v for k, v in out.items() if v != ZERO}
-
-
 def reference_truncate_series(rule, d_i, n):
     out = {}
     for m in range(d_i + 1):
@@ -506,11 +491,6 @@ def test_materialize_is_the_view_of_the_fraction_rule(seed):
             assert isinstance(lowered, LazyPoly)
             assert_view_matches(lowered, lambda i: reference_lazy_derivative(
                 reference_materialize(biv, i), 0))
-        hom = homogenize(p)
-        assert_view_matches(hom, lambda i: reference_homogenize(
-            reference_materialize(p, i), p.degree.value(i)))
-        assert_view_matches(dehomogenize(hom), lambda i: reference_dehomogenize(
-            reference_homogenize(reference_materialize(p, i), p.degree.value(i))))
     values = [rng.choice([0, 1, Q(-2, 3), (Q(1, 2), Q(-1, 5)), (0, 0), (-3, Q(7, 4))])
               for _ in range(5)]
     for n, d in ((1, D_I), (2, HyperNatural.affine(1, 2))):
@@ -578,8 +558,6 @@ def test_lazy_rows_build_no_fraction_view():
         shapes = [poly_add(ProductPoly(e, e), e),
                   scalar_mul(HyperComplex(gen=lambda i: (Q(1, i), Q(1, 2))), e),
                   partial_derivative(b, (1, 0)),
-                  homogenize(e),
-                  dehomogenize(homogenize(e)),
                   truncate_series(lambda nu: Q(1, 1 + nu[0]), D_I)]
         assert all(isinstance(p, LazyPoly) for p in shapes)
         for i in range(1, 9):
@@ -968,9 +946,18 @@ def test_dot_mixed_denominators():
 ZERO = (Q(0), Q(0))
 
 
+def homogenized_rows(p):
+    """``p`` with one more variable Z, ``a_nu X^nu`` sent to ``a_nu X^nu Z^(d_i - |nu|)``
+    row by row.  It has no coefficient rule, so each coefficient reads the row
+    at every index; these are the values ``VALUES_DIGEST`` was captured with."""
+    d = p.degree
+    return LazyPoly(p.n + 1, d, lambda i: [(nu + (d.value(i) - sum(nu),), re, im, den)
+                                           for nu, re, im, den in parts_of_row(p.row(i))])
+
+
 def drawn_members():
     """Bounded pairs at four seeds with their sums and products, labeled family
-    members, and the derivative and the homogenization of each."""
+    members, and the derivative and the homogenized rows of each."""
     out = []
     for seed in (1, 2, 101, 202):
         rng = random.Random(seed)
@@ -979,7 +966,7 @@ def drawn_members():
             p, q = random_bounded_pair(rng)
             base += [p, q, poly_add(p, q), poly_mul(p, q)]
         for p in base:
-            out += [p, partial_derivative(p, (1,) + (0,) * (p.n - 1)), homogenize(p)]
+            out += [p, partial_derivative(p, (1,) + (0,) * (p.n - 1)), homogenized_rows(p)]
     return out
 
 
@@ -1032,16 +1019,14 @@ def test_singular_factor_has_no_value_at_its_pole():
 def row_read_coefficients():
     """``(p, nu, indices)``: a coefficient of each kind that reads ``p``'s row at
     ``indices``, every index below its ``until``: a banded structured one with an
-    early explicit term, two homogenized ones, a truncated series' and a
-    dehomogenized one, which has no coefficient rule and reads the row at every
-    index."""
+    early explicit term, two of a truncated series, and one of a ``LazyPoly``
+    with no coefficient rule, which reads the row at every index."""
     banded = StructuredPoly(1, D_I, {(2,): early(IndexExpr.const(1), None,
                                                  {1: (Q(5), Q(-1)), 3: (Q(2, 7), Q(0))})},
                             tails=(TailTerm((1 / IndexExpr.factorial(),)),))
-    hom = homogenize(banded)
     series = truncate_series(lambda nu: Q(1, 1 + nu[0]), HyperNatural(1, -1))
-    return [(banded, (2,), range(1, 4)), (hom, (2, 1), range(1, 4)), (hom, (0, 3), range(1, 4)),
-            (series, (2,), range(1, 4)), (dehomogenize(hom), (2,), range(1, 6))]
+    return [(banded, (2,), range(1, 4)), (series, (2,), range(1, 4)),
+            (series, (3,), range(1, 5)), (homogenized_rows(banded), (2, 1), range(1, 6))]
 
 
 def test_early_values_are_the_kept_row_entries():
@@ -1055,25 +1040,6 @@ def test_early_values_are_the_kept_row_entries():
             with patch.object(interpoly, "row_of_parts", wraps=row_of_parts) as built:
                 assert c.value_exact(i) == p.materialize(i).get(nu, ZERO), (nu, i)
             assert built.call_count == 0, (nu, i)
-
-
-def test_homogenized_coefficient_reads_zero_at_a_pole():
-    # X^0 Z^2 carries a_0 = 1/(i - 2) where d_i = i = 2, and a_0 has no value there
-    p = StructuredPoly(1, D_I, {(0,): HyperComplex(1 / (I() - 2)),
-                                (1,): HyperComplex.from_rational(3)})
-    hom = homogenize(p)
-    c = hom.coeff((0, 2))
-    assert [c.value_exact(i) for i in (1, 2, 3, 4)] == [ZERO] * 4
-    assert hom.materialize(2) == {(1, 1): (Q(3), Q(0))}
-    assert_values_match_rows(hom)
-
-
-def test_homogenized_coefficient_follows_a_degree_clipped_at_zero():
-    # d = max(0, 2i - 3) is 0 at i = 1, where X^0 Z^0 carries a_0; no patch marks it
-    p = StructuredPoly(1, HyperNatural(2, -3), {(0,): HyperComplex.from_rational(5)})
-    hom = homogenize(p)
-    assert hom.coeff((0, 0)).value_exact(1) == (Q(5), Q(0))
-    assert_values_match_rows(hom)
 
 
 def test_derivative_of_a_moving_monomial_with_a_patched_degree():

@@ -24,8 +24,6 @@ from hyperpoly.interpoly import (
     _hn_le_everywhere,
     add_terms,
     constant,
-    dehomogenize,
-    homogenize,
     moving_monomial,
     monomial,
     partial_derivative,
@@ -339,52 +337,6 @@ class TestTruncateSeries:
         assert P.coeff((7,)).value_exact(3) == pair(Q(1, 50))
 
 
-class TestHomogenize:
-    def test_constant_degree_example(self):
-        # 1 + X at degree 3 -> Z^3 + X Z^2
-        P = StructuredPoly(
-            1,
-            HyperNatural.constant(3),
-            {(0,): HyperComplex.from_rational(1), (1,): HyperComplex.from_rational(1)},
-        )
-        H = homogenize(P)
-        assert H.materialize(5) == {(0, 3): pair(1), (1, 2): pair(1)}
-
-    def test_roundtrip_dehomogenize(self):
-        rng = random.Random(5)
-        for _ in range(5):
-            expl = {
-                (rng.randint(0, 3), rng.randint(0, 2)): HyperComplex.from_rational(
-                    rng.randint(-5, 5)
-                )
-                for _ in range(3)
-            }
-            P = StructuredPoly(2, HyperNatural.constant(6), expl)
-            back = dehomogenize(homogenize(P))
-            assert polys_equal_at(P, back, [1, 4, 9])
-
-    def test_truncated_exp_homogenized_at_index_4(self):
-        P = truncated_exp(D_I)
-        H = homogenize(P)
-        m = H.materialize(4)
-        assert m == {
-            (0, 4): pair(1),
-            (1, 3): pair(1),
-            (2, 2): pair(Q(1, 2)),
-            (3, 1): pair(Q(1, 6)),
-            (4, 0): pair(Q(1, 24)),
-        }
-        # homogeneous of degree d_i at every index
-        assert all(sum(nu) == 4 for nu in m)
-
-    def test_homogenize_coeff_stream(self):
-        P = truncated_exp(D_I)
-        H = homogenize(P)
-        c = H.coeff((2, 1))  # hits exactly at i = 3
-        assert c.value_exact(3) == pair(Q(1, 2))
-        assert c.value_exact(4) == pair(0)
-
-
 class TestSampledConsistency:
     def test_coeff_matches_materialization(self):
         rng = random.Random(23)
@@ -479,8 +431,7 @@ SCALARS = (HyperComplex.from_rational(Q(-2, 3), Q(1, 2)),
 @given(pq=operand_pairs(), c=st.sampled_from(SCALARS))
 def test_structured_operations_agree_with_row_arithmetic(pq, c):
     """Each structured sum, product, scalar multiple and derivative holds, at
-    late indices, the row arithmetic of its operands; its homogenization has a
-    nonnegative power of Z on every term, and dehomogenizes back to it."""
+    late indices, the row arithmetic of its operands."""
     p, q = pq
     results = [(poly_add(p, q), lambda i: summed(p, q, i)),
                (poly_mul(p, q), lambda i: fraction_table(multiply_rows(p.row(i), q.row(i)))),
@@ -489,12 +440,8 @@ def test_structured_operations_agree_with_row_arithmetic(pq, c):
     for r, want in results:
         if not isinstance(r, StructuredPoly):
             continue
-        hom = homogenize(r)
-        back = dehomogenize(hom)
         for i in LATE:
             assert r.materialize(i) == want(i), i
-            assert all(nu[-1] >= 0 for nu in hom.materialize(i)), i
-            assert back.materialize(i) == r.materialize(i), i
 
 
 D_2I = HyperNatural.affine(2, 0)
@@ -527,6 +474,13 @@ def test_terms_keep_their_own_degree(name):
         assert p.materialize(i) == want(i), i
 
 
+def test_exp_truncations_at_index_2_and_3():
+    assert poly_add(truncated_exp(D_I), moving_monomial(D_2I)).materialize(2) == {
+        (0,): pair(1), (1,): pair(1), (2,): pair(Q(1, 2)), (4,): pair(1)}
+    assert (truncated_exp(D_2I) - truncated_exp(D_I)).materialize(3) == {
+        (4,): pair(Q(1, 24)), (5,): pair(Q(1, 120)), (6,): pair(Q(1, 720))}
+
+
 def test_lazy_scalar_multiple_reads_zero_where_the_scalar_has_no_value():
     p = scalar_mul(HyperComplex(1 / (I() - 3)), ProductPoly(truncated_exp(D_I), variable(1, 0)))
     assert isinstance(p, LazyPoly)
@@ -537,10 +491,14 @@ def test_lazy_scalar_multiple_reads_zero_where_the_scalar_has_no_value():
 
 
 def test_a_lazy_coefficient_read_off_the_rows_makes_no_reference_cycle():
-    reads = [(lambda: dehomogenize(homogenize(truncated_exp(D_I))), (2,), 5, pair(Q(1, 2))),
-             # until 4 for both: the degree i reaches 3 at i = 3
+    # no coefficient rule: the row at every index
+    reads = [(lambda: LazyPoly(1, D_I, lambda i: [part((k,), pair(Q(1, k + i)))
+                                                   for k in range(i + 1)]),
+              (2,), 5, pair(Q(1, 7))),
+             # until 4: the degree i reaches 3 at i = 3
              (lambda: truncated_exp(D_I), (3,), 2, pair(0)),
-             (lambda: homogenize(truncated_exp(D_I)), (2, 1), 3, pair(Q(1, 2)))]
+             # until 3: the degree i reaches 2 at i = 2
+             (lambda: truncate_series(lambda nu: Q(1, 1 + nu[0]), D_I), (2,), 2, pair(Q(1, 3)))]
     gc.collect()
     gc.disable()
     try:

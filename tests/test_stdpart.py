@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hyperpoly.families import make_bounded, make_infinitesimal
+from hyperpoly.families import make_bounded, make_infinitesimal, random_bounded_pair
 from hyperpoly.hypernat import HyperNatural
 from hyperpoly.hypernum import HyperComplex
 from hyperpoly.indexexpr import IndexExpr
@@ -97,6 +97,15 @@ class TestStPoly:
             lhs_s = st_poly(poly_add(p, q))
             rhs_s = st_poly(p) + st_poly(q)
             assert lhs_s.eq_to_order(rhs_s, 12)
+
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_ring_homomorphism_on_drawn_bounded_pairs(self, seed):
+        # criterion 2's pairs at a drawn seed; st of the product is taken of poly_mul's result
+        p, q = random_bounded_pair(random.Random(seed))
+        sp, sq = st_poly(p), st_poly(q)
+        assert st_poly(poly_add(p, q)).eq_to_order(sp + sq, 12)
+        assert st_poly(poly_mul(p, q)).eq_to_order(sp * sq, 12)
 
     @settings(max_examples=30, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1))
