@@ -21,7 +21,7 @@ _EXPORTS = {name: module for module, names in {
                "kochen_filter_to_ideal kochen_ideal_to_filter",
     "indexexpr": "IndexExpr",
     "hypernat": "HyperNatural",
-    "hypernum": "HyperComplex standard_part",
+    "hypernum": "HyperComplex",
     "interpoly": "InternalPolynomial InternalSeries StructuredPoly TailTerm TopTerm "
                  "partial_derivative poly_add poly_compose poly_eval poly_mul scalar_mul theta "
                  "truncate_series truncated_exp truncated_geometric",

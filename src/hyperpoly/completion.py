@@ -97,8 +97,8 @@ class FieldPoly(Record, frozen=True):
         tops = [(v, max((nu[v] for nu, _ in self.coeffs), default=0)) for v in range(self.n)]
         return den, [t for t in tops if t[1]], [(nu, int(c * den)) for nu, c in self.coeffs]
 
-    def eval_at(self, point) -> "Fraction | int":
-        """The value over the one denominator ``L prod q_v^E_v`` at ``x_v = p_v/q_v``."""
+    def _over_one_denominator(self, point) -> tuple:
+        """``(N, D)`` with the value at ``x_v = p_v/q_v`` equal to N/D, D = ``L prod q_v^E_v``."""
         den, tops, terms = self._over_lcm
         xs = [(v, point[v].numerator, point[v].denominator, e) for v, e in tops]
         num = 0
@@ -106,8 +106,21 @@ class FieldPoly(Record, frozen=True):
             for v, p, q, e in xs:
                 a *= p ** nu[v] * q ** (e - nu[v])
             num += a
-        value = Q(num, den * prod(q ** e for _, _, q, e in xs))
+        return num, den * prod(q ** e for _, _, q, e in xs)
+
+    def eval_at(self, point) -> "Fraction | int":
+        value = Q(*self._over_one_denominator(point))
         return value if self.field == "Q" else _normalize(self.field, value)
+
+    def vanishes_at(self, point) -> bool:
+        """``eval_at(point) == 0`` off the numerator; over F_p a denominator
+        divisible by p goes through ``eval_at``'s normalization, which may raise."""
+        num, den = self._over_one_denominator(point)
+        if self.field == "Q":
+            return num == 0
+        if den % self.field:
+            return num % self.field == 0
+        return _normalize(self.field, Q(num, den)) == 0
 
     def is_zero(self) -> bool:
         return not self.coeffs

@@ -24,8 +24,8 @@ from .verdicts import HOLDS, HORIZON, GridExhausted, Verdict, eventually
 
 Q = Fraction
 
-# grid points tried: 40 * GENERIC_HEIGHT_CAP * i by generic_point at index i,
-# WITNESS_HEIGHT_CAP by nullstellensatz_witness per batch
+# the grid position a search stops before, wherever it resumes: 40 * GENERIC_HEIGHT_CAP * i
+# for generic_point at index i, WITNESS_HEIGHT_CAP per nullstellensatz_witness batch
 GENERIC_HEIGHT_CAP = 64
 WITNESS_HEIGHT_CAP = 4096
 
@@ -228,11 +228,17 @@ def generic_point(
     halo center, the point additionally stays within 1/i of it; the search
     runs over height-ordered rational parameters and reports the obstructing
     constraint set, or the halo when no tried point lay in it, on exhaustion.
+
+    Index i resumes at the grid position of the point of the largest computed
+    index j < i, in any order, and finds what a search from 0 finds: a point
+    rejected at j is rejected at i (a pole stays a pole, the halo 1/i lies in
+    1/j, the constraints grow).  Exhaustion reruns from 0 to raise its error.
     """
     center = tuple(Q(c) for c in halo_center) if halo_center is not None else None
     filtered_cache: list[FieldPoly] = []
     corpus = corpus_factory()
     logs: dict[int, list[LogEntry]] = {}
+    positions: dict[int, int] = {}      # index -> grid position of its point
 
     def filtered_prefix(count: int) -> list[FieldPoly]:
         while len(filtered_cache) < count:
@@ -244,8 +250,15 @@ def generic_point(
     def gen(i: int) -> tuple:
         constraints = filtered_prefix(i)
         halo = None if center is None else (center, Q(1, i * i))
-        pt, values = _avoiding_point(
-            param, constraints, GENERIC_HEIGHT_CAP * max(1, i) * 40, i, halo)
+        tries = GENERIC_HEIGHT_CAP * max(1, i) * 40
+        start = max((pos for j, pos in positions.items() if j < i), default=0)
+        try:
+            positions[i], pt, values = _avoiding_point(
+                param, constraints, tries, i, halo, start)
+        except GridExhausted:
+            if start:
+                _avoiding_point(param, constraints, tries, i, halo)
+            raise
         entries = []
         if center is not None:
             entries.append(LogEntry(
@@ -258,12 +271,14 @@ def generic_point(
     return LazyHyperPoint(param.n, gen, log_fn=lambda i: logs.get(i, []))
 
 
-def _avoiding_point(param, polys, tries, index, halo=None) -> tuple:
-    """The first of ``tries`` grid points, off the poles and inside the halo
-    ``(center, r^2)`` if one is given, where no poly of ``polys`` vanishes;
-    returned with the values of ``polys`` there."""
+def _avoiding_point(param, polys, tries, index, halo=None, start=0) -> tuple:
+    """The first grid point at a position from ``start`` up to ``tries``, off
+    the poles and inside the halo ``(center, r^2)`` if one is given, where no
+    poly of ``polys`` vanishes; returned after its position and before the
+    values of ``polys`` there."""
     inside = False
-    for params in itertools.islice(param_grid(param.k), tries):
+    grid = itertools.islice(param_grid(param.k), start, tries)
+    for pos, params in enumerate(grid, start):
         try:
             pt = param.point_at(params)
         except ZeroDivisionError:
@@ -278,7 +293,7 @@ def _avoiding_point(param, polys, tries, index, halo=None) -> tuple:
                 break
             values.append(v)
         else:
-            return pt, values
+            return pos, pt, values
     if halo is not None and not inside:
         raise GridExhausted(index, [f"halo |x - center|^2 <= {halo[1]}"])
     raise GridExhausted(index, [_fmt_poly(g) for g in polys])
@@ -315,7 +330,7 @@ def v_of_ideal(x: LazyHyperPoint, gens: list[FieldPoly], horizon: int = HORIZON)
 
     def pred(i: int) -> bool:
         pt = x.point(i)
-        return all(g.eval_at(pt) == 0 for g in gens)
+        return all(g.vanishes_at(pt) for g in gens)
 
     return eventually(pred, horizon, note="exact vanishing of all generators")
 
@@ -325,7 +340,7 @@ def id_of_point(
 ) -> list[FieldPoly]:
     """The candidates vanishing exactly at every sampled index."""
     return [f for f in candidates
-            if all(f.eval_at(x.point(i)) == 0 for i in range(1, horizon + 1))]
+            if all(f.vanishes_at(x.point(i)) for i in range(1, horizon + 1))]
 
 
 def evaluation_embedding_check(
@@ -349,7 +364,7 @@ def evaluation_embedding_check(
         return Verdict(HOLDS, 1, "fewer than two residues: vacuous")
     worst = 1
     for a, b, diff in diffs:
-        v = eventually(lambda i, d=diff: d.eval_at(x.point(i)) != 0, horizon)
+        v = eventually(lambda i, d=diff: not d.vanishes_at(x.point(i)), horizon)
         if not v.holds():
             return Verdict(v.kind, v.witness, f"pair ({a}, {b}) not separated")
         worst = max(worst, v.witness)
@@ -379,8 +394,8 @@ def nullstellensatz_witness(
             raise ValueError(f"witness {_fmt_poly(g)} vanishes identically on the variety")
     out = []
     for ell in range(1, len(witnesses) + 1):
-        found, _ = _avoiding_point(param, witnesses[:ell], WITNESS_HEIGHT_CAP, ell)
+        _, found, _ = _avoiding_point(param, witnesses[:ell], WITNESS_HEIGHT_CAP, ell)
         for f in gens:
-            assert f.eval_at(found) == 0
+            assert f.vanishes_at(found)
         out.append(found)
     return out

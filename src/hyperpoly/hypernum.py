@@ -184,11 +184,6 @@ class HyperComplex:
         return None
 
 
-def standard_part(x: HyperComplex):
-    """Module-level spelling of :meth:`HyperComplex.standard_part`."""
-    return coerce(x).standard_part()
-
-
 def exact_complex(re, im) -> complex:
     """``re + im*i`` as a complex; a part past the float range reads as +-inf."""
     parts = []

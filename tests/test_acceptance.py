@@ -14,8 +14,6 @@ import time
 from contextlib import redirect_stdout
 from fractions import Fraction as Q
 
-import pytest
-
 from hyperpoly.classify import (
     INFINITESIMAL,
     UNBOUNDED,
@@ -52,9 +50,7 @@ from hyperpoly.interpoly import (
     multi_indices_of_degree,
     poly_add,
     poly_mul,
-    scalar_mul,
     truncated_exp,
-    variable,
 )
 from hyperpoly.leibniz import (
     classify_scaled,

@@ -154,6 +154,18 @@ def field_polys_at_points(draw):
     return g, tuple(draw(st.lists(coord, min_size=n, max_size=n + 2)))
 
 
+@st.composite
+def zero_test_cases(draw):
+    """``field_polys_at_points``, half of them times ``q X_1 - p`` at ``x_1 = p/q``,
+    so that exact zeros over Q are drawn too."""
+    g, point = draw(field_polys_at_points())
+    if draw(st.booleans()):
+        x, n = Q(point[0]), g.n
+        g = g.mul(FieldPoly.make(g.field, n, {(1,) + (0,) * (n - 1): x.denominator,
+                                              (0,) * n: -x.numerator}))
+    return g, point
+
+
 class TestFieldArithmetic:
     POINTS = ((Q(1, 2), 3), (Q(-2, 3), Q(1, 7)), (4, Q(-1, 3)))
 
@@ -197,3 +209,22 @@ class TestEvalAt:
         assert str(err.value) == ("coefficient 19/9 has no value in F_3: "
                                   "its denominator is divisible by 3")
         assert g.eval_at((Q(1, 2),)) == 0
+
+
+class TestVanishesAt:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(case=zero_test_cases())
+    @example(case=(FieldPoly.make(3, 1, {(2,): 1, (0,): 2}), (Q(1, 3),)))   # raises
+    @example(case=(FieldPoly.make(3, 1, {(2,): 1, (0,): 2}), (Q(1, 2),)))   # 9/4 is 0 in F_3
+    @example(case=(FieldPoly.make(3, 2, {(1, 1): 1, (0, 0): 2}), (Q(1, 3), 3)))  # 9/3 is 0
+    @example(case=(FieldPoly.make(3, 2, {(1, 1): 1}), (Q(1, 3), 3)))        # 3/3 is 1
+    def test_is_eval_at_equal_to_zero(self, case):
+        g, point = case
+        try:
+            want = g.eval_at(point) == 0
+        except TowerError as err:
+            with pytest.raises(TowerError) as got:
+                g.vanishes_at(point)
+            assert str(got.value) == str(err)
+            return
+        assert g.vanishes_at(point) is want

@@ -8,7 +8,6 @@ builds must list its keys in their order.
 
 import hashlib
 import itertools
-import math
 import random
 from fractions import Fraction as Q
 from unittest.mock import patch

@@ -39,7 +39,6 @@ from hyperpoly.interpoly import (
     truncated_exp,
     truncated_geometric,
     variable,
-    zero_poly,
 )
 from hyperpoly.parser import bind_declarations, build_poly, parse
 

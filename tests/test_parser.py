@@ -4,7 +4,6 @@ from fractions import Fraction as Q
 
 import pytest
 
-from hyperpoly.hypernat import HyperNatural
 from hyperpoly.parser import (
     BinOp,
     BindError,

@@ -23,7 +23,6 @@ from hyperpoly import (
     classify_poly,
     sampling_oracle,
     st_poly,
-    standard_part,
 )
 from hyperpoly.classify import INFINITESIMAL
 from hyperpoly.cli import EXIT_OK, EXIT_UNDETERMINED, build_arg_parser, main, run
@@ -42,7 +41,6 @@ from hyperpoly.interpoly import constant as const_poly
 class TestModuleAliases:
     def test_classify_and_st_aliases(self):
         assert HyperComplex.epsilon().classify().label == "infinitesimal"
-        assert standard_part(HyperComplex.from_rational(Q(7, 2))) == (Q(7, 2), 0)
 
     def test_version_and_exports(self):
         assert hyperpoly.__version__
@@ -50,14 +48,14 @@ class TestModuleAliases:
             assert hasattr(hyperpoly, name)
 
 
-# the 64 names ``hyperpoly`` re-exports, by the module that defines each
+# the 63 names ``hyperpoly`` re-exports, by the module that defines each
 PUBLIC = {
     "verdicts": ("HORIZON", "Verdict", "eventually"),
     "filters": ("FiniteFilterModel", "ProductRing", "enumerate_filters", "is_ultrafilter",
                 "kochen_filter_to_ideal", "kochen_ideal_to_filter"),
     "indexexpr": ("IndexExpr",),
     "hypernat": ("HyperNatural",),
-    "hypernum": ("HyperComplex", "standard_part"),
+    "hypernum": ("HyperComplex",),
     "interpoly": ("InternalPolynomial", "InternalSeries", "StructuredPoly", "TailTerm",
                   "TopTerm", "partial_derivative", "poly_add", "poly_compose", "poly_eval",
                   "poly_mul", "scalar_mul", "theta", "truncate_series", "truncated_exp",
@@ -108,7 +106,7 @@ class TestPublicSurface:
 
     def test_dir_lists_every_name(self):
         public = {name for names in PUBLIC.values() for name in names}
-        assert len(public) == 64
+        assert len(public) == 63
         assert set(hyperpoly.__all__) == public  # a removed name cannot linger in the table
         listed = set(dir(hyperpoly))
         assert public <= listed
