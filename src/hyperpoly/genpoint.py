@@ -274,8 +274,7 @@ def generic_point(
 def _avoiding_point(param, polys, tries, index, halo=None, start=0) -> tuple:
     """The first grid point at a position from ``start`` up to ``tries``, off
     the poles and inside the halo ``(center, r^2)`` if one is given, where no
-    poly of ``polys`` vanishes; returned after its position and before the
-    values of ``polys`` there."""
+    poly of ``polys`` vanishes, as ``(position, point, values of polys)``."""
     inside = False
     grid = itertools.islice(param_grid(param.k), start, tries)
     for pos, params in enumerate(grid, start):
